@@ -21,7 +21,7 @@ from .quadform import (PlaceSet, ZeroDivisorCertificate, find_zero_divisor,
                        quaternary_isotropic, ramified_places, represent_pure,
                        ternary_isotropic, ternary_local_obstruction)
 from .quatalg import (CharPoly, Quaternion, QuaternionAlgebra, charpoly,
-                      embed_quadratic, is_conjugate, q_inv, q_mul)
+                      embed_quadratic, is_conjugate, q_inv)
 from .ratpoly import (RatPoly, from_int_list, rp_discriminant, rp_factor,
                       rp_gcd, rp_is_irreducible, rp_real_root_count,
                       rp_xgcd)

@@ -35,6 +35,16 @@ def _fr(s):
         raise argparse.ArgumentTypeError("not a rational number: %r" % s)
 
 
+def _trials(s):
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % s)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="quatpoly",
@@ -53,7 +63,10 @@ def build_parser():
                     metavar="FILE",
                     help="zero-divisor certificate JSON (repeatable)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-height", type=int, default=20)
+    ap.add_argument("--max-height", type=_trials, default=20, metavar="N",
+                    help="zero-divisor search budget: N random trials, "
+                         "trial t drawing coefficients of height "
+                         "1 + t//8 (default 20, so heights 1 to 3)")
     return ap
 
 

@@ -39,13 +39,6 @@ def is_prime(n):
     return True
 
 
-def next_prime(n):
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def _pollard_rho(n, rng):
     while True:
         c = rng.randrange(1, n)

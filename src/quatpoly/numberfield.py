@@ -200,10 +200,6 @@ class NFElement:
         return "NF(%s)" % (self.as_ratpoly(),)
 
 
-def nf_inv(a):
-    return a.inv()
-
-
 # ---------------------------------------------------------------------------
 # dense polynomials with NFElement coefficients (lists, ascending)
 

@@ -10,6 +10,8 @@ reordering, and root enumeration up to conjugacy.
 
 from fractions import Fraction
 
+from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
+                        cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
                      SearchExhausted)
@@ -17,10 +19,35 @@ from .numberfield import (NumberField, nf_factor_over_quadratic,
                           nf_quadratic_subfields, nf_splits_quaternion,
                           nfp_mul)
 from .quadform import find_zero_divisor, splits_in_quadratic
-from .quatalg import Quaternion, embed_quadratic, is_conjugate, q_inv
+from .quatalg import (Quaternion, embed_quadratic, is_conjugate,
+                      make_quaternion, q_inv)
 from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible, rp_xgcd
 
 Fr = Fraction
+
+_F0 = Fr(0)
+
+
+def _tuples(p):
+    return [c.coords for c in p.coeffs]
+
+
+def _ab(A):
+    """alpha and beta, as ints when integral so integer tuples stay ints."""
+    return [c.numerator if c.denominator == 1 else c
+            for c in (A.alpha, A.beta)]
+
+
+def _wrap(A, P):
+    """The QPoly over A of kernel output P (Fraction entries), trimmed,
+    without the public constructor's checks."""
+    while P and P[-1] == ZERO:
+        P.pop()
+    out = object.__new__(QPoly)
+    object.__setattr__(out, "parent", A)
+    object.__setattr__(out, "coeffs",
+                       tuple([make_quaternion(A, c) for c in P]))
+    return out
 
 
 class QPoly:
@@ -46,15 +73,14 @@ class QPoly:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_ratpoly(cls, A, p):
-        return cls(A, [A.scalar(c) for c in p.coeffs])
+        return _wrap(A, [(c, _F0, _F0, _F0) for c in p.coeffs])
 
     @classmethod
     def from_coordinates(cls, A, coords):
         p0, p1, p2, p3 = coords
         n = max(len(p0.coeffs), len(p1.coeffs), len(p2.coeffs),
                 len(p3.coeffs))
-        return cls(A, [A.element((p0[m], p1[m], p2[m], p3[m]))
-                       for m in range(n)])
+        return _wrap(A, [(p0[m], p1[m], p2[m], p3[m]) for m in range(n)])
 
     @classmethod
     def x(cls, A):
@@ -77,7 +103,7 @@ class QPoly:
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.lc == self.parent.one()
+        return bool(self.coeffs) and self.lc.coords == (1, 0, 0, 0)
 
     def __getitem__(self, m):
         if 0 <= m < len(self.coeffs):
@@ -94,12 +120,6 @@ class QPoly:
     @property
     def is_central(self):
         return all(c.is_central for c in self.coeffs)
-
-    def central_part(self):
-        """As a RatPoly; only valid when is_central."""
-        if not self.is_central:
-            raise DegenerateInput("polynomial has non-central coefficients")
-        return RatPoly([c.coords[0] for c in self.coeffs])
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
@@ -119,13 +139,13 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.parent, [self[m] + other[m] for m in range(n)])
+        return _wrap(self.parent, cp_add(_tuples(self), _tuples(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(self.parent, [-c for c in self.coeffs])
+        return _wrap(self.parent,
+                     [(-t, -x, -y, -z) for t, x, y, z in _tuples(self)])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,15 +160,10 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPoly(self.parent, [])
-        out = [self.parent.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for m, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for l, b in enumerate(other.coeffs):
-                out[m + l] = out[m + l] + a * b
-        return QPoly(self.parent, out)
+        A = self.parent
+        dp, P = cp_scaled(_tuples(self))
+        dq, Q = cp_scaled(_tuples(other))
+        return _wrap(A, cp_unscale(cp_mul(*_ab(A), P, Q), dp * dq))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -170,7 +185,7 @@ class QPoly:
         if isinstance(other, (Quaternion, int, Fraction, RatPoly)):
             other = self._coerce(other)
         return (isinstance(other, QPoly) and self.parent == other.parent
-                and self.coeffs == other.coeffs)
+                and _tuples(self) == _tuples(other))
 
     def __hash__(self):
         return hash((self.parent, self.coeffs))
@@ -179,11 +194,7 @@ class QPoly:
         """lc^-1 * self (left normalization)."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        c = q_inv(self.lc)
-        return QPoly(self.parent, [c * a for a in self.coeffs])
-
-    def shift_up(self, m):
-        return QPoly(self.parent, [self.parent.zero()] * m + list(self.coeffs))
+        return QPoly(self.parent, [q_inv(self.lc)]) * self
 
     def __str__(self):
         return format_qpoly(self)
@@ -232,7 +243,7 @@ def format_qpoly(p):
 
 def qp_conj(p):
     """Coefficient-wise standard involution."""
-    return QPoly(p.parent, [c.conj() for c in p.coeffs])
+    return _wrap(p.parent, [(t, -x, -y, -z) for t, x, y, z in _tuples(p)])
 
 
 def qp_norm(p):
@@ -240,8 +251,7 @@ def qp_norm(p):
     al, be = p.parent.alpha, p.parent.beta
     p0, p1, p2, p3 = p.coordinates()
     n = p0 * p0 - al * (p1 * p1) - be * (p2 * p2) + al * be * (p3 * p3)
-    check = p * qp_conj(p)
-    if QPoly.from_ratpoly(p.parent, n) != check:
+    if QPoly.from_ratpoly(p.parent, n) != p * qp_conj(p):
         raise InternalInvariantViolation("norm is not central")
     return n
 
@@ -251,16 +261,11 @@ def qp_right_divmod(p, d):
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
     A = p.parent
-    dinv = q_inv(d.lc)
-    quot = QPoly(A, [])
-    rem = p
-    while not rem.is_zero and rem.degree >= d.degree:
-        c = rem.lc * dinv
-        m = rem.degree - d.degree
-        term = QPoly(A, [c]).shift_up(m)
-        quot = quot + term
-        rem = rem - term * d
-    return quot, rem
+    (dp, P), (dd, D) = cp_scaled(_tuples(p)), cp_scaled(_tuples(d))
+    s, Q, R = cp_pseudo_divmod(*_ab(A), P, D)
+    # s*dp*p = (dd*Q)*d + R
+    return (_wrap(A, cp_unscale(cp_scale(dd, Q), s * dp)),
+            _wrap(A, cp_unscale(R, s * dp)))
 
 
 def qp_exact_right_div(p, d):
@@ -270,43 +275,49 @@ def qp_exact_right_div(p, d):
     return q
 
 
-def qp_gcrd_bezout(p, q):
-    """(g, u, v) with u*p + v*q = g the monic GCRD."""
-    if p.is_zero and q.is_zero:
-        raise DegenerateInput("gcrd(0, 0) is undefined")
+def _right_euclid(p, q):
+    """(g, u, v, w): right Euclid on p, q ends with g = u*p + v*q, its
+    last nonzero remainder, and w*p is their least common left multiple
+    up to a unit."""
     A = p.parent
     one, zero = QPoly(A, [A.one()]), QPoly(A, [])
-    r0, r1 = p, q
-    u0, u1 = one, zero
-    v0, v1 = zero, one
+    r0, r1, u0, u1, v0, v1 = p, q, one, zero, zero, one
     while not r1.is_zero:
         quot, rem = qp_right_divmod(r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, u0 - quot * u1
         v0, v1 = v1, v0 - quot * v1
-    c = q_inv(r0.lc)
-    return QPoly(A, [c]) * r0, QPoly(A, [c]) * u0, QPoly(A, [c]) * v0
+    return r0, u0, v0, u1
+
+
+def qp_gcrd_bezout(p, q):
+    """(g, u, v) with u*p + v*q = g the monic GCRD."""
+    if p.is_zero and q.is_zero:
+        raise DegenerateInput("gcrd(0, 0) is undefined")
+    g, u, v, _ = _right_euclid(p, q)
+    c = QPoly(p.parent, [q_inv(g.lc)])
+    return c * g, c * u, c * v
 
 
 def qp_gcrd(p, q):
-    return qp_gcrd_bezout(p, q)[0]
+    """The monic GCRD, by a primitive pseudo-remainder sequence over Z
+    (Collins 1967): each pseudo-remainder is divided by the content of all
+    its coordinates, which also clears denominators of alpha and beta."""
+    if p.is_zero and q.is_zero:
+        raise DegenerateInput("gcrd(0, 0) is undefined")
+    al, be = _ab(p.parent)
+    R, D = cp_primitive(_tuples(p)), cp_primitive(_tuples(q))
+    while D:
+        R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
+    return _wrap(p.parent, cp_unscale(R, 1)).monic()
 
 
 def qp_lclm(p, q):
     """The monic least common left multiple."""
     if p.is_zero or q.is_zero:
         raise DegenerateInput("lclm needs nonzero inputs")
-    A = p.parent
-    one, zero = QPoly(A, [A.one()]), QPoly(A, [])
-    r0, r1 = p, q
-    u0, u1 = one, zero
-    while not r1.is_zero:
-        quot, rem = qp_right_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, u0 - quot * u1
-    # u1*p = -v1*q is the least common left multiple
-    m = (u1 * p).monic()
-    g = r0
+    g, _, _, w = _right_euclid(p, q)
+    m = (w * p).monic()
     if m.degree != p.degree + q.degree - g.degree:
         raise InternalInvariantViolation("lclm degree mismatch")
     return m
@@ -337,13 +348,11 @@ def beck_decompose(p):
     A = p.parent
     c = p.lc
     m = QPoly(A, [q_inv(c)]) * p
-    coords = m.coordinates()
-    nonzero = [g for g in coords if not g.is_zero]
+    nonzero = [g for g in m.coordinates() if not g.is_zero]
     cen = nonzero[0]
     for g in nonzero[1:]:
         cen = rp_gcd(cen, g)
-    q = QPoly.from_coordinates(
-        A, tuple(g.exact_div(cen) if not g.is_zero else g for g in coords))
+    q = qp_exact_right_div(m, QPoly.from_ratpoly(A, cen))
     if QPoly(A, [c]) * q * QPoly.from_ratpoly(A, cen) != p:
         raise InternalInvariantViolation("Beck decomposition mismatch")
     return BeckDecomposition(c, q, cen)
@@ -433,8 +442,6 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20):
             or not rp_is_irreducible(p):
         raise PreconditionViolation("input must be monic irreducible in Q[x]")
     whole = Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
-    if p.degree == 1:
-        return whole
     if p.degree % 2 == 1:
         return whole
     L = NumberField(p)
@@ -452,18 +459,9 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20):
     while q.degree > 0:
         qc = QPoly.from_ratpoly(A, q)
         _, r = qp_right_divmod(qp, qc)
-        qp = qp * qp_conj(r)
-        coords = qp.coordinates()
-        qp = QPoly.from_coordinates(
-            A, tuple(g.exact_div(q) if not g.is_zero else g for g in coords))
+        qp = qp_exact_right_div(qp * qp_conj(r), qc)
         # rescale by the rational content to tame coefficient growth
-        content = Fr(0)
-        for g in qp.coordinates():
-            for c in g.coeffs:
-                content = _frac_gcd(content, c)
-        if content not in (0, 1):
-            qp = QPoly.from_coordinates(
-                A, tuple(g * (1 / content) for g in qp.coordinates()))
+        qp = _wrap(A, cp_unscale(cp_primitive(_tuples(qp)), 1))
         newq = qp_norm(qp).exact_div(p)
         if newq.degree >= q.degree:
             raise InternalInvariantViolation(
@@ -477,15 +475,6 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20):
     out = Factorization(A.one(), [f, fbar])
     out.first_quotient = first_q
     return out
-
-
-def _frac_gcd(a, b):
-    import math
-    a, b = Fr(a), Fr(b)
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator
-           // math.gcd(a.denominator, b.denominator))
-    return Fr(num, den)
 
 
 def swap_factors(p, q):

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 from .errors import (DegenerateInput, InternalInvariantViolation,
-                     InvalidCertificate, SearchExhausted, SplitAlgebra)
+                     InvalidCertificate, PreconditionViolation,
+                     SearchExhausted, SplitAlgebra)
 from .intarith import (factorint, legendre, sqrt_mod_squarefree,
                        squarefree_kernel, squarefree_part)
 from .numberfield import INFINITE_PLACE, nf_quadratic_subfields, nf_sqrt
@@ -455,9 +456,15 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
 
     Layered: (1) validate a supplied certificate, (2) go through a
     quadratic subfield when one splits the algebra, (3) seeded bounded
-    search solving q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L.
+    search solving q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L:
+    max_height random trials, trial t drawing coefficients of height
+    1 + t//8.
     """
     from .numberfield import nf_splits_quaternion
+    if max_height < 1:
+        raise PreconditionViolation(
+            "max_height counts search trials and must be at least 1, got %d"
+            % max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     if cert is not None:
         if (cert.alpha != alpha or cert.beta != beta

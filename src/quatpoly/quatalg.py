@@ -124,13 +124,13 @@ class Quaternion:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(self.parent,
-                          tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return make_quaternion(self.parent, tuple(
+            [a + b for a, b in zip(self.coords, other.coords)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quaternion(self.parent, tuple(-c for c in self.coords))
+        return make_quaternion(self.parent, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -145,14 +145,9 @@ class Quaternion:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        al, be = self.parent.alpha, self.parent.beta
-        t1, x1, y1, z1 = self.coords
-        t2, x2, y2, z2 = other.coords
-        t = t1 * t2 + al * (x1 * x2) + be * (y1 * y2) - al * be * (z1 * z2)
-        x = t1 * x2 + x1 * t2 - be * (y1 * z2) + be * (z1 * y2)
-        y = t1 * y2 + y1 * t2 + al * (x1 * z2) - al * (z1 * x2)
-        z = t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2
-        return Quaternion(self.parent, (t, x, y, z))
+        A = self.parent
+        return make_quaternion(A, coord_mul(A.alpha, A.beta, self.coords,
+                                            other.coords))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -192,12 +187,10 @@ class Quaternion:
     # -- involution, norm, trace ------------------------------------------
     def conj(self):
         t, x, y, z = self.coords
-        return Quaternion(self.parent, (t, -x, -y, -z))
+        return make_quaternion(self.parent, (t, -x, -y, -z))
 
     def norm(self):
-        al, be = self.parent.alpha, self.parent.beta
-        t, x, y, z = self.coords
-        return t * t - al * (x * x) - be * (y * y) + al * be * (z * z)
+        return coord_norm(self.parent.alpha, self.parent.beta, self.coords)
 
     def trace(self):
         return self.coords[0] + self.coords[0]
@@ -230,8 +223,31 @@ class Quaternion:
         return out
 
 
-def q_mul(a, b):
-    return a * b
+def make_quaternion(parent, coords):
+    """A Quaternion from a 4-tuple that arithmetic on Quaternion coordinates
+    produced, so every entry is already a Fraction or an NFElement; skips
+    the constructor's checks and conversions."""
+    q = object.__new__(Quaternion)
+    object.__setattr__(q, "parent", parent)
+    object.__setattr__(q, "coords", coords)
+    return q
+
+
+def coord_mul(al, be, a, b):
+    """The product a*b of coordinate 4-tuples in (al, be / F); entries may
+    be ints, Fractions or NFElements."""
+    t1, x1, y1, z1 = a
+    t2, x2, y2, z2 = b
+    return (t1 * t2 + al * (x1 * x2) + be * (y1 * y2 - al * (z1 * z2)),
+            t1 * x2 + x1 * t2 + be * (z1 * y2 - y1 * z2),
+            t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
+            t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2)
+
+
+def coord_norm(al, be, a):
+    """The reduced norm of a coordinate 4-tuple."""
+    t, x, y, z = a
+    return t * t - al * (x * x) - be * (y * y - al * (z * z))
 
 
 def q_inv(a):
@@ -246,7 +262,8 @@ def q_inv(a):
         ninv = n.inv()
     else:
         ninv = 1 / n
-    return Quaternion(a.parent, tuple(c * ninv for c in a.conj().coords))
+    return make_quaternion(a.parent,
+                           tuple(c * ninv for c in a.conj().coords))
 
 
 class CharPoly:

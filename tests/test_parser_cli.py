@@ -1,6 +1,9 @@
 import json
 import random
+import re
+import shlex
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from quatpoly.quatalg import QuaternionAlgebra
 from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def P(text, A=H):
@@ -179,6 +183,26 @@ class TestCli:
         rep = json.loads(capsys.readouterr().out)
         assert len(rep["factors"]) == 2
         assert rep["verified"] is True
+
+    def test_readme_certificate_example(self, tmp_path, monkeypatch,
+                                        capsys):
+        # the README's certificate JSON and the command using it, verbatim
+        text = README.read_text()
+        cert = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        (tmp_path / "cert.json").write_text(cert)
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith("quatpoly ") and "cert.json" in ln)
+        argv = shlex.split(line)
+        monkeypatch.chdir(tmp_path)
+        assert argv[0] == "quatpoly" and run(argv[1:]) == EXIT_OK
+        assert "factor:" in capsys.readouterr().out
+
+    def test_max_height_below_one_rejected(self, capsys):
+        for bad in ("0", "-3"):
+            code = run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                        "--beta", "-1", "--max-height", bad])
+            assert code == EXIT_USAGE
+            assert "at least 1" in capsys.readouterr().err
 
     def test_certificate_wrong_algebra(self, tmp_path, capsys):
         path = write_cert(tmp_path)

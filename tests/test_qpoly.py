@@ -12,11 +12,13 @@ from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             qp_lclm, qp_norm, qp_right_divmod, roots,
                             subfield_factor, swap_factors)
 from quatpoly.quadform import ZeroDivisorCertificate
-from quatpoly.quatalg import QuaternionAlgebra, is_conjugate
+from quatpoly.quatalg import QuaternionAlgebra, is_conjugate, q_inv
 from quatpoly.ratpoly import from_int_list, rp_factor
 
 H = QuaternionAlgebra(-1, -1)
 H13 = QuaternionAlgebra(-1, -3)
+# a division algebra with a non-integral parameter
+HQ = QuaternionAlgebra(Fr(-1, 2), -3)
 
 
 def rnd_q(rng, A, height=4):
@@ -72,6 +74,72 @@ class TestArithmetic:
             _, r = qp_right_divmod(p, QPoly.x(H) - QPoly(H, [a]))
             val = qp_evaluate(p, a)
             assert r == QPoly(H, [val]) or (r.is_zero and val.is_zero)
+
+
+def rnd_frac_poly(rng, A, deg):
+    """Rational coordinates, with some zero coefficients."""
+    coeffs = [A.element([Fr(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(4)]) if rng.random() < 0.75
+              else A.zero() for _ in range(deg + 1)]
+    while coeffs[-1].is_zero:
+        coeffs[-1] = rnd_q(rng, A)
+    return QPoly(A, coeffs)
+
+
+def ref_mul(p, q):
+    """Coefficient-by-coefficient product of Quaternion objects."""
+    A = p.parent
+    out = [A.zero()] * (len(p.coeffs) + len(q.coeffs))
+    for m, a in enumerate(p.coeffs):
+        for l, b in enumerate(q.coeffs):
+            out[m + l] = out[m + l] + a * b
+    return QPoly(A, out)
+
+
+def ref_add(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return QPoly(p.parent, [p[m] + q[m] for m in range(n)])
+
+
+def ref_divmod(p, d):
+    """Right division with Quaternion objects and the inverse of lc(d)."""
+    A = p.parent
+    dinv = q_inv(d.lc)
+    quot = [A.zero()] * max(p.degree - d.degree + 1, 0)
+    rem = list(p.coeffs)
+    for m in range(len(quot) - 1, -1, -1):
+        quot[m] = c = rem[m + d.degree] * dinv
+        for l, b in enumerate(d.coeffs):
+            rem[m + l] = rem[m + l] - c * b
+    return QPoly(A, quot), QPoly(A, rem)
+
+
+class TestKernel:
+    def test_matches_quaternion_reference(self):
+        rng = random.Random(53)
+        for A in (H, H13, HQ):
+            for _ in range(60):
+                p = rnd_frac_poly(rng, A, rng.randint(0, 5))
+                q = rnd_frac_poly(rng, A, rng.randint(0, 3))
+                assert p * q == ref_mul(p, q)
+                assert p + q == ref_add(p, q)
+                assert p - q == ref_add(p, -q)
+                assert (p - p).is_zero
+                assert qp_right_divmod(p, q) == ref_divmod(p, q)
+
+    def test_gcrd_equals_bezout_gcrd(self):
+        rng = random.Random(54)
+        for A in (H, H13, HQ):
+            for _ in range(25):
+                d = rnd_frac_poly(rng, A, rng.randint(1, 2))
+                p = rnd_frac_poly(rng, A, rng.randint(0, 2)) * d
+                q = rnd_frac_poly(rng, A, rng.randint(0, 2)) * d
+                g = qp_gcrd(p, q)
+                assert g == qp_gcrd_bezout(p, q)[0]
+                assert g.is_monic and g.degree >= d.degree
+                for f in (p, q):
+                    assert qp_right_divmod(f, g)[1].is_zero
+                assert qp_right_divmod(g, d)[1].is_zero
 
 
 class TestGcrdLclm:

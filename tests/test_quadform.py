@@ -4,7 +4,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from quatpoly.errors import (DegenerateInput, InvalidCertificate,
-                             SearchExhausted, SplitAlgebra)
+                             PreconditionViolation, SearchExhausted,
+                             SplitAlgebra)
 from quatpoly.intarith import squarefree_part
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_splits_quaternion)
@@ -354,6 +355,14 @@ class TestFindZeroDivisor:
         with pytest.raises(SearchExhausted) as ei:
             find_zero_divisor(-1, -1, L, max_height=2)
         assert ei.value.central_factor == L.minpoly
+
+    def test_max_height_counts_trials_from_one(self):
+        L = NumberField(from_int_list([6, 16, 11, 0, 1]))
+        for bad in (0, -3):
+            with pytest.raises(PreconditionViolation):
+                find_zero_divisor(-1, -1, L, max_height=bad)
+        with pytest.raises(SearchExhausted):
+            find_zero_divisor(-1, -1, L, max_height=1)
 
     def test_splits_in_quadratic_consistency(self):
         # d must be a nonsquare locally at every ramified place

@@ -7,8 +7,8 @@ from quatpoly.errors import (AlgebraMismatch, DivisionByZero,
                              EmbeddingObstructed, SplitAlgebra,
                              ZeroDivisorEncountered)
 from quatpoly.numberfield import NumberField
-from quatpoly.quatalg import (QuaternionAlgebra, charpoly, embed_quadratic,
-                              is_conjugate, q_inv)
+from quatpoly.quatalg import (QuaternionAlgebra, charpoly, coord_mul,
+                              embed_quadratic, is_conjugate, q_inv)
 from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
@@ -55,6 +55,22 @@ class TestMultiplicationTable:
             assert j * j == A.scalar(A.beta)
             assert i * j == k and j * i == -k
             assert k * k == A.scalar(-A.alpha * A.beta)
+
+    def test_coordinate_product_types(self):
+        # one formula for int, Fraction and number-field coordinates
+        rng = random.Random(35)
+        L = NumberField(from_int_list([-2, 0, 1]))
+        for A in (H, H13, H25):
+            al, be = int(A.alpha), int(A.beta)
+            for _ in range(20):
+                a, b = ([rng.randint(-8, 8) for _ in range(4)]
+                        for _ in range(2))
+                want = (A.element(a) * A.element(b)).coords
+                got = coord_mul(al, be, a, b)
+                assert got == want and all(type(c) is int for c in got)
+                a, b, want = ([L.from_rational(c) for c in q]
+                              for q in (a, b, want))
+                assert list(coord_mul(A.alpha, A.beta, a, b)) == want
 
     def test_known_product(self):
         # (1 + i)(j + k) = j + k + ij + ik = j + k + k - j = 2k
