@@ -18,7 +18,7 @@ from .errors import (InternalInvariantViolation, InvalidCertificate,
 from .parser import parse_poly
 from .qpoly import (QPoly, beck_decompose, factor, is_irreducible,
                     qp_evaluate, qp_gcrd, roots)
-from .quadform import ZeroDivisorCertificate
+from .quadform import ZeroDivisorCertificate, fr_str
 from .quatalg import QuaternionAlgebra
 
 EXIT_OK = 0
@@ -70,13 +70,8 @@ def build_parser():
     return ap
 
 
-def _fr_str(q):
-    q = Fraction(q)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def _quat_tuple(a):
-    return [_fr_str(c) for c in a.coords]
+    return [fr_str(c) for c in a.coords]
 
 
 def _qpoly_tuples(p):
@@ -132,7 +127,7 @@ def run(argv=None):
     except QuatpolyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    report["algebra"] = {"alpha": _fr_str(A.alpha), "beta": _fr_str(A.beta)}
+    report["algebra"] = {"alpha": fr_str(A.alpha), "beta": fr_str(A.beta)}
     report["seed"] = args.seed
     report["time"] = round(time.monotonic() - t0, 6)
     if args.as_json:
@@ -171,7 +166,7 @@ def _dispatch(args, A):
     elif cmd == "beck":
         b = beck_decompose(p)
         report["leading"] = _quat_tuple(b.leading)
-        report["central"] = [_fr_str(c) for c in b.central.coeffs]
+        report["central"] = [fr_str(c) for c in b.central.coeffs]
         report["central_display"] = str(b.central)
         report["central_free"] = _qpoly_tuples(b.central_free)
         report["central_free_display"] = str(b.central_free)

@@ -52,8 +52,7 @@ class SearchExhausted(QuatpolyError):
 class ZeroDivisorEncountered(QuatpolyError):
     """Inversion met a nonzero element of zero norm (only possible over L).
 
-    The offending element is kept as a witness; the zero-divisor search
-    picks it up opportunistically.
+    The offending element is kept as the witness attribute.
     """
 
     def __init__(self, message, witness=None):

@@ -9,6 +9,8 @@ import math
 import random
 from fractions import Fraction
 
+from .errors import InternalInvariantViolation
+
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -154,29 +156,18 @@ def crt(residues, moduli):
     """x with x = r_i (mod m_i); moduli pairwise coprime."""
     x, m = 0, 1
     for r, mi in zip(residues, moduli):
-        g, inv, _ = _xgcd(m % mi, mi)
-        assert g == 1
-        x = x + m * ((r - x) * inv % mi)
+        if math.gcd(m, mi) != 1:
+            raise InternalInvariantViolation("crt moduli must be coprime")
+        x = x + m * ((r - x) * pow(m % mi, -1, mi) % mi)
         m *= mi
     return x % m
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def sqrt_mod_squarefree(a, n, n_factors=None):
-    """Square root of a modulo squarefree odd... any squarefree n >= 1.
+    """Square root of a modulo a squarefree n >= 1, or None.
 
-    Returns r with r*r = a (mod n), or None.  n must be squarefree.
+    Returns r with r*r = a (mod n), combining the roots modulo the prime
+    factors of n (given as n_factors, or found here) by CRT.
     """
     if n == 1:
         return 0

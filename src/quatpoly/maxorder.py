@@ -10,9 +10,10 @@ linear algebra is naive and exact.
 import random
 from fractions import Fraction
 
+from . import dense
 from .errors import InternalInvariantViolation
 from .intarith import factorint
-from .ratpoly import RatPoly, from_int_list, gfp_factor, resultant
+from .ratpoly import RatPoly, from_int_list, gfp_factor, rp_discriminant
 
 Fr = Fraction
 
@@ -119,7 +120,6 @@ class _Span:
     def __init__(self, rows, p):
         self.p = p
         self.rows = rows
-        self.rref, self.pivots = gfp_rref(rows, p)
         # transform: solve via augmented reduction when asked
         aug = [list(r) + [1 if i == j else 0 for j in range(len(rows))]
                for i, r in enumerate(rows)]
@@ -146,22 +146,6 @@ class _Span:
 
 # ---------------------------------------------------------------------------
 # orders
-
-def poly_mulmod_int(a, b, m):
-    """(a*b) mod m for integer coefficient lists, m monic."""
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    dm = len(m) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(dm + 1):
-                prod[i - dm + j] -= c * m[j]
-    return prod[:dm] + [0] * (dm - len(prod[:dm]))
-
 
 class Order:
     """An order in Q[x]/(m) given by a basis matrix over the power basis."""
@@ -225,14 +209,7 @@ def _mult_mod(u, v, table, p):
 
 
 def _pow_mod(v, e, table, p, one):
-    out = list(one)
-    base = list(v)
-    while e:
-        if e & 1:
-            out = _mult_mod(out, base, table, p)
-        base = _mult_mod(base, base, table, p)
-        e >>= 1
-    return out
+    return dense.power(v, e, one, lambda a, b: _mult_mod(a, b, table, p))
 
 
 def _radical_basis(table, p, n, one):
@@ -251,11 +228,7 @@ def _radical_basis(table, p, n, one):
 
 
 def disc_of_int_poly(m):
-    mp = from_int_list(m)
-    n = mp.degree
-    r = resultant(mp, mp.derivative())
-    s = -1 if (n * (n - 1) // 2) % 2 else 1
-    d = s * r
+    d = rp_discriminant(from_int_list(m))
     if d.denominator != 1:
         raise InternalInvariantViolation("non-integral discriminant")
     return int(d)
@@ -417,17 +390,17 @@ def _component_split(basis_rows, unit, table, p, rng):
                 return [(e, fdim)]
             continue
         # split off the first primary component
-        g1 = [1]
+        F = dense.GF(p)
         f1, m1 = fac[0]
-        from .ratpoly import _gmul, _gdivmod, _gsub
-        for _ in range(m1):
-            g1 = _gmul(g1, f1, p)
-        g2, rem = _gdivmod(mu, g1, p)
+        g1 = dense.power(f1, m1, [1], lambda a, b: dense.mul(a, b, F))
+        g2, rem = dense.divmod(mu, g1, F)
         if rem:
             raise InternalInvariantViolation("primary part must divide minpoly")
         # Bezout u g1 + v g2 = 1 mod p
-        u, v = _gfp_bezout(g1, g2, p)
-        e_vec = eval_poly(_gmul(v, g2, p), a)
+        h, _, v = dense.xgcd(g1, g2, F)
+        if h != [1]:
+            raise InternalInvariantViolation("expected coprime inputs")
+        e_vec = eval_poly(dense.mul(v, g2, F), a)
         comp_out = []
         for idem in (e_vec, [(x - y) % p for x, y in zip(unit, e_vec)]):
             rows = []
@@ -437,22 +410,6 @@ def _component_split(basis_rows, unit, table, p, rng):
             sub = [r for r in sub if any(r)]
             comp_out.extend(_component_split(sub, idem, table, p, rng))
         return comp_out
-
-
-def _gfp_bezout(a, b, p):
-    from .ratpoly import _gmul, _gdivmod, _gsub
-    r0, r1 = a, b
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _gdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gsub(s0, _gmul(q, s1, p), p)
-        t0, t1 = t1, _gsub(t0, _gmul(q, t1, p), p)
-    if len(r0) != 1:
-        raise InternalInvariantViolation("expected coprime inputs")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 def splitting_type(m, p):

@@ -8,12 +8,13 @@ the tensor-splitting criterion for a quaternion algebra extended to L.
 import math
 from fractions import Fraction
 
-from . import maxorder
+from . import dense, maxorder
+from .dense import QQ
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
                      PreconditionViolation)
 from .intarith import factorint
-from .ratpoly import (RatPoly, from_int_list, resultant, rp_factor, rp_gcd,
-                      rp_is_irreducible, rp_real_root_count, rp_xgcd)
+from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
+                      rp_real_root_count)
 
 Fr = Fraction
 
@@ -50,6 +51,9 @@ class NumberField:
             raise DegenerateInput("minimal polynomial must be irreducible")
         self.minpoly = minpoly
         self.degree = minpoly.degree
+        # the field object of dense.py for polynomials over L
+        self.field = dense.Field(self.zero(), self.one(), dense.same,
+                                 NFElement.inv)
         self._integral = None
         self._subfields = None
         self._splittings = {}
@@ -64,13 +68,10 @@ class NumberField:
         return "NumberField(%s)" % (self.minpoly,)
 
     def element(self, coords):
-        coords = [Fr(c) for c in coords]
+        coords = dense.trim([Fr(c) for c in coords])
         if len(coords) > self.degree:
-            rp = RatPoly(coords) % self.minpoly
-            coords = [rp[i] for i in range(self.degree)]
-        else:
-            coords += [Fr(0)] * (self.degree - len(coords))
-        return NFElement(self, coords)
+            coords = dense.divmod(coords, self.minpoly.coeffs, QQ)[1]
+        return _element(self, coords)
 
     def from_rational(self, c):
         return self.element([Fr(c)])
@@ -95,19 +96,35 @@ class NumberField:
         return self._integral
 
 
+def _element(L, coords):
+    """The element of L with Fraction coordinates coords (at most
+    L.degree of them), padded with zeros, without conversion."""
+    out = object.__new__(NFElement)
+    out.parent = L
+    out.coords = tuple(coords + [Fr(0)] * (L.degree - len(coords)))
+    return out
+
+
 class NFElement:
     __slots__ = ("parent", "coords")
 
     def __init__(self, parent, coords):
         self.parent = parent
-        self.coords = tuple(Fr(c) for c in coords)
+        self.coords = tuple([Fr(c) for c in coords])
 
     def as_ratpoly(self):
         return RatPoly(self.coords)
 
+    def _poly(self):
+        """The coordinates as a dense.py polynomial over Q."""
+        return dense.trim(list(self.coords))
+
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
 
     @property
     def is_rational(self):
@@ -137,14 +154,14 @@ class NFElement:
         return hash((self.parent.minpoly.coeffs, self.coords))
 
     def __neg__(self):
-        return NFElement(self.parent, [-c for c in self.coords])
+        return _element(self.parent, [-c for c in self.coords])
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NFElement(self.parent,
-                         [a + b for a, b in zip(self.coords, other.coords)])
+        return _element(self.parent,
+                        [a + b for a, b in zip(self.coords, other.coords)])
 
     __radd__ = __add__
 
@@ -152,33 +169,33 @@ class NFElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return NFElement(self.parent,
-                         [a - b for a, b in zip(self.coords, other.coords)])
+        return _element(self.parent,
+                        [a - b for a, b in zip(self.coords, other.coords)])
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElement(self.parent, [c * other for c in self.coords])
+            return _element(self.parent, [c * other for c in self.coords])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = (self.as_ratpoly() * other.as_ratpoly()) % self.parent.minpoly
-        return NFElement(self.parent,
-                         [prod[i] for i in range(self.parent.degree)])
+        L = self.parent
+        prod = dense.mul(self._poly(), other._poly(), QQ)
+        return _element(L, dense.divmod(prod, L.minpoly.coeffs, QQ)[1])
 
     __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero in number field")
-        g, u, _ = rp_xgcd(self.as_ratpoly(), self.parent.minpoly)
-        if g.degree != 0:
+        L = self.parent
+        g, u, _ = dense.xgcd(self._poly(), L.minpoly.coeffs, QQ)
+        if len(g) != 1:
             raise InternalInvariantViolation("minpoly not irreducible?")
-        u = u * (1 / g[0])
-        u = u % self.parent.minpoly
-        return NFElement(self.parent, [u[i] for i in range(self.parent.degree)])
+        # deg u < deg minpoly - deg g, so u is already reduced
+        return _element(L, u)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -187,96 +204,10 @@ class NFElement:
         return self * other.inv()
 
     def __pow__(self, n):
-        out = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return dense.power(self, n, self.parent.one())
 
     def __repr__(self):
         return "NF(%s)" % (self.as_ratpoly(),)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials with NFElement coefficients (lists, ascending)
-
-def nfp_trim(f):
-    while f and f[-1].is_zero:
-        f.pop()
-    return f
-
-
-def nfp_mul(f, g):
-    if not f or not g:
-        return []
-    L = f[0].parent
-    out = [L.zero() for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if not a.is_zero:
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return nfp_trim(out)
-
-
-def nfp_sub(f, g):
-    n = max(len(f), len(g))
-    L = (f or g)[0].parent
-    z = L.zero()
-    out = [(f[i] if i < len(f) else z) - (g[i] if i < len(g) else z)
-           for i in range(n)]
-    return nfp_trim(out)
-
-
-def nfp_divmod(f, g):
-    if not g:
-        raise DivisionByZero("polynomial division by zero")
-    L = g[0].parent
-    f = list(f)
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return [], nfp_trim(f)
-    inv = g[-1].inv()
-    quot = [L.zero() for _ in range(len(f) - dg)]
-    for i in range(len(f) - 1, dg - 1, -1):
-        if not f[i].is_zero:
-            c = f[i] * inv
-            quot[i - dg] = c
-            for j, b in enumerate(g):
-                f[i - dg + j] = f[i - dg + j] - c * b
-    return nfp_trim(quot), nfp_trim(f[:dg])
-
-
-def nfp_gcd(f, g):
-    while g:
-        f, g = g, nfp_divmod(f, g)[1]
-    if not f:
-        return f
-    inv = f[-1].inv()
-    return [c * inv for c in f]
-
-
-def nfp_deriv(f):
-    return nfp_trim([f[i] * i for i in range(1, len(f))])
-
-
-def nfp_compose(f, g):
-    """f(g(y)) for NFElement polynomials."""
-    L = f[0].parent
-    out = []
-    for c in reversed(f):
-        out = nfp_mul(out, g)
-        if not out:
-            out = []
-        if not c.is_zero:
-            if out:
-                out[0] = out[0] + c
-            else:
-                out = [c]
-        out = nfp_trim(out) if out else out
-    return out
 
 
 def nf_poly_norm(f, L):
@@ -315,11 +246,12 @@ def nf_factor_squarefree(f, L):
     """Monic irreducible factors over L of a monic squarefree f in L[y]."""
     if len(f) - 1 == 1:
         return [f]
+    F = L.field
     theta = L.gen()
     k = 0
     while True:
         shift = [theta * (-k), L.one()]  # y - k*theta
-        fs = nfp_compose(f, shift)
+        fs = dense.compose(f, shift, F)
         norm = nf_poly_norm(fs, L)
         if rp_gcd(norm, norm.derivative()).degree == 0:
             break
@@ -330,29 +262,30 @@ def nf_factor_squarefree(f, L):
     out = []
     back = [theta * k, L.one()]  # y + k*theta
     for ni, _mult in fac.factors:
-        ni_l = nfp_compose([L.from_rational(c) for c in ni.coeffs], back)
-        h = nfp_gcd(f, ni_l)
+        ni_l = dense.compose([L.from_rational(c) for c in ni.coeffs], back, F)
+        h = dense.gcd(f, ni_l, F)
         if len(h) - 1 >= 1:
             out.append(h)
     total = [L.one()]
     for h in out:
-        total = nfp_mul(total, h)
-    if nfp_sub(total, f):
+        total = dense.mul(total, h, F)
+    if dense.sub(total, f, F):
         raise InternalInvariantViolation("Trager factors do not multiply back")
     return out
 
 
 def nf_factor(f, L):
     """Factor any nonconstant monic f in L[y]: list of (factor, mult)."""
-    sqf = nfp_gcd(f, nfp_deriv(f))
-    radical = nfp_divmod(f, sqf)[0]
+    F = L.field
+    sqf = dense.gcd(f, dense.derivative(f, F), F)
+    radical = dense.divmod(f, sqf, F)[0]
     parts = nf_factor_squarefree(radical, L)
     out = []
     for h in parts:
         mult = 0
         rest = f
         while True:
-            q, r = nfp_divmod(rest, h)
+            q, r = dense.divmod(rest, h, F)
             if r:
                 break
             rest = q

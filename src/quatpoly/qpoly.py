@@ -10,14 +10,14 @@ reordering, and root enumeration up to conjugacy.
 
 from fractions import Fraction
 
+from . import dense
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
                         cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
                      SearchExhausted)
 from .numberfield import (NumberField, nf_factor_over_quadratic,
-                          nf_quadratic_subfields, nf_splits_quaternion,
-                          nfp_mul)
+                          nf_quadratic_subfields, nf_splits_quaternion)
 from .quadform import find_zero_divisor, splits_in_quadratic
 from .quatalg import (Quaternion, embed_quadratic, is_conjugate,
                       make_quaternion, q_inv)
@@ -172,14 +172,7 @@ class QPoly:
         return other * self
 
     def __pow__(self, n):
-        out = QPoly(self.parent, [self.parent.one()])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return dense.power(self, n, QPoly(self.parent, [self.parent.one()]))
 
     def __eq__(self, other):
         if isinstance(other, (Quaternion, int, Fraction, RatPoly)):
@@ -419,7 +412,7 @@ def subfield_factor(p, A):
             continue
         g = parts[0]
         gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
-        prod = nfp_mul(g, gbar)
+        prod = dense.mul(g, gbar, L2.field)
         if [c.coords for c in prod] != \
                 [L2.from_rational(c).coords for c in p.coeffs]:
             raise InternalInvariantViolation(

@@ -370,7 +370,8 @@ def represent_pure(alpha, beta, d):
 # ---------------------------------------------------------------------------
 # zero-divisor certificates
 
-def _fr_str(q):
+def fr_str(q):
+    """A rational as "numerator/denominator", the form certificates use."""
     q = Fr(q)
     return "%d/%d" % (q.numerator, q.denominator)
 
@@ -408,12 +409,12 @@ class ZeroDivisorCertificate:
 
     def to_dict(self):
         out = {
-            "alpha": _fr_str(self.alpha),
-            "beta": _fr_str(self.beta),
-            "minpoly": [_fr_str(c) for c in self.minpoly.coeffs],
+            "alpha": fr_str(self.alpha),
+            "beta": fr_str(self.beta),
+            "minpoly": [fr_str(c) for c in self.minpoly.coeffs],
         }
         for i, qi in enumerate(self.q):
-            out["q%d" % i] = [_fr_str(c) for c in qi.coeffs]
+            out["q%d" % i] = [fr_str(c) for c in qi.coeffs]
         return out
 
     @classmethod

@@ -9,6 +9,7 @@ ij = k = -ji.
 
 from fractions import Fraction
 
+from . import dense
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      EmbeddingObstructed, SplitAlgebra, ZeroDivisorEncountered)
 from .numberfield import NFElement
@@ -158,14 +159,7 @@ class Quaternion:
     def __pow__(self, n):
         if n < 0:
             return q_inv(self) ** (-n)
-        out = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return dense.power(self, n, self.parent.one())
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -10,24 +10,27 @@ import math
 import random
 from fractions import Fraction
 
+from . import dense
+from .dense import GF, QQ, ZZ
 from .errors import DegenerateInput, NotSquarefree
 from .intarith import is_prime
 
 Fr = Fraction
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _wrap(coeffs):
+    """The RatPoly of a core result (trimmed list of Fractions), without
+    the constructor's conversion."""
+    out = object.__new__(RatPoly)
+    out.coeffs = tuple(coeffs)
+    return out
 
 
 class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(Fr(c) for c in coeffs)
+        self.coeffs = tuple(dense.trim([Fr(c) for c in coeffs]))
 
     @classmethod
     def const(cls, c):
@@ -62,7 +65,7 @@ class RatPoly:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == _trim((Fr(other),))
+            return self.coeffs == RatPoly.const(other).coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -72,64 +75,44 @@ class RatPoly:
         return bool(self.coeffs)
 
     def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
+        return _wrap([-c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatPoly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self[i] + other[i] for i in range(n))
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        return _wrap(dense.add(self.coeffs, other.coeffs, QQ))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RatPoly) else RatPoly.const(-Fr(other)))
+        if isinstance(other, (int, Fraction)):
+            other = RatPoly.const(other)
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        return _wrap(dense.sub(self.coeffs, other.coeffs, QQ))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
+            return _wrap(dense.scale(self.coeffs, other, QQ))
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fr(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        return _wrap(dense.mul(self.coeffs, other.coeffs, QQ))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = RatPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return dense.power(self, n, RatPoly.const(1))
 
     def __divmod__(self, other):
         if other.is_zero:
             raise DegenerateInput("division by zero polynomial")
-        if self.degree < other.degree:
-            return RatPoly(), self
-        rem = list(self.coeffs)
-        dlc = other.lc
-        dd = other.degree
-        quot = [Fr(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i]:
-                c = rem[i] / dlc
-                quot[i - dd] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dd + j] -= c * b
-        return RatPoly(quot), RatPoly(rem)
+        q, r = dense.divmod(self.coeffs, other.coeffs, QQ)
+        return _wrap(q), _wrap(r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -144,18 +127,10 @@ class RatPoly:
         return q
 
     def monic(self):
-        if self.is_zero:
-            return self
-        return self * (1 / self.lc)
+        return _wrap(dense.monic(self.coeffs, QQ))
 
     def derivative(self):
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def shift_up(self, n):
-        """Multiply by x^n."""
-        if self.is_zero:
-            return self
-        return RatPoly((Fr(0),) * n + self.coeffs)
+        return _wrap(dense.derivative(self.coeffs, QQ))
 
     def __call__(self, v):
         out = Fr(0)
@@ -164,10 +139,7 @@ class RatPoly:
         return out
 
     def compose(self, other):
-        out = RatPoly()
-        for c in reversed(self.coeffs):
-            out = out * other + RatPoly.const(c)
-        return out
+        return _wrap(dense.compose(self.coeffs, other.coeffs, QQ))
 
     def denominator_lcm(self):
         d = 1
@@ -221,32 +193,20 @@ class RatPoly:
 
 
 def from_int_list(ic):
-    return RatPoly([Fr(c) for c in ic])
+    return _wrap(dense.trim([Fr(c) for c in ic]))
 
 
 def rp_gcd(a, b):
     """Monic gcd in Q[x]."""
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    return _wrap(dense.gcd(a.coeffs, b.coeffs, QQ))
 
 
 def rp_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = a, b
-    u0, u1 = RatPoly.const(1), RatPoly()
-    v0, v1 = RatPoly(), RatPoly.const(1)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        raise DegenerateInput("xgcd(0, 0) is undefined")
-    s = 1 / r0.lc
-    return r0 * s, u0 * s, v0 * s
+    """(g, u, v) with u*a + v*b = g, g monic."""
+    g, u, v = dense.xgcd(a.coeffs, b.coeffs, QQ)
+    return _wrap(g), _wrap(u), _wrap(v)
 
 
 def resultant(f, g):
@@ -342,114 +302,48 @@ def squarefree_decomposition(p):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in GF(p)[x]: polynomials as lists of ints in [0, p)
-
-def _gtrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _gmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _gtrim(out)
-
-
-def _gdivmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    if len(f) - 1 < dg:
-        return [], _gtrim(f)
-    quot = [0] * (len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        if f[i]:
-            c = f[i] * inv % p
-            quot[i - dg] = c
-            for j, b in enumerate(g):
-                f[i - dg + j] = (f[i - dg + j] - c * b) % p
-    return _gtrim(quot), _gtrim(f)
-
-
-def _gmonic(f, p):
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _ggcd(f, g, p):
-    while g:
-        f, g = g, _gdivmod(f, g, p)[1]
-    return _gmonic(f, p) if f else []
-
-
-def _gpowmod(f, e, m, p):
-    out = [1]
-    base = _gdivmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            out = _gdivmod(_gmul(out, base, p), m, p)[1]
-        base = _gdivmod(_gmul(base, base, p), m, p)[1]
-        e >>= 1
-    return out
-
-
-def _gsub(f, g, p):
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-           for i in range(n)]
-    return _gtrim(out)
-
-
-def _gfp_deriv(f, p):
-    return _gtrim([i * c % p for i, c in enumerate(f)][1:])
-
+# factoring in GF(p)[x]: polynomials as lists of ints in [0, p)
 
 def _edf(f, d, p, rng):
     """Equal-degree splitting of monic squarefree f into factors of degree d."""
     n = len(f) - 1
     if n == d:
         return [f]
+    F = GF(p)
     while True:
-        r = [rng.randrange(p) for _ in range(n)]
-        r = _gtrim(r)
+        r = dense.trim([rng.randrange(p) for _ in range(n)])
         if len(r) < 2:
             continue
         if p == 2:
             s = []
-            t = _gdivmod(r, f, p)[1]
+            t = dense.divmod(r, f, F)[1]
             for _ in range(d):
-                s = _gsub(s, [p - c for c in t], p)  # s += t
-                t = _gpowmod(t, 2, f, p)
-            g = _ggcd(s, f, p) if s else []
+                s = dense.add(s, t, F)
+                t = dense.powmod(t, 2, f, F)
         else:
-            s = _gpowmod(r, (p ** d - 1) // 2, f, p)
-            s = _gsub(s, [1], p)
-            g = _ggcd(s, f, p) if s else []
+            s = dense.sub(dense.powmod(r, (p ** d - 1) // 2, f, F), [1], F)
+        g = dense.gcd(s, f, F) if s else []
         if g and 0 < len(g) - 1 < n:
-            return _edf(g, d, p, rng) + _edf(_gdivmod(f, g, p)[0], d, p, rng)
+            return (_edf(g, d, p, rng)
+                    + _edf(dense.divmod(f, g, F)[0], d, p, rng))
 
 
 def gfp_factor_squarefree(f, p, seed=0):
     """Irreducible factors of a monic squarefree poly over GF(p)."""
     rng = random.Random((seed, tuple(f), p).__hash__())
+    F = GF(p)
     out = []
     h = [0, 1]
     v = list(f)
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gpowmod(h, p, v, p)
-        g = _ggcd(_gsub(h, [0, 1], p), v, p)
+        h = dense.powmod(h, p, v, F)
+        g = dense.gcd(dense.sub(h, [0, 1], F), v, F)
         if len(g) > 1:
             out.extend(_edf(g, d, p, rng))
-            v = _gdivmod(v, g, p)[0]
-            h = _gdivmod(h, v, p)[1]
+            v = dense.divmod(v, g, F)[0]
+            h = dense.divmod(h, v, F)[1]
     if len(v) > 1:
         out.append(v)
     return out
@@ -457,32 +351,33 @@ def gfp_factor_squarefree(f, p, seed=0):
 
 def gfp_factor(f, p, seed=0):
     """Factor any nonzero poly over GF(p): list of (monic irreducible, mult)."""
-    f = _gmonic(_gtrim([c % p for c in f]), p)
+    F = GF(p)
+    f = dense.monic(dense.trim([c % p for c in f]), F)
     out = {}
 
     def rec(g, mult):
         if len(g) - 1 < 1:
             return
-        dg = _gfp_deriv(g, p)
+        dg = dense.derivative(g, F)
         if not dg:
             # g = h(x^p) = h(x)^p over the prime field
-            rec(_gtrim([g[i] for i in range(0, len(g), p)]), mult * p)
+            rec(dense.trim(g[::p]), mult * p)
             return
-        s = _ggcd(g, dg, p)
-        w = _gdivmod(g, s, p)[0]
+        s = dense.gcd(g, dg, F)
+        w = dense.divmod(g, s, F)[0]
         k = 1
         while len(w) > 1:
-            y = _ggcd(w, s, p)
-            z = _gdivmod(w, y, p)[0]
+            y = dense.gcd(w, s, F)
+            z = dense.divmod(w, y, F)[0]
             if len(z) > 1:
                 for q in gfp_factor_squarefree(z, p, seed):
                     out[tuple(q)] = out.get(tuple(q), 0) + mult * k
             w = y
-            s = _gdivmod(s, y, p)[0]
+            s = dense.divmod(s, y, F)[0]
             k += 1
         if len(s) > 1:
             # leftover multiplicities are divisible by p: s = t(x^p)
-            rec(_gtrim([s[i] for i in range(0, len(s), p)]), mult * p)
+            rec(dense.trim(s[::p]), mult * p)
 
     rec(f, 1)
     return [(list(q), m) for q, m in sorted(out.items())]
@@ -512,65 +407,24 @@ def _mignotte_bound(f_int):
 
 def _lift_linear(f, g, h, p, k):
     """Lift f = g*h (mod p) to (mod p^k); g stays monic.  f, g, h int lists."""
+    F = GF(p)
+    gbar = [c % p for c in g]
+    hbar = [c % p for c in h]
     # Bezout over GF(p), fixed throughout the linear iteration
-    def xgcd_gfp(a, b):
-        r0, r1 = a, b
-        s0, s1 = [1], []
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _gdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _gsub(s0, _gmul(q, s1, p), p)
-            t0, t1 = t1, _gsub(t0, _gmul(q, t1, p), p)
-        inv = pow(r0[-1], -1, p)
-        return ([c * inv % p for c in s0], [c * inv % p for c in t0])
-
-    s, t = xgcd_gfp([c % p for c in g], [c % p for c in h])
-    g = list(g)
-    h = list(h)
+    _, s, t = dense.xgcd(gbar, hbar, F)
     mod = p
     while mod < p ** k:
-        mod2 = mod * p
         # error term f - g*h, divided by mod, taken mod p
-        prod = _imul(g, h)
-        e = [( (f[i] if i < len(f) else 0) - (prod[i] if i < len(prod) else 0) )
-             for i in range(max(len(f), len(prod)))]
-        e = [(c // mod) % p for c in e]
-        e = _gtrim(e)
+        e = dense.sub(f, dense.mul(g, h, ZZ), ZZ)
+        e = dense.trim([(c // mod) % p for c in e])
         if e:
-            te = _gmul(t, e, p)
-            q, dg = _gdivmod(te, [c % p for c in g], p)
-            dh = _gadd(_gmul(s, e, p), _gmul([c % p for c in h], q, p), p)
-            g = _iadd(g, [c * mod for c in dg])
-            h = _iadd(h, [c * mod for c in dh])
-        mod = mod2
+            q, dg = dense.divmod(dense.mul(t, e, F), gbar, F)
+            dh = dense.add(dense.mul(s, e, F), dense.mul(hbar, q, F), F)
+            g = dense.add(g, [c * mod for c in dg], ZZ)
+            h = dense.add(h, [c * mod for c in dh], ZZ)
+        mod *= p
     m = p ** k
-    g = [c % m for c in g]
-    h = [c % m for c in h]
-    return _gtrim(g), _gtrim(h)
-
-
-def _gadd(f, g, p):
-    n = max(len(f), len(g))
-    return _gtrim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                   for i in range(n)])
-
-
-def _imul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _iadd(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-            for i in range(n)]
+    return dense.trim([c % m for c in g]), dense.trim([c % m for c in h])
 
 
 def _lift_list(f, factors, p, k):
@@ -579,11 +433,11 @@ def _lift_list(f, factors, p, k):
     m = p ** k
     if len(factors) == 1:
         inv = pow(f[-1], -1, m)
-        return [_gtrim([c * inv % m for c in f])]
+        return [dense.trim([c * inv % m for c in f])]
     g = factors[0]
     h = [f[-1] % p]
     for q in factors[1:]:
-        h = _gmul(h, q, p)
+        h = dense.mul(h, q, GF(p))
     g2, h2 = _lift_linear(f, g, h, p, k)
     return [g2] + _lift_list(h2, factors[1:], p, k)
 
@@ -598,7 +452,7 @@ def _factor_squarefree_int(f):
     if len(f) - 1 == 1:
         return [f]
     p = _good_prime(f)
-    fbar = _gmonic([c % p for c in f], p)
+    fbar = dense.monic([c % p for c in f], GF(p))
     modular = sorted(gfp_factor_squarefree(fbar, p), key=lambda g: (len(g), g))
     if len(modular) == 1:
         return [f]
@@ -621,7 +475,7 @@ def _factor_squarefree_int(f):
             for combo in combinations(range(len(pool)), size):
                 cand = [current[-1] % m]
                 for idx in combo:
-                    cand = [c % m for c in _imul(cand, pool[idx])]
+                    cand = [c % m for c in dense.mul(cand, pool[idx], ZZ)]
                 cand = [_symmetric(c, m) for c in cand]
                 cand_pp = from_int_list(cand).primitive_int()
                 if not cand_pp:

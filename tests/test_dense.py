@@ -1,0 +1,138 @@
+"""The shared dense-polynomial core over Q, GF(p) and a number field."""
+
+import ast
+import pathlib
+import random
+from fractions import Fraction as Fr
+
+import pytest
+
+import quatpoly
+from quatpoly import dense
+from quatpoly.errors import DegenerateInput, DivisionByZero
+from quatpoly.numberfield import NumberField
+from quatpoly.ratpoly import from_int_list
+
+QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
+
+
+def _rational(rng):
+    return Fr(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+# (name, field object, random canonical element)
+FIELDS = [
+    ("QQ", dense.QQ, _rational),
+    ("GF2", dense.GF(2), lambda rng: rng.randrange(2)),
+    ("GF3", dense.GF(3), lambda rng: rng.randrange(3)),
+    ("GF7", dense.GF(7), lambda rng: rng.randrange(7)),
+    ("QQ(i)", QI.field,
+     lambda rng: QI.element([_rational(rng), _rational(rng)])),
+]
+
+
+def _poly(rng, elt, F, deg):
+    f = dense.trim([elt(rng) for _ in range(deg + 1)])
+    return f if f else [F.one]
+
+
+@pytest.fixture(params=FIELDS, ids=[name for name, _, _ in FIELDS])
+def field(request):
+    return request.param[1:]
+
+
+def test_divmod_identity(field):
+    F, elt = field
+    rng = random.Random(1)
+    for _ in range(40):
+        f = dense.trim([elt(rng) for _ in range(rng.randint(0, 7))])
+        g = _poly(rng, elt, F, rng.randint(0, 4))
+        q, r = dense.divmod(f, g, F)
+        assert len(r) < len(g)
+        assert dense.add(dense.mul(q, g, F), r, F) == f
+
+
+def test_xgcd_identity(field):
+    F, elt = field
+    rng = random.Random(2)
+    for _ in range(40):
+        common = _poly(rng, elt, F, rng.randint(0, 2))
+        f = dense.mul(common, _poly(rng, elt, F, rng.randint(0, 4)), F)
+        g = dense.mul(common, _poly(rng, elt, F, rng.randint(0, 4)), F)
+        h, s, t = dense.xgcd(f, g, F)
+        assert h[-1] == F.one
+        assert dense.add(dense.mul(s, f, F), dense.mul(t, g, F), F) == h
+        assert h == dense.gcd(f, g, F)
+        assert len(h) >= len(dense.monic(common, F))
+        assert dense.divmod(f, h, F)[1] == []
+        assert dense.divmod(g, h, F)[1] == []
+
+
+def test_powmod_and_power(field):
+    F, elt = field
+    rng = random.Random(3)
+    for _ in range(10):
+        f = _poly(rng, elt, F, rng.randint(0, 3))
+        m = _poly(rng, elt, F, rng.randint(1, 3))
+        e = rng.randint(0, 6)
+        slow = [F.one]
+        for _ in range(e):
+            slow = dense.mul(slow, f, F)
+        assert dense.power(f, e, [F.one],
+                           lambda a, b: dense.mul(a, b, F)) == slow
+        assert dense.powmod(f, e, m, F) == dense.divmod(slow, m, F)[1]
+
+
+def test_derivative_and_compose(field):
+    F, elt = field
+    rng = random.Random(4)
+    for _ in range(10):
+        f = _poly(rng, elt, F, rng.randint(0, 3))
+        g = _poly(rng, elt, F, rng.randint(0, 3))
+        # product rule
+        lhs = dense.derivative(dense.mul(f, g, F), F)
+        rhs = dense.add(dense.mul(dense.derivative(f, F), g, F),
+                        dense.mul(f, dense.derivative(g, F), F), F)
+        assert lhs == rhs
+        # (x + c) o (x + c) = x + 2c
+        c = elt(rng)
+        lin = dense.trim([c, F.one])
+        assert dense.compose(lin, lin, F) == dense.add(lin, dense.trim([c]), F)
+
+
+def test_division_by_zero_raises(field):
+    F, elt = field
+    with pytest.raises(DivisionByZero):
+        dense.divmod([F.one], [], F)
+    with pytest.raises(DegenerateInput):
+        dense.xgcd([], [], F)
+
+
+def test_gf_reduces_lazily_to_canonical_residues():
+    F = dense.GF(7)
+    f = [3, 5, 6]
+    g = [6, 6, 1]
+    assert dense.mul(f, g, F) == [4, 6, 6, 6, 6]
+    assert dense.sub([1], [1], F) == []
+    assert all(0 <= c < 7 for c in dense.divmod([1, 2, 3, 4, 5, 6], g, F)[1])
+
+
+def _private_sibling_imports(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").startswith("quatpoly")
+        if sibling:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield "%s:%d imports %s" % (path.name, node.lineno,
+                                                alias.name)
+
+
+def test_no_module_imports_private_names_of_a_sibling():
+    """A second private polynomial copy would start as such an import."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py"))
+             for hit in _private_sibling_imports(path)]
+    assert found == []

@@ -3,13 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from quatpoly import dense
 from quatpoly.errors import DegenerateInput, PreconditionViolation
 from quatpoly.maxorder import maximal_order, splitting_type
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor, nf_factor_over_quadratic,
                                   nf_local_splitting,
                                   nf_quadratic_subfields, nf_sqrt,
-                                  nf_splits_quaternion, nfp_mul)
+                                  nf_splits_quaternion)
 from quatpoly.ratpoly import RatPoly, from_int_list
 
 
@@ -126,12 +127,12 @@ class TestTragerFactor:
                             L.one()]
                 f = rnd_lin()
                 for _ in range(rng.randint(0, 2)):
-                    f = nfp_mul(f, rnd_lin())
+                    f = dense.mul(f, rnd_lin(), L.field)
                 fac = nf_factor(f, L)
                 rebuilt = [L.one()]
                 for g, m in fac:
                     for _ in range(m):
-                        rebuilt = nfp_mul(rebuilt, g)
+                        rebuilt = dense.mul(rebuilt, g, L.field)
                 assert rebuilt == f
 
     def test_known_splittings(self):

@@ -3,10 +3,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly.errors import (DegenerateInput, InvalidCertificate,
-                             PreconditionViolation, SearchExhausted,
-                             SplitAlgebra)
-from quatpoly.intarith import squarefree_part
+from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
+                             InvalidCertificate, PreconditionViolation,
+                             SearchExhausted, SplitAlgebra)
+from quatpoly.intarith import crt, squarefree_part
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_splits_quaternion)
 from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
@@ -370,3 +370,13 @@ class TestFindZeroDivisor:
         assert splits_in_quadratic(-1, -1, -2)
         assert not splits_in_quadratic(-1, -1, 2)
         assert not splits_in_quadratic(-1, -1, 5)
+
+
+class TestCrt:
+    def test_combines_coprime_residues(self):
+        x = crt([2, 3, 1], [3, 5, 7])
+        assert (x % 3, x % 5, x % 7) == (2, 3, 1) and 0 <= x < 105
+
+    def test_rejects_moduli_with_a_common_factor(self):
+        with pytest.raises(InternalInvariantViolation):
+            crt([0, 1], [2, 4])
