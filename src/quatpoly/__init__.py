@@ -8,8 +8,8 @@ from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      SplitAlgebra, ZeroDivisorEncountered)
 from .numberfield import (INFINITE_PLACE, NFElement, NumberField,
                           nf_factor, nf_local_splitting,
-                          nf_quadratic_subfields, nf_splits_quaternion,
-                          nf_sqrt)
+                          nf_quadratic_candidates, nf_quadratic_subfields,
+                          nf_splits_quaternion, nf_sqrt)
 from .parser import format_qpoly, parse_poly
 from .qpoly import (BeckDecomposition, Factorization, QPoly, RootSet,
                     beck_decompose, factor, factor_central_irreducible,

@@ -163,19 +163,17 @@ def crt(residues, moduli):
     return x % m
 
 
-def sqrt_mod_squarefree(a, n, n_factors=None):
+def sqrt_mod_squarefree(a, n):
     """Square root of a modulo a squarefree n >= 1, or None.
 
     Returns r with r*r = a (mod n), combining the roots modulo the prime
-    factors of n (given as n_factors, or found here) by CRT.
+    factors of n by CRT.
     """
     if n == 1:
         return 0
-    if n_factors is None:
-        n_factors = list(factorint(n))
     roots = []
     mods = []
-    for p in n_factors:
+    for p in factorint(n):
         if p == 2:
             r = a % 2
         else:

@@ -416,15 +416,13 @@ def splitting_type(m, p):
     """(e, f) pairs for the primes above p in Q[x]/(m), m monic integral
     irreducible.  Sorted ascending."""
     n = len(m) - 1
-    disc0 = disc_of_int_poly(m)
-    if disc0 % (p * p) != 0:
-        # p cannot divide the index: factor m mod p directly
-        out = [(mult, len(g) - 1) for g, mult in gfp_factor(m, p)]
-        return sorted(out)
-    order, _, index = maximal_order(m)
+    index = 1
+    if disc_of_int_poly(m) % (p * p) == 0:
+        # otherwise p cannot divide the index, which squares into disc
+        order, _, index = maximal_order(m)
     if index % p != 0:
-        out = [(mult, len(g) - 1) for g, mult in gfp_factor(m, p)]
-        return sorted(out)
+        # Dedekind-Kummer: factor m mod p directly
+        return sorted((mult, len(g) - 1) for g, mult in gfp_factor(m, p))
     table = order.mult_table()
     one = order.one()
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -55,7 +55,6 @@ class NumberField:
         self.field = dense.Field(self.zero(), self.one(), dense.same,
                                  NFElement.inv)
         self._integral = None
-        self._subfields = None
         self._splittings = {}
 
     def __eq__(self, other):
@@ -314,8 +313,8 @@ def nf_sqrt(d, L):
         if rn * rn == num and rd * rd == den:
             return L.from_rational(Fr(rn, rd))
         return None
-    f = [-el, L.zero(), L.one()]  # y^2 - d
-    for h, _ in nf_factor(f, L):
+    f = [-el, L.zero(), L.one()]  # y^2 - d, squarefree since d != 0
+    for h in nf_factor_squarefree(f, L):
         if len(h) == 2:
             root = -h[0]
             if root * root == el:
@@ -323,31 +322,29 @@ def nf_sqrt(d, L):
     return None
 
 
-def nf_quadratic_subfields(L):
-    """Squarefree integers d with Q(sqrt(d)) contained in L.
+def nf_quadratic_candidates(L):
+    """Squarefree integers d != 1 that may give a subfield Q(sqrt(d)) of L:
+    the signed squarefree divisors of 4 disc, none for odd degree.
 
     Sorted by increasing |d|, positive sign first.
     """
-    if L._subfields is not None:
-        return list(L._subfields)
-    if L.degree % 2 == 1 or L.degree < 2:
-        L._subfields = []
+    if L.degree % 2 == 1:
         return []
     _, m_int = L.integral_model()
     disc = maxorder.disc_of_int_poly(m_int)
-    primes = sorted(factorint(4 * abs(disc)))
     divisors = [1]
-    for p in primes:
+    for p in sorted(factorint(4 * abs(disc))):
         divisors += [d * p for d in divisors]
-    candidates = []
-    for d in divisors:
-        for s in (d, -d):
-            if s != 1:
-                candidates.append(s)
+    candidates = [s for d in divisors for s in (d, -d) if s != 1]
     candidates.sort(key=lambda s: (abs(s), s < 0))
-    out = [d for d in candidates if nf_sqrt(Fr(d), L) is not None]
-    L._subfields = out
-    return list(out)
+    return candidates
+
+
+def nf_quadratic_subfields(L):
+    """Squarefree integers d with Q(sqrt(d)) contained in L, in the order
+    of nf_quadratic_candidates."""
+    return [d for d in nf_quadratic_candidates(L)
+            if nf_sqrt(Fr(d), L) is not None]
 
 
 def nf_local_splitting(L, place):
@@ -368,8 +365,9 @@ def nf_local_splitting(L, place):
 def nf_factor_over_quadratic(p, d):
     """Factor p (monic, irreducible over Q) over Q(sqrt(d)).
 
-    Returns a list of (NumberField, factors) ... the factors are monic
-    NFElement coefficient lists over L2 = Q[x]/(x^2 - d).
+    Returns (L2, factors): L2 = Q[x]/(x^2 - d) and the monic irreducible
+    factors of p over L2 as NFElement coefficient lists, one factor when
+    Q(sqrt(d)) is not a subfield of Q[x]/(p).
     """
     sq = math.isqrt(abs(d))
     if d >= 0 and sq * sq == d:

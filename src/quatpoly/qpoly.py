@@ -14,10 +14,9 @@ from . import dense
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
                         cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     InternalInvariantViolation, PreconditionViolation,
-                     SearchExhausted)
+                     InternalInvariantViolation, PreconditionViolation)
 from .numberfield import (NumberField, nf_factor_over_quadratic,
-                          nf_quadratic_subfields, nf_splits_quaternion)
+                          nf_quadratic_candidates, nf_splits_quaternion)
 from .quadform import find_zero_divisor, splits_in_quadratic
 from .quatalg import (Quaternion, embed_quadratic, is_conjugate,
                       make_quaternion, q_inv)
@@ -404,9 +403,10 @@ def subfield_factor(p, A):
         raise PreconditionViolation(
             "input must be irreducible of degree >= 2")
     L = NumberField(p)
-    for d in nf_quadratic_subfields(L):
+    for d in nf_quadratic_candidates(L):
         if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
             continue
+        # p splits over Q(sqrt d) exactly when Q(sqrt d) is a subfield of L
         L2, parts = nf_factor_over_quadratic(p, d)
         if len(parts) == 1:
             continue

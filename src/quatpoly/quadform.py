@@ -16,7 +16,7 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
                      SearchExhausted, SplitAlgebra)
 from .intarith import (factorint, legendre, sqrt_mod_squarefree,
                        squarefree_kernel, squarefree_part)
-from .numberfield import INFINITE_PLACE, nf_quadratic_subfields, nf_sqrt
+from .numberfield import INFINITE_PLACE, nf_quadratic_candidates, nf_sqrt
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -475,12 +475,14 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
     if not nf_splits_quaternion(alpha, beta, L):
         raise DegenerateInput("algebra does not split over L")
     # layer 2: quadratic subfield
-    for d in nf_quadratic_subfields(L):
+    for d in nf_quadratic_candidates(L):
         if not splits_in_quadratic(alpha, beta, d):
             continue
         s = nf_sqrt(Fr(d), L)
         if s is None:
-            raise InternalInvariantViolation("subfield lost its square root")
+            continue  # Q(sqrt d) is not a subfield of L
+        if s * s != L.from_rational(d):
+            raise InternalInvariantViolation("subfield square root is wrong")
         rep = represent_pure(alpha, beta, Fr(d))
         if rep is None:
             raise InternalInvariantViolation(
@@ -517,5 +519,6 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
                  a3.as_ratpoly()))
             return cert.validate()
     raise SearchExhausted(
-        "no zero divisor found within height bound %d" % max_height,
+        "no zero divisor found in %d trials (largest height %d)"
+        % (max_height, 1 + (max_height - 1) // 8),
         central_factor=L.minpoly)

@@ -36,10 +36,6 @@ class RatPoly:
     def const(cls, c):
         return cls((Fr(c),))
 
-    @classmethod
-    def x_power(cls, n, c=1):
-        return cls([0] * n + [c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -328,9 +324,9 @@ def _edf(f, d, p, rng):
                     + _edf(dense.divmod(f, g, F)[0], d, p, rng))
 
 
-def gfp_factor_squarefree(f, p, seed=0):
+def gfp_factor_squarefree(f, p):
     """Irreducible factors of a monic squarefree poly over GF(p)."""
-    rng = random.Random((seed, tuple(f), p).__hash__())
+    rng = random.Random((0, tuple(f), p).__hash__())
     F = GF(p)
     out = []
     h = [0, 1]
@@ -349,7 +345,7 @@ def gfp_factor_squarefree(f, p, seed=0):
     return out
 
 
-def gfp_factor(f, p, seed=0):
+def gfp_factor(f, p):
     """Factor any nonzero poly over GF(p): list of (monic irreducible, mult)."""
     F = GF(p)
     f = dense.monic(dense.trim([c % p for c in f]), F)
@@ -370,7 +366,7 @@ def gfp_factor(f, p, seed=0):
             y = dense.gcd(w, s, F)
             z = dense.divmod(w, y, F)[0]
             if len(z) > 1:
-                for q in gfp_factor_squarefree(z, p, seed):
+                for q in gfp_factor_squarefree(z, p):
                     out[tuple(q)] = out.get(tuple(q), 0) + mult * k
             w = y
             s = dense.divmod(s, y, F)[0]

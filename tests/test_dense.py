@@ -136,3 +136,29 @@ def test_no_module_imports_private_names_of_a_sibling():
     found = [hit for path in sorted(src.glob("*.py"))
              for hit in _private_sibling_imports(path)]
     assert found == []
+
+
+def _unused_imports(path):
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield "%s:%d imports %s" % (path.name, node.lineno, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An import left behind by a refactor is dead code."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"
+             for hit in _unused_imports(path)]
+    assert found == []

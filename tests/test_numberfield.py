@@ -9,6 +9,7 @@ from quatpoly.maxorder import maximal_order, splitting_type
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor, nf_factor_over_quadratic,
                                   nf_local_splitting,
+                                  nf_quadratic_candidates,
                                   nf_quadratic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
 from quatpoly.ratpoly import RatPoly, from_int_list
@@ -108,6 +109,41 @@ class TestSqrtAndSubfields:
                 assert len(parts) >= 2
                 assert all(len(g) - 1 == L.degree // 2 for g in parts) or \
                     L.degree == 2
+
+    FIELDS = [QI, Q8, NumberField(from_int_list([-2, 0, 0, 0, 1])),
+              NumberField(from_int_list([1, 0, -10, 0, 1])), QUARTIC, CUBIC]
+    SUBFIELDS = [[-1], [-1, 2, -2], [2], [2, 3, 6], [], []]
+
+    def test_subfields_are_candidates_in_order(self):
+        for L, want in zip(self.FIELDS, self.SUBFIELDS):
+            candidates = nf_quadratic_candidates(L)
+            subfields = nf_quadratic_subfields(L)
+            assert subfields == want
+            it = iter(candidates)
+            assert all(d in it for d in subfields)  # a subsequence
+        assert nf_quadratic_candidates(self.FIELDS[-1]) == []
+
+    def test_sqrt_is_first_linear_trager_factor(self):
+        """nf_sqrt gives the root of the first linear factor of the full
+        factorization of y^2 - d."""
+        def reference(el, L):
+            f = [-el, L.zero(), L.one()]
+            for h, _ in nf_factor(f, L):
+                if len(h) == 2:
+                    return -h[0]
+            return None
+
+        rng = random.Random(41)
+        for L in self.FIELDS:
+            values = [L.from_rational(d) for d in nf_quadratic_candidates(L)]
+            values += [L.from_rational(d) for d in (2, -3, Fr(9, 4), -7)]
+            for _ in range(3):
+                a = L.element([rng.randint(-3, 3) for _ in range(L.degree)])
+                values += [a * a, a * a * 5]
+            for el in values:
+                if el.is_zero:
+                    continue
+                assert nf_sqrt(el, L) == reference(el, L), (L, el)
 
     def test_factor_over_quadratic_rejects_square(self):
         with pytest.raises(DegenerateInput):

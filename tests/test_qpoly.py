@@ -3,16 +3,20 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from quatpoly import dense
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              PreconditionViolation)
+from quatpoly.numberfield import (NumberField, nf_factor_over_quadratic,
+                                  nf_quadratic_subfields)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             factor_central_irreducible, is_irreducible,
                             qp_conj, qp_evaluate, qp_gcrd, qp_gcrd_bezout,
                             qp_lclm, qp_norm, qp_right_divmod, roots,
                             subfield_factor, swap_factors)
-from quatpoly.quadform import ZeroDivisorCertificate
-from quatpoly.quatalg import QuaternionAlgebra, is_conjugate, q_inv
+from quatpoly.quadform import ZeroDivisorCertificate, splits_in_quadratic
+from quatpoly.quatalg import (QuaternionAlgebra, embed_quadratic,
+                              is_conjugate, q_inv)
 from quatpoly.ratpoly import from_int_list, rp_factor
 
 H = QuaternionAlgebra(-1, -1)
@@ -287,6 +291,38 @@ class TestSubfieldFactor:
         # x^4+11x^2+16x+6 generates a quartic field with no quadratic
         # subfield, so the subfield route must give up
         assert subfield_factor(QUARTIC_MIN, H) is None
+
+    @staticmethod
+    def reference(p, A):
+        """Walk the subfields of Q[x]/(p), keep those splitting A, and
+        embed the first conjugate pair of factors of p over one."""
+        for d in nf_quadratic_subfields(NumberField(p)):
+            if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
+                continue
+            L2, parts = nf_factor_over_quadratic(p, d)
+            if len(parts) == 1:
+                continue
+            g = parts[0]
+            gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
+            assert dense.mul(g, gbar, L2.field) == [
+                L2.from_rational(c) for c in p.coeffs]
+            a = embed_quadratic(A, d)
+            q = QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a
+                          for c in g])
+            return qp_conj(q), q
+        return None
+
+    def test_matches_subfield_walk(self):
+        fields = ([1, 0, 1], [1, 0, 0, 0, 1], [-2, 0, 0, 0, 1],
+                  [1, 0, -10, 0, 1], [6, 16, 11, 0, 1], [-2, 0, 0, 1])
+        split = 0
+        for c in fields:
+            p = from_int_list(c)
+            for A in (H, H13, QuaternionAlgebra(-2, -5)):
+                want = self.reference(p, A)
+                assert subfield_factor(p, A) == want, (p, A)
+                split += want is not None
+        assert split >= 4
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionViolation):

@@ -8,7 +8,8 @@ from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              SearchExhausted, SplitAlgebra)
 from quatpoly.intarith import crt, squarefree_part
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
-                                  nf_splits_quaternion)
+                                  nf_quadratic_subfields, nf_splits_quaternion,
+                                  nf_sqrt)
 from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
                                hilbert_symbol, is_division, is_local_square,
                                quaternary_isotropic, ramified_places,
@@ -355,6 +356,32 @@ class TestFindZeroDivisor:
         with pytest.raises(SearchExhausted) as ei:
             find_zero_divisor(-1, -1, L, max_height=2)
         assert ei.value.central_factor == L.minpoly
+        assert "in 2 trials (largest height 1)" in str(ei.value)
+        with pytest.raises(SearchExhausted) as ei:
+            find_zero_divisor(-1, -1, L, max_height=17)
+        assert "in 17 trials (largest height 3)" in str(ei.value)
+
+    def test_subfield_layer_takes_first_splitting_subfield(self):
+        fields = ([1, 0, 1], [1, 0, 0, 0, 1], [-2, 0, 0, 0, 1],
+                  [1, 0, -10, 0, 1], [6, 16, 11, 0, 1], [-2, 0, 0, 1])
+        hits = 0
+        for c in fields:
+            L = NumberField(from_int_list(c))
+            for alpha, beta in ((-1, -1), (-1, -3), (-2, -5)):
+                ds = [d for d in nf_quadratic_subfields(L)
+                      if splits_in_quadratic(alpha, beta, d)]
+                if not ds or not nf_splits_quaternion(alpha, beta, L):
+                    continue
+                d = ds[0]
+                x, y, z = represent_pure(alpha, beta, Fr(d))
+                s = nf_sqrt(Fr(d), L)
+                want = ZeroDivisorCertificate(
+                    alpha, beta, L.minpoly,
+                    (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
+                     RatPoly.const(z)))
+                assert find_zero_divisor(alpha, beta, L) == want
+                hits += 1
+        assert hits >= 4
 
     def test_max_height_counts_trials_from_one(self):
         L = NumberField(from_int_list([6, 16, 11, 0, 1]))
