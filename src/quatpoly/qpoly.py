@@ -17,7 +17,8 @@ from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation)
 from .numberfield import (NumberField, nf_factor_over_quadratic,
                           nf_quadratic_candidates, nf_splits_quaternion)
-from .quadform import find_zero_divisor, splits_in_quadratic
+from .quadform import (find_zero_divisor, search_zero_divisor,
+                       splits_in_quadratic)
 from .quatalg import (Quaternion, embed_quadratic, is_conjugate,
                       make_quaternion, q_inv)
 from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible, rp_xgcd
@@ -399,10 +400,13 @@ def subfield_factor(p, A):
     quadratic subfield, or None when no subfield works."""
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation("input must be monic in Q[x]")
-    if p.degree < 2 or not rp_is_irreducible(p):
-        raise PreconditionViolation(
-            "input must be irreducible of degree >= 2")
-    L = NumberField(p)
+    message = "input must be irreducible of degree >= 2"
+    if p.degree < 2:
+        raise PreconditionViolation(message)
+    try:
+        L = NumberField(p)
+    except DegenerateInput:
+        raise PreconditionViolation(message) from None
     for d in nf_quadratic_candidates(L):
         if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
             continue
@@ -431,20 +435,28 @@ def subfield_factor(p, A):
 def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20):
     """Algorithm for a central irreducible p: either p stays irreducible
     or it splits into a conjugate pair of half-degree factors."""
-    if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic \
-            or not rp_is_irreducible(p):
-        raise PreconditionViolation("input must be monic irreducible in Q[x]")
+    message = "input must be monic irreducible in Q[x]"
+    if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
+        raise PreconditionViolation(message)
+    try:
+        L = NumberField(p)
+    except DegenerateInput:
+        raise PreconditionViolation(message) from None
     whole = Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
     if p.degree % 2 == 1:
         return whole
-    L = NumberField(p)
     if not nf_splits_quaternion(A.alpha, A.beta, L):
         return whole
     pair = subfield_factor(p, A)
     if pair is not None:
         return Factorization(A.one(), list(pair))
-    zd = find_zero_divisor(A.alpha, A.beta, L, cert=cert, seed=seed,
-                           max_height=max_height)
+    # subfield_factor has ruled out find_zero_divisor's subfield layer
+    if cert is not None:
+        zd = find_zero_divisor(A.alpha, A.beta, L, cert=cert, seed=seed,
+                               max_height=max_height)
+    else:
+        zd = search_zero_divisor(A.alpha, A.beta, L, seed=seed,
+                                 max_height=max_height)
     q0, q1, q2, q3 = [qi % p for qi in zd.q]
     qp = QPoly.from_coordinates(A, (q0, q1, q2, q3))
     q = qp_norm(qp).exact_div(p)

@@ -456,16 +456,11 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
     """A ZeroDivisorCertificate for (alpha, beta / Q) tensor L.
 
     Layered: (1) validate a supplied certificate, (2) go through a
-    quadratic subfield when one splits the algebra, (3) seeded bounded
-    search solving q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L:
-    max_height random trials, trial t drawing coefficients of height
-    1 + t//8.
+    quadratic subfield when one splits the algebra, (3) the seeded bounded
+    search of search_zero_divisor.
     """
     from .numberfield import nf_splits_quaternion
-    if max_height < 1:
-        raise PreconditionViolation(
-            "max_height counts search trials and must be at least 1, got %d"
-            % max_height)
+    _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     if cert is not None:
         if (cert.alpha != alpha or cert.beta != beta
@@ -493,7 +488,24 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
             (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
              RatPoly.const(z)))
         return cert.validate()
-    # layer 3: bounded search
+    return search_zero_divisor(alpha, beta, L, seed=seed,
+                               max_height=max_height)
+
+
+def _check_trials(max_height):
+    if max_height < 1:
+        raise PreconditionViolation(
+            "max_height counts search trials and must be at least 1, got %d"
+            % max_height)
+
+
+def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
+    """Layer 3 of find_zero_divisor alone: a seeded bounded search solving
+    q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L, max_height random
+    trials, trial t drawing coefficients of height 1 + t//8.  Raises
+    SearchExhausted when no trial succeeds."""
+    _check_trials(max_height)
+    alpha, beta = Fr(alpha), Fr(beta)
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):

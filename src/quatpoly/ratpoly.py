@@ -3,7 +3,17 @@
 Coefficients are fractions.Fraction, stored ascending (constant term
 first) with no trailing zeros; the zero polynomial has an empty tuple.
 Degrees in this package never exceed a few dozen, so everything is kept
-dense and the factoring routine uses plain Zassenhaus recombination.
+dense.
+
+The gcd is a primitive remainder sequence over Z, made monic over Q at
+the end.  Factoring (rp_factor) takes Yun's squarefree decomposition and
+factors each primitive integer part by Zassenhaus' method, entirely over
+Z: the prime p is the smallest odd one with f squarefree of full degree
+mod p (a gcd over GF(p), no resultant); distinct-degree and
+Cantor-Zassenhaus equal-degree splitting mod p; quadratic Hensel lifting
+to p^k above twice the Mignotte bound; and recombination of subsets of
+the lifted factors by integer trial division, which stops at the first
+non-integral quotient coefficient.
 """
 
 import math
@@ -150,15 +160,7 @@ class RatPoly:
 
     def primitive_int(self):
         """Primitive integer poly with positive lc in the same Q*-class."""
-        ic = self.int_coeffs()
-        g = 0
-        for c in ic:
-            g = math.gcd(g, c)
-        if g == 0:
-            return []
-        if ic[-1] < 0:
-            g = -g
-        return [c // g for c in ic]
+        return _primitive(self.int_coeffs())
 
     def __repr__(self):
         return "RatPoly(%s)" % (list(self.coeffs),)
@@ -192,11 +194,43 @@ def from_int_list(ic):
     return _wrap(dense.trim([Fr(c) for c in ic]))
 
 
+def _primitive(f):
+    """f divided by its integer content, with positive lc; [] for f = []."""
+    g = math.gcd(*f)
+    if g == 0:
+        return []
+    if f[-1] < 0:
+        g = -g
+    return [c // g for c in f]
+
+
+def _pseudo_remainder(f, g):
+    """A remainder of c*f on division by g in Z[x], for some integer c != 0:
+    each step scales by lc(g) instead of dividing by it."""
+    n = len(g) - 1
+    lc = g[-1]
+    r = list(f)
+    while len(r) > n:
+        c = r.pop()
+        r = [lc * a for a in r]
+        shift = len(r) - n
+        for j in range(n):
+            r[shift + j] -= c * g[j]
+        dense.trim(r)
+    return r
+
+
 def rp_gcd(a, b):
-    """Monic gcd in Q[x]."""
+    """Monic gcd in Q[x], by a primitive remainder sequence over Z (Collins
+    1967): each pseudo-remainder is divided by its integer content."""
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
-    return _wrap(dense.gcd(a.coeffs, b.coeffs, QQ))
+    f, g = a.primitive_int(), b.primitive_int()
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return _wrap(dense.monic([Fr(c) for c in f], QQ))
 
 
 def rp_xgcd(a, b):
@@ -382,17 +416,20 @@ def gfp_factor(f, p):
 # ---------------------------------------------------------------------------
 # Zassenhaus factorization over Z / Q
 
-def _good_prime(f_int):
-    """Smallest prime >= 3 not dividing lc * disc of the squarefree input."""
-    fp = from_int_list(f_int)
-    disc = resultant(fp, fp.derivative())
-    bad = abs(f_int[-1] * disc.numerator)
+def _good_prime(f):
+    """Smallest prime p >= 3 with p not dividing lc(f) and f squarefree mod
+    p: the smallest odd prime not dividing lc(f) * disc(f)."""
+    df = dense.derivative(f, ZZ)
     p = 3
-    while bad % p == 0:
-        p = p + 2
+    while True:
+        if f[-1] % p:
+            F = GF(p)
+            if dense.gcd(dense.trim([c % p for c in f]),
+                         dense.trim([c % p for c in df]), F) == [1]:
+                return p
+        p += 2
         while not is_prime(p):
             p += 2
-    return p
 
 
 def _mignotte_bound(f_int):
@@ -401,26 +438,35 @@ def _mignotte_bound(f_int):
     return 2 ** n * norm2 * abs(f_int[-1])
 
 
-def _lift_linear(f, g, h, p, k):
-    """Lift f = g*h (mod p) to (mod p^k); g stays monic.  f, g, h int lists."""
-    F = GF(p)
-    gbar = [c % p for c in g]
-    hbar = [c % p for c in h]
-    # Bezout over GF(p), fixed throughout the linear iteration
-    _, s, t = dense.xgcd(gbar, hbar, F)
-    mod = p
-    while mod < p ** k:
-        # error term f - g*h, divided by mod, taken mod p
-        e = dense.sub(f, dense.mul(g, h, ZZ), ZZ)
-        e = dense.trim([(c // mod) % p for c in e])
-        if e:
-            q, dg = dense.divmod(dense.mul(t, e, F), gbar, F)
-            dh = dense.add(dense.mul(s, e, F), dense.mul(hbar, q, F), F)
-            g = dense.add(g, [c * mod for c in dg], ZZ)
-            h = dense.add(h, [c * mod for c in dh], ZZ)
-        mod *= p
-    m = p ** k
-    return dense.trim([c % m for c in g]), dense.trim([c % m for c in h])
+def _lift_quadratic(f, g, h, p, k):
+    """Lift f = g*h (mod p) to (mod p^k); g stays monic.  f, g, h int lists.
+
+    Quadratic Hensel steps (von zur Gathen & Gerhard, Modern Computer
+    Algebra, Alg. 15.10), each from modulus m to min(m^2, p^k), with the
+    Bezout pair s*g + t*h = 1 lifted alongside.  Z/m is GF(m) of dense.py,
+    which is sound here because the only divisor, g, is monic.
+    """
+    _, s, t = dense.xgcd(g, h, GF(p))
+    top = p ** k
+    f = [c % top for c in f]
+    m = p
+    while m < top:
+        m = min(m * m, top)
+        R = GF(m)
+        e = dense.sub([c % m for c in f], dense.mul(g, h, R), R)
+        q, r = dense.divmod(dense.mul(t, e, R), g, R)
+        g2 = dense.add(g, r, R)
+        dh = dense.add(dense.mul(s, e, R), dense.mul(q, h, R), R)
+        h2 = dense.add(h, dh, R)
+        if m < top:
+            b = dense.add(dense.mul(s, g2, R), dense.mul(t, h2, R), R)
+            b = dense.sub(b, [1], R)
+            c, d = dense.divmod(dense.mul(t, b, R), g2, R)
+            t = dense.sub(t, d, R)
+            ds = dense.add(dense.mul(s, b, R), dense.mul(c, h2, R), R)
+            s = dense.sub(s, ds, R)
+        g, h = g2, h2
+    return g, h
 
 
 def _lift_list(f, factors, p, k):
@@ -434,13 +480,37 @@ def _lift_list(f, factors, p, k):
     h = [f[-1] % p]
     for q in factors[1:]:
         h = dense.mul(h, q, GF(p))
-    g2, h2 = _lift_linear(f, g, h, p, k)
+    g2, h2 = _lift_quadratic(f, g, h, p, k)
     return [g2] + _lift_list(h2, factors[1:], p, k)
 
 
 def _symmetric(c, m):
     c %= m
     return c - m if c > m // 2 else c
+
+
+def _exact_quotient(f, g):
+    """f / g in Z[x], or None as soon as a quotient coefficient is not an
+    integer or the remainder is not zero.  For primitive g this accepts
+    exactly the g that divide f in Q[x] (Gauss's lemma)."""
+    if g[0] and f[0] % g[0]:
+        return None
+    n = len(g) - 1
+    lc = g[-1]
+    r = list(f)
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + n]
+        if c:
+            if c % lc:
+                return None
+            c //= lc
+            q[k] = c
+            for j in range(n):
+                r[k + j] -= c * g[j]
+    if any(r[:n]):
+        return None
+    return q
 
 
 def _factor_squarefree_int(f):
@@ -472,14 +542,14 @@ def _factor_squarefree_int(f):
                 cand = [current[-1] % m]
                 for idx in combo:
                     cand = [c % m for c in dense.mul(cand, pool[idx], ZZ)]
-                cand = [_symmetric(c, m) for c in cand]
-                cand_pp = from_int_list(cand).primitive_int()
+                cand_pp = _primitive([_symmetric(c, m) for c in cand])
                 if not cand_pp:
                     continue
-                q, r = divmod(from_int_list(current), from_int_list(cand_pp))
-                if r.is_zero:
+                # current and cand_pp are primitive, so is the quotient
+                q = _exact_quotient(current, cand_pp)
+                if q is not None:
                     out.append(cand_pp)
-                    current = q.primitive_int()
+                    current = q
                     pool = [g for i, g in enumerate(pool) if i not in combo]
                     found = True
                     break

@@ -162,3 +162,25 @@ def test_no_module_imports_a_name_it_never_uses():
              if path.name != "__init__.py"
              for hit in _unused_imports(path)]
     assert found == []
+
+
+# the integer Zassenhaus steps of ratpoly and the rational names they avoid
+_INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
+                  "_exact_quotient", "_factor_squarefree_int")
+_RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
+                   "resultant", "divmod"}
+
+
+def test_zassenhaus_steps_stay_over_the_integers():
+    """A rational step slipping back into rp_factor's core shows here."""
+    path = pathlib.Path(quatpoly.__file__).parent / "ratpoly.py"
+    tree = ast.parse(path.read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found = ["%s is missing" % name for name in _INTEGER_STEPS
+             if name not in functions]
+    for name in _INTEGER_STEPS:
+        for node in ast.walk(functions.get(name, ast.Pass())):
+            if isinstance(node, ast.Name) and node.id in _RATIONAL_NAMES:
+                found.append("%s:%d names %s" % (name, node.lineno, node.id))
+    assert found == []

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import dense
+from quatpoly import dense, numberfield, qpoly, quadform
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              PreconditionViolation)
 from quatpoly.numberfield import (NumberField, nf_factor_over_quadratic,
@@ -329,6 +329,10 @@ class TestSubfieldFactor:
             subfield_factor(from_int_list([1, 2, 1]), H)
         with pytest.raises(PreconditionViolation):
             subfield_factor(P("x^2 + 1"), H)
+        for c in ([1], [2, 1], [-1, 0, 1], [4, 0, 0, 0, 1]):
+            with pytest.raises(PreconditionViolation,
+                               match="irreducible of degree >= 2"):
+                subfield_factor(from_int_list(c), H)
 
 
 class TestFactorCentralIrreducible:
@@ -358,6 +362,41 @@ class TestFactorCentralIrreducible:
         # x^4 - 2: field has real embeddings, cannot split (-1,-1)
         out = factor_central_irreducible(from_int_list([-2, 0, 0, 0, 1]), H)
         assert len(out.factors) == 1
+
+    def test_rejects_reducible_and_constant(self):
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+        for c in ([1], [1, 2, 1], [-1, 0, 1], [4, 0, 0, 0, 1]):
+            with pytest.raises(PreconditionViolation,
+                               match="monic irreducible"):
+                factor_central_irreducible(from_int_list(c), H)
+
+    def test_one_irreducibility_test_per_field(self, monkeypatch):
+        """p is tested once by each of the two NumberField(p) built for it,
+        and the search runs without find_zero_divisor's subfield layer."""
+        seen = []
+        real = numberfield.rp_is_irreducible
+
+        def spy(f):
+            seen.append(f)
+            return real(f)
+
+        def no_cert_call(*args, cert=None, **kwargs):
+            assert cert is not None, "subfield layer re-run"
+            return quadform.find_zero_divisor(*args, cert=cert, **kwargs)
+
+        for module in (numberfield, qpoly):
+            monkeypatch.setattr(module, "rp_is_irreducible", spy)
+        monkeypatch.setattr(qpoly, "find_zero_divisor", no_cert_call)
+        # subfield route, search route (no splitting subfield, seed 1
+        # succeeds), certificate route
+        cases = ((from_int_list([1, 0, 0, 0, 1]), None),
+                 (from_int_list([6, 2, 9, -4, 1]), None),
+                 (QUARTIC_MIN, quartic_cert()))
+        for p, cert in cases:
+            seen.clear()
+            out = factor_central_irreducible(p, H, cert=cert, seed=1)
+            assert len(out.factors) == 2
+            assert seen.count(p) == 2, p
 
 
 class TestSwapFactors:

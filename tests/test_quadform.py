@@ -13,8 +13,9 @@ from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
 from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
                                hilbert_symbol, is_division, is_local_square,
                                quaternary_isotropic, ramified_places,
-                               represent_pure, splits_in_quadratic,
-                               ternary_isotropic, ternary_local_obstruction)
+                               represent_pure, search_zero_divisor,
+                               splits_in_quadratic, ternary_isotropic,
+                               ternary_local_obstruction)
 from quatpoly.ratpoly import RatPoly, from_int_list
 
 
@@ -390,6 +391,27 @@ class TestFindZeroDivisor:
                 find_zero_divisor(-1, -1, L, max_height=bad)
         with pytest.raises(SearchExhausted):
             find_zero_divisor(-1, -1, L, max_height=1)
+
+    def test_search_layer_alone(self):
+        # neither field has a quadratic subfield that splits (-1, -1), so
+        # find_zero_divisor goes straight to its search layer
+        found = NumberField(from_int_list([6, 2, 9, -4, 1]))
+        exhausted = NumberField(from_int_list([6, 16, 11, 0, 1]))
+        for L in (found, exhausted):
+            assert not [d for d in nf_quadratic_subfields(L)
+                        if splits_in_quadratic(-1, -1, d)]
+        want = find_zero_divisor(-1, -1, found, seed=1)
+        assert search_zero_divisor(-1, -1, found, seed=1) == want
+        messages = []
+        for search in (find_zero_divisor, search_zero_divisor):
+            with pytest.raises(SearchExhausted) as ei:
+                search(-1, -1, exhausted, max_height=9)
+            assert ei.value.central_factor == exhausted.minpoly
+            messages.append(str(ei.value))
+            with pytest.raises(PreconditionViolation) as ei:
+                search(-1, -1, exhausted, max_height=0)
+            messages.append(str(ei.value))
+        assert messages[:2] == messages[2:]
 
     def test_splits_in_quadratic_consistency(self):
         # d must be a nonsquare locally at every ramified place

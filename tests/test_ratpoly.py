@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
 
+from quatpoly import dense
+from quatpoly.dense import GF, QQ, ZZ
 from quatpoly.errors import DegenerateInput, NotSquarefree
-from quatpoly.ratpoly import (RatPoly, from_int_list, gfp_factor, resultant,
+from quatpoly.intarith import is_prime
+from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list, from_int_list,
+                              gfp_factor, gfp_factor_squarefree, resultant,
                               rp_discriminant, rp_factor, rp_gcd,
                               rp_is_irreducible, rp_real_root_count, rp_xgcd,
                               squarefree_decomposition)
@@ -265,3 +270,159 @@ class TestFactorOverQ:
         fac = rp_factor(p)
         assert sorted((str(g), e) for g, e in fac.factors) == \
             [("x + 1", 3), ("x^2 + 1", 2)]
+
+
+def good_prime_reference(f):
+    """The smallest odd prime not dividing lc(f) * Res(f, f') over Q."""
+    fp = from_int_list(f)
+    bad = abs(f[-1] * resultant(fp, fp.derivative()).numerator)
+    p = 3
+    while bad % p == 0:
+        p += 2
+        while not is_prime(p):
+            p += 2
+    return p
+
+
+def lift_linear_reference(f, g, h, p, k):
+    """Linear Hensel lifting of f = g*h (mod p) to (mod p^k), one power of p
+    per step, with the Bezout pair of g, h mod p fixed; g stays monic."""
+    F = GF(p)
+    gbar = [c % p for c in g]
+    hbar = [c % p for c in h]
+    _, s, t = dense.xgcd(gbar, hbar, F)
+    mod = p
+    while mod < p ** k:
+        e = dense.sub(f, dense.mul(g, h, ZZ), ZZ)
+        e = dense.trim([(c // mod) % p for c in e])
+        if e:
+            q, dg = dense.divmod(dense.mul(t, e, F), gbar, F)
+            dh = dense.add(dense.mul(s, e, F), dense.mul(hbar, q, F), F)
+            g = dense.add(g, [c * mod for c in dg], ZZ)
+            h = dense.add(h, [c * mod for c in dh], ZZ)
+        mod *= p
+    m = p ** k
+    return dense.trim([c % m for c in g]), dense.trim([c % m for c in h])
+
+
+def lift_list_reference(f, factors, p, k):
+    m = p ** k
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, m)
+        return [dense.trim([c * inv % m for c in f])]
+    h = [f[-1] % p]
+    for q in factors[1:]:
+        h = dense.mul(h, q, GF(p))
+    g2, h2 = lift_linear_reference(f, factors[0], h, p, k)
+    return [g2] + lift_list_reference(h2, factors[1:], p, k)
+
+
+def rnd_squarefree_int(rng, deg, height=30, lc=None):
+    while True:
+        f = [rng.randint(-height, height) for _ in range(deg)]
+        f.append(lc or rng.randint(1, height))
+        fp = from_int_list(f)
+        if rp_gcd(fp, fp.derivative()).degree == 0:
+            return f
+
+
+class TestIntegerZassenhaus:
+    """The integer steps of rp_factor against the rational ones they
+    replace."""
+
+    def test_gcd_matches_rational_euclid(self):
+        rng = random.Random(71)
+        cases = [(RatPoly(), from_int_list([0, 2])),
+                 (from_int_list([-3, 0, 2]), RatPoly()),
+                 (RatPoly.const(Fr(-5, 3)), rnd_poly(rng, 4)),
+                 (from_int_list([1, 1]) * from_int_list([-2, 0, -7]),
+                  from_int_list([1, 1]) * from_int_list([4, -3]))]
+        for _ in range(150):
+            common = rnd_poly(rng, rng.randint(0, 3), height=6)
+            a = common * RatPoly([Fr(rng.randint(-20, 20), rng.randint(1, 6))
+                                  for _ in range(rng.randint(1, 6))])
+            b = common * RatPoly([Fr(rng.randint(-20, 20), rng.randint(1, 6))
+                                  for _ in range(rng.randint(1, 6))])
+            if rng.random() < 0.3:
+                b = -b
+            if a or b:
+                cases.append((a, b))
+        for a, b in cases:
+            assert rp_gcd(a, b).coeffs == tuple(dense.gcd(a.coeffs, b.coeffs,
+                                                          QQ)), (a, b)
+        with pytest.raises(DegenerateInput):
+            rp_gcd(RatPoly(), RatPoly())
+
+    def test_good_prime_matches_discriminant_choice(self):
+        rng = random.Random(72)
+        # 3, 5 or 7 divide lc or disc: x^2+x+1 (disc -3), x^2-5, x^2+7,
+        # (x^2-5)(x^2+7), x^2-105, and leading coefficients 3, 15, 105
+        cases = [[1, 1, 1], [-5, 0, 1], [7, 0, 1], [-35, 0, 2, 0, 1],
+                 [-105, 0, 1], [1, 1, 3], [1, 0, 1, 15], [2, -1, 0, 105],
+                 [1, 0, 0, 0, 1], [1, 0, -10, 0, 1]]
+        cases += [rnd_squarefree_int(rng, rng.randint(2, 8),
+                                     lc=rng.choice([None, 3, 5, 7, 21]))
+                  for _ in range(80)]
+        picked = set()
+        for f in cases:
+            p = _good_prime(f)
+            assert p == good_prime_reference(f), f
+            picked.add(p)
+        assert {5, 7, 11} <= picked
+
+    def test_quadratic_lift_matches_linear_lift(self):
+        rng = random.Random(73)
+        lifted = 0
+        for _ in range(25):
+            f = rnd_squarefree_int(rng, rng.randint(2, 9))
+            p = _good_prime(f)
+            fbar = dense.monic([c % p for c in f], GF(p))
+            modular = sorted(gfp_factor_squarefree(fbar, p))
+            for k in (1, 2, 3, 4, 7, 12):
+                got = _lift_list(f, modular, p, k)
+                assert got == lift_list_reference(f, modular, p, k)
+                lifted += len(modular) > 1
+        assert lifted > 20
+
+    @staticmethod
+    def check(p):
+        fac = rp_factor(p)
+        assert fac.expand() == p
+        for g, _e in fac.factors:
+            assert g.is_monic and rp_is_irreducible(g)
+        return sorted((str(g), e) for g, e in fac.factors)
+
+    def test_factor_edge_cases(self):
+        x = from_int_list([0, 1])
+        assert self.check(x ** 3 * from_int_list([-2, 0, 1])) == \
+            [("x", 3), ("x^2 - 2", 1)]
+        assert self.check(x * from_int_list([1, 1]) ** 2 * RatPoly.const(
+            Fr(-7, 4))) == [("x", 1), ("x + 1", 2)]
+        assert self.check(RatPoly([Fr(1, 6), Fr(0), Fr(2, 3)])) == \
+            [("x^2 + 1/4", 1)]
+        # irreducible, yet reducible mod every prime; the product is 4
+        # quadratics mod 7, and each factor over Q is a pair of them
+        for c in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1]):
+            assert len(self.check(from_int_list(c))) == 1
+        assert self.check(from_int_list([1, 0, 0, 0, 1])
+                          * from_int_list([1, 0, -10, 0, 1])) == \
+            [("x^4 + 1", 1), ("x^4 - 10*x^2 + 1", 1)]
+
+    def test_degree_48_norm(self):
+        """The norm of a product of 24 linear factors x - a over (-1, -1)
+        is the product of their norms x^2 - 2 a0 x + |a|^2, each
+        irreducible when a is not real."""
+        rng = random.Random(74)
+        norms = []
+        for _ in range(24):
+            a = [rng.randint(-5, 5) for _ in range(4)]
+            a[rng.randint(1, 3)] = rng.choice([-1, 1]) * rng.randint(1, 5)
+            norms.append(from_int_list([sum(c * c for c in a), -2 * a[0], 1]))
+        n = RatPoly.const(1)
+        for g in norms:
+            n = n * g
+        assert n.degree == 48
+        fac = rp_factor(n)
+        assert fac.expand() == n
+        assert Counter({g.coeffs: e for g, e in fac.factors}) == \
+            Counter(g.coeffs for g in norms)
