@@ -50,7 +50,8 @@ class SearchExhausted(QuatpolyError):
 
 
 class ZeroDivisorEncountered(QuatpolyError):
-    """Inversion met a nonzero element of zero norm (only possible over L).
+    """Inversion met a nonzero element of zero norm (only possible in a
+    split algebra, made with QuaternionAlgebra.unchecked).
 
     The offending element is kept as the witness attribute.
     """

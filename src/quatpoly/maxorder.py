@@ -1,10 +1,13 @@
-"""Maximal orders and prime splitting for Q[x]/(m), m monic integral.
+"""Prime splitting in Q[x]/(m), m monic integral, from p-maximal orders.
 
-Round-2 (Pohst-Zassenhaus) p-maximalization starting from Z[theta],
-with the p-radical obtained as an iterated-Frobenius kernel; splitting
-types above p come from decomposing O/pO into local components by exact
-idempotent splitting.  Degrees stay small (<= 8 in practice), so all
-linear algebra is naive and exact.
+The splitting type above p depends only on a p-maximal order, so
+`splitting_type` grows Z[theta] at p alone (round 2, Pohst-Zassenhaus,
+with the p-radical obtained as an iterated-Frobenius kernel) and
+decomposes O/pO into local components by exact idempotent splitting.
+`maximal_order`, which maximalizes at every prime whose square divides
+the discriminant, is kept as a test oracle and is off the runtime path.
+Degrees stay small (<= 8 in practice), so all linear algebra is naive
+and exact.
 """
 
 import random
@@ -282,7 +285,8 @@ def _p_maximalize(order, p):
 
 
 def maximal_order(m):
-    """Maximal order of Q[x]/(m) for monic irreducible integral m.
+    """Maximal order of Q[x]/(m) for monic irreducible integral m, as a
+    test oracle: no runtime path calls it.
 
     Returns (order, disc_field, index) with disc(m) = index^2 * disc_field.
     """
@@ -292,20 +296,13 @@ def maximal_order(m):
     for p, e in sorted(factorint(disc0).items()):
         if e >= 2:
             order = _p_maximalize(order, p)
-    # index from the basis determinant
+    # every HNF step starts from the identity, so the basis stays upper
+    # triangular and its determinant is the product of the diagonal
     det = Fr(1)
-    basis = [row[:] for row in order.basis]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if basis[r][col])
-        if piv != col:
-            basis[col], basis[piv] = basis[piv], basis[col]
-            det = -det
-        det *= basis[col][col]
-        inv = 1 / basis[col][col]
-        for r in range(col + 1, n):
-            if basis[r][col]:
-                f = basis[r][col] * inv
-                basis[r] = [x - f * y for x, y in zip(basis[r], basis[col])]
+    for i, row in enumerate(order.basis):
+        if any(row[:i]):
+            raise InternalInvariantViolation("order basis not triangular")
+        det *= row[i]
     index = abs(1 / det)
     if index.denominator != 1:
         raise InternalInvariantViolation("order index must be an integer")
@@ -414,20 +411,22 @@ def _component_split(basis_rows, unit, table, p, rng):
 
 def splitting_type(m, p):
     """(e, f) pairs for the primes above p in Q[x]/(m), m monic integral
-    irreducible.  Sorted ascending."""
+    irreducible.  Sorted ascending.
+
+    They come from a p-maximal order grown from Z[theta] at p alone; when
+    Z[theta] is already p-maximal, by Dedekind-Kummer from m mod p.
+    """
     n = len(m) - 1
-    index = 1
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    ztheta = order = Order(m, identity)
     if disc_of_int_poly(m) % (p * p) == 0:
         # otherwise p cannot divide the index, which squares into disc
-        order, _, index = maximal_order(m)
-    if index % p != 0:
-        # Dedekind-Kummer: factor m mod p directly
+        order = _p_maximalize(ztheta, p)
+    if order is ztheta:
         return sorted((mult, len(g) - 1) for g, mult in gfp_factor(m, p))
-    table = order.mult_table()
-    one = order.one()
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     rng = random.Random((p, tuple(m)).__hash__())
-    comps = _component_split(basis, one, table, p, rng)
+    comps = _component_split(identity, order.one(), order.mult_table(), p,
+                             rng)
     if sum(e * f for e, f in comps) != n:
         raise InternalInvariantViolation("splitting degrees do not add up")
     return sorted(comps)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from . import dense, maxorder
 from .dense import QQ
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
-                     PreconditionViolation)
-from .intarith import factorint
+                     PreconditionViolation, SplitAlgebra)
+from .intarith import factorint, is_prime
 from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
                       rp_real_root_count)
 
@@ -54,8 +54,6 @@ class NumberField:
         # the field object of dense.py for polynomials over L
         self.field = dense.Field(self.zero(), self.one(), dense.same,
                                  NFElement.inv)
-        self._integral = None
-        self._splittings = {}
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -87,12 +85,9 @@ class NumberField:
 
     def integral_model(self):
         """(c, m_int): m_int = monic integral minpoly of c * theta."""
-        if self._integral is None:
-            c = self.minpoly.denominator_lcm()
-            n = self.degree
-            coeffs = [int(self.minpoly[i] * c ** (n - i)) for i in range(n)] + [1]
-            self._integral = (c, coeffs)
-        return self._integral
+        c = self.minpoly.denominator_lcm()
+        n = self.degree
+        return c, [int(self.minpoly[i] * c ** (n - i)) for i in range(n)] + [1]
 
 
 def _element(L, coords):
@@ -349,17 +344,15 @@ def nf_quadratic_subfields(L):
 
 def nf_local_splitting(L, place):
     """Splitting data of L at a finite prime or at INFINITE_PLACE."""
-    if place in L._splittings:
-        return L._splittings[place]
     if place == INFINITE_PLACE:
         r = rp_real_root_count(L.minpoly)
-        st = SplittingType(INFINITE_PLACE,
-                           [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2))
-    else:
-        _, m_int = L.integral_model()
-        st = SplittingType(place, maxorder.splitting_type(m_int, place))
-    L._splittings[place] = st
-    return st
+        return SplittingType(INFINITE_PLACE,
+                             [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2))
+    if not (isinstance(place, int) and is_prime(place)):
+        raise PreconditionViolation(
+            "place must be a prime or INFINITE_PLACE, got %r" % (place,))
+    _, m_int = L.integral_model()
+    return SplittingType(place, maxorder.splitting_type(m_int, place))
 
 
 def nf_factor_over_quadratic(p, d):
@@ -380,18 +373,21 @@ def nf_factor_over_quadratic(p, d):
 
 
 def nf_splits_quaternion(alpha, beta, L):
-    """True iff (alpha, beta / Q) tensored with L is a matrix algebra."""
-    from . import quadform
-    if not quadform.is_division(alpha, beta):
-        from .errors import SplitAlgebra
+    """True iff (alpha, beta / Q) tensored with L is a matrix algebra,
+    that is iff every place of L above a ramified place of Q has even
+    local degree e*f.
+
+    The infinite place, a Sturm count, is checked before the ramified
+    primes, each of which needs a p-maximal order; the first place of odd
+    local degree decides.
+    """
+    from .quadform import ramified_places
+    places = ramified_places(alpha, beta)
+    if not places:
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))
-    places = quadform.ramified_places(alpha, beta)
-    for p in places.finite_primes:
-        for e, f in nf_local_splitting(L, p).local_factors:
-            if (e * f) % 2 == 1:
-                return False
-    if places.infinite:
-        for e, f in nf_local_splitting(L, INFINITE_PLACE).local_factors:
-            if (e * f) % 2 == 1:
-                return False
+    first = [INFINITE_PLACE] if places.infinite else []
+    for place in first + list(places.finite_primes):
+        local = nf_local_splitting(L, place).local_factors
+        if any((e * f) % 2 for e, f in local):
+            return False
     return True

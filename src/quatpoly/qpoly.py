@@ -361,15 +361,14 @@ def is_irreducible(p):
     if cen_deg >= 1 and free_deg >= 1:
         return False
     if free_deg == 0:
-        # central polynomial
-        if not rp_is_irreducible(b.central):
+        # central polynomial: NumberField rejects it unless irreducible
+        try:
+            L = NumberField(b.central)
+        except DegenerateInput:
             return False
-        if cen_deg == 1:
-            return True
         if cen_deg % 2 == 1:
             # odd-degree quick exit: no quadratic subfield, never splits
             return True
-        L = NumberField(b.central)
         return not nf_splits_quaternion(p.parent.alpha, p.parent.beta, L)
     # no central part: irreducible iff the norm is irreducible over Q
     return rp_is_irreducible(qp_norm(b.central_free))

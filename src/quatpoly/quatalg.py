@@ -1,10 +1,9 @@
-"""The quaternion algebra (alpha, beta / Q) and its scalar extension to a
-number field L: element arithmetic, conjugation, norm, trace, inversion,
-characteristic polynomials, conjugacy tests, and quadratic-field embedding.
+"""The quaternion algebra (alpha, beta / Q): element arithmetic,
+conjugation, norm, trace, inversion, characteristic polynomials, conjugacy
+tests, and quadratic-field embedding.
 
-Elements are immutable coordinate 4-tuples over Fraction (or NFElement for
-the extended algebra); the basis satisfies i^2 = alpha, j^2 = beta and
-ij = k = -ji.
+Elements are immutable coordinate 4-tuples over Fraction; the basis
+satisfies i^2 = alpha, j^2 = beta and ij = k = -ji.
 """
 
 from fractions import Fraction
@@ -12,17 +11,10 @@ from fractions import Fraction
 from . import dense
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      EmbeddingObstructed, SplitAlgebra, ZeroDivisorEncountered)
-from .numberfield import NFElement
 from .quadform import is_division, is_local_square, ramified_places, represent_pure
 from .ratpoly import RatPoly
 
 Fr = Fraction
-
-
-def _is_scalar_zero(c):
-    if isinstance(c, NFElement):
-        return c.is_zero
-    return c == 0
 
 
 class QuaternionAlgebra:
@@ -83,7 +75,7 @@ class QuaternionAlgebra:
 
 
 class Quaternion:
-    """t + x i + y j + z k with coordinates in Q or in a number field."""
+    """t + x i + y j + z k with rational coordinates."""
 
     __slots__ = ("parent", "coords")
 
@@ -91,8 +83,7 @@ class Quaternion:
         coords = tuple(coords)
         if len(coords) != 4:
             raise DegenerateInput("quaternion needs four coordinates")
-        coords = tuple(c if isinstance(c, NFElement) else Fr(c)
-                       for c in coords)
+        coords = tuple([Fr(c) for c in coords])
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "coords", coords)
 
@@ -102,11 +93,11 @@ class Quaternion:
     # -- structure ---------------------------------------------------------
     @property
     def is_zero(self):
-        return all(_is_scalar_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     @property
     def is_central(self):
-        return all(_is_scalar_zero(c) for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def _check(self, other):
         if self.parent != other.parent:
@@ -116,7 +107,7 @@ class Quaternion:
         if isinstance(other, Quaternion):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction, NFElement)):
+        if isinstance(other, (int, Fraction)):
             return Quaternion(self.parent, (other, 0, 0, 0))
         return None
 
@@ -168,12 +159,11 @@ class Quaternion:
         return self * q_inv(other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, NFElement)):
+        if isinstance(other, (int, Fraction)):
             other = Quaternion(self.parent, (other, 0, 0, 0))
         return (isinstance(other, Quaternion)
                 and self.parent == other.parent
-                and all(_is_scalar_zero(a - b)
-                        for a, b in zip(self.coords, other.coords)))
+                and self.coords == other.coords)
 
     def __hash__(self):
         return hash((self.parent, self.coords))
@@ -196,11 +186,9 @@ class Quaternion:
     def __str__(self):
         parts = []
         for c, name in zip(self.coords, ("", "i", "j", "k")):
-            if _is_scalar_zero(c):
+            if c == 0:
                 continue
-            if isinstance(c, NFElement):
-                s = "(%s)%s" % (c.as_ratpoly(), name)
-            elif name == "":
+            if name == "":
                 s = str(c)
             elif c == 1:
                 s = name
@@ -219,7 +207,7 @@ class Quaternion:
 
 def make_quaternion(parent, coords):
     """A Quaternion from a 4-tuple that arithmetic on Quaternion coordinates
-    produced, so every entry is already a Fraction or an NFElement; skips
+    produced, so every entry is already a Fraction; skips
     the constructor's checks and conversions."""
     q = object.__new__(Quaternion)
     object.__setattr__(q, "parent", parent)
@@ -249,13 +237,10 @@ def q_inv(a):
     if a.is_zero:
         raise DivisionByZero("inverse of zero quaternion")
     n = a.norm()
-    if _is_scalar_zero(n):
+    if n == 0:
         raise ZeroDivisorEncountered("nonzero element with zero norm",
                                      witness=a)
-    if isinstance(n, NFElement):
-        ninv = n.inv()
-    else:
-        ninv = 1 / n
+    ninv = 1 / n
     return make_quaternion(a.parent,
                            tuple(c * ninv for c in a.conj().coords))
 

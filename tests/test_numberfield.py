@@ -3,16 +3,18 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import dense
+from quatpoly import dense, maxorder
 from quatpoly.errors import DegenerateInput, PreconditionViolation
-from quatpoly.maxorder import maximal_order, splitting_type
+from quatpoly.intarith import factorint
+from quatpoly.maxorder import (_component_split, disc_of_int_poly,
+                               maximal_order, splitting_type)
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor, nf_factor_over_quadratic,
                                   nf_local_splitting,
                                   nf_quadratic_candidates,
                                   nf_quadratic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
-from quatpoly.ratpoly import RatPoly, from_int_list
+from quatpoly.ratpoly import RatPoly, from_int_list, rp_is_irreducible
 
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
@@ -73,12 +75,60 @@ class TestMaximalOrder:
             deg = rng.randint(2, 4)
             coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [1]
             p = RatPoly([Fr(c) for c in coeffs])
-            from quatpoly.ratpoly import rp_is_irreducible
             if not rp_is_irreducible(p):
                 continue
             for q in (2, 3, 5, 7):
                 st = splitting_type(coeffs, q)
                 assert sum(e * f for e, f in st) == deg
+
+
+def _index_primes(m):
+    """The primes p with p^2 | disc(m)."""
+    return [p for p, e in factorint(abs(disc_of_int_poly(m))).items()
+            if e >= 2]
+
+
+class TestSplittingType:
+    @staticmethod
+    def reference(m, p):
+        """Splitting above p read off the whole maximal order."""
+        order, _, _ = maximal_order(m)
+        n = len(m) - 1
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        comps = _component_split(basis, order.one(), order.mult_table(), p,
+                                 random.Random(p))
+        return sorted(comps)
+
+    def cases(self):
+        # p divides the index of Z[theta] in both fixed cases
+        yield [-8, -2, -1, 1], 2
+        yield [-5, 0, 1], 2
+        rng = random.Random(61)
+        done = 0
+        while done < 24:
+            deg = rng.randint(2, 5)
+            m = [rng.randint(-12, 12) for _ in range(deg)] + [1]
+            if not m[0] or not rp_is_irreducible(from_int_list(m)):
+                continue
+            primes = _index_primes(m)
+            if primes:
+                done += 1
+            for p in primes:
+                yield m, p
+
+    def test_matches_maximal_order(self):
+        for m, p in self.cases():
+            assert splitting_type(m, p) == self.reference(m, p), (m, p)
+
+    def test_no_maximal_order_on_the_way(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("called")
+
+        cases = list(self.cases())
+        monkeypatch.setattr(maxorder, "maximal_order", forbidden)
+        monkeypatch.setattr(maxorder, "factorint", forbidden)
+        for m, p in cases:
+            assert sum(e * f for e, f in splitting_type(m, p)) == len(m) - 1
 
 
 class TestSqrtAndSubfields:
@@ -195,6 +245,11 @@ class TestLocalSplitting:
             [(1, 1), (1, 1)]
         assert nf_local_splitting(QI, 3).local_factors == [(1, 2)]
 
+    @pytest.mark.parametrize("place", [1, 0, 4, 9, -3])
+    def test_rejects_non_places(self, place):
+        with pytest.raises(PreconditionViolation):
+            nf_local_splitting(Q8, place)
+
 
 class TestSplitsQuaternion:
     def test_known_examples(self):
@@ -204,3 +259,12 @@ class TestSplitsQuaternion:
 
     def test_real_quadratic_does_not_split_definite(self):
         assert nf_splits_quaternion(-1, -1, QS2) is False
+
+    def test_infinite_place_first(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("finite place checked")
+
+        # x^4 - 2 has a real root: the infinite place decides alone
+        L = NumberField(from_int_list([-2, 0, 0, 0, 1]))
+        monkeypatch.setattr(maxorder, "splitting_type", forbidden)
+        assert nf_splits_quaternion(-1, -1, L) is False

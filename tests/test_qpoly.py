@@ -266,6 +266,25 @@ class TestIrreducibility:
         q0 = P("x^2 - (3i - j + k)x - 2i + j - k")
         assert is_irreducible(q0)  # norm x^4 - 3x^2 + 5 is irreducible
 
+    def test_central_tested_once(self, monkeypatch):
+        """A central polynomial is tested for irreducibility once, by the
+        NumberField built for it."""
+        seen = []
+        real = numberfield.rp_is_irreducible
+
+        def spy(f):
+            seen.append(f)
+            return real(f)
+
+        for module in (numberfield, qpoly):
+            monkeypatch.setattr(module, "rp_is_irreducible", spy)
+        for c, want in (([1, 0, 1], False), ([-2, 0, 0, 0, 1], True),
+                        ([6, 16, 11, 0, 1], False)):
+            p = from_int_list(c)
+            seen.clear()
+            assert is_irreducible(QPoly.from_ratpoly(H, p)) is want
+            assert seen.count(p) == 1, p
+
 
 QUARTIC_MIN = from_int_list([6, 16, 11, 0, 1])
 
