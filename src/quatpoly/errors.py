@@ -38,10 +38,12 @@ class InvalidCertificate(QuatpolyError):
 
 
 class SearchExhausted(QuatpolyError):
-    """Bounded zero-divisor search hit its height limit.
+    """A bounded search spent its budget without an answer.
 
-    Callers may retry with a larger bound or supply an externally
-    computed certificate.
+    Either the zero-divisor search ran all of its max_height trials
+    (central_factor then names the factor that needs a certificate), or
+    quaternary_isotropic passed its height cap.  Callers may retry with
+    more trials or supply an externally computed certificate.
     """
 
     def __init__(self, message, central_factor=None):

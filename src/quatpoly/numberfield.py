@@ -12,7 +12,7 @@ from . import dense, maxorder
 from .dense import QQ
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
                      PreconditionViolation, SplitAlgebra)
-from .intarith import factorint, is_prime
+from .intarith import factorint, is_prime, legendre
 from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
                       rp_real_root_count)
 
@@ -288,10 +288,60 @@ def nf_factor(f, L):
     return out
 
 
+# the odd primes below 50, where nf_sqrt looks for a local non-square
+_LOCAL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _mod_p(coeffs, p):
+    """Fraction coefficients reduced mod p, or None when p divides a
+    denominator."""
+    if any(c.denominator % p == 0 for c in coeffs):
+        return None
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+
+
+def _eval_mod(f, r, p):
+    """f(r) mod p by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * r + c) % p
+    return v
+
+
+def _local_nonsquare(el):
+    """True when el is a non-square at a place of L above some prime of
+    _LOCAL_PRIMES that divides no denominator of el or of the minimal
+    polynomial.  Integers mod p only.
+
+    A simple root r of the minimal polynomial m mod p lifts to a root of
+    m in Z_p (Hensel), that is to an embedding of L into Q_p, under which
+    el is a p-adic integer congruent to el(r).  When el(r) is a quadratic
+    non-residue that integer is a unit but no square, so el is no square
+    in L.  A multiple root of m mod p need not lift (0 mod 3 for
+    x^2 - 45, where 5 is a square), so it is skipped.
+    """
+    for p in _LOCAL_PRIMES:
+        m = _mod_p(el.parent.minpoly.coeffs, p)
+        e = _mod_p(el.coords, p)
+        if m is None or e is None:
+            continue
+        dm = dense.derivative(m, dense.GF(p))
+        for r in range(p):
+            if (_eval_mod(m, r, p) == 0 and _eval_mod(dm, r, p) != 0
+                    and legendre(_eval_mod(e, r, p), p) == -1):
+                return True
+    return False
+
+
 def nf_sqrt(d, L):
     """A square root of d in L, or None.
 
-    d may be a rational number or an NFElement of L.
+    d may be a rational number or an NFElement of L.  Before the Trager
+    factorization of y^2 - d, a local test settles most non-squares with
+    integers alone: d is no square when, at a simple root r of the
+    minimal polynomial mod a small odd prime p, d(r) is a quadratic
+    non-residue mod p (see _local_nonsquare).  The test only rejects
+    non-squares, so every answer is the one Trager gives.
     """
     if isinstance(d, NFElement):
         el = d
@@ -307,6 +357,8 @@ def nf_sqrt(d, L):
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
             return L.from_rational(Fr(rn, rd))
+        return None
+    if _local_nonsquare(el):
         return None
     f = [-el, L.zero(), L.one()]  # y^2 - d, squarefree since d != 0
     for h in nf_factor_squarefree(f, L):

@@ -299,8 +299,16 @@ def _quaternary_local_obstruction(a):
     return None
 
 
+# the largest height of (u, v) that quaternary_isotropic tries
+_QUATERNARY_HEIGHT_CAP = 4096
+
+
 def quaternary_isotropic(coeffs):
-    """Primitive solution of sum a_i x_i^2 = 0 (4 variables), or None."""
+    """Primitive solution of sum a_i x_i^2 = 0 (4 variables), or None.
+
+    Raises SearchExhausted when no solution turns up by height
+    _QUATERNARY_HEIGHT_CAP, though the local conditions hold.
+    """
     if len(coeffs) != 4:
         raise DegenerateInput("quaternary form needs 4 coefficients")
     a = [Fr(c) for c in coeffs]
@@ -347,9 +355,10 @@ def quaternary_isotropic(coeffs):
                     return (0, 0, X, Y)
                 return (u * Z, v * Z, X, Y)
         h += 1
-        if h > 4096:
-            raise InternalInvariantViolation(
-                "isotropic quaternary search ran away")
+        if h > _QUATERNARY_HEIGHT_CAP:
+            raise SearchExhausted(
+                "isotropic quaternary search passed its height cap of %d"
+                % _QUATERNARY_HEIGHT_CAP)
 
 
 def represent_pure(alpha, beta, d):

@@ -169,18 +169,33 @@ _INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
                   "_exact_quotient", "_factor_squarefree_int")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod"}
+# the local square test of nf_sqrt and the Trager steps it avoids
+_LOCAL_STEPS = ("_local_nonsquare", "_mod_p", "_eval_mod")
+_TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
+                 "nf_poly_norm", "nf_factor_squarefree", "rp_factor"}
+
+
+def _names_named(module, steps, names):
+    """Where the top-level functions steps of module name one of names."""
+    path = pathlib.Path(quatpoly.__file__).parent / module
+    tree = ast.parse(path.read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found = ["%s is missing" % name for name in steps
+             if name not in functions]
+    for name in steps:
+        for node in ast.walk(functions.get(name, ast.Pass())):
+            if isinstance(node, ast.Name) and node.id in names:
+                found.append("%s:%d names %s" % (name, node.lineno, node.id))
+    return found
 
 
 def test_zassenhaus_steps_stay_over_the_integers():
     """A rational step slipping back into rp_factor's core shows here."""
-    path = pathlib.Path(quatpoly.__file__).parent / "ratpoly.py"
-    tree = ast.parse(path.read_text())
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    found = ["%s is missing" % name for name in _INTEGER_STEPS
-             if name not in functions]
-    for name in _INTEGER_STEPS:
-        for node in ast.walk(functions.get(name, ast.Pass())):
-            if isinstance(node, ast.Name) and node.id in _RATIONAL_NAMES:
-                found.append("%s:%d names %s" % (name, node.lineno, node.id))
-    assert found == []
+    assert _names_named("ratpoly.py", _INTEGER_STEPS, _RATIONAL_NAMES) == []
+
+
+def test_local_square_test_stays_over_the_integers():
+    """The pre-test of nf_sqrt works mod p; arithmetic over Q or a
+    Trager step inside it shows here."""
+    assert _names_named("numberfield.py", _LOCAL_STEPS, _TRAGER_NAMES) == []

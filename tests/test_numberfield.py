@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import dense, maxorder
+from quatpoly import dense, maxorder, numberfield
 from quatpoly.errors import DegenerateInput, PreconditionViolation
 from quatpoly.intarith import factorint
 from quatpoly.maxorder import (_component_split, disc_of_int_poly,
@@ -22,6 +22,15 @@ QS2 = NumberField(from_int_list([-2, 0, 1]))        # Q(sqrt 2)
 Q8 = NumberField(from_int_list([1, 0, 0, 0, 1]))    # Q(zeta_8)
 CUBIC = NumberField(from_int_list([-2, 0, 0, 1]))   # Q(cbrt 2)
 QUARTIC = NumberField(from_int_list([6, 16, 11, 0, 1]))
+
+
+def _trager_sqrt(el, L):
+    """The root of the first linear factor of y^2 - el over L, or None."""
+    f = [-el, L.zero(), L.one()]
+    for h, _ in nf_factor(f, L):
+        if len(h) == 2:
+            return -h[0]
+    return None
 
 
 class TestElementArithmetic:
@@ -176,13 +185,6 @@ class TestSqrtAndSubfields:
     def test_sqrt_is_first_linear_trager_factor(self):
         """nf_sqrt gives the root of the first linear factor of the full
         factorization of y^2 - d."""
-        def reference(el, L):
-            f = [-el, L.zero(), L.one()]
-            for h, _ in nf_factor(f, L):
-                if len(h) == 2:
-                    return -h[0]
-            return None
-
         rng = random.Random(41)
         for L in self.FIELDS:
             values = [L.from_rational(d) for d in nf_quadratic_candidates(L)]
@@ -193,7 +195,51 @@ class TestSqrtAndSubfields:
             for el in values:
                 if el.is_zero:
                     continue
-                assert nf_sqrt(el, L) == reference(el, L), (L, el)
+                assert nf_sqrt(el, L) == _trager_sqrt(el, L), (L, el)
+
+    # x^4 + 1 has no simple root mod an odd prime below 17, and the cubic
+    # has a minimal polynomial with denominators 2 and 3
+    LOCAL_FIELDS = [QI, Q8, QUARTIC,
+                    NumberField(from_int_list([2, -1, 0, 3, 0, 0, 1])),
+                    NumberField(RatPoly([Fr(1, 3), Fr(-1, 2), 0, 1])),
+                    NumberField(from_int_list([0, 1]))]
+
+    def test_local_test_only_rejects_non_squares(self):
+        """nf_sqrt with its local pre-test agrees with the Trager
+        factorization of y^2 - d, on squares, on 5 times a square, on
+        rationals and on random elements."""
+        rng = random.Random(43)
+        for L in self.LOCAL_FIELDS:
+            settled = 0
+            for _ in range(12):
+                a, b = [L.element([Fr(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(L.degree)])
+                        for _ in range(2)]
+                d = Fr(rng.randint(-30, 30), rng.randint(1, 4))
+                for el in (a * a, a * a * 5, L.from_rational(d), b):
+                    if el.is_zero:
+                        continue
+                    want = _trager_sqrt(el, L)
+                    got = nf_sqrt(el, L)
+                    assert (got is None) == (want is None), (L, el)
+                    if got is not None:
+                        assert got in (want, -want) and got * got == el
+                    elif numberfield._local_nonsquare(el):
+                        settled += 1
+            assert settled > 0 or L.degree == 1
+        # x^4 + 1 has simple roots mod 17 and 41 only, and 21 and -33 are
+        # residues at all of them: the pre-test passes them on to Trager
+        for d in (21, -33):
+            el = Q8.from_rational(d)
+            assert not numberfield._local_nonsquare(el)
+            assert nf_sqrt(el, Q8) is None and _trager_sqrt(el, Q8) is None
+
+    def test_local_test_needs_a_simple_root(self):
+        """0 is a double root of x^2 - 45 mod 3, where 5 is a non-residue,
+        yet 5 = (theta/3)^2: a multiple root must not reject."""
+        L = NumberField(from_int_list([-45, 0, 1]))
+        third = L.gen() / 3
+        assert nf_sqrt(Fr(5), L) in (third, -third)
 
     def test_factor_over_quadratic_rejects_square(self):
         with pytest.raises(DegenerateInput):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from quatpoly import quadform
 from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
 from quatpoly.errors import PolyParseError
@@ -173,6 +174,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == EXIT_SEARCH
         assert "certificate" in err
+
+    def test_quaternary_height_cap_exit(self, monkeypatch, capsys):
+        # the subfield route embeds Q(sqrt -14) through represent_pure
+        monkeypatch.setattr(quadform, "_QUATERNARY_HEIGHT_CAP", 1)
+        code = run(["factor", "x^2 + 14", "--alpha", "-1", "--beta", "-1"])
+        assert code == EXIT_SEARCH
+        assert "height cap of 1" in capsys.readouterr().err
 
     def test_certificate_flow(self, tmp_path, capsys):
         path = write_cert(tmp_path)

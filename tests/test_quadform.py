@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from quatpoly import numberfield, quadform
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              InvalidCertificate, PreconditionViolation,
                              SearchExhausted, SplitAlgebra)
@@ -239,6 +240,19 @@ class TestQuaternary:
         assert quaternary_isotropic([1, 1, -2, -2]) is not None
 
 
+    def test_height_cap_is_a_search_budget(self, monkeypatch):
+        # -14 = -(x^2 + y^2 + z^2) needs height 2 and more
+        monkeypatch.setattr(quadform, "_QUATERNARY_HEIGHT_CAP", 1)
+        for call in (lambda: quaternary_isotropic([-1, -1, -1, 14]),
+                     lambda: represent_pure(-1, -1, -14)):
+            with pytest.raises(SearchExhausted, match="height cap of 1") as ei:
+                call()
+            assert ei.value.central_factor is None
+        monkeypatch.undo()
+        x, y, z = represent_pure(-1, -1, -14)
+        assert -x * x - y * y - z * z == -14
+
+
 class TestRepresentPure:
     def test_known_values(self):
         for (alpha, beta), d in (((-1, -1), -2), ((-1, -1), -5),
@@ -412,6 +426,42 @@ class TestFindZeroDivisor:
                 search(-1, -1, exhausted, max_height=0)
             messages.append(str(ei.value))
         assert messages[:2] == messages[2:]
+
+    def test_search_trials_need_no_trager(self, monkeypatch):
+        """On the criterion-1 quartic the local pre-test of nf_sqrt
+        settles all 20 trials: no Trager factorization runs."""
+        L = NumberField(from_int_list([6, 16, 11, 0, 1]))
+        calls = []
+        trager = numberfield.nf_factor_squarefree
+        monkeypatch.setattr(numberfield, "nf_factor_squarefree",
+                            lambda f, K: calls.append(f) or trager(f, K))
+        with pytest.raises(SearchExhausted) as ei:
+            search_zero_divisor(-1, -1, L, max_height=20)
+        assert str(ei.value) == ("no zero divisor found in 20 trials "
+                                 "(largest height 3)")
+        assert calls == []
+
+    def test_search_answers_do_not_depend_on_the_local_test(
+            self, monkeypatch):
+        """Seeds 0-39 on a field where the search can succeed give the
+        same certificates and exhaustions whether or not the local
+        pre-test of nf_sqrt runs."""
+        L = NumberField(from_int_list([6, 2, 9, -4, 1]))
+
+        def answers():
+            out = []
+            for seed in range(40):
+                try:
+                    out.append(search_zero_divisor(-1, -1, L, seed=seed))
+                except SearchExhausted as exc:
+                    out.append(str(exc))
+            return out
+
+        with_test = answers()
+        monkeypatch.setattr(numberfield, "_local_nonsquare", lambda el: False)
+        assert answers() == with_test
+        assert [seed for seed, a in enumerate(with_test)
+                if not isinstance(a, str)] == [1, 38]
 
     def test_splits_in_quadratic_consistency(self):
         # d must be a nonsquare locally at every ramified place
