@@ -42,18 +42,25 @@ class SplittingType:
 
 
 class NumberField:
-    """L = Q[x]/(minpoly), minpoly monic irreducible."""
+    """L = Q[x]/(minpoly), minpoly monic irreducible.  The checked
+    constructor tests irreducibility; `unchecked` is for a minimal
+    polynomial already proven irreducible (a factor from rp_factor)."""
 
-    def __init__(self, minpoly):
+    def __init__(self, minpoly, _checked=True):
         if not minpoly.is_monic or minpoly.degree < 1:
             raise DegenerateInput("minimal polynomial must be monic nonconstant")
-        if minpoly.degree > 1 and not rp_is_irreducible(minpoly):
+        if (_checked and minpoly.degree > 1
+                and not rp_is_irreducible(minpoly)):
             raise DegenerateInput("minimal polynomial must be irreducible")
         self.minpoly = minpoly
         self.degree = minpoly.degree
         # the field object of dense.py for polynomials over L
         self.field = dense.Field(self.zero(), self.one(), dense.same,
                                  NFElement.inv)
+
+    @classmethod
+    def unchecked(cls, minpoly):
+        return cls(minpoly, _checked=False)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -371,9 +378,13 @@ def nf_sqrt(d, L):
 
 def nf_quadratic_candidates(L):
     """Squarefree integers d != 1 that may give a subfield Q(sqrt(d)) of L:
-    the signed squarefree divisors of 4 disc, none for odd degree.
+    the signed squarefree divisors of 4 disc, none for odd degree, less
+    those the local test of nf_sqrt proves to be no square in L.
 
-    Sorted by increasing |d|, positive sign first.
+    Q(sqrt(d)) lies in L exactly when d is a square in L, and the local
+    test (see _local_nonsquare) rejects only non-squares, so every d it
+    drops gives no subfield.  Sorted by increasing |d|, positive sign
+    first.
     """
     if L.degree % 2 == 1:
         return []
@@ -384,7 +395,8 @@ def nf_quadratic_candidates(L):
         divisors += [d * p for d in divisors]
     candidates = [s for d in divisors for s in (d, -d) if s != 1]
     candidates.sort(key=lambda s: (abs(s), s < 0))
-    return candidates
+    return [d for d in candidates
+            if not _local_nonsquare(L.from_rational(d))]
 
 
 def nf_quadratic_subfields(L):
@@ -419,7 +431,7 @@ def nf_factor_over_quadratic(p, d):
         raise DegenerateInput("d must not be a square")
     if not p.is_monic:
         raise PreconditionViolation("input polynomial must be monic")
-    L2 = NumberField(RatPoly([-d, 0, 1]))
+    L2 = NumberField.unchecked(RatPoly([-d, 0, 1]))  # d is no square
     f = [L2.from_rational(c) for c in p.coeffs]
     return L2, nf_factor_squarefree(f, L2)
 

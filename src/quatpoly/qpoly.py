@@ -394,18 +394,28 @@ class Factorization:
         return len(self.factors)
 
 
-def subfield_factor(p, A):
+def _root_field(p, field, message):
+    """field, the caller's Q[x]/(p), or a checked NumberField(p)."""
+    if field is not None:
+        if field.minpoly != p:
+            raise PreconditionViolation("field is not Q[x]/(p)")
+        return field
+    try:
+        return NumberField(p)
+    except DegenerateInput:
+        raise PreconditionViolation(message) from None
+
+
+def subfield_factor(p, A, field=None):
     """Split a central irreducible p as q * conj(q) over an embedded
-    quadratic subfield, or None when no subfield works."""
+    quadratic subfield, or None when no subfield works.  field, when
+    given, is Q[x]/(p) already built, and p is not tested again."""
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation("input must be monic in Q[x]")
     message = "input must be irreducible of degree >= 2"
     if p.degree < 2:
         raise PreconditionViolation(message)
-    try:
-        L = NumberField(p)
-    except DegenerateInput:
-        raise PreconditionViolation(message) from None
+    L = _root_field(p, field, message)
     for d in nf_quadratic_candidates(L):
         if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
             continue
@@ -431,22 +441,21 @@ def subfield_factor(p, A):
     return None
 
 
-def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20):
+def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
+                               field=None):
     """Algorithm for a central irreducible p: either p stays irreducible
-    or it splits into a conjugate pair of half-degree factors."""
+    or it splits into a conjugate pair of half-degree factors.  field,
+    when given, is Q[x]/(p) already built, and p is not tested again."""
     message = "input must be monic irreducible in Q[x]"
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation(message)
-    try:
-        L = NumberField(p)
-    except DegenerateInput:
-        raise PreconditionViolation(message) from None
+    L = _root_field(p, field, message)
     whole = Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
     if p.degree % 2 == 1:
         return whole
     if not nf_splits_quaternion(A.alpha, A.beta, L):
         return whole
-    pair = subfield_factor(p, A)
+    pair = subfield_factor(p, A, field=L)
     if pair is not None:
         return Factorization(A.one(), list(pair))
     # subfield_factor has ruled out find_zero_divisor's subfield layer
@@ -514,9 +523,11 @@ def factor(p, certs=None, seed=0, max_height=20):
     certs = certs or {}
     b = beck_decompose(p)
     out = []
+    # rp_factor proves its factors irreducible: their fields need no test
     for r, e in rp_factor(b.central).factors:
         sub = factor_central_irreducible(
-            r, A, cert=certs.get(r), seed=seed, max_height=max_height)
+            r, A, cert=certs.get(r), seed=seed, max_height=max_height,
+            field=NumberField.unchecked(r))
         for _ in range(e):
             out.extend(sub.factors)
     q = b.central_free
@@ -584,7 +595,7 @@ def roots(p):
     for r, _e in central_factors:
         if r.degree != 2:
             continue
-        pair = subfield_factor(r, A)
+        pair = subfield_factor(r, A, field=NumberField.unchecked(r))
         if pair is None:
             continue
         lin = pair[0]

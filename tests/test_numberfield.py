@@ -182,12 +182,35 @@ class TestSqrtAndSubfields:
             assert all(d in it for d in subfields)  # a subsequence
         assert nf_quadratic_candidates(self.FIELDS[-1]) == []
 
+    def test_candidates_pass_the_local_screen(self):
+        """nf_quadratic_candidates keeps exactly the divisors of 4 disc
+        that the local test does not prove to be non-squares; on the
+        even-degree fields here that leaves the subfields alone."""
+        for L, want in zip(self.FIELDS[:-1], self.SUBFIELDS):
+            kept = [d for d in self.signed_squarefree_divisors(L) if d != 1
+                    and not numberfield._local_nonsquare(L.from_rational(d))]
+            candidates = nf_quadratic_candidates(L)
+            assert sorted(candidates) == sorted(kept), L
+            assert candidates == want, L
+
+    @staticmethod
+    def signed_squarefree_divisors(L):
+        """The signed squarefree divisors of 4 disc: the candidates of
+        nf_quadratic_candidates before its local screen."""
+        _, m_int = L.integral_model()
+        divisors = [1]
+        for p in factorint(4 * abs(disc_of_int_poly(m_int))):
+            divisors += [d * p for d in divisors]
+        return [s for d in divisors for s in (d, -d)]
+
     def test_sqrt_is_first_linear_trager_factor(self):
         """nf_sqrt gives the root of the first linear factor of the full
-        factorization of y^2 - d."""
+        factorization of y^2 - d, also on the divisors of 4 disc that the
+        local screen of nf_quadratic_candidates drops."""
         rng = random.Random(41)
         for L in self.FIELDS:
-            values = [L.from_rational(d) for d in nf_quadratic_candidates(L)]
+            values = [L.from_rational(d)
+                      for d in self.signed_squarefree_divisors(L)]
             values += [L.from_rational(d) for d in (2, -3, Fr(9, 4), -7)]
             for _ in range(3):
                 a = L.element([rng.randint(-3, 3) for _ in range(L.degree)])

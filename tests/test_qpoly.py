@@ -17,7 +17,7 @@ from quatpoly.qpoly import (QPoly, beck_decompose, factor,
 from quatpoly.quadform import ZeroDivisorCertificate, splits_in_quadratic
 from quatpoly.quatalg import (QuaternionAlgebra, embed_quadratic,
                               is_conjugate, q_inv)
-from quatpoly.ratpoly import from_int_list, rp_factor
+from quatpoly.ratpoly import from_int_list, rp_factor, rp_is_irreducible
 
 H = QuaternionAlgebra(-1, -1)
 H13 = QuaternionAlgebra(-1, -3)
@@ -343,6 +343,60 @@ class TestSubfieldFactor:
                 split += want is not None
         assert split >= 4
 
+    def test_local_screen_skips_trager(self, monkeypatch):
+        """Candidates the local test proves to be non-squares in Q[x]/(p)
+        reach no Trager factorization; the subfield of x^4 + 1 still
+        does."""
+        calls = []
+        trager = numberfield.nf_factor_squarefree
+        monkeypatch.setattr(numberfield, "nf_factor_squarefree",
+                            lambda f, K: calls.append(f) or trager(f, K))
+        for c, want in (([6, 16, 11, 0, 1], 0), ([6, 2, 9, -4, 1], 0),
+                        ([1, 0, 0, 0, 1], 1)):
+            calls.clear()
+            subfield_factor(from_int_list(c), H)
+            assert len(calls) == want, c
+
+    @staticmethod
+    def screen_corpus(rng, A):
+        """8 irreducible quartics N(q) for monic quadratics q, half with
+        coefficients in Q(u) for a pure quaternion u, so that Q(sqrt(u^2))
+        is a subfield, and 4 characteristic polynomials N(x - u)."""
+        quartics, charpolys = [], []
+        while len(quartics) < 8:
+            if len(quartics) % 2:
+                a, b = rnd_q(rng, A, 3), rnd_q(rng, A, 3)
+            else:
+                u = A.element([0] + [rng.randint(-2, 2) for _ in range(3)])
+                a, b = [A.scalar(rng.randint(-3, 3)) + rng.randint(-2, 2) * u
+                        for _ in range(2)]
+            p = qp_norm(QPoly(A, [b, a, A.one()]))
+            if rp_is_irreducible(p):
+                quartics.append(p)
+        while len(charpolys) < 4:
+            u = rnd_q(rng, A, 3)
+            if any(u.coords[1:]):
+                charpolys.append(qp_norm(QPoly(A, [-u, A.one()])))
+        return quartics + charpolys
+
+    def test_answers_do_not_depend_on_the_local_screen(self, monkeypatch):
+        """subfield_factor gives the same pairs and Nones on a seeded
+        corpus whether or not nf_quadratic_candidates screens its
+        candidates with the local test."""
+        rng = random.Random(47)
+        cases = [(p, A) for A in (H, H13, QuaternionAlgebra(-2, -5))
+                 for p in self.screen_corpus(rng, A)]
+
+        def answers():
+            return [subfield_factor(p, A) for p, A in cases]
+
+        with_screen = answers()
+        monkeypatch.setattr(numberfield, "_local_nonsquare", lambda el: False)
+        assert answers() == with_screen
+        split = [p.degree for (p, _), a in zip(cases, with_screen)
+                 if a is not None]
+        assert split.count(2) == 12 and split.count(4) >= 4
+
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionViolation):
             subfield_factor(from_int_list([1, 2, 1]), H)
@@ -389,8 +443,23 @@ class TestFactorCentralIrreducible:
                                match="monic irreducible"):
                 factor_central_irreducible(from_int_list(c), H)
 
+    def test_field_must_be_the_root_field(self):
+        """A field passed in must be Q[x]/(p).  Reducible input without a
+        field stays rejected: see the two test_rejects_* tests."""
+        p = from_int_list([1, 0, 0, 0, 1])
+        for other in ([2, 0, 0, 0, 1], [1, 0, 1]):
+            L = NumberField(from_int_list(other))
+            for fn in (factor_central_irreducible, subfield_factor):
+                with pytest.raises(PreconditionViolation, match="field"):
+                    fn(p, H, field=L)
+        L = NumberField(p)
+        assert subfield_factor(p, H, field=L) == subfield_factor(p, H)
+        assert factor_central_irreducible(p, H, field=L).factors == \
+            factor_central_irreducible(p, H).factors
+
     def test_one_irreducibility_test_per_field(self, monkeypatch):
-        """p is tested once by each of the two NumberField(p) built for it,
+        """p is tested once, by the NumberField(p) that
+        factor_central_irreducible builds and hands on to subfield_factor,
         and the search runs without find_zero_divisor's subfield layer."""
         seen = []
         real = numberfield.rp_is_irreducible
@@ -415,7 +484,7 @@ class TestFactorCentralIrreducible:
             seen.clear()
             out = factor_central_irreducible(p, H, cert=cert, seed=1)
             assert len(out.factors) == 2
-            assert seen.count(p) == 2, p
+            assert seen.count(p) == 1, p
 
 
 class TestSwapFactors:
@@ -509,6 +578,28 @@ class TestFactor:
             from quatpoly.quatalg import q_inv
             conj_p = QPoly(H, [q_inv(u)]) * p * QPoly(H, [u])
             assert len(factor(conj_p).factors) == n1
+
+    def test_central_factors_are_not_retested(self, monkeypatch):
+        """factor and roots hand the irreducible factors of rp_factor on
+        with their fields: no irreducibility test runs on them again."""
+        seen = []
+        real = numberfield.rp_is_irreducible
+
+        def spy(f):
+            seen.append(f)
+            return real(f)
+
+        for module in (numberfield, qpoly):
+            monkeypatch.setattr(module, "rp_is_irreducible", spy)
+        x4 = from_int_list([1, 0, 0, 0, 1])
+        assert len(factor(QPoly.from_ratpoly(H, x4))) == 2
+        out = factor(QPoly.from_ratpoly(H, QUARTIC_MIN),
+                     certs={QUARTIC_MIN: quartic_cert()})
+        assert len(out) == 2
+        x2 = from_int_list([1, 0, 1])
+        assert len(roots(QPoly.from_ratpoly(H, x2))) == 1
+        for p in (x4, QUARTIC_MIN, x2):
+            assert seen.count(p) == 0, p
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInput):
