@@ -434,7 +434,7 @@ class ZeroDivisorCertificate:
             minpoly = RatPoly([_fr_parse(s) for s in data["minpoly"]])
             q = [RatPoly([_fr_parse(s) for s in data["q%d" % i]])
                  for i in range(4)]
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InvalidCertificate("malformed certificate: %s" % exc)
         return cls(alpha, beta, minpoly, q)
 

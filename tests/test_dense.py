@@ -173,6 +173,10 @@ _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
 _LOCAL_STEPS = ("_local_nonsquare", "_mod_p", "_eval_mod")
 _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
                  "nf_poly_norm", "nf_factor_squarefree", "rp_factor"}
+# the order steps of maxorder and the rational or random names they avoid
+_ORDER_STEPS = ("_ztheta", "_p_maximalize", "_component_split",
+                "maximal_order", "splitting_type")
+_ORDER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "random", "mat_inv", "hnf"}
 
 
 def _names_named(module, steps, names):
@@ -199,3 +203,9 @@ def test_local_square_test_stays_over_the_integers():
     """The pre-test of nf_sqrt works mod p; arithmetic over Q or a
     Trager step inside it shows here."""
     assert _names_named("numberfield.py", _LOCAL_STEPS, _TRAGER_NAMES) == []
+
+
+def test_order_steps_stay_over_the_integers():
+    """Orders are integer multiplication tables and the split of O/pO is
+    deterministic; a rational matrix or a random search inside shows here."""
+    assert _names_named("maxorder.py", _ORDER_STEPS, _ORDER_NAMES) == []

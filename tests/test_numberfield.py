@@ -14,7 +14,8 @@ from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_quadratic_candidates,
                                   nf_quadratic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
-from quatpoly.ratpoly import RatPoly, from_int_list, rp_is_irreducible
+from quatpoly.ratpoly import (RatPoly, from_int_list, gfp_factor,
+                              rp_is_irreducible)
 
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
@@ -102,11 +103,7 @@ class TestSplittingType:
     def reference(m, p):
         """Splitting above p read off the whole maximal order."""
         order, _, _ = maximal_order(m)
-        n = len(m) - 1
-        basis = [[int(i == j) for j in range(n)] for i in range(n)]
-        comps = _component_split(basis, order.one(), order.mult_table(), p,
-                                 random.Random(p))
-        return sorted(comps)
+        return sorted(_component_split(order.table, order.unit, p))
 
     def cases(self):
         # p divides the index of Z[theta] in both fixed cases
@@ -128,6 +125,41 @@ class TestSplittingType:
     def test_matches_maximal_order(self):
         for m, p in self.cases():
             assert splitting_type(m, p) == self.reference(m, p), (m, p)
+
+    def test_split_matches_dedekind_kummer(self):
+        """Where Z[theta] is p-maximal, the split of O/pO must give what
+        m mod p factors into, ramified primes included."""
+        rng = random.Random(67)
+        checked = ramified = 0
+        while checked < 300:
+            deg = rng.randint(2, 6)
+            m = [rng.randint(-20, 20) for _ in range(deg)] + [1]
+            if not m[0] or not rp_is_irreducible(from_int_list(m)):
+                continue
+            disc = abs(disc_of_int_poly(m))
+            ztheta = maxorder._ztheta(m)
+            for p in (2, 3, 5, 7, 11, 13):
+                if maxorder._p_maximalize(ztheta, p) is not ztheta:
+                    continue
+                want = sorted((mult, len(g) - 1) for g, mult in
+                              gfp_factor(m, p))
+                got = sorted(_component_split(ztheta.table, ztheta.unit, p))
+                assert got == want, (m, p)
+                checked += 1
+                ramified += disc % p == 0
+        assert ramified > 20
+
+    def test_pinned_cases(self):
+        # Q(sqrt 17, sqrt -7): 2 is a common index divisor, so no single
+        # element of the maximal order separates its four primes
+        m = [576, 0, -20, 0, 1]
+        _, disc, index = maximal_order(m)
+        assert (disc, index) == (14161, 1536)
+        assert splitting_type(m, 2) == [(1, 1)] * 4
+        # index 202, with p large inside the Frobenius
+        assert maximal_order([-51005, 0, 1])[2] == 202
+        assert splitting_type([-51005, 0, 1], 101) == [(1, 1), (1, 1)]
+        assert splitting_type([101 ** 3, 0, 0, 0, 1], 101) == [(4, 1)]
 
     def test_no_maximal_order_on_the_way(self, monkeypatch):
         def forbidden(*args):

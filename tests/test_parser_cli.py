@@ -225,6 +225,20 @@ class TestCli:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "1/0"), ("q0", 5), ("q1", [1.5]), ("minpoly", None),
+        (None, None)])
+    def test_certificate_malformed_file(self, tmp_path, capsys, key, value):
+        # key None: the whole certificate wrapped in a top-level list
+        path = Path(write_cert(tmp_path))
+        data = json.loads(path.read_text())
+        data = [data] if key is None else dict(data, **{key: value})
+        path.write_text(json.dumps(data))
+        code = run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                    "--beta", "-1", "--certificate", str(path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: malformed")
+
     def test_bad_usage(self, capsys):
         assert run(["factor", "x"]) == EXIT_USAGE  # missing --alpha/--beta
         assert run(["bogus", "x", "--alpha", "-1", "--beta", "-1"]) == \

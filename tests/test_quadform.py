@@ -327,6 +327,17 @@ class TestCertificate:
              from_int_list([1]), from_int_list([0])))
         assert ZeroDivisorCertificate.from_dict(cert.to_dict()) == cert
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "1/0"), ("q0", 5), ("q1", [1.5]), ("minpoly", None),
+        ("beta", "x"), ("q3", None)])
+    def test_malformed_dict_rejected(self, key, value):
+        data = self._quartic_cert().to_dict()
+        data[key] = value
+        with pytest.raises(InvalidCertificate, match="malformed"):
+            ZeroDivisorCertificate.from_dict(data)
+        with pytest.raises(InvalidCertificate, match="malformed"):
+            ZeroDivisorCertificate.from_dict([data])
+
 
 class TestFindZeroDivisor:
     def test_supplied_certificate(self):
