@@ -10,17 +10,18 @@ reordering, and root enumeration up to conjugacy.
 
 from fractions import Fraction
 
-from . import dense
+from . import dense, ratpoly
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
                         cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
+from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation)
 from .numberfield import (NumberField, nf_factor_over_quadratic,
                           nf_quadratic_candidates, nf_splits_quaternion)
 from .quadform import (find_zero_divisor, search_zero_divisor,
                        splits_in_quadratic)
-from .quatalg import (Quaternion, embed_quadratic, is_conjugate,
-                      make_quaternion, q_inv)
+from .quatalg import (Quaternion, coord_mul, coord_norm, embed_quadratic,
+                      is_conjugate, make_quaternion, q_inv)
 from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible, rp_xgcd
 
 Fr = Fraction
@@ -240,13 +241,20 @@ def qp_conj(p):
 
 
 def qp_norm(p):
-    """N(p) = p * conj(p), central, returned as a RatPoly."""
-    al, be = p.parent.alpha, p.parent.beta
-    p0, p1, p2, p3 = p.coordinates()
-    n = p0 * p0 - al * (p1 * p1) - be * (p2 * p2) + al * be * (p3 * p3)
-    if QPoly.from_ratpoly(p.parent, n) != p * qp_conj(p):
+    """N(p) = p * conj(p), central, returned as a RatPoly: the formula
+    c0^2 - al*c1^2 - be*c2^2 + al*be*c3^2 on the integer coordinates of
+    den*p, checked against the kernel product den*p * conj(den*p)."""
+    al, be = _ab(p.parent)
+    den, P = cp_scaled(_tuples(p))
+    c0, c1, c2, c3 = [dense.trim([a[i] for a in P]) for i in range(4)]
+    n = dense.mul(c0, c0, ZZ)
+    for c, w in ((c1, -al), (c2, -be), (c3, al * be)):
+        n = dense.add(n, dense.scale(dense.mul(c, c, ZZ), w, ZZ), ZZ)
+    prod = cp_mul(al, be, P, [(t, -x, -y, -z) for t, x, y, z in P])
+    if any(c[1] or c[2] or c[3] for c in prod) or \
+            dense.trim([c[0] for c in prod]) != n:
         raise InternalInvariantViolation("norm is not central")
-    return n
+    return ratpoly._wrap([Fr(c, den * den) for c in n])
 
 
 def qp_right_divmod(p, d):
@@ -302,7 +310,12 @@ def qp_gcrd(p, q):
     R, D = cp_primitive(_tuples(p)), cp_primitive(_tuples(q))
     while D:
         R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
-    return _wrap(p.parent, cp_unscale(R, 1)).monic()
+    # lc^-1 * R = conj(lc) * R / N(lc)
+    t, x, y, z = R[-1]
+    lc_conj = (t, -x, -y, -z)
+    return _wrap(p.parent,
+                 cp_unscale([coord_mul(al, be, lc_conj, c) for c in R],
+                            coord_norm(al, be, R[-1])))
 
 
 def qp_lclm(p, q):

@@ -428,12 +428,17 @@ class ZeroDivisorCertificate:
 
     @classmethod
     def from_dict(cls, data):
+        def poly(key):
+            coeffs = data[key]
+            if not isinstance(coeffs, list):
+                raise TypeError("%s must be a list of coefficients" % key)
+            return RatPoly([_fr_parse(s) for s in coeffs])
+
         try:
             alpha = _fr_parse(data["alpha"])
             beta = _fr_parse(data["beta"])
-            minpoly = RatPoly([_fr_parse(s) for s in data["minpoly"]])
-            q = [RatPoly([_fr_parse(s) for s in data["q%d" % i]])
-                 for i in range(4)]
+            minpoly = poly("minpoly")
+            q = [poly("q%d" % i) for i in range(4)]
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InvalidCertificate("malformed certificate: %s" % exc)
         return cls(alpha, beta, minpoly, q)

@@ -6,14 +6,16 @@ Degrees in this package never exceed a few dozen, so everything is kept
 dense.
 
 The gcd is a primitive remainder sequence over Z, made monic over Q at
-the end.  Factoring (rp_factor) takes Yun's squarefree decomposition and
-factors each primitive integer part by Zassenhaus' method, entirely over
-Z: the prime p is the smallest odd one with f squarefree of full degree
-mod p (a gcd over GF(p), no resultant); distinct-degree and
-Cantor-Zassenhaus equal-degree splitting mod p; quadratic Hensel lifting
-to p^k above twice the Mignotte bound; and recombination of subsets of
-the lifted factors by integer trial division, which stops at the first
-non-integral quotient coefficient.
+the end.  Factoring (rp_factor) runs entirely over Z on the primitive
+integer part of its input: Yun's squarefree decomposition with primitive
+gcds and exact integer division, then Zassenhaus' method on each
+squarefree part.  The prime p is the smallest odd one with f squarefree
+of full degree mod p (a gcd over GF(p), no resultant); distinct-degree
+and Cantor-Zassenhaus equal-degree splitting mod p; quadratic Hensel
+lifting to p^k above twice the Mignotte bound along a factor tree; and
+recombination of subsets of the lifted factors by integer trial
+division, which stops at the first non-integral quotient coefficient.
+Each irreducible factor is made monic over Q once, at the end.
 """
 
 import math
@@ -22,7 +24,8 @@ from fractions import Fraction
 
 from . import dense
 from .dense import GF, QQ, ZZ
-from .errors import DegenerateInput, NotSquarefree
+from .errors import (DegenerateInput, InternalInvariantViolation,
+                     NotSquarefree)
 from .intarith import is_prime
 
 Fr = Fraction
@@ -220,16 +223,23 @@ def _pseudo_remainder(f, g):
     return r
 
 
-def rp_gcd(a, b):
-    """Monic gcd in Q[x], by a primitive remainder sequence over Z (Collins
-    1967): each pseudo-remainder is divided by its integer content."""
-    if a.is_zero and b.is_zero:
-        raise DegenerateInput("gcd(0, 0) is undefined")
-    f, g = a.primitive_int(), b.primitive_int()
+def _primitive_gcd(f, g):
+    """The primitive gcd with positive lc of integer polys f, g, not both
+    zero, by a primitive remainder sequence over Z (Collins 1967): each
+    pseudo-remainder is divided by its integer content."""
+    f, g = _primitive(f), _primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_pseudo_remainder(f, g))
+    return f
+
+
+def rp_gcd(a, b):
+    """Monic gcd in Q[x], by a primitive remainder sequence over Z."""
+    if a.is_zero and b.is_zero:
+        raise DegenerateInput("gcd(0, 0) is undefined")
+    f = _primitive_gcd(a.primitive_int(), b.primitive_int())
     return _wrap(dense.monic([Fr(c) for c in f], QQ))
 
 
@@ -311,24 +321,8 @@ def squarefree_decomposition(p):
     """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
-    p = p.monic()
-    if p.degree < 1:
-        return []
-    g = rp_gcd(p, p.derivative())
-    out = []
-    b = p.exact_div(g)
-    c = p.derivative().exact_div(g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = rp_gcd(b, d) if not d.is_zero else b.monic()
-        if a.degree > 0:
-            out.append((a.monic(), i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
-        i += 1
-    return out
+    return [(from_int_list(a).monic(), i)
+            for a, i in _squarefree_int(p.primitive_int())]
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +465,31 @@ def _lift_quadratic(f, g, h, p, k):
 
 def _lift_list(f, factors, p, k):
     """Given f = lc(f) * prod(factors) mod p (factors monic, coprime),
-    return monic lifts mod p^k with f = lc * prod mod p^k."""
-    m = p ** k
+    return monic lifts mod p^k with f = lc * prod mod p^k.
+
+    A factor tree (von zur Gathen & Gerhard, Alg. 15.17): the factors
+    split into two runs of about equal total degree, the pair of run
+    products is lifted, and each run recurses with its lifted product as
+    f.  Monic lifts mod p^k are unique, so the lifts do not depend on the
+    shape of the tree."""
     if len(factors) == 1:
+        m = p ** k
         inv = pow(f[-1], -1, m)
         return [dense.trim([c * inv % m for c in f])]
-    g = factors[0]
-    h = [f[-1] % p]
-    for q in factors[1:]:
-        h = dense.mul(h, q, GF(p))
+    F = GF(p)
+    total = sum(len(q) - 1 for q in factors)
+    s, left = 0, 0
+    while s < len(factors) - 1 and 2 * left < total:
+        left += len(factors[s]) - 1
+        s += 1
+    g, h = [1], [f[-1] % p]
+    for q in factors[:s]:
+        g = dense.mul(g, q, F)
+    for q in factors[s:]:
+        h = dense.mul(h, q, F)
     g2, h2 = _lift_quadratic(f, g, h, p, k)
-    return [g2] + _lift_list(h2, factors[1:], p, k)
+    return (_lift_list(g2, factors[:s], p, k)
+            + _lift_list(h2, factors[s:], p, k))
 
 
 def _symmetric(c, m):
@@ -493,7 +501,7 @@ def _exact_quotient(f, g):
     """f / g in Z[x], or None as soon as a quotient coefficient is not an
     integer or the remainder is not zero.  For primitive g this accepts
     exactly the g that divide f in Q[x] (Gauss's lemma)."""
-    if g[0] and f[0] % g[0]:
+    if f and g[0] and f[0] % g[0]:
         return None
     n = len(g) - 1
     lc = g[-1]
@@ -511,6 +519,35 @@ def _exact_quotient(f, g):
     if any(r[:n]):
         return None
     return q
+
+
+def _squarefree_int(f):
+    """Yun's squarefree decomposition over Z of a primitive f with lc > 0:
+    the list of (primitive squarefree part of positive lc, multiplicity)
+    whose product of powers is f.  The gcds are primitive, so each
+    division is exact in Z[x] (Gauss's lemma)."""
+    def quo(a, b):
+        q = _exact_quotient(a, b)
+        if q is None:
+            raise InternalInvariantViolation("division was not exact")
+        return q
+
+    if len(f) < 2:
+        return []
+    df = dense.derivative(f, ZZ)
+    g = _primitive_gcd(f, df)
+    b, c = quo(f, g), quo(df, g)
+    d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _primitive_gcd(b, d) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = quo(b, a), quo(d, a)
+        d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
+        i += 1
+    return out
 
 
 def _factor_squarefree_int(f):
@@ -591,17 +628,14 @@ def rp_factor(p):
     """
     if p.is_zero:
         raise DegenerateInput("cannot factor the zero polynomial")
-    content = p.lc
-    monic = p.monic()
     found = {}
-    for sf, mult in squarefree_decomposition(monic):
-        f_int = sf.primitive_int()
-        for g in _factor_squarefree_int(f_int):
-            gm = from_int_list(g).monic()
-            found[gm.coeffs] = found.get(gm.coeffs, 0) + mult
-    factors = sorted(((RatPoly(c), m) for c, m in found.items()),
+    for sf, mult in _squarefree_int(p.primitive_int()):
+        for g in _factor_squarefree_int(sf):
+            gm = tuple(dense.monic([Fr(c) for c in g], QQ))
+            found[gm] = found.get(gm, 0) + mult
+    factors = sorted(((_wrap(c), m) for c, m in found.items()),
                      key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return RatFactorization(content, factors)
+    return RatFactorization(p.lc, factors)
 
 
 def rp_is_irreducible(p):

@@ -166,7 +166,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # the integer Zassenhaus steps of ratpoly and the rational names they avoid
 _INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
-                  "_exact_quotient", "_factor_squarefree_int")
+                  "_exact_quotient", "_factor_squarefree_int",
+                  "_primitive_gcd", "_squarefree_int")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod"}
 # the local square test of nf_sqrt and the Trager steps it avoids
@@ -177,6 +178,9 @@ _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
 _ORDER_STEPS = ("_ztheta", "_p_maximalize", "_component_split",
                 "maximal_order", "splitting_type")
 _ORDER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "random", "mat_inv", "hnf"}
+# the quaternion norm and the rational or QPoly products it avoids
+_NORM_STEPS = ("qp_norm",)
+_QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
 
 
 def _names_named(module, steps, names):
@@ -209,3 +213,9 @@ def test_order_steps_stay_over_the_integers():
     """Orders are integer multiplication tables and the split of O/pO is
     deterministic; a rational matrix or a random search inside shows here."""
     assert _names_named("maxorder.py", _ORDER_STEPS, _ORDER_NAMES) == []
+
+
+def test_norm_stays_on_integer_coordinates():
+    """qp_norm works on the integer coordinate tuples of the kernel; a
+    RatPoly or QPoly product inside it shows here."""
+    assert _names_named("qpoly.py", _NORM_STEPS, _QPOLY_NAMES) == []

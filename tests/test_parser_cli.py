@@ -227,7 +227,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "1/0"), ("q0", 5), ("q1", [1.5]), ("minpoly", None),
-        (None, None)])
+        ("q3", "53"), (None, None)])
     def test_certificate_malformed_file(self, tmp_path, capsys, key, value):
         # key None: the whole certificate wrapped in a top-level list
         path = Path(write_cert(tmp_path))

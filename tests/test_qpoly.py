@@ -21,8 +21,9 @@ from quatpoly.ratpoly import from_int_list, rp_factor, rp_is_irreducible
 
 H = QuaternionAlgebra(-1, -1)
 H13 = QuaternionAlgebra(-1, -3)
-# a division algebra with a non-integral parameter
+# division algebras with non-integral parameters
 HQ = QuaternionAlgebra(Fr(-1, 2), -3)
+HQ2 = QuaternionAlgebra(Fr(-1, 3), Fr(-2, 5))
 
 
 def rnd_q(rng, A, height=4):
@@ -131,9 +132,18 @@ class TestKernel:
                 assert (p - p).is_zero
                 assert qp_right_divmod(p, q) == ref_divmod(p, q)
 
+    def test_norm_matches_product_with_conjugate(self):
+        rng = random.Random(55)
+        for A in (H, H13, HQ2):
+            for _ in range(40):
+                p = rnd_frac_poly(rng, A, rng.randint(0, 5))
+                n = qp_norm(p)
+                assert n.degree == 2 * p.degree
+                assert QPoly.from_ratpoly(A, n) == p * qp_conj(p)
+
     def test_gcrd_equals_bezout_gcrd(self):
         rng = random.Random(54)
-        for A in (H, H13, HQ):
+        for A in (H, H13, HQ, HQ2):
             for _ in range(25):
                 d = rnd_frac_poly(rng, A, rng.randint(1, 2))
                 p = rnd_frac_poly(rng, A, rng.randint(0, 2)) * d

@@ -329,7 +329,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "1/0"), ("q0", 5), ("q1", [1.5]), ("minpoly", None),
-        ("beta", "x"), ("q3", None)])
+        ("beta", "x"), ("q3", None), ("q3", "53"), ("minpoly", "61611")])
     def test_malformed_dict_rejected(self, key, value):
         data = self._quartic_cert().to_dict()
         data[key] = value

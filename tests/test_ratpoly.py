@@ -4,9 +4,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import dense
+from quatpoly import dense, ratpoly
 from quatpoly.dense import GF, QQ, ZZ
-from quatpoly.errors import DegenerateInput, NotSquarefree
+from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
+                             NotSquarefree)
 from quatpoly.intarith import is_prime
 from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list, from_int_list,
                               gfp_factor, gfp_factor_squarefree, resultant,
@@ -164,7 +165,47 @@ class TestRealRoots:
             rp_real_root_count(p)
 
 
+def squarefree_decomposition_reference(p):
+    """Yun's algorithm over Q on the monic p: list of (monic squarefree
+    factor, multiplicity)."""
+    p = p.monic()
+    if p.degree < 1:
+        return []
+    g = rp_gcd(p, p.derivative())
+    out = []
+    b = p.exact_div(g)
+    c = p.derivative().exact_div(g)
+    d = c - b.derivative()
+    i = 1
+    while b.degree > 0:
+        a = rp_gcd(b, d) if not d.is_zero else b.monic()
+        if a.degree > 0:
+            out.append((a.monic(), i))
+        b = b.exact_div(a)
+        c = d.exact_div(a)
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
 class TestSquarefreeDecomposition:
+    def test_matches_rational_yun(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            p = RatPoly([Fr(rng.randint(-7, -1), rng.randint(1, 5))])
+            for mult in range(1, 5):
+                if rng.random() < 0.7:
+                    p = p * rnd_poly(rng, rng.randint(1, 2), height=5) ** mult
+            assert p.lc < 0
+            assert squarefree_decomposition(p) == \
+                squarefree_decomposition_reference(p)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        monkeypatch.setattr(ratpoly, "_exact_quotient", lambda f, g: None)
+        p = from_int_list([1, 1]) ** 2 * from_int_list([-2, 0, 1])
+        with pytest.raises(InternalInvariantViolation, match="not exact"):
+            squarefree_decomposition(p)
+
     def test_reconstruction(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -383,6 +424,49 @@ class TestIntegerZassenhaus:
                 assert got == lift_list_reference(f, modular, p, k)
                 lifted += len(modular) > 1
         assert lifted > 20
+
+    def test_tree_lift_matches_chain_on_many_factors(self):
+        """Products of 6-12 monic integer linears and quadratics, degree up
+        to 24, lifted at the prime rp_factor would pick."""
+        rng = random.Random(75)
+        cases = 0
+        while cases < 12:
+            f = [1]
+            for _ in range(rng.randint(6, 12)):
+                g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))]
+                f = dense.mul(f, g + [1], ZZ)
+            fp = from_int_list(f)
+            if rp_gcd(fp, fp.derivative()).degree > 0:
+                continue
+            assert len(f) - 1 <= 24
+            p = _good_prime(f)
+            modular = sorted(gfp_factor_squarefree([c % p for c in f], p),
+                             key=lambda g: (len(g), g))
+            for k in (2, 9):
+                assert _lift_list(f, modular, p, k) == \
+                    lift_list_reference(f, modular, p, k)
+            cases += 1
+
+    def test_tree_lift_splits_by_degree(self, monkeypatch):
+        """Eight modular quadratics: the first pair lifted is two products
+        of four, where a chain would start with one quadratic."""
+        p = 101
+        quads = [[c, 0, 1] for c in (1, 2, 3, 5, 7, 11, 13, 17)]
+        f = [1]
+        for q in quads:
+            f = dense.mul(f, q, ZZ)
+        calls = []
+        lift = ratpoly._lift_quadratic
+
+        def spy(f, g, h, p, k):
+            calls.append(len(g) - 1)
+            return lift(f, g, h, p, k)
+
+        monkeypatch.setattr(ratpoly, "_lift_quadratic", spy)
+        got = _lift_list(f, quads, p, 5)
+        assert calls[0] == 8 and len(calls) == 7
+        monkeypatch.undo()
+        assert got == lift_list_reference(f, quads, p, 5)
 
     @staticmethod
     def check(p):
