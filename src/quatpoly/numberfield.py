@@ -54,6 +54,9 @@ class NumberField:
             raise DegenerateInput("minimal polynomial must be irreducible")
         self.minpoly = minpoly
         self.degree = minpoly.degree
+        # (p, simple roots of minpoly mod p) for the local square test,
+        # computed by _local_nonsquare on first use
+        self.local_roots = None
         # the field object of dense.py for polynomials over L
         self.field = dense.Field(self.zero(), self.one(), dense.same,
                                  NFElement.inv)
@@ -315,10 +318,27 @@ def _eval_mod(f, r, p):
     return v
 
 
+def _local_roots(minpoly):
+    """(p, simple roots of minpoly mod p) for each p of _LOCAL_PRIMES
+    dividing no denominator of minpoly and giving at least one root."""
+    out = []
+    for p in _LOCAL_PRIMES:
+        m = _mod_p(minpoly.coeffs, p)
+        if m is None:
+            continue
+        dm = dense.derivative(m, dense.GF(p))
+        roots = [r for r in range(p)
+                 if _eval_mod(m, r, p) == 0 and _eval_mod(dm, r, p) != 0]
+        if roots:
+            out.append((p, roots))
+    return out
+
+
 def _local_nonsquare(el):
     """True when el is a non-square at a place of L above some prime of
     _LOCAL_PRIMES that divides no denominator of el or of the minimal
-    polynomial.  Integers mod p only.
+    polynomial.  Integers mod p only; the simple roots of the minimal
+    polynomial mod each prime are found once per field (_local_roots).
 
     A simple root r of the minimal polynomial m mod p lifts to a root of
     m in Z_p (Hensel), that is to an embedding of L into Q_p, under which
@@ -327,16 +347,14 @@ def _local_nonsquare(el):
     in L.  A multiple root of m mod p need not lift (0 mod 3 for
     x^2 - 45, where 5 is a square), so it is skipped.
     """
-    for p in _LOCAL_PRIMES:
-        m = _mod_p(el.parent.minpoly.coeffs, p)
+    L = el.parent
+    if L.local_roots is None:
+        L.local_roots = _local_roots(L.minpoly)
+    for p, roots in L.local_roots:
         e = _mod_p(el.coords, p)
-        if m is None or e is None:
-            continue
-        dm = dense.derivative(m, dense.GF(p))
-        for r in range(p):
-            if (_eval_mod(m, r, p) == 0 and _eval_mod(dm, r, p) != 0
-                    and legendre(_eval_mod(e, r, p), p) == -1):
-                return True
+        if e is not None and any(legendre(_eval_mod(e, r, p), p) == -1
+                                 for r in roots):
+            return True
     return False
 
 
@@ -347,7 +365,8 @@ def nf_sqrt(d, L):
     factorization of y^2 - d, a local test settles most non-squares with
     integers alone: d is no square when, at a simple root r of the
     minimal polynomial mod a small odd prime p, d(r) is a quadratic
-    non-residue mod p (see _local_nonsquare).  The test only rejects
+    non-residue mod p (see _local_nonsquare).  Those roots are found once
+    per field and reused by every later call.  The test only rejects
     non-squares, so every answer is the one Trager gives.
     """
     if isinstance(d, NFElement):

@@ -8,6 +8,7 @@ a zero-divisor certificate, the complete factorization loop, factor
 reordering, and root enumeration up to conjugacy.
 """
 
+import math
 from fractions import Fraction
 
 from . import dense, ratpoly
@@ -16,6 +17,7 @@ from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation)
+from .intarith import squarefree_kernel
 from .numberfield import (NumberField, nf_factor_over_quadratic,
                           nf_quadratic_candidates, nf_splits_quaternion)
 from .quadform import (find_zero_divisor, search_zero_divisor,
@@ -422,13 +424,55 @@ def _root_field(p, field, message):
 def subfield_factor(p, A, field=None):
     """Split a central irreducible p as q * conj(q) over an embedded
     quadratic subfield, or None when no subfield works.  field, when
-    given, is Q[x]/(p) already built, and p is not tested again."""
+    given, is Q[x]/(p) already built, and p is not tested again.
+
+    A quadratic p is its own subfield and splits in closed form
+    (_quadratic_half); a p of degree >= 4 walks the candidate subfields
+    with a Trager factorization over each (_subfield_half)."""
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation("input must be monic in Q[x]")
     message = "input must be irreducible of degree >= 2"
     if p.degree < 2:
         raise PreconditionViolation(message)
     L = _root_field(p, field, message)
+    q = _quadratic_half(p, A) if p.degree == 2 else _subfield_half(p, A, L)
+    if q is None:
+        return None
+    qbar = qp_conj(q)
+    if q * qbar != QPoly.from_ratpoly(A, p):
+        raise InternalInvariantViolation("embedded halves mismatch")
+    # the halves commute (coefficients lie in Q(a)), so either order
+    # works; lead with the conjugate so x^2+1 comes out (x-i)(x+i)
+    return qbar, q
+
+
+def _quadratic_half(p, A):
+    """x - (t/2 + u a) for an irreducible p = x^2 - t x + n, or None.
+
+    With t^2 - 4n = s^2 d, d squarefree and s > 0, the roots of p are
+    r = t/2 + u sqrt(d) and its conjugate, u = +-s/2; they embed in A
+    through a = embed_quadratic(A, d) exactly when Q(sqrt d) splits A.
+    The sign is the one the Trager factorization over Q(sqrt d) takes
+    first: -s/2 for d < 0 and +s/2 for d > 0."""
+    n, t = p[0], -p[1]
+    disc = t * t - 4 * n
+    d = squarefree_kernel(disc)
+    if not splits_in_quadratic(A.alpha, A.beta, d):
+        return None
+    s2 = disc / d
+    s = Fr(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
+    r0, u = t / 2, (s if d > 0 else -s) / 2
+    # (x - r)(x - conj r) has the coefficients of p
+    if (2 * r0, r0 * r0 - d * u * u) != (t, n):
+        raise InternalInvariantViolation(
+            "quadratic roots fail to reconstruct the input")
+    return QPoly(A, [-(A.scalar(r0) + u * embed_quadratic(A, d)), A.one()])
+
+
+def _subfield_half(p, A, L):
+    """The first factor of p over the first candidate subfield Q(sqrt d)
+    of L = Q[x]/(p) that splits A and over which p splits, embedded in
+    A[x] through a = embed_quadratic(A, d); None when there is none."""
     for d in nf_quadratic_candidates(L):
         if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
             continue
@@ -444,13 +488,7 @@ def subfield_factor(p, A, field=None):
             raise InternalInvariantViolation(
                 "conjugate halves fail to reconstruct the input")
         a = embed_quadratic(A, d)
-        q = QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a for c in g])
-        qbar = qp_conj(q)
-        if q * qbar != QPoly.from_ratpoly(A, p):
-            raise InternalInvariantViolation("embedded halves mismatch")
-        # the halves commute (coefficients lie in Q(a)), so either order
-        # works; lead with the conjugate so x^2+1 comes out (x-i)(x+i)
-        return qbar, q
+        return QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a for c in g])
     return None
 
 

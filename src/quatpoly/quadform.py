@@ -6,11 +6,14 @@ squarefree numbers via Tonelli-Shanks and CRT); quaternary isotropy looks
 for a value represented by both binary halves.  Everything is exact.
 """
 
+import functools
 import json
 import math
 import random
 from fractions import Fraction
 
+from . import dense
+from .dense import ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
                      SearchExhausted, SplitAlgebra)
@@ -26,6 +29,7 @@ Fr = Fraction
 # Hilbert symbols and ramification
 
 def _val_unit(n, p):
+    """(v, u) with n = p^v u for a nonzero integer n, u prime to p."""
     v = 0
     while n % p == 0:
         n //= p
@@ -33,9 +37,20 @@ def _val_unit(n, p):
     return v, n
 
 
+def _local_class(q, p):
+    """(v, u): the valuation v_p(q) of a nonzero rational q and an integer
+    u prime to p in the square class of q / p^v, read off the numerator
+    and the denominator (q = p^v un/ud and un ud = (un/ud) ud^2)."""
+    v, un = _val_unit(q.numerator, p)
+    w, ud = _val_unit(q.denominator, p)
+    return v - w, un * ud
+
+
 def hilbert_symbol(a, b, place):
     """(a, b)_v for nonzero rationals: +1 iff z^2 = a x^2 + b y^2 has a
-    nontrivial solution over the completion at the place."""
+    nontrivial solution over the completion at the place.  At a prime p
+    only v_p and the unit class (mod p, mod 8 at 2) of a and b enter, so
+    nothing is factored."""
     a = Fr(a)
     b = Fr(b)
     if a == 0 or b == 0:
@@ -43,23 +58,16 @@ def hilbert_symbol(a, b, place):
     if place == INFINITE_PLACE:
         return -1 if a < 0 and b < 0 else 1
     p = place
-    sa = squarefree_kernel(a)
-    sb = squarefree_kernel(b)
+    al, u = _local_class(a, p)
+    be, v = _local_class(b, p)
     if p == 2:
-        al, u = _val_unit(abs(sa), 2)
-        be, v = _val_unit(abs(sb), 2)
-        u = u if sa > 0 else -u
-        v = v if sb > 0 else -v
+        u, v = u % 8, v % 8
         eps_u = ((u - 1) // 2) % 2
         eps_v = ((v - 1) // 2) % 2
         om_u = ((u * u - 1) // 8) % 2
         om_v = ((v * v - 1) // 8) % 2
         e = eps_u * eps_v + al * om_v + be * om_u
         return -1 if e % 2 else 1
-    al, u = _val_unit(abs(sa), p)
-    be, v = _val_unit(abs(sb), p)
-    u = u if sa > 0 else -u
-    v = v if sb > 0 else -v
     eps = ((p - 1) // 2) % 2
     sym = 1
     if (al * be * eps) % 2:
@@ -72,27 +80,36 @@ def hilbert_symbol(a, b, place):
 
 
 def is_local_square(d, place):
-    """True iff the nonzero rational d is a square in the completion."""
+    """True iff the nonzero rational d is a square in the completion: at a
+    prime p, v_p(d) is even and the unit part is a square mod p (mod 8 at
+    2)."""
     d = Fr(d)
     if d == 0:
         raise DegenerateInput("zero is degenerate here")
-    s = squarefree_kernel(d)
     if place == INFINITE_PLACE:
-        return s > 0
+        return d > 0
     p = place
-    if p == 2:
-        return s % 8 == 1 if s % 2 else False
-    if s % p == 0:
+    v, u = _local_class(d, p)
+    if v % 2:
         return False
-    return legendre(s, p) == 1
+    if p == 2:
+        return u % 8 == 1
+    return legendre(u, p) == 1
 
 
 class PlaceSet:
-    """A finite set of places of Q (finite primes plus optionally infinity)."""
+    """A finite set of places of Q (finite primes plus optionally infinity).
+    Immutable: ramified_places hands one instance to every caller."""
+
+    __slots__ = ("finite_primes", "infinite")
 
     def __init__(self, finite_primes, infinite):
-        self.finite_primes = tuple(sorted(set(finite_primes)))
-        self.infinite = bool(infinite)
+        object.__setattr__(self, "finite_primes",
+                           tuple(sorted(set(finite_primes))))
+        object.__setattr__(self, "infinite", bool(infinite))
+
+    def __setattr__(self, *args):
+        raise AttributeError("PlaceSet is immutable")
 
     def __len__(self):
         return len(self.finite_primes) + (1 if self.infinite else 0)
@@ -112,8 +129,10 @@ class PlaceSet:
         return "PlaceSet{%s%s}" % (", ".join(map(str, self.finite_primes)), tail)
 
 
+@functools.lru_cache(maxsize=64)
 def ramified_places(alpha, beta):
-    """All places where (alpha, beta / Q) is not split."""
+    """All places where (alpha, beta / Q) is not split.  Remembered for
+    the last 64 pairs: every central factor asks again for its algebra."""
     alpha = Fr(alpha)
     beta = Fr(beta)
     if alpha == 0 or beta == 0:
@@ -513,37 +532,58 @@ def _check_trials(max_height):
             % max_height)
 
 
+def _trial_value(al, be, m, a1, a2, a3):
+    """The coordinates of al a1^2 + be a2^2 - al be a3^2 in Q[x]/(m), for
+    coordinate lists a1, a2, a3 and a monic m: the polynomial is formed
+    whole and reduced once by m.  Ring operations only, so no inverse is
+    needed and integer data stays integer."""
+    n = len(m) - 1
+    t = [0] * (2 * n - 1)
+    for w, a in ((al, a1), (be, a2), (-al * be, a3)):
+        for k, c in enumerate(dense.mul(a, a, ZZ)):
+            t[k] += w * c
+    for k in range(len(t) - 1, n - 1, -1):
+        c = t[k]
+        if c:
+            # mod m, c x^k = c x^(k-n) (x^n - m), of degree below k
+            for j in range(n):
+                t[k - n + j] -= c * m[j]
+    return t[:n]
+
+
 def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
     """Layer 3 of find_zero_divisor alone: a seeded bounded search solving
     q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L, max_height random
-    trials, trial t drawing coefficients of height 1 + t//8.  Raises
-    SearchExhausted when no trial succeeds."""
+    trials, trial t drawing coefficients of height 1 + t//8.  Each trial
+    is an integer polynomial in the coordinates of q1, q2, q3, reduced
+    once by the minimal polynomial (_trial_value); only its value goes to
+    nf_sqrt as an element of L.  Raises SearchExhausted when no trial
+    succeeds."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
+    # integral data as ints, so that integral trials stay integer
+    al, be, *m = [c.numerator if c.denominator == 1 else c
+                  for c in (alpha, beta) + L.minpoly.coeffs]
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):
         h = 1 + trial // 8
-        vecs = []
-        for _ in range(3):
-            vecs.append(L.element([rng.randint(-h, h) for _ in range(n)]))
-        a1, a2, a3 = vecs
-        t = alpha * a1 * a1 + beta * a2 * a2 - alpha * beta * a3 * a3
-        if t.is_zero:
-            if a1.is_zero and a2.is_zero and a3.is_zero:
+        a1, a2, a3 = [[rng.randint(-h, h) for _ in range(n)]
+                      for _ in range(3)]
+        t = _trial_value(al, be, m, a1, a2, a3)
+        if any(t):
+            s = nf_sqrt(L.element(t), L)
+            if s is None:
                 continue
-            cert = ZeroDivisorCertificate(
-                alpha, beta, L.minpoly,
-                (RatPoly(), a1.as_ratpoly(), a2.as_ratpoly(),
-                 a3.as_ratpoly()))
-            return cert.validate()
-        s = nf_sqrt(t, L)
-        if s is not None:
-            cert = ZeroDivisorCertificate(
-                alpha, beta, L.minpoly,
-                (s.as_ratpoly(), a1.as_ratpoly(), a2.as_ratpoly(),
-                 a3.as_ratpoly()))
-            return cert.validate()
+            q0 = s.as_ratpoly()
+        elif any(a1 + a2 + a3):
+            q0 = RatPoly()
+        else:
+            continue
+        cert = ZeroDivisorCertificate(
+            alpha, beta, L.minpoly,
+            (q0, RatPoly(a1), RatPoly(a2), RatPoly(a3)))
+        return cert.validate()
     raise SearchExhausted(
         "no zero divisor found in %d trials (largest height %d)"
         % (max_height, 1 + (max_height - 1) // 8),

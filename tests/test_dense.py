@@ -171,9 +171,11 @@ _INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod"}
 # the local square test of nf_sqrt and the Trager steps it avoids
-_LOCAL_STEPS = ("_local_nonsquare", "_mod_p", "_eval_mod")
+_LOCAL_STEPS = ("_local_nonsquare", "_local_roots", "_mod_p", "_eval_mod")
 _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
                  "nf_poly_norm", "nf_factor_squarefree", "rp_factor"}
+# the trial polynomial of the zero-divisor search, which goes to nf_sqrt
+_TRIAL_STEPS = ("_trial_value",)
 # the order steps of maxorder and the rational or random names they avoid
 _ORDER_STEPS = ("_ztheta", "_p_maximalize", "_component_split",
                 "maximal_order", "splitting_type")
@@ -207,6 +209,14 @@ def test_local_square_test_stays_over_the_integers():
     """The pre-test of nf_sqrt works mod p; arithmetic over Q or a
     Trager step inside it shows here."""
     assert _names_named("numberfield.py", _LOCAL_STEPS, _TRAGER_NAMES) == []
+
+
+def test_search_trial_stays_over_the_integers():
+    """Each search trial is one polynomial in the integer coordinates,
+    reduced once by the minimal polynomial; field arithmetic, a square
+    root or a Trager step inside it shows here."""
+    assert _names_named("quadform.py", _TRIAL_STEPS,
+                        _TRAGER_NAMES | {"nf_sqrt"}) == []
 
 
 def test_order_steps_stay_over_the_integers():

@@ -353,6 +353,52 @@ class TestSubfieldFactor:
                 split += want is not None
         assert split >= 4
 
+    @staticmethod
+    def quadratic_corpus(rng, A, count):
+        """count characteristic polynomials x^2 - tr(u) x + N(u) of
+        non-central u in A, most with non-integral coordinates,
+        and a tenth as many random irreducible quadratics."""
+        out = []
+        while len(out) < count:
+            den = rng.choice((1, 2, 3))
+            u = A.element([Fr(rng.randint(-9, 9), den)]
+                          + [Fr(rng.randint(-5, 5), rng.choice((1, 2)))
+                             for _ in range(3)])
+            if any(u.coords[1:]):
+                out.append(qp_norm(QPoly(A, [-u, A.one()])))
+        while len(out) < count + count // 10:
+            p = from_int_list([rng.randint(-20, 20), rng.randint(-9, 9), 1])
+            if rp_is_irreducible(p):
+                out.append(p)
+        return out
+
+    def test_closed_form_matches_subfield_walk(self):
+        """On 400 characteristic polynomials over four algebras, definite
+        and indefinite, the closed form for quadratics gives the pair the
+        Trager walk gives, root sign included."""
+        rng = random.Random(53)
+        split = unsplit = 0
+        for ab in ((-1, -1), (-1, -3), (-2, -5), (-1, 3)):
+            A = QuaternionAlgebra(*ab)
+            for p in self.quadratic_corpus(rng, A, 100):
+                want = self.reference(p, A)
+                assert subfield_factor(p, A) == want, (p, A)
+                split += want is not None
+                unsplit += want is None
+        assert split >= 400 and unsplit > 0
+
+    def test_quadratics_run_no_subfield_walk(self, monkeypatch):
+        """A quadratic is its own subfield: no candidate list and no
+        factorization over Q(sqrt d) is needed to split it."""
+        def forbidden(*args):
+            raise AssertionError("subfield walk on a quadratic")
+
+        monkeypatch.setattr(qpoly, "nf_quadratic_candidates", forbidden)
+        monkeypatch.setattr(qpoly, "nf_factor_over_quadratic", forbidden)
+        pairs = [subfield_factor(from_int_list(c), H13)
+                 for c in ([1, 0, 1], [3, 2, 1], [-2, 0, 1], [7, 1, 1])]
+        assert pairs[-1] is not None
+
     def test_local_screen_skips_trager(self, monkeypatch):
         """Candidates the local test proves to be non-squares in Q[x]/(p)
         reach no Trager factorization; the subfield of x^4 + 1 still
@@ -617,6 +663,20 @@ class TestFactor:
 
 
 class TestRoots:
+    @pytest.mark.parametrize("ab, text, want", [
+        ((-1, -1), "(x^2 + 2x + 3)*(x^2 + 1/4)*(x - i - j)",
+         ["1/2i", "-1-j+k", "i+j"]),
+        ((-1, 3), "(x^2 - 3)*(x^2 + x + 1)*(x^2 - 6)*(x - 2i + j)",
+         ["-j-k", "-j", "-1/2+3/2i+1/2j-1/2k", "2i-j"]),
+        ((-1, -3), "(x^2 + x + 1)*(4x^2 - 4x + 7)*(x^2 + 2)",
+         ["-1/2+1/2j", "1/2-1/2j+1/2k"]),
+    ])
+    def test_quadratic_central_factors(self, ab, text, want):
+        """Roots from quadratic irreducible central factors, some of which
+        do not split the algebra, keep their representatives."""
+        A = QuaternionAlgebra(*ab)
+        assert [str(r) for r in roots(P(text, A))] == want
+
     def test_central_quadratic(self):
         rs = roots(P("x^2 + 1"))
         assert len(rs) == 1

@@ -3,11 +3,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import numberfield, quadform
+from quatpoly import intarith, numberfield, quadform
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              InvalidCertificate, PreconditionViolation,
                              SearchExhausted, SplitAlgebra)
-from quatpoly.intarith import crt, squarefree_part
+from quatpoly.intarith import (crt, legendre, squarefree_kernel,
+                               squarefree_part)
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_quadratic_subfields, nf_splits_quaternion,
                                   nf_sqrt)
@@ -137,6 +138,86 @@ class TestLocalSquares:
     def test_infinity(self):
         assert is_local_square(Fr(5), INFINITE_PLACE)
         assert not is_local_square(Fr(-5), INFINITE_PLACE)
+
+
+def kernel_hilbert_symbol(a, b, place, kernel=squarefree_kernel):
+    """(a, b)_v from the squarefree kernels of a and b: the formula
+    hilbert_symbol used before it read valuations directly."""
+    if place == INFINITE_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    sa, sb = kernel(Fr(a)), kernel(Fr(b))
+    al, u = quadform._val_unit(sa, p)
+    be, v = quadform._val_unit(sb, p)
+    if p == 2:
+        eps_u, eps_v = ((u - 1) // 2) % 2, ((v - 1) // 2) % 2
+        om_u, om_v = ((u * u - 1) // 8) % 2, ((v * v - 1) // 8) % 2
+        return -1 if (eps_u * eps_v + al * om_v + be * om_u) % 2 else 1
+    sym = -1 if (al * be * ((p - 1) // 2)) % 2 else 1
+    if be % 2:
+        sym *= legendre(u, p)
+    if al % 2:
+        sym *= legendre(v, p)
+    return sym
+
+
+def kernel_is_local_square(d, place, kernel=squarefree_kernel):
+    """Squareness of d at the place from its squarefree kernel."""
+    s = kernel(Fr(d))
+    if place == INFINITE_PLACE:
+        return s > 0
+    if place == 2:
+        return s % 8 == 1 if s % 2 else False
+    return s % place != 0 and legendre(s, place) == 1
+
+
+class TestLocalSymbolsByValuation:
+    PLACES = (INFINITE_PLACE, 2, 3, 5, 7, 11)
+
+    @staticmethod
+    def rationals(rng, count):
+        """Signed rationals whose numerators and denominators carry
+        powers of the primes up to 13 and a random cofactor."""
+        def part():
+            out = rng.choice((1, 1, rng.randint(1, 10 ** 4)))
+            for p in (2, 3, 5, 7, 11, 13):
+                out *= p ** rng.choice((0, 0, 1, 2, 3))
+            return out
+        return [rng.choice((1, -1)) * Fr(part(), part())
+                for _ in range(count)]
+
+    def test_matches_the_kernel_formula(self):
+        rng = random.Random(61)
+        values = self.rationals(rng, 120)
+        for p in self.PLACES:
+            for d in values:
+                assert is_local_square(d, p) == kernel_is_local_square(d, p)
+            for a, b in zip(values, values[1:] + values[:1]):
+                assert hilbert_symbol(a, b, p) == \
+                    kernel_hilbert_symbol(a, b, p), (a, b, p)
+
+    def test_nothing_is_factored(self, monkeypatch):
+        """A product of two primes above 10^12 is as cheap as a small
+        number: neither function factors anything."""
+        pq = 1000000000039 * 1000000000061
+
+        def forbidden(n):
+            raise AssertionError("factorint(%d) called" % n)
+
+        monkeypatch.setattr(intarith, "factorint", forbidden)
+        monkeypatch.setattr(quadform, "factorint", forbidden)
+        # pq, -3 pq and 2/pq are squarefree kernels up to a square, so the
+        # reference needs no factorization either
+        identity = {pq: pq, -3: -3, -3 * pq: -3 * pq, Fr(2, pq): 2 * pq,
+                    7: 7}
+        kernel = identity.__getitem__
+        for p in self.PLACES + (1000000000039,):
+            for d in (pq, -3 * pq, Fr(2, pq)):
+                assert is_local_square(d, p) == \
+                    kernel_is_local_square(d, p, kernel), (d, p)
+            for a, b in ((pq, -3), (Fr(2, pq), 7), (-3 * pq, pq)):
+                assert hilbert_symbol(a, b, p) == \
+                    kernel_hilbert_symbol(a, b, p, kernel), (a, b, p)
 
 
 class TestTernary:
@@ -473,6 +554,87 @@ class TestFindZeroDivisor:
         assert answers() == with_test
         assert [seed for seed, a in enumerate(with_test)
                 if not isinstance(a, str)] == [1, 38]
+
+    @staticmethod
+    def element_trial_search(alpha, beta, L, seed, max_height=20):
+        """search_zero_divisor with each trial computed in NFElement
+        arithmetic, one product at a time: the reference for the integer
+        trial polynomial."""
+        alpha, beta = Fr(alpha), Fr(beta)
+        rng = random.Random(seed)
+        n = L.degree
+        for trial in range(max_height):
+            h = 1 + trial // 8
+            a1, a2, a3 = [L.element([rng.randint(-h, h) for _ in range(n)])
+                          for _ in range(3)]
+            t = alpha * a1 * a1 + beta * a2 * a2 - alpha * beta * a3 * a3
+            if t.is_zero:
+                if a1.is_zero and a2.is_zero and a3.is_zero:
+                    continue
+                q0 = RatPoly()
+            else:
+                s = nf_sqrt(t, L)
+                if s is None:
+                    continue
+                q0 = s.as_ratpoly()
+            return ZeroDivisorCertificate(
+                alpha, beta, L.minpoly,
+                (q0, a1.as_ratpoly(), a2.as_ratpoly(), a3.as_ratpoly()))
+        return ("no zero divisor found in %d trials (largest height %d)"
+                % (max_height, 1 + (max_height - 1) // 8))
+
+    # (alpha, beta, minimal polynomial, seeds where the search succeeds):
+    # an integral quartic, a monic quartic with non-integral coefficients,
+    # and an algebra with non-integral alpha
+    TRIAL_CASES = [
+        (-1, -1, from_int_list([6, 2, 9, -4, 1]), [1, 38]),
+        (-1, -1, RatPoly([Fr(5, 4), 1, 4, -1, 1]), [18, 23]),
+        (Fr(-1, 2), -3, from_int_list([6, -6, 3, 0, 1]), [9]),
+    ]
+
+    @pytest.mark.parametrize("alpha, beta, minpoly, found", TRIAL_CASES)
+    def test_integer_trials_match_element_trials(self, alpha, beta,
+                                                 minpoly, found):
+        """Seeds 0-39 give the same certificates and the same exhaustion
+        messages as trials computed product by product in L."""
+        L = NumberField(minpoly)
+        got, want = [], []
+        for seed in range(40):
+            try:
+                got.append(search_zero_divisor(alpha, beta, L, seed=seed))
+            except SearchExhausted as exc:
+                got.append(str(exc))
+            want.append(self.element_trial_search(alpha, beta, L, seed))
+        assert got == want
+        assert [seed for seed, a in enumerate(got)
+                if not isinstance(a, str)] == found
+
+    def test_local_roots_found_once_per_field(self, monkeypatch):
+        """A 20-trial search scans the minimal polynomial for its simple
+        roots mod the small primes once, not once per trial."""
+        calls = []
+        scan = numberfield._local_roots
+        monkeypatch.setattr(numberfield, "_local_roots",
+                            lambda m: calls.append(m) or scan(m))
+        L = NumberField(from_int_list([6, 16, 11, 0, 1]))
+        with pytest.raises(SearchExhausted):
+            search_zero_divisor(-1, -1, L, max_height=20)
+        assert calls == [L.minpoly]
+
+    def test_ramified_places_are_remembered(self, monkeypatch):
+        """Asking again for the places of an algebra factors nothing."""
+        want = ramified_places(Fr(-7, 3), -11)
+
+        def forbidden(n):
+            raise AssertionError("factorint(%d) called" % n)
+
+        monkeypatch.setattr(quadform, "factorint", forbidden)
+        monkeypatch.setattr(intarith, "factorint", forbidden)
+        assert ramified_places(Fr(-7, 3), -11) == want
+        with pytest.raises(AttributeError):
+            want.infinite = not want.infinite
+        assert splits_in_quadratic(Fr(-7, 3), -11, -1) == \
+            all(not is_local_square(-1, v) for v in want.places())
 
     def test_splits_in_quadratic_consistency(self):
         # d must be a nonsquare locally at every ramified place
