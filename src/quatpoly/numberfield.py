@@ -21,6 +21,14 @@ Fr = Fraction
 INFINITE_PLACE = "oo"
 
 
+def check_place(place):
+    """Raise PreconditionViolation unless place is a prime or INFINITE_PLACE."""
+    if place != INFINITE_PLACE and not (isinstance(place, int)
+                                        and is_prime(place)):
+        raise PreconditionViolation(
+            "place must be a prime or INFINITE_PLACE, got %r" % (place,))
+
+
 class SplittingType:
     """Local data of L at one place: list of (e, f) pairs.
 
@@ -375,15 +383,6 @@ def nf_sqrt(d, L):
         el = L.from_rational(d)
     if el.is_zero:
         return L.zero()
-    if L.degree == 1:
-        q = el.rational_value()
-        num, den = q.numerator, q.denominator
-        if num < 0:
-            return None
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return L.from_rational(Fr(rn, rd))
-        return None
     if _local_nonsquare(el):
         return None
     f = [-el, L.zero(), L.one()]  # y^2 - d, squarefree since d != 0
@@ -427,13 +426,11 @@ def nf_quadratic_subfields(L):
 
 def nf_local_splitting(L, place):
     """Splitting data of L at a finite prime or at INFINITE_PLACE."""
+    check_place(place)
     if place == INFINITE_PLACE:
         r = rp_real_root_count(L.minpoly)
         return SplittingType(INFINITE_PLACE,
                              [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2))
-    if not (isinstance(place, int) and is_prime(place)):
-        raise PreconditionViolation(
-            "place must be a prime or INFINITE_PLACE, got %r" % (place,))
     _, m_int = L.integral_model()
     return SplittingType(place, maxorder.splitting_type(m_int, place))
 

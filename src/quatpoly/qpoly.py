@@ -202,39 +202,8 @@ class QPoly:
 def format_qpoly(p):
     """Canonical display: descending powers, coefficients parenthesized
     exactly when they are not rational scalars."""
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for m in range(p.degree, -1, -1):
-        c = p[m]
-        if c.is_zero:
-            continue
-        if m == 0:
-            xpart = None
-        elif m == 1:
-            xpart = "x"
-        else:
-            xpart = "x^%d" % m
-        if c.is_central:
-            s = c.coords[0]
-            if xpart is None:
-                body = str(s)
-            elif s == 1:
-                body = xpart
-            elif s == -1:
-                body = "-" + xpart
-            else:
-                body = "%s*%s" % (s, xpart)
-        else:
-            body = "(%s)" % c if xpart is None else "(%s)*%s" % (c, xpart)
-        pieces.append(body)
-    out = pieces[0]
-    for body in pieces[1:]:
-        if body.startswith("-"):
-            out += " - " + body[1:]
-        else:
-            out += " + " + body
-    return out
+    return ratpoly.format_terms([c.coords[0] if c.is_central else "(%s)" % c
+                                 for c in p.coeffs])
 
 
 def qp_conj(p):

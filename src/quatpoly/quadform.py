@@ -19,7 +19,7 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
                      SearchExhausted, SplitAlgebra)
 from .intarith import (factorint, legendre, sqrt_mod_squarefree,
                        squarefree_kernel, squarefree_part)
-from .numberfield import INFINITE_PLACE, nf_quadratic_candidates, nf_sqrt
+from .numberfield import INFINITE_PLACE, check_place, nf_quadratic_candidates, nf_sqrt
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -55,6 +55,7 @@ def hilbert_symbol(a, b, place):
     b = Fr(b)
     if a == 0 or b == 0:
         raise DegenerateInput("Hilbert symbol needs nonzero entries")
+    check_place(place)
     if place == INFINITE_PLACE:
         return -1 if a < 0 and b < 0 else 1
     p = place
@@ -86,6 +87,7 @@ def is_local_square(d, place):
     d = Fr(d)
     if d == 0:
         raise DegenerateInput("zero is degenerate here")
+    check_place(place)
     if place == INFINITE_PLACE:
         return d > 0
     p = place

@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import dense
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      EmbeddingObstructed, SplitAlgebra, ZeroDivisorEncountered)
-from .quadform import is_division, is_local_square, ramified_places, represent_pure
+from .quadform import is_division, ramified_places, represent_pure, splits_in_quadratic
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -284,10 +284,9 @@ def embed_quadratic(A, d):
     d = Fr(d)
     if d == 0:
         raise DegenerateInput("d must be nonzero")
-    for v in A.ramified.places():
-        if is_local_square(d, v):
-            raise EmbeddingObstructed(
-                "Q(sqrt %s) does not embed: place %s splits in it" % (d, v))
+    if not splits_in_quadratic(A.alpha, A.beta, d):
+        raise EmbeddingObstructed(
+            "Q(sqrt %s) does not embed: it does not split the algebra" % (d,))
     rep = represent_pure(A.alpha, A.beta, d)
     if rep is None:
         raise EmbeddingObstructed(

@@ -5,17 +5,18 @@ first) with no trailing zeros; the zero polynomial has an empty tuple.
 Degrees in this package never exceed a few dozen, so everything is kept
 dense.
 
-The gcd is a primitive remainder sequence over Z, made monic over Q at
-the end.  Factoring (rp_factor) runs entirely over Z on the primitive
-integer part of its input: Yun's squarefree decomposition with primitive
-gcds and exact integer division, then Zassenhaus' method on each
-squarefree part.  The prime p is the smallest odd one with f squarefree
-of full degree mod p (a gcd over GF(p), no resultant); distinct-degree
-and Cantor-Zassenhaus equal-degree splitting mod p; quadratic Hensel
-lifting to p^k above twice the Mignotte bound along a factor tree; and
-recombination of subsets of the lifted factors by integer trial
-division, which stops at the first non-integral quotient coefficient.
-Each irreducible factor is made monic over Q once, at the end.
+The gcd (made monic over Q at the end) and Sturm counting run the same
+primitive remainder sequence over Z.  Factoring (rp_factor) runs
+entirely over Z on the primitive integer part of its input: Yun's
+squarefree decomposition with primitive gcds and exact integer division,
+then Zassenhaus' method on each squarefree part.  The prime p is the
+smallest odd one with f squarefree of full degree mod p (a gcd over
+GF(p), no resultant); distinct-degree and Cantor-Zassenhaus equal-degree
+splitting mod p; quadratic Hensel lifting to p^k above twice the
+Mignotte bound along a factor tree; and recombination of subsets of the
+lifted factors by integer trial division, which stops at the first
+non-integral quotient coefficient.  Each irreducible factor is made
+monic over Q once, at the end.
 """
 
 import math
@@ -169,28 +170,31 @@ class RatPoly:
         return "RatPoly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                xs = "x" if i == 1 else "x^%d" % i
-                if c == 1:
-                    term = xs
-                elif c == -1:
-                    term = "-" + xs
-                else:
-                    term = "%s*%s" % (c, xs)
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return format_terms(self.coeffs)
+
+
+def format_terms(coeffs):
+    """Ascending coefficients, each a rational (shown without a factor of
+    +-1) or a ready-made string, as terms in descending powers, no zeros."""
+    out = ""
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        xs = "x" if i == 1 else "x^%d" % i
+        if i == 0:
+            term = str(c)
+        elif c == 1:
+            term = xs
+        elif c == -1:
+            term = "-" + xs
+        else:
+            term = "%s*%s" % (c, xs)
+        if out:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+        else:
+            out = term
+    return out or "0"
 
 
 def from_int_list(ic):
@@ -208,8 +212,10 @@ def _primitive(f):
 
 
 def _pseudo_remainder(f, g):
-    """A remainder of c*f on division by g in Z[x], for some integer c != 0:
-    each step scales by lc(g) instead of dividing by it."""
+    """A remainder of c*f on division by g in Z[x], for some integer c > 0:
+    each step scales by |lc(g)| instead of dividing by lc(g)."""
+    if g[-1] < 0:
+        g = [-a for a in g]
     n = len(g) - 1
     lc = g[-1]
     r = list(f)
@@ -286,34 +292,26 @@ def rp_discriminant(p):
     return s * r / p.lc
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def sturm_sequence(p):
-    seq = [p, p.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
-        if seq[-1].is_zero:
-            seq.pop()
-            break
-    return seq
-
-
 def _variations(signs):
-    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def rp_real_root_count(p):
-    """Number of distinct real roots of a squarefree polynomial."""
+    """Number of distinct real roots of a squarefree polynomial: Sturm's
+    theorem on the primitive remainder sequence over Z of f and f', each
+    member -prem over its positive content; the last is gcd(f, f')."""
     if p.degree < 1:
         raise DegenerateInput("root counting needs a nonconstant polynomial")
-    if rp_gcd(p, p.derivative()).degree > 0:
-        raise NotSquarefree("input must be squarefree")
-    seq = sturm_sequence(p)
-    at_minus = [_sign(q.lc) * (-1) ** q.degree for q in seq if not q.is_zero]
-    at_plus = [_sign(q.lc) for q in seq if not q.is_zero]
+    f = p.primitive_int()
+    seq = [f, dense.derivative(f, ZZ)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            raise NotSquarefree("input must be squarefree")
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
+    at_plus = [1 if q[-1] > 0 else -1 for q in seq]
+    at_minus = [s if len(q) % 2 else -s for s, q in zip(at_plus, seq)]
     return _variations(at_minus) - _variations(at_plus)
 
 

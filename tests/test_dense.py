@@ -164,12 +164,14 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
-# the integer Zassenhaus steps of ratpoly and the rational names they avoid
+# the integer Zassenhaus and Sturm steps of ratpoly and the rational names
+# they avoid
 _INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
                   "_exact_quotient", "_factor_squarefree_int",
-                  "_primitive_gcd", "_squarefree_int")
+                  "_primitive_gcd", "_squarefree_int", "_pseudo_remainder",
+                  "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
-                   "resultant", "divmod"}
+                   "resultant", "divmod", "rp_gcd"}
 # the local square test of nf_sqrt and the Trager steps it avoids
 _LOCAL_STEPS = ("_local_nonsquare", "_local_roots", "_mod_p", "_eval_mod")
 _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",

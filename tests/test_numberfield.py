@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -369,3 +370,38 @@ class TestSplitsQuaternion:
         L = NumberField(from_int_list([-2, 0, 0, 0, 1]))
         monkeypatch.setattr(maxorder, "splitting_type", forbidden)
         assert nf_splits_quaternion(-1, -1, L) is False
+
+
+def rational_sqrt_reference(q):
+    """The degree-1 branch nf_sqrt had: the positive rational square root
+    of q, or None."""
+    num, den = q.numerator, q.denominator
+    if num < 0:
+        return None
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fr(rn, rd)
+    return None
+
+
+def test_sqrt_over_degree_one_fields_matches_the_rational_branch():
+    """Over Q[x]/(x - c) the local test and Trager give the positive
+    rational root or None, as the deleted degree-1 branch did."""
+    rng = random.Random(31)
+    squares = 0
+    for _ in range(200):
+        L = NumberField(RatPoly([-Fr(rng.randint(-50, 50),
+                                     rng.randint(1, 9)), 1]))
+        for _ in range(10):
+            if rng.random() < 0.5:
+                d = Fr(rng.randint(1, 40), rng.randint(1, 40)) ** 2
+            else:
+                d = Fr(rng.randint(-300, 300), rng.randint(1, 30))
+            want = rational_sqrt_reference(d)
+            squares += want is not None
+            got = nf_sqrt(d, L)
+            if want is None:
+                assert got is None, (L, d)
+            else:
+                assert got == L.from_rational(want), (L, d)
+    assert 900 < squares < 1100

@@ -244,3 +244,65 @@ class TestCli:
         assert run(["bogus", "x", "--alpha", "-1", "--beta", "-1"]) == \
             EXIT_USAGE
         capsys.readouterr()
+
+
+def format_qpoly_reference(p):
+    """The format_qpoly that ratpoly.format_terms replaced."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for m in range(p.degree, -1, -1):
+        c = p[m]
+        if c.is_zero:
+            continue
+        if m == 0:
+            xpart = None
+        elif m == 1:
+            xpart = "x"
+        else:
+            xpart = "x^%d" % m
+        if c.is_central:
+            s = c.coords[0]
+            if xpart is None:
+                body = str(s)
+            elif s == 1:
+                body = xpart
+            elif s == -1:
+                body = "-" + xpart
+            else:
+                body = "%s*%s" % (s, xpart)
+        else:
+            body = "(%s)" % c if xpart is None else "(%s)*%s" % (c, xpart)
+        pieces.append(body)
+    out = pieces[0]
+    for body in pieces[1:]:
+        if body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out
+
+
+def test_format_qpoly_matches_the_old_printer():
+    """Zero, +-1, rational and non-central coefficients over (-1,-1) and
+    (-1,-3), printed by the shared term printer and the old one."""
+    rng = random.Random(62)
+
+    def scalar():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fr(0)
+        if kind == 1:
+            return Fr(rng.choice((1, -1)))
+        return Fr(rng.randint(-20, 20), rng.randint(1, 9))
+
+    for A in (H, QuaternionAlgebra(-1, -3)):
+        for _ in range(3000):
+            coeffs = []
+            for _ in range(rng.randint(0, 6)):
+                if rng.random() < 0.5:
+                    coeffs.append(A.scalar(scalar()))
+                else:
+                    coeffs.append(A.element([scalar() for _ in range(4)]))
+            p = QPoly(A, coeffs)
+            assert format_qpoly(p) == format_qpoly_reference(p)

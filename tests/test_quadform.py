@@ -652,3 +652,18 @@ class TestCrt:
     def test_rejects_moduli_with_a_common_factor(self):
         with pytest.raises(InternalInvariantViolation):
             crt([0, 1], [2, 4])
+
+
+@pytest.mark.parametrize("place", [1, 0, -3, 4, "x"])
+def test_local_symbols_reject_non_places(monkeypatch, place):
+    """A non-place raises before any local arithmetic: place 1 used to
+    loop forever in _val_unit, 0 divided by zero, "x" raised TypeError and
+    4 returned a value."""
+    def forbidden(*args):
+        raise AssertionError("local arithmetic at a non-place")
+
+    monkeypatch.setattr(quadform, "_local_class", forbidden)
+    with pytest.raises(PreconditionViolation):
+        hilbert_symbol(2, 3, place)
+    with pytest.raises(PreconditionViolation):
+        is_local_square(2, place)

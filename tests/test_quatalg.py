@@ -6,7 +6,9 @@ import pytest
 from quatpoly.errors import (AlgebraMismatch, DivisionByZero,
                              EmbeddingObstructed, SplitAlgebra,
                              ZeroDivisorEncountered)
+from quatpoly.intarith import squarefree_kernel
 from quatpoly.numberfield import NumberField
+from quatpoly.quadform import splits_in_quadratic
 from quatpoly.quatalg import (QuaternionAlgebra, charpoly, coord_mul,
                               embed_quadratic, is_conjugate, q_inv)
 from quatpoly.ratpoly import from_int_list
@@ -214,3 +216,21 @@ class TestPrinting:
         assert str(-H.k) == "-k"
         assert str(H.element([Fr(1, 2), 0, Fr(-3, 2), 0])) == "1/2-3/2j"
         assert str(H.scalar(7)) == "7"
+
+
+def test_embed_quadratic_raises_exactly_when_the_field_does_not_split():
+    """embed_quadratic defers to splits_in_quadratic; every d it accepts
+    gets a pure quaternion of square d."""
+    embedded = 0
+    for A in (H, H13, H25):
+        for d in range(-60, 61):
+            if d == 0 or squarefree_kernel(d) != d:
+                continue
+            if splits_in_quadratic(A.alpha, A.beta, d):
+                a = embed_quadratic(A, d)
+                assert a * a == A.scalar(d) and a.coords[0] == 0
+                embedded += 1
+            else:
+                with pytest.raises(EmbeddingObstructed):
+                    embed_quadratic(A, d)
+    assert embedded > 20

@@ -510,3 +510,119 @@ class TestIntegerZassenhaus:
         assert fac.expand() == n
         assert Counter({g.coeffs: e for g, e in fac.factors}) == \
             Counter(g.coeffs for g in norms)
+
+
+def sturm_root_count_reference(p):
+    """The Fraction Sturm count rp_real_root_count replaced: gcd(p, p')
+    for the squarefree check, then the Sturm sequence over Q and the
+    variations of its leading coefficients at -oo and +oo."""
+    if ratpoly.rp_gcd(p, p.derivative()).degree > 0:
+        raise NotSquarefree("input must be squarefree")
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+        if seq[-1].is_zero:
+            seq.pop()
+            break
+    at_minus = [(1 if q.lc > 0 else -1) * (-1) ** q.degree for q in seq]
+    at_plus = [1 if q.lc > 0 else -1 for q in seq]
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
+
+
+def rnd_rational_poly(rng, deg, height=9):
+    """A RatPoly of degree deg with rational coefficients and a leading
+    coefficient of either sign."""
+    coeffs = [Fr(rng.randint(-height, height), rng.randint(1, 5))
+              for _ in range(deg)]
+    lc = Fr(rng.randint(1, height), rng.randint(1, 5))
+    return RatPoly(coeffs + [lc if rng.random() < 0.5 else -lc])
+
+
+class TestSturmOnIntegers:
+    """rp_real_root_count runs one primitive remainder sequence over Z;
+    the Fraction Sturm sequence it replaced is the reference."""
+
+    def test_matches_fraction_sturm_sequence(self):
+        rng = random.Random(20)
+        done, negative = 0, 0
+        while done < 600:
+            deg = 1 + done % 10
+            p = rnd_rational_poly(rng, deg)
+            if rng.random() < 0.3:  # planted real roots
+                p = p * from_int_list([-rng.randint(-9, 9), 1])
+            if rp_gcd(p, p.derivative()).degree > 0:
+                continue
+            assert rp_real_root_count(p) == sturm_root_count_reference(p), p
+            negative += p.lc < 0
+            done += 1
+        assert negative > 200
+
+    def test_not_squarefree_raises_as_before(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            g = rnd_rational_poly(rng, rng.randint(1, 3))
+            p = g * g * rnd_rational_poly(rng, rng.randint(0, 4))
+            with pytest.raises(NotSquarefree):
+                sturm_root_count_reference(p)
+            with pytest.raises(NotSquarefree):
+                rp_real_root_count(p)
+
+    def test_pseudo_remainder_has_a_positive_multiplier(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            f = rnd_rational_poly(rng, rng.randint(0, 8)).primitive_int()
+            g = rnd_rational_poly(rng, rng.randint(0, 5)).int_coeffs()
+            r = ratpoly._pseudo_remainder(f, g)
+            want = from_int_list(f) % from_int_list(g)
+            assert len(r) < len(g)
+            if want.is_zero:
+                assert r == []
+            else:
+                ratio = from_int_list(r).lc / want.lc
+                assert ratio > 0 and from_int_list(r) == want * ratio
+
+
+def ratpoly_str_reference(p):
+    """The RatPoly.__str__ that format_terms replaced."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p[i]
+        if not c:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            xs = "x" if i == 1 else "x^%d" % i
+            if c == 1:
+                term = xs
+            elif c == -1:
+                term = "-" + xs
+            else:
+                term = "%s*%s" % (c, xs)
+        parts.append(term)
+    out = parts[0]
+    for t in parts[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def rnd_display_coeff(rng):
+    """Zero, +-1, an integer or a proper fraction, each often."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fr(0)
+    if kind == 1:
+        return Fr(rng.choice((1, -1)))
+    if kind == 2:
+        return Fr(rng.randint(-20, 20))
+    return Fr(rng.randint(-20, 20), rng.randint(1, 9))
+
+
+def test_ratpoly_str_matches_the_old_printer():
+    rng = random.Random(23)
+    for _ in range(6000):
+        p = RatPoly([rnd_display_coeff(rng)
+                     for _ in range(rng.randint(0, 7))])
+        assert str(p) == ratpoly_str_reference(p)
