@@ -24,7 +24,7 @@ from .quadform import (find_zero_divisor, search_zero_divisor,
                        splits_in_quadratic)
 from .quatalg import (Quaternion, coord_mul, coord_norm, embed_quadratic,
                       is_conjugate, make_quaternion, q_inv)
-from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible, rp_xgcd
+from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible
 
 Fr = Fraction
 
@@ -465,12 +465,19 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
                                field=None):
     """Algorithm for a central irreducible p: either p stays irreducible
     or it splits into a conjugate pair of half-degree factors.  field,
-    when given, is Q[x]/(p) already built, and p is not tested again."""
+    when given, is Q[x]/(p) already built, and p is not tested again.
+
+    A zero divisor z of A (x) Q[x]/(p), read as a polynomial reduced mod p,
+    is neither 0 nor a unit mod p, so z A[x] + p A[x] lies strictly between
+    p A[x] and A[x]: its monic generator, the greatest common left divisor
+    of z and p, has norm p.  As p is central and rational, that divisor is
+    conj(GCRD(conj z, p)), and its conjugate is the other half."""
     message = "input must be monic irreducible in Q[x]"
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation(message)
     L = _root_field(p, field, message)
-    whole = Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
+    P = QPoly.from_ratpoly(A, p)
+    whole = Factorization(A.one(), [P])
     if p.degree % 2 == 1:
         return whole
     if not nf_splits_quaternion(A.alpha, A.beta, L):
@@ -485,50 +492,34 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
     else:
         zd = search_zero_divisor(A.alpha, A.beta, L, seed=seed,
                                  max_height=max_height)
-    q0, q1, q2, q3 = [qi % p for qi in zd.q]
-    qp = QPoly.from_coordinates(A, (q0, q1, q2, q3))
-    q = qp_norm(qp).exact_div(p)
-    first_q = q
-    while q.degree > 0:
-        qc = QPoly.from_ratpoly(A, q)
-        _, r = qp_right_divmod(qp, qc)
-        qp = qp_exact_right_div(qp * qp_conj(r), qc)
-        # rescale by the rational content to tame coefficient growth
-        qp = _wrap(A, cp_unscale(cp_primitive(_tuples(qp)), 1))
-        newq = qp_norm(qp).exact_div(p)
-        if newq.degree >= q.degree:
-            raise InternalInvariantViolation(
-                "degree failed to drop in the reduction loop")
-        q = newq
-    c = qp.lc
-    f = qp * QPoly(A, [q_inv(c)])
-    fbar = QPoly(A, [q_inv(c.conj())]) * qp_conj(qp)
-    if f * fbar != QPoly.from_ratpoly(A, p):
+    z = QPoly.from_coordinates(A, [qi % p for qi in zd.q])
+    fbar = qp_gcrd(qp_conj(z), P)
+    f = qp_conj(fbar)
+    # a divisor of the wrong degree has norm 1 or p^2, not p
+    if f * fbar != P:
         raise InternalInvariantViolation("halves do not multiply back to p")
     out = Factorization(A.one(), [f, fbar])
-    out.first_quotient = first_q
+    out.first_quotient = qp_norm(z).exact_div(p)
     return out
 
 
 def swap_factors(p, q):
     """(q1, p1) with q1*p1 = p*q, swapping irreducible factors with
-    coprime norms while preserving both norms (Lemma on semicommutativity)."""
+    coprime norms while preserving both norms (Lemma on semicommutativity).
+
+    p1 is GCRD(p*q, N(p)): the lemma's p1 right-divides p*q and its own
+    norm N(p), hence the GCRD, whose norm divides
+    gcd(N(p) N(q), N(p)^2) = N(p).  A central factor needs no special
+    case: the GCRD is then p."""
     if not (p.is_monic and q.is_monic):
         raise PreconditionViolation("factors must be monic")
     np, nq = qp_norm(p), qp_norm(q)
-    g = rp_gcd(np, nq)
-    if g.degree > 0:
+    if rp_gcd(np, nq).degree > 0:
         raise PreconditionViolation("norms must be relatively prime")
-    if p.is_central or q.is_central:
-        # a central factor commutes past anything
-        return q, p
-    # Bezout: a*np + 1 = b*nq
-    _, u, v = rp_xgcd(np, nq)
-    # u*np + v*nq = 1, so (-u)*np + 1 = v*nq
-    qstar = qp_conj(q) * QPoly.from_ratpoly(q.parent, v)
-    p1 = qp_exact_right_div(qp_lclm(p, qstar), qstar).monic()
-    q1 = qp_exact_right_div(p * q, p1)
-    if q1 * p1 != p * q or qp_norm(p1) != np or qp_norm(q1) != nq:
+    pq = p * q
+    p1 = qp_gcrd(pq, QPoly.from_ratpoly(p.parent, np))
+    q1 = qp_exact_right_div(pq, p1)
+    if q1 * p1 != pq or qp_norm(p1) != np or qp_norm(q1) != nq:
         raise InternalInvariantViolation("factor swap failed verification")
     return q1, p1
 

@@ -154,27 +154,17 @@ def is_division(alpha, beta):
 # ---------------------------------------------------------------------------
 # isotropic vectors
 
-def _relevant_places(coeffs):
-    places = {2, INFINITE_PLACE}
-    for c in coeffs:
-        places.update(factorint(abs(squarefree_kernel(c))))
-    return places
-
-
 def ternary_local_obstruction(coeffs):
     """A place where the ternary form is anisotropic, or None.
 
-    Uses the classical criterion: isotropic over Q_v iff the Hasse
-    invariant equals (-1, -det)_v.
+    a x^2 + b y^2 + c z^2 = 0 is w^2 = (-ac) x^2 + (-bc) y^2 with w = cz,
+    so the form is anisotropic exactly where (-ac, -bc / Q) ramifies: the
+    first such place, finite primes ascending, then infinity.  The
+    uncached body of ramified_places keeps single forms out of the cache
+    of algebras.
     """
     a, b, c = [Fr(x) for x in coeffs]
-    det = a * b * c
-    for v in sorted(_relevant_places([a, b, c]), key=lambda x: (x == INFINITE_PLACE, x)):
-        hasse = (hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
-                 * hilbert_symbol(b, c, v))
-        if hasse != hilbert_symbol(-1, -det, v):
-            return v
-    return None
+    return next(ramified_places.__wrapped__(-a * c, -b * c).places(), None)
 
 
 def _descent(A, B):
@@ -302,22 +292,16 @@ def ternary_isotropic(coeffs):
 
 
 def _quaternary_local_obstruction(a):
-    """A place where the quaternary diagonal form is anisotropic, or None."""
+    """A place where the quaternary diagonal form is anisotropic, or None.
+
+    Where the determinant is a local square, a3 is a0 a1 a2 up to squares
+    and the form is a0 times the norm form of (-a0 a1, -a0 a2 / Q), which
+    is anisotropic exactly where that algebra ramifies; elsewhere a
+    quaternary form is isotropic.
+    """
     det = a[0] * a[1] * a[2] * a[3]
-    for v in sorted(_relevant_places(a), key=lambda x: (x == INFINITE_PLACE, x)):
-        if v == INFINITE_PLACE:
-            if all(c > 0 for c in a) or all(c < 0 for c in a):
-                return v
-            continue
-        if not is_local_square(det, v):
-            continue
-        hasse = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                hasse *= hilbert_symbol(a[i], a[j], v)
-        if hasse != hilbert_symbol(-1, -1, v):
-            return v
-    return None
+    places = ramified_places.__wrapped__(-a[0] * a[1], -a[0] * a[2]).places()
+    return next((v for v in places if is_local_square(det, v)), None)
 
 
 # the largest height of (u, v) that quaternary_isotropic tries
@@ -355,26 +339,23 @@ def quaternary_isotropic(coeffs):
     h = 1
     seen = set()
     while True:
-        for u in range(0, h + 1):
-            for v in range(0, h + 1):
-                if max(u, v) != h and h > 1:
-                    continue
-                if u == 0 and v == 0:
-                    continue
-                t = a[0] * u * u + a[1] * v * v
-                if t == 0:
-                    return (u, v, 0, 0)
-                key = squarefree_kernel(t)
-                if key in seen:
-                    continue
-                seen.add(key)
-                res = ternary_isotropic([a[2], a[3], t])
-                if res is None:
-                    continue
-                X, Y, Z = res
-                if Z == 0:
-                    return (0, 0, X, Y)
-                return (u * Z, v * Z, X, Y)
+        # the pairs of height max(u, v) = h, in the order of u, then v
+        for u, v in ([(u, h) for u in range(h)]
+                     + [(h, v) for v in range(h + 1)]):
+            t = a[0] * u * u + a[1] * v * v
+            if t == 0:
+                return (u, v, 0, 0)
+            key = squarefree_kernel(t)
+            if key in seen:
+                continue
+            seen.add(key)
+            res = ternary_isotropic([a[2], a[3], t])
+            if res is None:
+                continue
+            X, Y, Z = res
+            if Z == 0:
+                return (0, 0, X, Y)
+            return (u * Z, v * Z, X, Y)
         h += 1
         if h > _QUATERNARY_HEIGHT_CAP:
             raise SearchExhausted(

@@ -1,0 +1,253 @@
+"""Each fold of a hand-written derivation into GCRD or ramified_places,
+pinned against the code it replaced.  The reference functions below are
+that code, kept verbatim in behaviour, and each test compares its answers
+with the library's on a few thousand inputs."""
+
+import math
+import random
+from fractions import Fraction as Fr
+from types import SimpleNamespace
+
+import pytest
+
+from quatpoly import qpoly, quadform
+from quatpoly.coordpoly import cp_primitive, cp_unscale
+from quatpoly.errors import SearchExhausted
+from quatpoly.intarith import factorint, squarefree_kernel
+from quatpoly.numberfield import INFINITE_PLACE, NumberField
+from quatpoly.qpoly import (QPoly, factor_central_irreducible, qp_conj,
+                            qp_exact_right_div, qp_lclm, qp_norm,
+                            qp_right_divmod, swap_factors)
+from quatpoly.quadform import (hilbert_symbol, is_local_square,
+                               quaternary_isotropic, ternary_local_obstruction)
+from quatpoly.quatalg import QuaternionAlgebra, q_inv
+from quatpoly.ratpoly import RatPoly, rp_gcd, rp_is_irreducible, rp_xgcd
+
+ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
+            QuaternionAlgebra(-2, -5), QuaternionAlgebra(Fr(-1, 2), -3))
+
+
+def rnd_q(rng, A, height=3):
+    return A.element([rng.randint(-height, height) for _ in range(4)])
+
+
+def rnd_poly(rng, A, deg, height=3, monic=False):
+    coeffs = [rnd_q(rng, A, height) for _ in range(deg + 1)]
+    if monic:
+        coeffs[-1] = A.one()
+    while coeffs[-1].is_zero:
+        coeffs[-1] = rnd_q(rng, A, height)
+    return QPoly(A, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the halves of a split central factor
+
+def ref_halves(A, p, zq):
+    """The norm-reduction loop: each step replaces qp by qp*conj(r)/q,
+    r = qp mod q, until N(qp) = p; then qp is made monic on the right."""
+    qp = QPoly.from_coordinates(A, [qi % p for qi in zq])
+    q = qp_norm(qp).exact_div(p)
+    first_q = q
+    while q.degree > 0:
+        qc = QPoly.from_ratpoly(A, q)
+        _, r = qp_right_divmod(qp, qc)
+        qp = qp_exact_right_div(qp * qp_conj(r), qc)
+        qp = qpoly._wrap(A, cp_unscale(cp_primitive(qpoly._tuples(qp)), 1))
+        newq = qp_norm(qp).exact_div(p)
+        assert newq.degree < q.degree, "degree failed to drop"
+        q = newq
+    c = qp.lc
+    f = qp * QPoly(A, [q_inv(c)])
+    fbar = QPoly(A, [q_inv(c.conj())]) * qp_conj(qp)
+    return [f, fbar], first_q
+
+
+def planted_zero_divisors(rng, A, half, variants):
+    """(p, z) pairs: p = N(q) irreducible for a random monic q of degree
+    half, and z one of q, q*W, W*q and W1*q*W2 mod p."""
+    while True:
+        q = rnd_poly(rng, A, half, monic=True)
+        p = qp_norm(q)
+        if rp_is_irreducible(p):
+            break
+    out = [(p, q)]
+    while len(out) < variants:
+        w1, w2 = (rnd_poly(rng, A, rng.randint(0, 2 * half - 1), height=2)
+                  for _ in range(2))
+        z = [w1 * q, q * w2, w1 * q * w2][len(out) % 3]
+        z = QPoly.from_coordinates(A, [c % p for c in z.coordinates()])
+        if not z.is_zero:
+            out.append((p, z))
+    return out
+
+
+def test_halves_are_the_gcrd_of_the_reduction_loop(monkeypatch):
+    """factor_central_irreducible returns the halves the reduction loop
+    gave, and the same first quotient N(z)/p, on planted zero divisors z
+    of degree 4, 6 and 8 central factors over four algebras."""
+    planted = {}
+    monkeypatch.setattr(qpoly, "nf_splits_quaternion", lambda *a: True)
+    monkeypatch.setattr(qpoly, "subfield_factor", lambda *a, **k: None)
+    monkeypatch.setattr(qpoly, "search_zero_divisor",
+                        lambda *a, **k: planted["zd"])
+    rng = random.Random(131)
+    cases = looped = 0
+    for A in ALGEBRAS:
+        for half, count in ((2, 60), (3, 25), (4, 10)):
+            for _ in range(count):
+                for p, z in planted_zero_divisors(rng, A, half, 6):
+                    zq = z.coordinates()
+                    want, first_q = ref_halves(A, p, zq)
+                    planted["zd"] = SimpleNamespace(q=zq)
+                    out = factor_central_irreducible(
+                        p, A, field=NumberField.unchecked(p))
+                    assert out.factors == want
+                    assert out.first_quotient == first_q
+                    cases += 1
+                    looped += first_q.degree > 0
+    assert cases >= 2000 and looped >= 1000
+
+
+# ---------------------------------------------------------------------------
+# factor swaps
+
+def ref_swap(p, q):
+    """The Bezout-LCLM swap: with u N(p) + v N(q) = 1, p1 is the monic
+    LCLM(p, conj(q) v) / (conj(q) v); a central factor is swapped as is."""
+    np, nq = qp_norm(p), qp_norm(q)
+    if p.is_central or q.is_central:
+        return q, p
+    _, u, v = rp_xgcd(np, nq)
+    qstar = qp_conj(q) * QPoly.from_ratpoly(q.parent, v)
+    p1 = qp_exact_right_div(qp_lclm(p, qstar), qstar).monic()
+    return qp_exact_right_div(p * q, p1), p1
+
+
+def rnd_factor(rng, A, central):
+    """A monic factor: a central x - r or x^2 + s, or a random monic
+    linear or quadratic one."""
+    deg = rng.randint(1, 2)
+    if central:
+        c = [RatPoly([-rng.randint(-5, 5), 1]),
+             RatPoly([rng.randint(1, 9), 0, 1])][deg - 1]
+        return QPoly.from_ratpoly(A, c)
+    return rnd_poly(rng, A, deg, monic=True)
+
+
+def test_swap_is_the_bezout_lclm_swap():
+    rng = random.Random(137)
+    done = central = 0
+    while done < 1000:
+        A = ALGEBRAS[done % len(ALGEBRAS)]
+        kind = done % 4
+        p = rnd_factor(rng, A, kind == 1)
+        q = rnd_factor(rng, A, kind == 2)
+        if rp_gcd(qp_norm(p), qp_norm(q)).degree > 0:
+            continue
+        assert swap_factors(p, q) == ref_swap(p, q)
+        done += 1
+        central += p.is_central or q.is_central
+    assert central >= 200
+
+
+# ---------------------------------------------------------------------------
+# local obstructions
+
+def _relevant_places(coeffs):
+    places = {2, INFINITE_PLACE}
+    for c in coeffs:
+        places.update(factorint(abs(squarefree_kernel(c))))
+    return sorted(places, key=lambda v: (v == INFINITE_PLACE, v))
+
+
+def ref_ternary_obstruction(coeffs):
+    """The first place where the Hasse invariant differs from
+    (-1, -det)_v."""
+    a, b, c = [Fr(x) for x in coeffs]
+    det = a * b * c
+    for v in _relevant_places([a, b, c]):
+        hasse = (hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
+                 * hilbert_symbol(b, c, v))
+        if hasse != hilbert_symbol(-1, -det, v):
+            return v
+    return None
+
+
+def ref_quaternary_obstruction(a):
+    """The first place where the form is definite, or where det is a
+    square and the Hasse invariant differs from (-1, -1)_v."""
+    det = a[0] * a[1] * a[2] * a[3]
+    for v in _relevant_places(a):
+        if v == INFINITE_PLACE:
+            if all(c > 0 for c in a) or all(c < 0 for c in a):
+                return v
+            continue
+        if not is_local_square(det, v):
+            continue
+        hasse = 1
+        for i in range(4):
+            for j in range(i + 1, 4):
+                hasse *= hilbert_symbol(a[i], a[j], v)
+        if hasse != hilbert_symbol(-1, -1, v):
+            return v
+    return None
+
+
+def rnd_coeff(rng):
+    num = rng.choice([-1, 1]) * rng.randint(1, 60)
+    return Fr(num, rng.choice([1, 1, 2, 3, 4, 5, 9, 12]))
+
+
+# a ternary form is anisotropic at an even number of places, so a finite
+# prime always comes before the real place
+@pytest.mark.parametrize("n, new, ref, seen", [
+    (3, ternary_local_obstruction, ref_ternary_obstruction, {None, 2, 3}),
+    (4, quadform._quaternary_local_obstruction, ref_quaternary_obstruction,
+     {None, INFINITE_PLACE, 2, 3})])
+def test_obstruction_is_the_hasse_loop(n, new, ref, seen):
+    rng = random.Random(139 + n)
+    places = set()
+    for _ in range(10000):
+        a = [rnd_coeff(rng) for _ in range(n)]
+        v = new(a)
+        assert v == ref(a), a
+        places.add(v)
+    assert seen <= places
+
+
+def test_obstructions_leave_the_algebra_cache_alone():
+    quadform.ramified_places.cache_clear()
+    ternary_local_obstruction([1, 1, 1])
+    quadform._quaternary_local_obstruction([Fr(1)] * 4)
+    assert quadform.ramified_places.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the height loop of quaternary_isotropic
+
+def test_height_loop_walks_only_pairs_of_height_h(monkeypatch):
+    """The pairs tried at each height come in the order of the old
+    comprehension over the whole square, up to height 200, and the search
+    stops at the injected cap."""
+    cap = 200
+    tried = []
+
+    def no_solution(coeffs):
+        # t = u^2 + 10^6 v^2 names the pair (u, v) for u < 1000
+        v2, u2 = divmod(int(coeffs[2]), 10 ** 6)
+        tried.append((math.isqrt(u2), math.isqrt(v2)))
+        return None
+
+    monkeypatch.setattr(quadform, "_QUATERNARY_HEIGHT_CAP", cap)
+    monkeypatch.setattr(quadform, "_quaternary_local_obstruction",
+                        lambda a: None)
+    monkeypatch.setattr(quadform, "ternary_isotropic", no_solution)
+    # no two values share a square class, so every pair is tried
+    monkeypatch.setattr(quadform, "squarefree_kernel", lambda t: t)
+    with pytest.raises(SearchExhausted, match="height cap of %d" % cap):
+        quaternary_isotropic([1, 10 ** 6, -3, -5])
+    old = [(u, v) for h in range(1, cap + 1)
+           for u in range(0, h + 1) for v in range(0, h + 1)
+           if (max(u, v) == h or h <= 1) and (u, v) != (0, 0)]
+    assert tried == old
