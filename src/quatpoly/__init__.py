@@ -19,8 +19,8 @@ from .qpoly import (BeckDecomposition, Factorization, QPoly, RootSet,
 from .quadform import (PlaceSet, ZeroDivisorCertificate, find_zero_divisor,
                        hilbert_symbol, is_division, is_local_square,
                        quaternary_isotropic, ramified_places, represent_pure,
-                       search_zero_divisor, ternary_isotropic,
-                       ternary_local_obstruction)
+                       search_zero_divisor, subfield_zero_divisor,
+                       ternary_isotropic, ternary_local_obstruction)
 from .quatalg import (CharPoly, Quaternion, QuaternionAlgebra, charpoly,
                       embed_quadratic, is_conjugate, q_inv)
 from .ratpoly import (RatPoly, from_int_list, rp_discriminant, rp_factor,

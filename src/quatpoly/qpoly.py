@@ -8,7 +8,6 @@ a zero-divisor certificate, the complete factorization loop, factor
 reordering, and root enumeration up to conjugacy.
 """
 
-import math
 from fractions import Fraction
 
 from . import dense, ratpoly
@@ -17,13 +16,11 @@ from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation)
-from .intarith import squarefree_kernel
-from .numberfield import (NumberField, nf_factor_over_quadratic,
-                          nf_quadratic_candidates, nf_splits_quaternion)
+from .numberfield import NumberField, nf_splits_quaternion
 from .quadform import (find_zero_divisor, search_zero_divisor,
-                       splits_in_quadratic)
-from .quatalg import (Quaternion, coord_mul, coord_norm, embed_quadratic,
-                      is_conjugate, make_quaternion, q_inv)
+                       subfield_zero_divisor)
+from .quatalg import (Quaternion, coord_mul, coord_norm, is_conjugate,
+                      make_quaternion, q_inv)
 from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible
 
 Fr = Fraction
@@ -391,74 +388,34 @@ def _root_field(p, field, message):
 
 
 def subfield_factor(p, A, field=None):
-    """Split a central irreducible p as q * conj(q) over an embedded
-    quadratic subfield, or None when no subfield works.  field, when
-    given, is Q[x]/(p) already built, and p is not tested again.
-
-    A quadratic p is its own subfield and splits in closed form
-    (_quadratic_half); a p of degree >= 4 walks the candidate subfields
-    with a Trager factorization over each (_subfield_half)."""
+    """Split a central irreducible p as conj(q) * q over an embedded
+    quadratic subfield, or None when no subfield works: conj(q) is the
+    zero divisor of subfield_zero_divisor, cut by _halves.  field, when
+    given, is Q[x]/(p) already built, and p is not tested again."""
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation("input must be monic in Q[x]")
     message = "input must be irreducible of degree >= 2"
     if p.degree < 2:
         raise PreconditionViolation(message)
     L = _root_field(p, field, message)
-    q = _quadratic_half(p, A) if p.degree == 2 else _subfield_half(p, A, L)
-    if q is None:
+    zd = subfield_zero_divisor(A.alpha, A.beta, L)
+    if zd is None:
         return None
-    qbar = qp_conj(q)
-    if q * qbar != QPoly.from_ratpoly(A, p):
-        raise InternalInvariantViolation("embedded halves mismatch")
-    # the halves commute (coefficients lie in Q(a)), so either order
-    # works; lead with the conjugate so x^2+1 comes out (x-i)(x+i)
-    return qbar, q
+    return _halves(QPoly.from_coordinates(A, zd.q), QPoly.from_ratpoly(A, p))
 
 
-def _quadratic_half(p, A):
-    """x - (t/2 + u a) for an irreducible p = x^2 - t x + n, or None.
-
-    With t^2 - 4n = s^2 d, d squarefree and s > 0, the roots of p are
-    r = t/2 + u sqrt(d) and its conjugate, u = +-s/2; they embed in A
-    through a = embed_quadratic(A, d) exactly when Q(sqrt d) splits A.
-    The sign is the one the Trager factorization over Q(sqrt d) takes
-    first: -s/2 for d < 0 and +s/2 for d > 0."""
-    n, t = p[0], -p[1]
-    disc = t * t - 4 * n
-    d = squarefree_kernel(disc)
-    if not splits_in_quadratic(A.alpha, A.beta, d):
-        return None
-    s2 = disc / d
-    s = Fr(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
-    r0, u = t / 2, (s if d > 0 else -s) / 2
-    # (x - r)(x - conj r) has the coefficients of p
-    if (2 * r0, r0 * r0 - d * u * u) != (t, n):
-        raise InternalInvariantViolation(
-            "quadratic roots fail to reconstruct the input")
-    return QPoly(A, [-(A.scalar(r0) + u * embed_quadratic(A, d)), A.one()])
-
-
-def _subfield_half(p, A, L):
-    """The first factor of p over the first candidate subfield Q(sqrt d)
-    of L = Q[x]/(p) that splits A and over which p splits, embedded in
-    A[x] through a = embed_quadratic(A, d); None when there is none."""
-    for d in nf_quadratic_candidates(L):
-        if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
-            continue
-        # p splits over Q(sqrt d) exactly when Q(sqrt d) is a subfield of L
-        L2, parts = nf_factor_over_quadratic(p, d)
-        if len(parts) == 1:
-            continue
-        g = parts[0]
-        gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
-        prod = dense.mul(g, gbar, L2.field)
-        if [c.coords for c in prod] != \
-                [L2.from_rational(c).coords for c in p.coeffs]:
-            raise InternalInvariantViolation(
-                "conjugate halves fail to reconstruct the input")
-        a = embed_quadratic(A, d)
-        return QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a for c in g])
-    return None
+def _halves(z, P):
+    """(f, conj f) with f conj(f) = P = p, for a zero divisor z of
+    A (x) Q[x]/(p) read as a polynomial.  z is neither 0 nor a unit mod p,
+    so z A[x] + p A[x] lies strictly between p A[x] and A[x]: its monic
+    generator f, the greatest common left divisor of z and p, has norm p.
+    As p is central and rational, f is conj(GCRD(conj z, p))."""
+    fbar = qp_gcrd(qp_conj(z), P)
+    f = qp_conj(fbar)
+    # a divisor of the wrong degree has norm 1 or p^2, not p
+    if f * fbar != P:
+        raise InternalInvariantViolation("halves do not multiply back to p")
+    return f, fbar
 
 
 def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
@@ -466,22 +423,15 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
     """Algorithm for a central irreducible p: either p stays irreducible
     or it splits into a conjugate pair of half-degree factors.  field,
     when given, is Q[x]/(p) already built, and p is not tested again.
-
-    A zero divisor z of A (x) Q[x]/(p), read as a polynomial reduced mod p,
-    is neither 0 nor a unit mod p, so z A[x] + p A[x] lies strictly between
-    p A[x] and A[x]: its monic generator, the greatest common left divisor
-    of z and p, has norm p.  As p is central and rational, that divisor is
-    conj(GCRD(conj z, p)), and its conjugate is the other half."""
+    The zero divisor comes from a quadratic subfield, the certificate
+    cert or the seeded search."""
     message = "input must be monic irreducible in Q[x]"
     if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
         raise PreconditionViolation(message)
     L = _root_field(p, field, message)
     P = QPoly.from_ratpoly(A, p)
-    whole = Factorization(A.one(), [P])
-    if p.degree % 2 == 1:
-        return whole
-    if not nf_splits_quaternion(A.alpha, A.beta, L):
-        return whole
+    if p.degree % 2 == 1 or not nf_splits_quaternion(A.alpha, A.beta, L):
+        return Factorization(A.one(), [P])
     pair = subfield_factor(p, A, field=L)
     if pair is not None:
         return Factorization(A.one(), list(pair))
@@ -493,12 +443,7 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
         zd = search_zero_divisor(A.alpha, A.beta, L, seed=seed,
                                  max_height=max_height)
     z = QPoly.from_coordinates(A, [qi % p for qi in zd.q])
-    fbar = qp_gcrd(qp_conj(z), P)
-    f = qp_conj(fbar)
-    # a divisor of the wrong degree has norm 1 or p^2, not p
-    if f * fbar != P:
-        raise InternalInvariantViolation("halves do not multiply back to p")
-    out = Factorization(A.one(), [f, fbar])
+    out = Factorization(A.one(), _halves(z, P))
     out.first_quotient = qp_norm(z).exact_div(p)
     return out
 
@@ -598,8 +543,7 @@ def roots(p):
                 return
         reps.append(a)
 
-    central_factors = rp_factor(b.central).factors if b.central.degree > 0 \
-        else []
+    central_factors = rp_factor(b.central).factors
     for r, _e in central_factors:
         if r.degree == 1:
             push(A.scalar(-r[0]))

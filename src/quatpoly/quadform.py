@@ -3,7 +3,10 @@ zero-divisor machinery for a quaternion algebra extended to a number field.
 
 Ternary isotropy runs the classical Lagrange descent (square roots modulo
 squarefree numbers via Tonelli-Shanks and CRT); quaternary isotropy looks
-for a value represented by both binary halves.  Everything is exact.
+for a value represented by both binary halves.  The quadratic-subfield
+decision (which Q(sqrt d) splits the algebra and lies in the field, and
+the pure quaternion with square d) is made here alone, in
+subfield_zero_divisor.  Everything is exact.
 """
 
 import functools
@@ -19,7 +22,9 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
                      SearchExhausted, SplitAlgebra)
 from .intarith import (factorint, legendre, sqrt_mod_squarefree,
                        squarefree_kernel, squarefree_part)
-from .numberfield import INFINITE_PLACE, check_place, nf_quadratic_candidates, nf_sqrt
+from .numberfield import (INFINITE_PLACE, check_place,
+                          nf_factor_over_quadratic, nf_quadratic_candidates,
+                          nf_splits_quaternion, nf_sqrt)
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -468,14 +473,77 @@ def splits_in_quadratic(alpha, beta, d):
     return True
 
 
-def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
-    """A ZeroDivisorCertificate for (alpha, beta / Q) tensor L.
+def _quadratic_half(p, d):
+    """The first factor g = x - (t/2 + u sqrt d) of p = x^2 - t x + n
+    over its own field Q(sqrt d), t^2 - 4n = s^2 d and s > 0, with the
+    sign the Trager factorization over Q(sqrt d) takes first: u = -s/2
+    for d < 0 and +s/2 for d > 0."""
+    n, t = p[0], -p[1]
+    s2 = (t * t - 4 * n) / d
+    s = Fr(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
+    r0, u = t / 2, (s if d > 0 else -s) / 2
+    # (x - r)(x - conj r) has the coefficients of p
+    if (2 * r0, r0 * r0 - d * u * u) != (t, n):
+        raise InternalInvariantViolation(
+            "quadratic roots fail to reconstruct the input")
+    return [(-r0, -u), (1, 0)]
 
-    Layered: (1) validate a supplied certificate, (2) go through a
-    quadratic subfield when one splits the algebra, (3) the seeded bounded
-    search of search_zero_divisor.
-    """
-    from .numberfield import nf_splits_quaternion
+
+def _trager_half(p, d):
+    """The first factor of p over Q(sqrt d), or None when p stays
+    irreducible there, that is when Q(sqrt d) is no subfield of Q[x]/(p)."""
+    L2, parts = nf_factor_over_quadratic(p, d)
+    if len(parts) == 1:
+        return None
+    g = parts[0]
+    gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
+    prod = dense.mul(g, gbar, L2.field)
+    if [c.coords for c in prod] != \
+            [L2.from_rational(c).coords for c in p.coeffs]:
+        raise InternalInvariantViolation(
+            "conjugate halves fail to reconstruct the input")
+    return [c.coords for c in g]
+
+
+def subfield_zero_divisor(alpha, beta, L):
+    """Layer 2 of find_zero_divisor alone: conj(g) for the first factor g
+    of p = L.minpoly over the first quadratic subfield Q(sqrt d) of L
+    that splits the algebra (in the order of nf_quadratic_candidates; a
+    quadratic p is its own), or None.  With sqrt d read as the pure
+    quaternion a of represent_pure, the coefficients of g lie in Q(a) and
+    commute, so p = conj(g) g and conj(g) has norm 0 in A (x) L."""
+    alpha, beta = Fr(alpha), Fr(beta)
+    p = L.minpoly
+    quadratic = p.degree == 2
+    ds = ([squarefree_kernel(p[1] * p[1] - 4 * p[0])] if quadratic
+          else nf_quadratic_candidates(L))
+    for d in ds:
+        if not splits_in_quadratic(alpha, beta, d):
+            continue
+        g = _quadratic_half(p, d) if quadratic else _trager_half(p, d)
+        if g is None:
+            continue
+        rep = represent_pure(alpha, beta, d)
+        if rep is None:
+            raise InternalInvariantViolation(
+                "local embedding condition held but representation failed")
+        x, y, z = rep
+        # a^2 = alpha x^2 + beta y^2 - alpha beta z^2
+        if alpha * x * x + beta * y * y - alpha * beta * z * z != d:
+            raise InternalInvariantViolation(
+                "pure quaternion does not square to d")
+        # conj(g) = sum (c0 - c1 a) x^m over the coefficients c0 + c1 sqrt d
+        q0, c1 = map(RatPoly, zip(*g))
+        cert = ZeroDivisorCertificate(alpha, beta, p,
+                                      (q0, -x * c1, -y * c1, -z * c1))
+        return cert.validate()
+    return None
+
+
+def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
+    """A ZeroDivisorCertificate for (alpha, beta / Q) tensor L, in layers:
+    (1) validate a supplied certificate, (2) subfield_zero_divisor, (3) the
+    seeded bounded search of search_zero_divisor."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     if cert is not None:
@@ -485,27 +553,9 @@ def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
         return cert.validate()
     if not nf_splits_quaternion(alpha, beta, L):
         raise DegenerateInput("algebra does not split over L")
-    # layer 2: quadratic subfield
-    for d in nf_quadratic_candidates(L):
-        if not splits_in_quadratic(alpha, beta, d):
-            continue
-        s = nf_sqrt(Fr(d), L)
-        if s is None:
-            continue  # Q(sqrt d) is not a subfield of L
-        if s * s != L.from_rational(d):
-            raise InternalInvariantViolation("subfield square root is wrong")
-        rep = represent_pure(alpha, beta, Fr(d))
-        if rep is None:
-            raise InternalInvariantViolation(
-                "local embedding condition held but representation failed")
-        x, y, z = rep
-        cert = ZeroDivisorCertificate(
-            alpha, beta, L.minpoly,
-            (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
-             RatPoly.const(z)))
-        return cert.validate()
-    return search_zero_divisor(alpha, beta, L, seed=seed,
-                               max_height=max_height)
+    return (subfield_zero_divisor(alpha, beta, L)
+            or search_zero_divisor(alpha, beta, L, seed=seed,
+                                   max_height=max_height))
 
 
 def _check_trials(max_height):

@@ -119,6 +119,10 @@ class RatPoly:
         return dense.power(self, n, RatPoly.const(1))
 
     def __divmod__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RatPoly.const(other)
+        if not isinstance(other, RatPoly):
+            return NotImplemented
         if other.is_zero:
             raise DegenerateInput("division by zero polynomial")
         q, r = dense.divmod(self.coeffs, other.coeffs, QQ)

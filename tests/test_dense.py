@@ -231,3 +231,36 @@ def test_norm_stays_on_integer_coordinates():
     """qp_norm works on the integer coordinate tuples of the kernel; a
     RatPoly or QPoly product inside it shows here."""
     assert _names_named("qpoly.py", _NORM_STEPS, _QPOLY_NAMES) == []
+
+
+# the quadratic-subfield decision, made in quadform alone
+_SUBFIELD_NAMES = {"nf_factor_over_quadratic", "nf_quadratic_candidates",
+                   "splits_in_quadratic", "embed_quadratic",
+                   "represent_pure", "squarefree_kernel"}
+_LAYER_2_NAMES = {"nf_sqrt", "represent_pure", "nf_quadratic_candidates"}
+
+
+def _identifiers(node):
+    """Every name under node: variables, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+
+
+def test_subfield_decision_stays_in_quadform():
+    """qpoly only cuts the zero divisor subfield_zero_divisor returns, and
+    layer 2 of find_zero_divisor is that function: a second subfield path
+    in either shows here."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    qpoly_tree = ast.parse((src / "qpoly.py").read_text())
+    assert sorted(set(_identifiers(qpoly_tree)) & _SUBFIELD_NAMES) == []
+    quadform_tree = ast.parse((src / "quadform.py").read_text())
+    layers = [node for node in quadform_tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "find_zero_divisor"]
+    assert len(layers) == 1
+    assert sorted(set(_identifiers(layers[0])) & _LAYER_2_NAMES) == []

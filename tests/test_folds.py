@@ -1,5 +1,5 @@
-"""Each fold of a hand-written derivation into GCRD or ramified_places,
-pinned against the code it replaced.  The reference functions below are
+"""Each fold of a hand-written derivation into GCRD, ramified_places or
+one subfield path, pinned against the code it replaced.  The reference functions below are
 that code, kept verbatim in behaviour, and each test compares its answers
 with the library's on a few thousand inputs."""
 
@@ -10,17 +10,23 @@ from types import SimpleNamespace
 
 import pytest
 
-from quatpoly import qpoly, quadform
+from quatpoly import dense, qpoly, quadform
 from quatpoly.coordpoly import cp_primitive, cp_unscale
-from quatpoly.errors import SearchExhausted
+from quatpoly.errors import (DegenerateInput, EmbeddingObstructed,
+                             InternalInvariantViolation, SearchExhausted)
 from quatpoly.intarith import factorint, squarefree_kernel
-from quatpoly.numberfield import INFINITE_PLACE, NumberField
+from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
+                                  nf_factor_over_quadratic,
+                                  nf_quadratic_candidates, nf_sqrt)
 from quatpoly.qpoly import (QPoly, factor_central_irreducible, qp_conj,
                             qp_exact_right_div, qp_lclm, qp_norm,
-                            qp_right_divmod, swap_factors)
-from quatpoly.quadform import (hilbert_symbol, is_local_square,
-                               quaternary_isotropic, ternary_local_obstruction)
-from quatpoly.quatalg import QuaternionAlgebra, q_inv
+                            qp_right_divmod, subfield_factor, swap_factors)
+from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
+                               is_local_square, quaternary_isotropic,
+                               represent_pure, splits_in_quadratic,
+                               subfield_zero_divisor,
+                               ternary_local_obstruction)
+from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
 from quatpoly.ratpoly import RatPoly, rp_gcd, rp_is_irreducible, rp_xgcd
 
 ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
@@ -251,3 +257,158 @@ def test_height_loop_walks_only_pairs_of_height_h(monkeypatch):
            for u in range(0, h + 1) for v in range(0, h + 1)
            if (max(u, v) == h or h <= 1) and (u, v) != (0, 0)]
     assert tried == old
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-subfield zero divisor
+
+def ref_embed_quadratic(A, d):
+    """A pure quaternion with square d, realizing Q(sqrt d) inside A."""
+    d = Fr(d)
+    if d == 0:
+        raise DegenerateInput("d must be nonzero")
+    if not splits_in_quadratic(A.alpha, A.beta, d):
+        raise EmbeddingObstructed(
+            "Q(sqrt %s) does not embed: it does not split the algebra" % (d,))
+    rep = represent_pure(A.alpha, A.beta, d)
+    if rep is None:
+        raise EmbeddingObstructed(
+            "no pure quaternion of square %s exists" % (d,))
+    x, y, z = rep
+    a = Quaternion(A, (0, x, y, z))
+    if a * a != A.scalar(d):
+        raise EmbeddingObstructed("representation did not square to d")
+    return a
+
+
+def ref_quadratic_half(p, A):
+    """x - (t/2 + u a) for an irreducible p = x^2 - t x + n, or None."""
+    n, t = p[0], -p[1]
+    disc = t * t - 4 * n
+    d = squarefree_kernel(disc)
+    if not splits_in_quadratic(A.alpha, A.beta, d):
+        return None
+    s2 = disc / d
+    s = Fr(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
+    r0, u = t / 2, (s if d > 0 else -s) / 2
+    # (x - r)(x - conj r) has the coefficients of p
+    if (2 * r0, r0 * r0 - d * u * u) != (t, n):
+        raise InternalInvariantViolation(
+            "quadratic roots fail to reconstruct the input")
+    return QPoly(A, [-(A.scalar(r0) + u * ref_embed_quadratic(A, d)),
+                     A.one()])
+
+
+def ref_subfield_half(p, A, L):
+    """The first factor of p over the first candidate subfield Q(sqrt d)
+    of L = Q[x]/(p) that splits A and over which p splits, embedded in
+    A[x] through a = embed_quadratic(A, d); None when there is none."""
+    for d in nf_quadratic_candidates(L):
+        if not splits_in_quadratic(A.alpha, A.beta, Fr(d)):
+            continue
+        # p splits over Q(sqrt d) exactly when Q(sqrt d) is a subfield of L
+        L2, parts = nf_factor_over_quadratic(p, d)
+        if len(parts) == 1:
+            continue
+        g = parts[0]
+        gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
+        prod = dense.mul(g, gbar, L2.field)
+        if [c.coords for c in prod] != \
+                [L2.from_rational(c).coords for c in p.coeffs]:
+            raise InternalInvariantViolation(
+                "conjugate halves fail to reconstruct the input")
+        a = ref_embed_quadratic(A, d)
+        return QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a for c in g])
+    return None
+
+
+def ref_subfield_factor(p, A):
+    """(conj q, q) from the two halves above, checked by q * conj(q)."""
+    L = NumberField(p)
+    q = ref_quadratic_half(p, A) if p.degree == 2 \
+        else ref_subfield_half(p, A, L)
+    if q is None:
+        return None
+    qbar = qp_conj(q)
+    if q * qbar != QPoly.from_ratpoly(A, p):
+        raise InternalInvariantViolation("embedded halves mismatch")
+    return qbar, q
+
+
+def ref_layer_2(alpha, beta, L):
+    """The old subfield layer of find_zero_divisor: -sqrt(d) + a, with
+    sqrt(d) from nf_sqrt and a from represent_pure; None when no subfield
+    splits the algebra."""
+    for d in nf_quadratic_candidates(L):
+        if not splits_in_quadratic(alpha, beta, d):
+            continue
+        s = nf_sqrt(Fr(d), L)
+        if s is None:
+            continue  # Q(sqrt d) is not a subfield of L
+        if s * s != L.from_rational(d):
+            raise InternalInvariantViolation("subfield square root is wrong")
+        rep = represent_pure(alpha, beta, Fr(d))
+        if rep is None:
+            raise InternalInvariantViolation(
+                "local embedding condition held but representation failed")
+        x, y, z = rep
+        cert = ZeroDivisorCertificate(
+            alpha, beta, L.minpoly,
+            (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
+             RatPoly.const(z)))
+        return cert.validate()
+    return None
+
+
+SUBFIELD_ALGEBRAS = ALGEBRAS + (QuaternionAlgebra(-1, 3),)
+
+
+def subfield_norms(rng, A, count):
+    """count irreducible norms N(q) of monic q of degree 1, 2 and 3 in
+    turn; two in three of degree 2 or 3 have coefficients in Q(u) for a
+    pure quaternion u, so that Q(sqrt(u^2)) is a subfield splitting A."""
+    out = []
+    while len(out) < count:
+        deg = 1 + len(out) % 3
+        if deg > 1 and len(out) % 9 < 6:
+            u = A.element([0] + [rng.randint(-2, 2) for _ in range(3)])
+            coeffs = [A.scalar(rng.randint(-3, 3)) + rng.randint(-2, 2) * u
+                      for _ in range(deg)]
+        else:
+            coeffs = [rnd_q(rng, A, 3) for _ in range(deg)]
+        p = qp_norm(QPoly(A, coeffs + [A.one()]))
+        if rp_is_irreducible(p):
+            out.append(p)
+    return out
+
+
+def test_one_subfield_path_gives_the_old_halves_and_layer_2():
+    """subfield_factor gives the pairs (conj q, q) of the closed form and
+    the Trager walk it replaced, on irreducible norms over five algebras;
+    and where the old layer 2 found -sqrt(d) + a, subfield_zero_divisor
+    finds conj(q) through the same d: its pure part is a multiple of a."""
+    rng = random.Random(149)
+    splits = {2: 0, 4: 0, 6: 0}
+    cases = 0
+    for A in SUBFIELD_ALGEBRAS:
+        for p in subfield_norms(rng, A, 80):
+            cases += 1
+            want = ref_subfield_factor(p, A)
+            assert subfield_factor(p, A) == want, (p, A)
+            L = NumberField(p)
+            old = ref_layer_2(A.alpha, A.beta, L)
+            new = subfield_zero_divisor(A.alpha, A.beta, L)
+            assert (old is None) == (new is None) == (want is None), (p, A)
+            if want is None:
+                continue
+            splits[p.degree] += 1
+            assert new == ZeroDivisorCertificate(
+                A.alpha, A.beta, p, want[0].coordinates())
+            new.validate()
+            old.validate()
+            a = [c[0] for c in old.q[1:]]
+            pure = new.q[1:]
+            assert all(pure[i] * a[j] == pure[j] * a[i]
+                       for i in range(3) for j in range(i)), (p, A)
+    assert cases == 400 and splits[4] + splits[6] >= 100
+    assert 0 < sum(splits.values()) < cases

@@ -393,8 +393,8 @@ class TestSubfieldFactor:
         def forbidden(*args):
             raise AssertionError("subfield walk on a quadratic")
 
-        monkeypatch.setattr(qpoly, "nf_quadratic_candidates", forbidden)
-        monkeypatch.setattr(qpoly, "nf_factor_over_quadratic", forbidden)
+        monkeypatch.setattr(quadform, "nf_quadratic_candidates", forbidden)
+        monkeypatch.setattr(quadform, "nf_factor_over_quadratic", forbidden)
         pairs = [subfield_factor(from_int_list(c), H13)
                  for c in ([1, 0, 1], [3, 2, 1], [-2, 0, 1], [7, 1, 1])]
         assert pairs[-1] is not None

@@ -18,6 +18,8 @@ from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
                                represent_pure, search_zero_divisor,
                                splits_in_quadratic, ternary_isotropic,
                                ternary_local_obstruction)
+from quatpoly.qpoly import subfield_factor
+from quatpoly.quatalg import QuaternionAlgebra
 from quatpoly.ratpoly import RatPoly, from_int_list
 
 
@@ -479,13 +481,10 @@ class TestFindZeroDivisor:
                       if splits_in_quadratic(alpha, beta, d)]
                 if not ds or not nf_splits_quaternion(alpha, beta, L):
                     continue
-                d = ds[0]
-                x, y, z = represent_pure(alpha, beta, Fr(d))
-                s = nf_sqrt(Fr(d), L)
-                want = ZeroDivisorCertificate(
-                    alpha, beta, L.minpoly,
-                    (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
-                     RatPoly.const(z)))
+                pair = subfield_factor(L.minpoly,
+                                       QuaternionAlgebra(alpha, beta))
+                want = ZeroDivisorCertificate(alpha, beta, L.minpoly,
+                                              pair[0].coordinates())
                 assert find_zero_divisor(alpha, beta, L) == want
                 hits += 1
         assert hits >= 4

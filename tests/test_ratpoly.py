@@ -112,6 +112,20 @@ class TestArithmetic:
             assert q * d + r == p
             assert r.is_zero or r.degree < d.degree
 
+    def test_division_by_a_scalar(self):
+        """An int or Fraction divisor is the constant polynomial, as it is
+        for +, - and *; any other divisor type is a TypeError."""
+        p = from_int_list([1, 2, 3])
+        assert p // 2 == p * Fr(1, 2)
+        assert p % 3 == 0
+        assert divmod(p, Fr(1, 2)) == (p * 2, RatPoly())
+        assert p.exact_div(2) == p * Fr(1, 2)
+        for zero in (0, Fr(0)):
+            with pytest.raises(DegenerateInput):
+                p // zero
+        with pytest.raises(TypeError):
+            divmod(p, "x")
+
     def test_gcd_properties(self):
         rng = random.Random(2)
         for _ in range(100):
