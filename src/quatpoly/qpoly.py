@@ -9,19 +9,22 @@ reordering, and root enumeration up to conjugacy.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import dense, ratpoly
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
                         cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     InternalInvariantViolation, PreconditionViolation)
+                     InternalInvariantViolation, PreconditionViolation,
+                     ZeroDivisorEncountered)
 from .numberfield import NumberField, nf_splits_quaternion
 from .quadform import (find_zero_divisor, search_zero_divisor,
                        subfield_zero_divisor)
 from .quatalg import (Quaternion, coord_mul, coord_norm, is_conjugate,
                       make_quaternion, q_inv)
-from .ratpoly import RatPoly, rp_factor, rp_gcd, rp_is_irreducible
+from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
+                      rp_factor, rp_gcd, rp_is_irreducible)
 
 Fr = Fraction
 
@@ -222,7 +225,7 @@ def qp_norm(p):
     if any(c[1] or c[2] or c[3] for c in prod) or \
             dense.trim([c[0] for c in prod]) != n:
         raise InternalInvariantViolation("norm is not central")
-    return ratpoly._wrap([Fr(c, den * den) for c in n])
+    return from_int_list(n, den * den)
 
 
 def qp_right_divmod(p, d):
@@ -317,19 +320,32 @@ class BeckDecomposition:
 
 
 def beck_decompose(p):
+    """p = lc(p) * q * cen, on the integer coordinates of the kernel.
+    With P = dp*p, M = dm*conj(P[-1])*P is dm*N(P[-1]) times lc(p)^-1*p
+    with integer entries; cen is the primitive gcd of M's coordinate
+    columns and Q = M/cen column by column, exact by Gauss's lemma, so
+    q = Q*lc(cen)/(dm*N(P[-1])) and the monic central part is
+    cen/lc(cen).  The check P[-1]*(Q*cen) = dm*N(P[-1])*P is p = lc*q*cen
+    over Z."""
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
     A = p.parent
-    c = p.lc
-    m = QPoly(A, [q_inv(c)]) * p
-    nonzero = [g for g in m.coordinates() if not g.is_zero]
-    cen = nonzero[0]
-    for g in nonzero[1:]:
-        cen = rp_gcd(cen, g)
-    q = qp_exact_right_div(m, QPoly.from_ratpoly(A, cen))
-    if QPoly(A, [c]) * q * QPoly.from_ratpoly(A, cen) != p:
+    al, be = _ab(A)
+    _, P = cp_scaled(_tuples(p))
+    t, x, y, z = lc = P[-1]
+    n = coord_norm(al, be, lc)
+    if n == 0:
+        raise ZeroDivisorEncountered("nonzero element with zero norm",
+                                     witness=p.lc)
+    dm, M = cp_scaled([coord_mul(al, be, (t, -x, -y, -z), a) for a in P])
+    cen, cols = primitive_gcd_cofactors(
+        [dense.trim([a[i] for a in M]) for i in range(4)])
+    Q = list(zip_longest(*cols, fillvalue=0))
+    QC = cp_mul(al, be, Q, [(c, 0, 0, 0) for c in cen])
+    if cp_mul(al, be, [lc], QC) != cp_scale(dm * n, P):
         raise InternalInvariantViolation("Beck decomposition mismatch")
-    return BeckDecomposition(c, q, cen)
+    q = _wrap(A, cp_unscale(cp_scale(cen[-1], Q), dm * n))
+    return BeckDecomposition(p.lc, q, from_int_list(cen, cen[-1]))
 
 
 def is_irreducible(p):
@@ -363,10 +379,15 @@ class Factorization:
         self.factors = list(factors)
 
     def expand(self):
-        out = QPoly(self.leading.parent, [self.leading])
+        """The product, multiplied on the kernel: each factor is scaled to
+        integers once and the chain is unscaled once."""
+        A = self.leading.parent
+        al, be = _ab(A)
+        den, P = cp_scaled([self.leading.coords])
         for f in self.factors:
-            out = out * f
-        return out
+            d, F = cp_scaled(_tuples(f))
+            den, P = den * d, cp_mul(al, be, P, F)
+        return _wrap(A, cp_unscale(P, den))
 
     def __iter__(self):
         return iter(self.factors)

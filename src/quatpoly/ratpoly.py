@@ -201,8 +201,9 @@ def format_terms(coeffs):
     return out or "0"
 
 
-def from_int_list(ic):
-    return _wrap(dense.trim([Fr(c) for c in ic]))
+def from_int_list(ic, den=1):
+    """The RatPoly of integer coefficients ic, each divided by den."""
+    return _wrap(dense.trim([Fr(c, den) for c in ic]))
 
 
 def _primitive(f):
@@ -523,22 +524,35 @@ def _exact_quotient(f, g):
     return q
 
 
+def _quo(f, g):
+    """f / g in Z[x] for a primitive g that divides f in Q[x], which is
+    exact by Gauss's lemma; InternalInvariantViolation if it is not."""
+    q = _exact_quotient(f, g)
+    if q is None:
+        raise InternalInvariantViolation("division was not exact")
+    return q
+
+
+def primitive_gcd_cofactors(polys):
+    """(g, [f / g for f in polys]) for integer polys, not all zero: g is
+    their primitive gcd with positive lc, and each quotient is exact in
+    Z[x]."""
+    g = []
+    for f in polys:
+        g = _primitive_gcd(g, f)
+    return g, [_quo(f, g) for f in polys]
+
+
 def _squarefree_int(f):
     """Yun's squarefree decomposition over Z of a primitive f with lc > 0:
     the list of (primitive squarefree part of positive lc, multiplicity)
     whose product of powers is f.  The gcds are primitive, so each
     division is exact in Z[x] (Gauss's lemma)."""
-    def quo(a, b):
-        q = _exact_quotient(a, b)
-        if q is None:
-            raise InternalInvariantViolation("division was not exact")
-        return q
-
     if len(f) < 2:
         return []
     df = dense.derivative(f, ZZ)
     g = _primitive_gcd(f, df)
-    b, c = quo(f, g), quo(df, g)
+    b, c = _quo(f, g), _quo(df, g)
     d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
     out = []
     i = 1
@@ -546,7 +560,7 @@ def _squarefree_int(f):
         a = _primitive_gcd(b, d) if d else b
         if len(a) > 1:
             out.append((a, i))
-        b, c = quo(b, a), quo(d, a)
+        b, c = _quo(b, a), _quo(d, a)
         d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
         i += 1
     return out

@@ -117,8 +117,12 @@ def test_gf_reduces_lazily_to_canonical_residues():
     assert all(0 <= c < 7 for c in dense.divmod([1, 2, 3, 4, 5, 6], g, F)[1])
 
 
-def _private_sibling_imports(path):
+def _private_sibling_names(path):
+    """Private names path takes from a sibling module: imported with
+    `from .x import _y`, or read as an attribute `x._y` of a sibling x."""
     tree = ast.parse(path.read_text())
+    stems = {p.stem for p in path.parent.glob("*.py")}
+    siblings = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -128,13 +132,22 @@ def _private_sibling_imports(path):
                 if alias.name.startswith("_"):
                     yield "%s:%d imports %s" % (path.name, node.lineno,
                                                 alias.name)
+                if alias.name in stems:
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            yield "%s:%d reads %s.%s" % (path.name, node.lineno,
+                                         node.value.id, node.attr)
 
 
 def test_no_module_imports_private_names_of_a_sibling():
-    """A second private polynomial copy would start as such an import."""
+    """A second private polynomial copy would start as such an import or
+    attribute read."""
     src = pathlib.Path(quatpoly.__file__).parent
     found = [hit for path in sorted(src.glob("*.py"))
-             for hit in _private_sibling_imports(path)]
+             for hit in _private_sibling_names(path)]
     assert found == []
 
 
@@ -169,7 +182,7 @@ def test_no_module_imports_a_name_it_never_uses():
 _INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
                   "_exact_quotient", "_factor_squarefree_int",
                   "_primitive_gcd", "_squarefree_int", "_pseudo_remainder",
-                  "rp_real_root_count")
+                  "_quo", "primitive_gcd_cofactors", "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
 # the local square test of nf_sqrt and the Trager steps it avoids
@@ -185,6 +198,11 @@ _ORDER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "random", "mat_inv", "hnf"}
 # the quaternion norm and the rational or QPoly products it avoids
 _NORM_STEPS = ("qp_norm",)
 _QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
+# the Beck decomposition and the quaternion inverse, gcd over Q and A[x]
+# division it avoids
+_BECK_STEPS = ("beck_decompose",)
+_BECK_NAMES = {"q_inv", "rp_gcd", "qp_exact_right_div", "qp_right_divmod",
+               "QPoly"}
 
 
 def _names_named(module, steps, names):
@@ -231,6 +249,13 @@ def test_norm_stays_on_integer_coordinates():
     """qp_norm works on the integer coordinate tuples of the kernel; a
     RatPoly or QPoly product inside it shows here."""
     assert _names_named("qpoly.py", _NORM_STEPS, _QPOLY_NAMES) == []
+
+
+def test_beck_stays_on_integer_coordinates():
+    """beck_decompose divides and multiplies back on the integer coordinate
+    tuples of the kernel; a quaternion inverse, a gcd over Q or a QPoly
+    division or product inside it shows here."""
+    assert _names_named("qpoly.py", _BECK_STEPS, _BECK_NAMES) == []
 
 
 # the quadratic-subfield decision, made in quadform alone

@@ -1,7 +1,9 @@
 """Each fold of a hand-written derivation into GCRD, ramified_places or
-one subfield path, pinned against the code it replaced.  The reference functions below are
-that code, kept verbatim in behaviour, and each test compares its answers
-with the library's on a few thousand inputs."""
+one subfield path, and each move of a QPoly computation onto the integer
+coordinate kernel, pinned against the code it replaced.  The reference
+functions below are that code, kept verbatim in behaviour, and each test
+compares its answers with the library's on a few hundred to a few
+thousand inputs."""
 
 import math
 import random
@@ -13,13 +15,15 @@ import pytest
 from quatpoly import dense, qpoly, quadform
 from quatpoly.coordpoly import cp_primitive, cp_unscale
 from quatpoly.errors import (DegenerateInput, EmbeddingObstructed,
-                             InternalInvariantViolation, SearchExhausted)
+                             InternalInvariantViolation, SearchExhausted,
+                             ZeroDivisorEncountered)
 from quatpoly.intarith import factorint, squarefree_kernel
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor_over_quadratic,
                                   nf_quadratic_candidates, nf_sqrt)
-from quatpoly.qpoly import (QPoly, factor_central_irreducible, qp_conj,
-                            qp_exact_right_div, qp_lclm, qp_norm,
+from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
+                            beck_decompose, factor_central_irreducible,
+                            qp_conj, qp_exact_right_div, qp_lclm, qp_norm,
                             qp_right_divmod, subfield_factor, swap_factors)
 from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
                                is_local_square, quaternary_isotropic,
@@ -412,3 +416,131 @@ def test_one_subfield_path_gives_the_old_halves_and_layer_2():
                        for i in range(3) for j in range(i)), (p, A)
     assert cases == 400 and splits[4] + splits[6] >= 100
     assert 0 < sum(splits.values()) < cases
+
+
+# ---------------------------------------------------------------------------
+# the Beck decomposition and the expanded product on the coordinate kernel
+
+BECK_ALGEBRAS = ALGEBRAS + (QuaternionAlgebra(-1, 3),
+                            QuaternionAlgebra(Fr(3, 5), Fr(-7, 3)))
+
+
+def ref_beck_decompose(p):
+    """Beck in A[x]: m = lc^-1 * p, cen the monic gcd of m's coordinates,
+    q = m / cen by exact right division, and the product checked."""
+    if p.is_zero:
+        raise DegenerateInput("cannot decompose the zero polynomial")
+    A = p.parent
+    c = p.lc
+    m = QPoly(A, [q_inv(c)]) * p
+    nonzero = [g for g in m.coordinates() if not g.is_zero]
+    cen = nonzero[0]
+    for g in nonzero[1:]:
+        cen = rp_gcd(cen, g)
+    q = qp_exact_right_div(m, QPoly.from_ratpoly(A, cen))
+    if QPoly(A, [c]) * q * QPoly.from_ratpoly(A, cen) != p:
+        raise InternalInvariantViolation("Beck decomposition mismatch")
+    return BeckDecomposition(c, q, cen)
+
+
+def ref_expand(fac):
+    """The chain of QPoly products leading * f1 * ... * fn."""
+    out = QPoly(fac.leading.parent, [fac.leading])
+    for f in fac.factors:
+        out = out * f
+    return out
+
+
+def rnd_rational_q(rng, A):
+    """A nonzero quaternion; about half of them have non-integral
+    coordinates."""
+    while True:
+        den = rng.choice((1, 1, 2, 3, 6))
+        a = A.element([Fr(rng.randint(-4, 4), den) for _ in range(4)])
+        if not a.is_zero:
+            return a
+
+
+# the degree ranges of q and r in lead * q * r, by kind of input
+BECK_KINDS = {"central": ((0, 0), (1, 3)), "free": ((1, 3), (0, 0)),
+              "mixed": ((0, 3), (0, 3)), "constant": ((0, 0), (0, 0))}
+
+
+def rnd_beck_input(rng, A, kind):
+    """lead * q * r for a nonzero quaternion lead, a random q and a monic
+    central r, with the degrees BECK_KINDS gives for kind."""
+    (q0, q1), (r0, r1) = BECK_KINDS[kind]
+    lead = rnd_rational_q(rng, A)
+    q = QPoly(A, [rnd_rational_q(rng, A)
+                  for _ in range(rng.randint(q0, q1) + 1)])
+    r = RatPoly([Fr(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                 for _ in range(rng.randint(r0, r1))] + [1])
+    return QPoly(A, [lead]) * q * QPoly.from_ratpoly(A, r)
+
+
+def test_integer_beck_is_the_qpoly_beck():
+    """beck_decompose gives the leading coefficient, central-free and
+    central parts of the A[x] computation it replaced, on central,
+    central-free, mixed and constant inputs with non-integral
+    coefficients, over six algebras."""
+    rng = random.Random(151)
+    both = 0
+    for A in BECK_ALGEBRAS:
+        for n in range(160):
+            p = rnd_beck_input(rng, A, list(BECK_KINDS)[n % 4])
+            want, got = ref_beck_decompose(p), beck_decompose(p)
+            assert got.leading == want.leading, p
+            assert got.central_free == want.central_free, p
+            assert got.central == want.central, p
+            both += (want.central.degree > 0
+                     and want.central_free.degree > 0)
+    assert both >= 150
+
+
+def test_kernel_expand_is_the_qpoly_chain():
+    """Factorization.expand gives the chain of QPoly products, for 0-4
+    factors with non-integral coefficients over six algebras."""
+    rng = random.Random(157)
+    empty = 0
+    for A in BECK_ALGEBRAS:
+        for n in range(60):
+            factors = [rnd_beck_input(rng, A, list(BECK_KINDS)[k % 4])
+                       for k in range(n % 5)]
+            fac = Factorization(rnd_rational_q(rng, A), factors)
+            assert fac.expand() == ref_expand(fac)
+            empty += not factors
+    assert empty == 72
+
+
+def test_integer_beck_check_fires(monkeypatch):
+    """A wrong cofactor, or a gcd that does not divide the coordinates,
+    fails the integer multiply-back check."""
+    A = QuaternionAlgebra(-1, -1)
+    i = A.i
+    p = QPoly(A, [A.scalar(2), A.one()]) * QPoly(A, [-i, A.one()])
+    cofactors = qpoly.primitive_gcd_cofactors
+
+    def wrong_cofactor(polys):
+        g, quots = cofactors(polys)
+        quots[1] = dense.add(quots[1], [1], dense.ZZ)
+        return g, quots
+
+    def wrong_gcd(polys):
+        g, quots = cofactors(polys)
+        return dense.mul(g, [1, 1], dense.ZZ), quots
+
+    for fake in (wrong_cofactor, wrong_gcd):
+        monkeypatch.setattr(qpoly, "primitive_gcd_cofactors", fake)
+        with pytest.raises(InternalInvariantViolation, match="mismatch"):
+            beck_decompose(p)
+
+
+def test_integer_beck_witnesses_a_zero_norm_leading_coefficient():
+    """Over a split algebra, a leading coefficient of norm 0 is reported as
+    the zero divisor it is, as the inverse in the A[x] computation did."""
+    A = QuaternionAlgebra.unchecked(1, -1)
+    p = QPoly(A, [A.i, A.one() + A.i])
+    for decompose in (ref_beck_decompose, beck_decompose):
+        with pytest.raises(ZeroDivisorEncountered) as ei:
+            decompose(p)
+        assert ei.value.witness == p.lc

@@ -10,7 +10,8 @@ from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              NotSquarefree)
 from quatpoly.intarith import is_prime
 from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list, from_int_list,
-                              gfp_factor, gfp_factor_squarefree, resultant,
+                              gfp_factor, gfp_factor_squarefree,
+                              primitive_gcd_cofactors, resultant,
                               rp_discriminant, rp_factor, rp_gcd,
                               rp_is_irreducible, rp_real_root_count, rp_xgcd,
                               squarefree_decomposition)
@@ -233,6 +234,32 @@ class TestSquarefreeDecomposition:
                 rebuilt = rebuilt * f ** m
                 assert rp_gcd(f, f.derivative()).degree == 0
             assert rebuilt == p.monic()
+
+
+class TestPrimitiveGcdCofactors:
+    def test_matches_rp_gcd(self):
+        """g is the primitive integer form of the monic gcd over Q, and the
+        cofactors multiply back; zero polys are skipped by the gcd."""
+        rng = random.Random(12)
+        for _ in range(100):
+            common = rnd_poly(rng, rng.randint(0, 2))
+            if common.is_zero:
+                continue
+            polys = [(rnd_poly(rng, 2) * common).primitive_int()
+                     for _ in range(rng.randint(1, 3))] + [[]]
+            if not any(polys):
+                continue
+            g, quots = primitive_gcd_cofactors(polys)
+            want = RatPoly()
+            for f in filter(None, polys):
+                want = rp_gcd(want, from_int_list(f))
+            assert from_int_list(g, g[-1]) == want and g[-1] > 0
+            assert [dense.mul(q, g, ZZ) for q in quots] == polys
+
+    def test_inexact_division_raises(self, monkeypatch):
+        monkeypatch.setattr(ratpoly, "_exact_quotient", lambda f, g: None)
+        with pytest.raises(InternalInvariantViolation, match="not exact"):
+            primitive_gcd_cofactors([[2, 2], [-2, 0, 2]])
 
 
 class TestFactorModP:
