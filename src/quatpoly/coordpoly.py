@@ -2,17 +2,16 @@
 coordinate 4-tuples, ascending in degree: the arithmetic kernel under
 qpoly.
 
-The kernel is fraction-free where it matters: qpoly scales rational
-coordinates to integers by a common denominator (cp_scaled), multiplies
-and divides integer tuples, and divides back once (cp_unscale).  With
-integral al and be, integer inputs give integer outputs.  Tuples are built
-from lists, not generators: a tuple grown from a generator is resized,
-and once freed it waits on the free list of its final length, which
-raised peak RSS by about 1.5 MB over a run of the benchmark.
+A QPoly holds integer tuples over one denominator, so the kernel works
+on integers and qpoly brings each result to lowest terms once.  With
+integral al and be, integer inputs give integer outputs; with rational
+al or be the outputs may hold Fractions, which qpoly clears.  Tuples are
+built from lists, not generators: a tuple grown from a generator is
+resized, and once freed it waits on the free list of its final length,
+which raised peak RSS by about 1.5 MB over a run of the benchmark.
 """
 
 import math
-from fractions import Fraction
 
 from .quatalg import coord_mul, coord_norm
 
@@ -25,10 +24,6 @@ def cp_scaled(P):
     den = math.lcm(*[c.denominator for a in P for c in a])
     return den, [tuple([c.numerator * (den // c.denominator) for c in a])
                  for a in P]
-
-
-def cp_unscale(P, den):
-    return [tuple([Fraction(c, den) for c in a]) for a in P]
 
 
 def cp_scale(n, P):

@@ -8,12 +8,13 @@ a zero-divisor certificate, the complete factorization loop, factor
 reordering, and root enumeration up to conjugacy.
 """
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
 from . import dense, ratpoly
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
-                        cp_pseudo_divmod, cp_scale, cp_scaled, cp_unscale)
+                        cp_pseudo_divmod, cp_scale)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -26,37 +27,50 @@ from .quatalg import (Quaternion, coord_mul, coord_norm, is_conjugate,
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
                       rp_factor, rp_gcd, rp_is_irreducible)
 
-Fr = Fraction
-
-_F0 = Fr(0)
-
-
-def _tuples(p):
-    return [c.coords for c in p.coeffs]
-
-
 def _ab(A):
     """alpha and beta, as ints when integral so integer tuples stay ints."""
     return [c.numerator if c.denominator == 1 else c
             for c in (A.alpha, A.beta)]
 
 
-def _wrap(A, P):
-    """The QPoly over A of kernel output P (Fraction entries), trimmed,
-    without the public constructor's checks."""
-    while P and P[-1] == ZERO:
-        P.pop()
-    out = object.__new__(QPoly)
+def _make(A, den, P, out=None):
+    """The QPoly over A equal to P / den, for kernel output P (a list of
+    4-tuples, entries int or Fraction) and a nonzero rational den: P is
+    trimmed, its Fractions and den's are cleared by one common multiple,
+    and the gcd of den and every entry is divided out, with den > 0.
+    out, when given, is the QPoly being constructed."""
+    n = len(P)
+    while n and P[n - 1] == ZERO:
+        n -= 1
+    m = math.lcm(den.denominator, *[c.denominator for a in P[:n] for c in a])
+    den = den.numerator * (m // den.denominator)
+    P = [tuple([c.numerator * (m // c.denominator) for c in a])
+         for a in P[:n]]
+    g = math.gcd(den, *[c for a in P for c in a])
+    if den < 0:
+        g = -g
+    if g != 1:
+        den, P = den // g, [tuple([c // g for c in a]) for a in P]
+    out = object.__new__(QPoly) if out is None else out
     object.__setattr__(out, "parent", A)
-    object.__setattr__(out, "coeffs",
-                       tuple([make_quaternion(A, c) for c in P]))
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "num", tuple(P))
     return out
 
 
-class QPoly:
-    """Polynomial with Quaternion coefficients, ascending degree."""
+def _quaternion(A, den, a):
+    """The Quaternion a / den, for a coefficient a of a QPoly over den."""
+    return make_quaternion(A, tuple([Fraction(c, den) for c in a]))
 
-    __slots__ = ("parent", "coeffs")
+
+class QPoly:
+    """Polynomial over a quaternion algebra, ascending degree.  It holds
+    integer coordinate 4-tuples num over one positive denominator den,
+    with gcd(den, every entry) = 1 and num trimmed, so equal polynomials
+    have equal (den, num); the Quaternion coefficients are built on
+    access."""
+
+    __slots__ = ("parent", "den", "num")
 
     def __init__(self, parent, coeffs):
         coeffs = list(coeffs)
@@ -65,10 +79,7 @@ class QPoly:
                 raise DegenerateInput("coefficients must be quaternions")
             if c.parent != parent:
                 raise AlgebraMismatch("coefficient from a different algebra")
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _make(parent, 1, [c.coords for c in coeffs], self)
 
     def __setattr__(self, *args):
         raise AttributeError("QPoly is immutable")
@@ -76,53 +87,54 @@ class QPoly:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_ratpoly(cls, A, p):
-        return _wrap(A, [(c, _F0, _F0, _F0) for c in p.coeffs])
+        return _make(A, 1, [(c, 0, 0, 0) for c in p.coeffs])
 
     @classmethod
     def from_coordinates(cls, A, coords):
-        p0, p1, p2, p3 = coords
-        n = max(len(p0.coeffs), len(p1.coeffs), len(p2.coeffs),
-                len(p3.coeffs))
-        return _wrap(A, [(p0[m], p1[m], p2[m], p3[m]) for m in range(n)])
+        return _make(A, 1, list(zip_longest(*[c.coeffs for c in coords],
+                                            fillvalue=0)))
 
     @classmethod
     def x(cls, A):
-        return cls(A, [A.zero(), A.one()])
+        return _make(A, 1, [ZERO, (1, 0, 0, 0)])
 
     # -- structure ---------------------------------------------------------
     @property
+    def coeffs(self):
+        return tuple([_quaternion(self.parent, self.den, a)
+                      for a in self.num])
+
+    @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.num:
             raise DegenerateInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _quaternion(self.parent, self.den, self.num[-1])
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.lc.coords == (1, 0, 0, 0)
+        return bool(self.num) and self.num[-1] == (self.den, 0, 0, 0)
 
     def __getitem__(self, m):
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
+        if 0 <= m < len(self.num):
+            return _quaternion(self.parent, self.den, self.num[m])
         return self.parent.zero()
 
     def coordinates(self):
         """The four RatPoly coordinates with respect to 1, i, j, k."""
-        out = []
-        for pos in range(4):
-            out.append(RatPoly([c.coords[pos] for c in self.coeffs]))
-        return tuple(out)
+        return tuple([from_int_list([a[pos] for a in self.num], self.den)
+                      for pos in range(4)])
 
     @property
     def is_central(self):
-        return all(c.is_central for c in self.coeffs)
+        return not any(a[1] or a[2] or a[3] for a in self.num)
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other):
@@ -133,7 +145,7 @@ class QPoly:
         if isinstance(other, Quaternion):
             return QPoly(self.parent, [other])
         if isinstance(other, (int, Fraction)):
-            return QPoly(self.parent, [self.parent.scalar(other)])
+            return _make(self.parent, 1, [(other, 0, 0, 0)])
         if isinstance(other, RatPoly):
             return QPoly.from_ratpoly(self.parent, other)
         return None
@@ -142,13 +154,16 @@ class QPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _wrap(self.parent, cp_add(_tuples(self), _tuples(other)))
+        dp, dq = self.den, other.den
+        den = math.lcm(dp, dq)
+        return _make(self.parent, den, cp_add(cp_scale(den // dp, self.num),
+                                              cp_scale(den // dq, other.num)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap(self.parent,
-                     [(-t, -x, -y, -z) for t, x, y, z in _tuples(self)])
+        return _make(self.parent, self.den,
+                     [(-t, -x, -y, -z) for t, x, y, z in self.num])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -164,9 +179,8 @@ class QPoly:
         if other is None:
             return NotImplemented
         A = self.parent
-        dp, P = cp_scaled(_tuples(self))
-        dq, Q = cp_scaled(_tuples(other))
-        return _wrap(A, cp_unscale(cp_mul(*_ab(A), P, Q), dp * dq))
+        return _make(A, self.den * other.den,
+                     cp_mul(*_ab(A), self.num, other.num))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -175,22 +189,30 @@ class QPoly:
         return other * self
 
     def __pow__(self, n):
-        return dense.power(self, n, QPoly(self.parent, [self.parent.one()]))
+        return dense.power(self, n, _make(self.parent, 1, [(1, 0, 0, 0)]))
 
     def __eq__(self, other):
         if isinstance(other, (Quaternion, int, Fraction, RatPoly)):
             other = self._coerce(other)
         return (isinstance(other, QPoly) and self.parent == other.parent
-                and _tuples(self) == _tuples(other))
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.parent, self.coeffs))
+        return hash((self.parent, self.den, self.num))
 
     def monic(self):
-        """lc^-1 * self (left normalization)."""
+        """lc^-1 * self (left normalization): conj(lc) * self / N(lc) on
+        the coordinates, in which den cancels."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        return QPoly(self.parent, [q_inv(self.lc)]) * self
+        al, be = _ab(self.parent)
+        t, x, y, z = lc = self.num[-1]
+        n = coord_norm(al, be, lc)
+        if n == 0:
+            raise ZeroDivisorEncountered("nonzero element with zero norm",
+                                         witness=self.lc)
+        return _make(self.parent, n, [coord_mul(al, be, (t, -x, -y, -z), a)
+                                      for a in self.num])
 
     def __str__(self):
         return format_qpoly(self)
@@ -208,7 +230,7 @@ def format_qpoly(p):
 
 def qp_conj(p):
     """Coefficient-wise standard involution."""
-    return _wrap(p.parent, [(t, -x, -y, -z) for t, x, y, z in _tuples(p)])
+    return _make(p.parent, p.den, [(t, -x, -y, -z) for t, x, y, z in p.num])
 
 
 def qp_norm(p):
@@ -216,7 +238,7 @@ def qp_norm(p):
     c0^2 - al*c1^2 - be*c2^2 + al*be*c3^2 on the integer coordinates of
     den*p, checked against the kernel product den*p * conj(den*p)."""
     al, be = _ab(p.parent)
-    den, P = cp_scaled(_tuples(p))
+    den, P = p.den, p.num
     c0, c1, c2, c3 = [dense.trim([a[i] for a in P]) for i in range(4)]
     n = dense.mul(c0, c0, ZZ)
     for c, w in ((c1, -al), (c2, -be), (c3, al * be)):
@@ -233,11 +255,9 @@ def qp_right_divmod(p, d):
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
     A = p.parent
-    (dp, P), (dd, D) = cp_scaled(_tuples(p)), cp_scaled(_tuples(d))
-    s, Q, R = cp_pseudo_divmod(*_ab(A), P, D)
-    # s*dp*p = (dd*Q)*d + R
-    return (_wrap(A, cp_unscale(cp_scale(dd, Q), s * dp)),
-            _wrap(A, cp_unscale(R, s * dp)))
+    s, Q, R = cp_pseudo_divmod(*_ab(A), p.num, d.num)
+    # s*dp*p = (dd*Q)*d + R, with dp and dd the denominators of p and d
+    return (_make(A, s * p.den, cp_scale(d.den, Q)), _make(A, s * p.den, R))
 
 
 def qp_exact_right_div(p, d):
@@ -278,15 +298,10 @@ def qp_gcrd(p, q):
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
     al, be = _ab(p.parent)
-    R, D = cp_primitive(_tuples(p)), cp_primitive(_tuples(q))
+    R, D = cp_primitive(p.num), cp_primitive(q.num)
     while D:
         R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
-    # lc^-1 * R = conj(lc) * R / N(lc)
-    t, x, y, z = R[-1]
-    lc_conj = (t, -x, -y, -z)
-    return _wrap(p.parent,
-                 cp_unscale([coord_mul(al, be, lc_conj, c) for c in R],
-                            coord_norm(al, be, R[-1])))
+    return _make(p.parent, 1, R).monic()
 
 
 def qp_lclm(p, q):
@@ -301,13 +316,9 @@ def qp_lclm(p, q):
 
 
 def qp_evaluate(p, a):
-    """Sum c_m a^m; equals the remainder of right division by x - a."""
-    out = p.parent.zero()
-    pw = p.parent.one()
-    for c in p.coeffs:
-        out = out + c * pw
-        pw = pw * a
-    return out
+    """Sum c_m a^m: the remainder of right division by x - a, as x is
+    central."""
+    return qp_right_divmod(p, QPoly.x(p.parent) - a)[1][0]
 
 
 class BeckDecomposition:
@@ -321,30 +332,23 @@ class BeckDecomposition:
 
 def beck_decompose(p):
     """p = lc(p) * q * cen, on the integer coordinates of the kernel.
-    With P = dp*p, M = dm*conj(P[-1])*P is dm*N(P[-1]) times lc(p)^-1*p
-    with integer entries; cen is the primitive gcd of M's coordinate
-    columns and Q = M/cen column by column, exact by Gauss's lemma, so
-    q = Q*lc(cen)/(dm*N(P[-1])) and the monic central part is
-    cen/lc(cen).  The check P[-1]*(Q*cen) = dm*N(P[-1])*P is p = lc*q*cen
-    over Z."""
+    monic gives lc(p)^-1 * p as M/dm with integer tuples M; cen is the
+    primitive gcd of M's coordinate columns and Q = M/cen column by
+    column, exact by Gauss's lemma, so q = Q*lc(cen)/dm and the monic
+    central part is cen/lc(cen).  With P = dp*p, the check
+    P[-1]*(Q*cen) = dm*P is p = lc*q*cen on the coordinates."""
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
     A = p.parent
     al, be = _ab(A)
-    _, P = cp_scaled(_tuples(p))
-    t, x, y, z = lc = P[-1]
-    n = coord_norm(al, be, lc)
-    if n == 0:
-        raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                     witness=p.lc)
-    dm, M = cp_scaled([coord_mul(al, be, (t, -x, -y, -z), a) for a in P])
+    m = p.monic()
     cen, cols = primitive_gcd_cofactors(
-        [dense.trim([a[i] for a in M]) for i in range(4)])
+        [dense.trim([a[i] for a in m.num]) for i in range(4)])
     Q = list(zip_longest(*cols, fillvalue=0))
     QC = cp_mul(al, be, Q, [(c, 0, 0, 0) for c in cen])
-    if cp_mul(al, be, [lc], QC) != cp_scale(dm * n, P):
+    if cp_mul(al, be, [p.num[-1]], QC) != cp_scale(m.den, p.num):
         raise InternalInvariantViolation("Beck decomposition mismatch")
-    q = _wrap(A, cp_unscale(cp_scale(cen[-1], Q), dm * n))
+    q = _make(A, m.den, cp_scale(cen[-1], Q))
     return BeckDecomposition(p.lc, q, from_int_list(cen, cen[-1]))
 
 
@@ -379,15 +383,11 @@ class Factorization:
         self.factors = list(factors)
 
     def expand(self):
-        """The product, multiplied on the kernel: each factor is scaled to
-        integers once and the chain is unscaled once."""
-        A = self.leading.parent
-        al, be = _ab(A)
-        den, P = cp_scaled([self.leading.coords])
+        """The product leading * factors[0] * ... * factors[-1]."""
+        out = _make(self.leading.parent, 1, [self.leading.coords])
         for f in self.factors:
-            d, F = cp_scaled(_tuples(f))
-            den, P = den * d, cp_mul(al, be, P, F)
-        return _wrap(A, cp_unscale(P, den))
+            out = out * f
+        return out
 
     def __iter__(self):
         return iter(self.factors)

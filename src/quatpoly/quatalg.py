@@ -1,6 +1,6 @@
 """The quaternion algebra (alpha, beta / Q): element arithmetic,
-conjugation, norm, trace, inversion, characteristic polynomials, conjugacy
-tests, and quadratic-field embedding.
+conjugation, norm, trace, inversion, characteristic polynomials and
+conjugacy tests.
 
 Elements are immutable coordinate 4-tuples over Fraction; the basis
 satisfies i^2 = alpha, j^2 = beta and ij = k = -ji.
@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from . import dense
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     EmbeddingObstructed, SplitAlgebra, ZeroDivisorEncountered)
-from .quadform import is_division, ramified_places, represent_pure, splits_in_quadratic
+                     SplitAlgebra, ZeroDivisorEncountered)
+from .quadform import is_division, ramified_places
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -278,21 +278,3 @@ def is_conjugate(a, b):
         return a == b
     return a.trace() == b.trace() and a.norm() == b.norm()
 
-
-def embed_quadratic(A, d):
-    """A pure quaternion with square d, realizing Q(sqrt d) inside A."""
-    d = Fr(d)
-    if d == 0:
-        raise DegenerateInput("d must be nonzero")
-    if not splits_in_quadratic(A.alpha, A.beta, d):
-        raise EmbeddingObstructed(
-            "Q(sqrt %s) does not embed: it does not split the algebra" % (d,))
-    rep = represent_pure(A.alpha, A.beta, d)
-    if rep is None:
-        raise EmbeddingObstructed(
-            "no pure quaternion of square %s exists" % (d,))
-    x, y, z = rep
-    a = Quaternion(A, (0, x, y, z))
-    if a * a != A.scalar(d):
-        raise EmbeddingObstructed("representation did not square to d")
-    return a

@@ -204,19 +204,35 @@ _BECK_STEPS = ("beck_decompose",)
 _BECK_NAMES = {"q_inv", "rp_gcd", "qp_exact_right_div", "qp_right_divmod",
                "QPoly"}
 
+# QPoly's arithmetic and the Fraction and Quaternion names it avoids
+_QPOLY_STEPS = ("QPoly.__add__", "QPoly.__mul__", "QPoly.monic", "qp_conj",
+                "qp_right_divmod", "qp_gcrd", "qp_evaluate",
+                "Factorization.expand")
+_QUATERNION_NAMES = {"Fr", "Fraction", "Quaternion", "make_quaternion",
+                     "q_inv", "coeffs", "cp_unscale"}
 
-def _names_named(module, steps, names):
-    """Where the top-level functions steps of module name one of names."""
+
+def _names_named(module, steps, names, attrs=()):
+    """Where the top-level functions or methods ("Class.method") steps of
+    module name one of names, or read one of attrs as an attribute."""
     path = pathlib.Path(quatpoly.__file__).parent / module
     tree = ast.parse(path.read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions.update({"%s.%s" % (cls.name, node.name): node
+                              for node in cls.body
+                              if isinstance(node, ast.FunctionDef)})
     found = ["%s is missing" % name for name in steps
              if name not in functions]
     for name in steps:
         for node in ast.walk(functions.get(name, ast.Pass())):
             if isinstance(node, ast.Name) and node.id in names:
                 found.append("%s:%d names %s" % (name, node.lineno, node.id))
+            if isinstance(node, ast.Attribute) and node.attr in attrs:
+                found.append("%s:%d reads .%s" % (name, node.lineno,
+                                                  node.attr))
     return found
 
 
@@ -256,6 +272,15 @@ def test_beck_stays_on_integer_coordinates():
     tuples of the kernel; a quaternion inverse, a gcd over Q or a QPoly
     division or product inside it shows here."""
     assert _names_named("qpoly.py", _BECK_STEPS, _BECK_NAMES) == []
+
+
+def test_qpoly_arithmetic_stays_on_integer_coordinates():
+    """QPoly holds integer coordinates over one denominator, and its
+    arithmetic works on them: a Fraction, a Quaternion built or inverted,
+    a read of the Quaternion coefficients or an unscaling inside it shows
+    here."""
+    assert _names_named("qpoly.py", _QPOLY_STEPS, _QUATERNION_NAMES,
+                        {"coeffs"}) == []
 
 
 # the quadratic-subfield decision, made in quadform alone

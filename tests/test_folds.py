@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from quatpoly import dense, qpoly, quadform
-from quatpoly.coordpoly import cp_primitive, cp_unscale
+from quatpoly.coordpoly import cp_primitive
 from quatpoly.errors import (DegenerateInput, EmbeddingObstructed,
                              InternalInvariantViolation, SearchExhausted,
                              ZeroDivisorEncountered)
@@ -21,10 +21,12 @@ from quatpoly.intarith import factorint, squarefree_kernel
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor_over_quadratic,
                                   nf_quadratic_candidates, nf_sqrt)
+from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             beck_decompose, factor_central_irreducible,
-                            qp_conj, qp_exact_right_div, qp_lclm, qp_norm,
-                            qp_right_divmod, subfield_factor, swap_factors)
+                            qp_conj, qp_evaluate, qp_exact_right_div, qp_gcrd,
+                            qp_lclm, qp_norm, qp_right_divmod,
+                            subfield_factor, swap_factors)
 from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
                                is_local_square, quaternary_isotropic,
                                represent_pure, splits_in_quadratic,
@@ -63,7 +65,7 @@ def ref_halves(A, p, zq):
         qc = QPoly.from_ratpoly(A, q)
         _, r = qp_right_divmod(qp, qc)
         qp = qp_exact_right_div(qp * qp_conj(r), qc)
-        qp = qpoly._wrap(A, cp_unscale(cp_primitive(qpoly._tuples(qp)), 1))
+        qp = QPoly(A, [A.element(c) for c in cp_primitive(qp.num)])
         newq = qp_norm(qp).exact_div(p)
         assert newq.degree < q.degree, "degree failed to drop"
         q = newq
@@ -544,3 +546,113 @@ def test_integer_beck_witnesses_a_zero_norm_leading_coefficient():
         with pytest.raises(ZeroDivisorEncountered) as ei:
             decompose(p)
         assert ei.value.witness == p.lc
+
+
+# ---------------------------------------------------------------------------
+# QPoly as integer coordinates over one denominator
+
+def ref_evaluate(p, a):
+    """Sum c_m a^m by a loop over the powers of a."""
+    out = p.parent.zero()
+    pw = p.parent.one()
+    for c in p.coeffs:
+        out = out + c * pw
+        pw = pw * a
+    return out
+
+
+def ref_monic(p):
+    """lc^-1 * p (left normalization)."""
+    if p.is_zero:
+        raise DegenerateInput("zero polynomial cannot be made monic")
+    return QPoly(p.parent, [q_inv(p.lc)]) * p
+
+
+def test_evaluate_and_monic_are_the_quaternion_loops():
+    """qp_evaluate, a right division by x - a, gives the power sum, and
+    monic on the coordinates gives q_inv(lc) * p, for polynomials with
+    non-integral coefficients and Fraction points over six algebras."""
+    rng = random.Random(163)
+    for A in BECK_ALGEBRAS:
+        for n in range(80):
+            p = rnd_beck_input(rng, A, list(BECK_KINDS)[n % 4])
+            a = rnd_rational_q(rng, A)
+            assert qp_evaluate(p, a) == ref_evaluate(p, a), (p, a)
+            assert qp_evaluate(p, A.scalar(a.coords[0])) == \
+                ref_evaluate(p, A.scalar(a.coords[0]))
+            assert p.monic() == ref_monic(p), p
+            # a root of a linear right factor evaluates to zero
+            root = QPoly(A, [-a, A.one()])
+            assert qp_evaluate(p * root, a).is_zero
+    zero = QPoly(A, [])
+    assert qp_evaluate(zero, a) == ref_evaluate(zero, a) == A.zero()
+
+
+def assert_reduced(p):
+    """den > 0, integer entries with gcd(den, entries) = 1, num trimmed."""
+    entries = [c for a in p.num for c in a]
+    assert type(p.den) is int and p.den > 0, p
+    assert all(type(c) is int for c in entries), p
+    assert math.gcd(p.den, *entries) == 1, p
+    assert type(p.num) is tuple
+    assert all(type(a) is tuple and len(a) == 4 for a in p.num)
+    assert not p.num or p.num[-1] != (0, 0, 0, 0), p
+
+
+def test_every_result_is_in_reduced_form():
+    """Sums, differences, products, right quotients and remainders, GCRDs
+    and monic polynomials are all stored as (den, num) in lowest terms,
+    including results that cancel to zero."""
+    rng = random.Random(167)
+    for A in BECK_ALGEBRAS:
+        for n in range(40):
+            p = rnd_beck_input(rng, A, list(BECK_KINDS)[n % 4])
+            q = rnd_beck_input(rng, A, list(BECK_KINDS)[(n + 1) % 4])
+            g = QPoly(A, [rnd_rational_q(rng, A), A.one()])
+            quot, rem = qp_right_divmod(p, q)
+            for r in (p, q, p + q, p - q, p - p, p * q, -p, quot, rem,
+                      qp_conj(p), qp_gcrd(p * g, q * g), p.monic(),
+                      qp_right_divmod(p * q, q)[1]):
+                assert_reduced(r)
+
+
+def test_one_polynomial_built_three_ways_is_one_value():
+    """Parsing, multiplying out and from_coordinates give equal values,
+    equal hashes and the same stored (den, num)."""
+    rng = random.Random(173)
+    for A in BECK_ALGEBRAS:
+        for n in range(20):
+            p = (rnd_beck_input(rng, A, list(BECK_KINDS)[n % 4])
+                 * QPoly(A, [rnd_rational_q(rng, A), A.one()]))
+            forms = (p, parse_poly(str(p), A),
+                     QPoly.from_coordinates(A, p.coordinates()),
+                     QPoly(A, p.coeffs))
+            for f in forms:
+                assert f == p and hash(f) == hash(p)
+                assert (f.den, f.num) == (p.den, p.num)
+    A = QuaternionAlgebra(Fr(-1, 2), -3)
+    parsed = parse_poly("(1/2+i)x^2 - (2/3)k x + 3/4", A)
+    built = (QPoly(A, [A.element((0, 0, 0, Fr(-4, 3))),
+                       A.element((1, 2, 0, 0))]) * QPoly.x(A)
+             + Fr(3, 2)) * Fr(1, 2)
+    coords = QPoly.from_coordinates(A, (
+        RatPoly([Fr(3, 4), 0, Fr(1, 2)]), RatPoly([0, 0, 1]), RatPoly([]),
+        RatPoly([0, Fr(-2, 3)])))
+    assert parsed == built == coords
+    assert hash(parsed) == hash(built) == hash(coords)
+    assert (parsed.den, parsed.num) == (12, ((9, 0, 0, 0), (0, 0, 0, -8),
+                                             (6, 12, 0, 0)))
+
+
+def test_zero_norm_leading_coefficient_raises_the_typed_error():
+    """Over a split algebra, making a polynomial with leading coefficient
+    1 + i (norm 0) monic reports that zero divisor, through monic and
+    through the GCRD, as q_inv did."""
+    A = QuaternionAlgebra.unchecked(1, 1)
+    lc = A.one() + A.i
+    p = QPoly(A, [A.j, lc])
+    for make_monic in (ref_monic, QPoly.monic,
+                       lambda p: qp_gcrd(p, QPoly(A, []))):
+        with pytest.raises(ZeroDivisorEncountered) as ei:
+            make_monic(p)
+        assert ei.value.witness == lc

@@ -14,9 +14,9 @@ from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             qp_conj, qp_evaluate, qp_gcrd, qp_gcrd_bezout,
                             qp_lclm, qp_norm, qp_right_divmod, roots,
                             subfield_factor, swap_factors)
-from quatpoly.quadform import ZeroDivisorCertificate, splits_in_quadratic
-from quatpoly.quatalg import (QuaternionAlgebra, embed_quadratic,
-                              is_conjugate, q_inv)
+from quatpoly.quadform import (ZeroDivisorCertificate, represent_pure,
+                               splits_in_quadratic)
+from quatpoly.quatalg import QuaternionAlgebra, is_conjugate, q_inv
 from quatpoly.ratpoly import from_int_list, rp_factor, rp_is_irreducible
 
 H = QuaternionAlgebra(-1, -1)
@@ -335,7 +335,7 @@ class TestSubfieldFactor:
             gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
             assert dense.mul(g, gbar, L2.field) == [
                 L2.from_rational(c) for c in p.coeffs]
-            a = embed_quadratic(A, d)
+            a = A.element((0,) + represent_pure(A.alpha, A.beta, d))
             q = QPoly(A, [A.scalar(c.coords[0]) + c.coords[1] * a
                           for c in g])
             return qp_conj(q), q

@@ -338,18 +338,41 @@ class TestQuaternary:
 
 class TestRepresentPure:
     def test_known_values(self):
-        for (alpha, beta), d in (((-1, -1), -2), ((-1, -1), -5),
-                                 ((-1, -3), -3), ((-2, -5), -10),
-                                 ((-1, -1), Fr(-5, 3))):
-            got = represent_pure(alpha, beta, d)
-            if got is None:
-                continue
-            x, y, z = got
+        """Each Q(sqrt d) here embeds: a pure quaternion of square d."""
+        for (alpha, beta), d in (((-1, -1), -1), ((-1, -1), -2),
+                                 ((-1, -1), -3), ((-1, -1), -5),
+                                 ((-1, -1), Fr(-2, 3)), ((-1, -3), -3),
+                                 ((-2, -5), -10)):
+            x, y, z = represent_pure(alpha, beta, d)
             assert alpha * x * x + beta * y * y - alpha * beta * z * z == d
+            a = QuaternionAlgebra(alpha, beta).element((0, x, y, z))
+            assert a * a == d
 
     def test_obstructed(self):
-        # 2 is not represented by -x^2 - y^2 - z^2
-        assert represent_pure(-1, -1, 2) is None
+        # 2 is not represented by -x^2 - y^2 - z^2; Q(sqrt 2) and
+        # Q(sqrt 5) are real, and 2 splits in Q(sqrt -15) (-5/3 ~ -15):
+        # each has a place of local degree 1 where (-1, -1) ramifies
+        for d in (2, 5, Fr(-5, 3)):
+            assert not splits_in_quadratic(-1, -1, d)
+            assert represent_pure(-1, -1, d) is None
+
+    def test_pure_square_exactly_when_the_field_splits(self):
+        """represent_pure finds a pure quaternion of square d exactly
+        when Q(sqrt d) splits A, for squarefree d in [-60, 60]."""
+        embedded = 0
+        for alpha, beta in ((-1, -1), (-1, -3), (-2, -5)):
+            A = QuaternionAlgebra(alpha, beta)
+            for d in range(-60, 61):
+                if d == 0 or squarefree_kernel(d) != d:
+                    continue
+                got = represent_pure(alpha, beta, d)
+                assert (got is not None) == splits_in_quadratic(alpha, beta,
+                                                                d), (A, d)
+                if got is not None:
+                    a = A.element((0,) + got)
+                    assert a * a == d
+                    embedded += 1
+        assert embedded > 20
 
     def test_random_verify(self):
         rng = random.Random(28)

@@ -3,14 +3,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly.errors import (AlgebraMismatch, DivisionByZero,
-                             EmbeddingObstructed, SplitAlgebra,
+from quatpoly.errors import (AlgebraMismatch, DivisionByZero, SplitAlgebra,
                              ZeroDivisorEncountered)
-from quatpoly.intarith import squarefree_kernel
 from quatpoly.numberfield import NumberField
-from quatpoly.quadform import splits_in_quadratic
 from quatpoly.quatalg import (QuaternionAlgebra, charpoly, coord_mul,
-                              embed_quadratic, is_conjugate, q_inv)
+                              is_conjugate, q_inv)
 from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
@@ -187,27 +184,6 @@ class TestConjugacy:
             is_conjugate(H.i, H13.i)
 
 
-class TestEmbedQuadratic:
-    def test_known_embeddings(self):
-        for A, d in ((H, -1), (H, -2), (H, -3), (H13, -3), (H25, -10)):
-            a = embed_quadratic(A, d)
-            assert a * a == A.scalar(d)
-            assert a.coords[0] == 0
-
-    def test_obstructed(self):
-        with pytest.raises(EmbeddingObstructed):
-            embed_quadratic(H, 2)
-        with pytest.raises(EmbeddingObstructed):
-            embed_quadratic(H, 5)
-
-    def test_fraction_d(self):
-        a = embed_quadratic(H, Fr(-2, 3))
-        assert a * a == H.scalar(Fr(-2, 3))
-        # -5/3 ~ -15 is a square in Q_2, so the field splits at 2
-        with pytest.raises(EmbeddingObstructed):
-            embed_quadratic(H, Fr(-5, 3))
-
-
 class TestPrinting:
     def test_known_forms(self):
         assert str(H.element([-2, 1, -1, -2])) == "-2+i-j-2k"
@@ -217,20 +193,3 @@ class TestPrinting:
         assert str(H.element([Fr(1, 2), 0, Fr(-3, 2), 0])) == "1/2-3/2j"
         assert str(H.scalar(7)) == "7"
 
-
-def test_embed_quadratic_raises_exactly_when_the_field_does_not_split():
-    """embed_quadratic defers to splits_in_quadratic; every d it accepts
-    gets a pure quaternion of square d."""
-    embedded = 0
-    for A in (H, H13, H25):
-        for d in range(-60, 61):
-            if d == 0 or squarefree_kernel(d) != d:
-                continue
-            if splits_in_quadratic(A.alpha, A.beta, d):
-                a = embed_quadratic(A, d)
-                assert a * a == A.scalar(d) and a.coords[0] == 0
-                embedded += 1
-            else:
-                with pytest.raises(EmbeddingObstructed):
-                    embed_quadratic(A, d)
-    assert embedded > 20
