@@ -6,6 +6,7 @@ import pytest
 from quatpoly.errors import (AlgebraMismatch, DivisionByZero, SplitAlgebra,
                              ZeroDivisorEncountered)
 from quatpoly.numberfield import NumberField
+from quatpoly.quadform import represent_pure, splits_in_quadratic
 from quatpoly.quatalg import (QuaternionAlgebra, charpoly, coord_mul,
                               is_conjugate, q_inv)
 from quatpoly.ratpoly import from_int_list
@@ -182,6 +183,33 @@ class TestConjugacy:
     def test_mismatched_algebras(self):
         with pytest.raises(AlgebraMismatch):
             is_conjugate(H.i, H13.i)
+
+
+class TestEmbedQuadratic:
+    """Q(sqrt d) embeds in A through the pure quaternion of square d that
+    represent_pure finds, exactly when splits_in_quadratic holds."""
+
+    @staticmethod
+    def embed(A, d):
+        got = represent_pure(A.alpha, A.beta, d)
+        assert (got is not None) == splits_in_quadratic(A.alpha, A.beta, d)
+        return None if got is None else A.element((0,) + tuple(got))
+
+    def test_known_embeddings(self):
+        for A, d in ((H, -1), (H, -2), (H, -3), (H13, -3), (H25, -10)):
+            a = self.embed(A, d)
+            assert a * a == A.scalar(d)
+            assert a.coords[0] == 0
+
+    def test_obstructed(self):
+        assert self.embed(H, 2) is None
+        assert self.embed(H, 5) is None
+
+    def test_fraction_d(self):
+        a = self.embed(H, Fr(-2, 3))
+        assert a * a == H.scalar(Fr(-2, 3))
+        # -5/3 ~ -15 is a square in Q_2, so the field splits at 2
+        assert self.embed(H, Fr(-5, 3)) is None
 
 
 class TestPrinting:
