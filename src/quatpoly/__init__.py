@@ -2,10 +2,10 @@
 division quaternion algebras (alpha, beta / Q)."""
 
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     EmbeddingObstructed, InternalInvariantViolation,
-                     InvalidCertificate, NotSquarefree, PolyParseError,
-                     PreconditionViolation, QuatpolyError, SearchExhausted,
-                     SplitAlgebra, ZeroDivisorEncountered)
+                     InternalInvariantViolation, InvalidCertificate,
+                     NotSquarefree, PolyParseError, PreconditionViolation,
+                     QuatpolyError, SearchExhausted, SplitAlgebra,
+                     ZeroDivisorEncountered)
 from .numberfield import (INFINITE_PLACE, NFElement, NumberField,
                           nf_factor, nf_local_splitting,
                           nf_quadratic_candidates, nf_quadratic_subfields,

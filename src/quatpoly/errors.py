@@ -25,10 +25,6 @@ class SplitAlgebra(QuatpolyError):
     pass
 
 
-class EmbeddingObstructed(QuatpolyError):
-    pass
-
-
 class PreconditionViolation(QuatpolyError):
     pass
 

@@ -12,16 +12,20 @@ squarefree decomposition with primitive gcds and exact integer division,
 then Zassenhaus' method on each squarefree part.  The prime p is the
 smallest odd one with f squarefree of full degree mod p (a gcd over
 GF(p), no resultant); distinct-degree and Cantor-Zassenhaus equal-degree
-splitting mod p; quadratic Hensel lifting to p^k above twice the
-Mignotte bound along a factor tree; and recombination of subsets of the
-lifted factors by integer trial division, which stops at the first
-non-integral quotient coefficient.  Each irreducible factor is made
-monic over Q once, at the end.
+splitting mod p; quadratic Hensel lifting along a factor tree; and
+recombination of subsets of the lifted factors by integer trial
+division, which stops at the first non-integral quotient coefficient.
+The lift first goes to a working precision p^k > 2^16 and keeps what
+recombination finds when each factor is proved irreducible by its own
+Mignotte bound; otherwise it goes again to p^k above twice the Mignotte
+bound of the input.  Each irreducible factor is made monic over Q once,
+at the end.
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from . import dense
 from .dense import GF, QQ, ZZ
@@ -566,26 +570,27 @@ def _squarefree_int(f):
     return out
 
 
-def _factor_squarefree_int(f):
-    """Irreducible integer factors of a primitive squarefree int poly, lc > 0."""
-    if len(f) - 1 == 1:
-        return [f]
-    p = _good_prime(f)
-    fbar = dense.monic([c % p for c in f], GF(p))
-    modular = sorted(gfp_factor_squarefree(fbar, p), key=lambda g: (len(g), g))
-    if len(modular) == 1:
-        return [f]
-    bound = _mignotte_bound(f)
-    k = 1
-    while p ** k <= 2 * bound:
-        k += 1
-    modular = _lift_list(f, modular, p, k)
-    m = p ** k
+# On the norms of the property benchmark workload (seeds 1-3, degrees
+# 4-20), |lc f| times the largest coefficient of every factor found has at
+# most 8 bits, while twice the Mignotte bound of f has 35-37 bits in the
+# median.  So the first lift stops at p^k > 2^16.
+_WORKING_PRECISION = 2 ** 16
 
+
+def _recombine(f, lifted, m):
+    """Recombine the monic lifts mod m of the modular factors of f.
+
+    Subsets of the lifts, smallest first, are multiplied by the leading
+    coefficient of the cofactor, reduced to symmetric residues mod m and
+    kept when their primitive part divides the cofactor exactly over Z.
+    Returns (piece, s) pairs whose product is f: each factor found with
+    the number s of lifts it used, then the cofactor left over with the
+    number of lifts left.  Every piece divides f; each is irreducible
+    once m exceeds twice the Mignotte bound of f, and otherwise when
+    _proves_irreducible says so."""
     out = []
-    from itertools import combinations
     current = list(f)
-    pool = list(modular)
+    pool = list(lifted)
     size = 1
     while 2 * size <= len(pool):
         found = True
@@ -601,7 +606,7 @@ def _factor_squarefree_int(f):
                 # current and cand_pp are primitive, so is the quotient
                 q = _exact_quotient(current, cand_pp)
                 if q is not None:
-                    out.append(cand_pp)
+                    out.append((cand_pp, size))
                     current = q
                     pool = [g for i, g in enumerate(pool) if i not in combo]
                     found = True
@@ -609,9 +614,61 @@ def _factor_squarefree_int(f):
             if 2 * size > len(pool):
                 break
         size += 1
-    if len(current) - 1 >= 1:
-        out.append(current)
-    return out
+    # the pool is never empty here, so the cofactor is not constant
+    return out + [(current, len(pool))]
+
+
+def _proves_irreducible(g, lifts, lc, m):
+    """Whether a piece g of _recombine(f, lifted, m), made of `lifts`
+    lifted factors, is irreducible; lc is lc(f).
+
+    One lift: g mod p is a unit times one irreducible modular factor, and
+    p does not divide lc(g).  More lifts: take a proper factor h of g
+    with positive lc, and when g is the cofactor the one of h and g/h
+    that uses at most half of its lifts.  Then |h|_inf < 2^deg(g) |g|_2
+    (Mignotte), and every cofactor a candidate was formed against has an
+    lc dividing lc.  So when m > 2 |lc| 2^deg(g) |g|_2, the candidate of
+    the lifts of h was exactly a multiple of h, tried at a smaller
+    subset size than g was formed at, and h would have been split off."""
+    if lifts == 1:
+        return True
+    # m > 2 |lc| 2^n |g|_2, squared to stay on the integers
+    return m * m > 4 * lc * lc * 4 ** (len(g) - 1) * sum(c * c for c in g)
+
+
+def _lift_and_recombine(f, modular, p, bound):
+    """(m, pieces): the lifts of the modular factors of f to the smallest
+    m = p^k > bound, recombined."""
+    k, m = 1, p
+    while m <= bound:
+        k, m = k + 1, m * p
+    return m, _recombine(f, _lift_list(f, modular, p, k), m)
+
+
+def _factor_squarefree_int(f):
+    """Irreducible integer factors of a primitive squarefree int poly, lc > 0.
+
+    Early factor detection (Abbott, Shoup & Zimmermann, ISSAC 2000; von
+    zur Gathen & Gerhard, Modern Computer Algebra, 15.6): the lift first
+    goes to a working precision, and what recombination finds there is
+    kept when that precision is already above twice the Mignotte bound
+    of f or every piece is proved irreducible by its own bound.
+    Otherwise the lift goes again from p to the full bound, where
+    recombination is complete: at most two precisions per call."""
+    if len(f) - 1 == 1:
+        return [f]
+    p = _good_prime(f)
+    fbar = dense.monic([c % p for c in f], GF(p))
+    modular = sorted(gfp_factor_squarefree(fbar, p), key=lambda g: (len(g), g))
+    if len(modular) == 1:
+        return [f]
+    full = 2 * _mignotte_bound(f)
+    m, pieces = _lift_and_recombine(f, modular, p,
+                                    min(full, _WORKING_PRECISION))
+    if m <= full and not all(_proves_irreducible(g, s, f[-1], m)
+                             for g, s in pieces):
+        _, pieces = _lift_and_recombine(f, modular, p, full)
+    return [g for g, _ in pieces]
 
 
 class RatFactorization:

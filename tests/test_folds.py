@@ -1,6 +1,7 @@
 """Each fold of a hand-written derivation into GCRD, ramified_places or
-one subfield path, and each move of a QPoly computation onto the integer
-coordinate kernel, pinned against the code it replaced.  The reference
+one subfield path, each move of a QPoly computation onto the integer
+coordinate kernel, and the early-stopping Zassenhaus lift, pinned against
+the code it replaced.  The reference
 functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
 thousand inputs."""
@@ -12,11 +13,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from quatpoly import dense, qpoly, quadform
+from quatpoly import dense, qpoly, quadform, ratpoly
 from quatpoly.coordpoly import cp_primitive
-from quatpoly.errors import (DegenerateInput, EmbeddingObstructed,
-                             InternalInvariantViolation, SearchExhausted,
-                             ZeroDivisorEncountered)
+from quatpoly.dense import GF, ZZ
+from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
+                             SearchExhausted, ZeroDivisorEncountered)
 from quatpoly.intarith import factorint, squarefree_kernel
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor_over_quadratic,
@@ -267,6 +268,10 @@ def test_height_loop_walks_only_pairs_of_height_h(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the quadratic-subfield zero divisor
+
+class EmbeddingObstructed(Exception):
+    """What ref_embed_quadratic raised when Q(sqrt d) does not embed."""
+
 
 def ref_embed_quadratic(A, d):
     """A pure quaternion with square d, realizing Q(sqrt d) inside A."""
@@ -656,3 +661,115 @@ def test_zero_norm_leading_coefficient_raises_the_typed_error():
         with pytest.raises(ZeroDivisorEncountered) as ei:
             make_monic(p)
         assert ei.value.witness == lc
+
+
+# ---------------------------------------------------------------------------
+# Zassenhaus lifting only as far as the factors need
+
+def ref_factor_squarefree_int(f):
+    """Irreducible integer factors of a primitive squarefree int poly, lc > 0:
+    one lift to p^k above twice the Mignotte bound, then recombination."""
+    if len(f) - 1 == 1:
+        return [f]
+    p = ratpoly._good_prime(f)
+    fbar = dense.monic([c % p for c in f], GF(p))
+    modular = sorted(ratpoly.gfp_factor_squarefree(fbar, p),
+                     key=lambda g: (len(g), g))
+    if len(modular) == 1:
+        return [f]
+    bound = ratpoly._mignotte_bound(f)
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    modular = ratpoly._lift_list(f, modular, p, k)
+    m = p ** k
+
+    out = []
+    from itertools import combinations
+    current = list(f)
+    pool = list(modular)
+    size = 1
+    while 2 * size <= len(pool):
+        found = True
+        while found:
+            found = False
+            for combo in combinations(range(len(pool)), size):
+                cand = [current[-1] % m]
+                for idx in combo:
+                    cand = [c % m for c in dense.mul(cand, pool[idx], ZZ)]
+                cand_pp = ratpoly._primitive(
+                    [ratpoly._symmetric(c, m) for c in cand])
+                if not cand_pp:
+                    continue
+                # current and cand_pp are primitive, so is the quotient
+                q = ratpoly._exact_quotient(current, cand_pp)
+                if q is not None:
+                    out.append(cand_pp)
+                    current = q
+                    pool = [g for i, g in enumerate(pool) if i not in combo]
+                    found = True
+                    break
+            if 2 * size > len(pool):
+                break
+        size += 1
+    if len(current) - 1 >= 1:
+        out.append(current)
+    return out
+
+
+def squarefree_parts(f):
+    return [g for g, _ in ratpoly._squarefree_int(ratpoly._primitive(f))]
+
+
+def norm_corpus(rng):
+    """Squarefree parts of N(q), q a product of 1-5 random monic linear and
+    quadratic factors over (-1, -1) and (-1, -3)."""
+    out = []
+    for A in ALGEBRAS[:2]:
+        for _ in range(40):
+            q = QPoly(A, [A.one()])
+            for _ in range(rng.randint(1, 5)):
+                q = q * rnd_poly(rng, A, rng.randint(1, 2), monic=True)
+            out += squarefree_parts(qp_norm(q).primitive_int())
+    return out
+
+
+def product_corpus(rng):
+    """Squarefree parts of products of 2-4 random integer polynomials of
+    degree 1-4, lc 1-3 and coefficient height 5, 10^2, 10^4 or 10^6."""
+    out = []
+    for height in (5, 10 ** 2, 10 ** 4, 10 ** 6):
+        for _ in range(80):
+            f = [1]
+            for _ in range(rng.randint(2, 4)):
+                g = [rng.randint(-height, height)
+                     for _ in range(rng.randint(1, 4))]
+                f = dense.mul(f, g + [rng.randint(1, 3)], ZZ)
+            out += squarefree_parts(f)
+    return out
+
+
+def test_early_lift_finds_the_full_bound_factors(monkeypatch):
+    """The same factors as one lift to the full bound, on norms and on
+    integer products of every height.  Each call recombines at most twice,
+    the second time above the full bound; answers kept from below it
+    include pieces of several lifts, proved by their own bound."""
+    rng = random.Random(179)
+    corpus = norm_corpus(rng) + product_corpus(rng)
+    runs = []
+    recombine = ratpoly._recombine
+
+    def spy(f, lifted, m):
+        pieces = recombine(f, lifted, m)
+        runs[-1].append((m > 2 * ratpoly._mignotte_bound(f),
+                         max(s for _, s in pieces)))
+        return pieces
+
+    monkeypatch.setattr(ratpoly, "_recombine", spy)
+    for f in corpus:
+        runs.append([])
+        got = ratpoly._factor_squarefree_int(f)
+        assert sorted(got) == sorted(ref_factor_squarefree_int(f)), f
+    shapes = {tuple(full for full, _ in run) for run in runs}
+    assert shapes == {(), (False,), (True,), (False, True)}
+    assert any(run == [(False, s)] for run in runs for s in (2, 3, 4))

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as Fr
@@ -9,8 +10,9 @@ from quatpoly.dense import GF, QQ, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              NotSquarefree)
 from quatpoly.intarith import is_prime
-from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list, from_int_list,
-                              gfp_factor, gfp_factor_squarefree,
+from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list,
+                              _mignotte_bound, _proves_irreducible,
+                              from_int_list, gfp_factor, gfp_factor_squarefree,
                               primitive_gcd_cofactors, resultant,
                               rp_discriminant, rp_factor, rp_gcd,
                               rp_is_irreducible, rp_real_root_count, rp_xgcd,
@@ -532,6 +534,50 @@ class TestIntegerZassenhaus:
         assert self.check(from_int_list([1, 0, 0, 0, 1])
                           * from_int_list([1, 0, -10, 0, 1])) == \
             [("x^4 + 1", 1), ("x^4 - 10*x^2 + 1", 1)]
+
+    def test_working_precision_falls_back_to_the_full_bound(self,
+                                                            monkeypatch):
+        """(x^2 + 100003x + 1)(x^2 + 200003) has four factors mod p = 7.
+        At the working precision 7^6 the coefficients do not fit, so
+        recombination finds nothing and leaves f, which its bound cannot
+        prove irreducible: the lift goes again, to the full bound."""
+        f = dense.mul([1, 100003, 1], [200003, 0, 1], ZZ)
+        assert _good_prime(f) == 7
+        runs = []
+        recombine = ratpoly._recombine
+
+        def spy(f, lifted, m):
+            pieces = recombine(f, lifted, m)
+            runs.append((m, len(lifted), pieces))
+            return pieces
+
+        monkeypatch.setattr(ratpoly, "_recombine", spy)
+        fac = rp_factor(from_int_list(f))
+        monkeypatch.undo()
+        assert sorted((str(g), e) for g, e in fac.factors) == \
+            [("x^2 + 100003*x + 1", 1), ("x^2 + 200003", 1)]
+        assert len(runs) == 2
+        (m1, r, first), (m2, _, second) = runs
+        assert (m1, r, first) == (7 ** 6, 4, [(f, 4)])
+        assert not _proves_irreducible(f, 4, f[-1], m1)
+        assert m2 > 2 * _mignotte_bound(f)
+        assert sorted(second) == [([1, 100003, 1], 2), ([200003, 0, 1], 2)]
+
+    def test_certificate_rejects_up_to_its_bound(self):
+        """More than one lift: proved only for m > 2 |lc| 2^deg(g) |g|_2,
+        and never at or below it.  One lift: always proved."""
+        # |g|_2 = 3, 5, 5 and sqrt 3
+        for g, norm2 in (([2, 1, 2], 9), ([3, 4], 25), ([1, 2, 2, 4], 25),
+                         ([1, 1, 1], 3)):
+            n = len(g) - 1
+            for lc in (1, 3):
+                edge_sq = (2 * lc * 2 ** n) ** 2 * norm2
+                edge = math.isqrt(edge_sq)
+                for m in range(1, edge + 1):
+                    assert not _proves_irreducible(g, 2, lc, m), (g, lc, m)
+                    assert not _proves_irreducible(g, 5, lc, m), (g, lc, m)
+                assert _proves_irreducible(g, 2, lc, edge + 1)
+                assert _proves_irreducible(g, 1, lc, 7)
 
     def test_degree_48_norm(self):
         """The norm of a product of 24 linear factors x - a over (-1, -1)
