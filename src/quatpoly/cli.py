@@ -70,6 +70,11 @@ def build_parser():
     return ap
 
 
+# parse_args leaves the parser as it was (the --certificate list is copied
+# before it is appended to), so one parser serves every call of run
+_PARSER = build_parser()
+
+
 def _quat_tuple(a):
     return [fr_str(c) for c in a.coords]
 
@@ -98,9 +103,8 @@ def _expect_arity(args, n):
 
 
 def run(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     t0 = time.monotonic()

@@ -18,6 +18,13 @@ from .quatalg import coord_mul, coord_norm
 ZERO = (0, 0, 0, 0)
 
 
+def kernel_ab(A):
+    """alpha and beta of A, as ints when integral so integer tuples stay
+    ints."""
+    return [c.numerator if c.denominator == 1 else c
+            for c in (A.alpha, A.beta)]
+
+
 def cp_scaled(P):
     """(den, den*P) with den the least common denominator of P's
     coordinates, so den*P has integer entries."""

@@ -1,140 +1,129 @@
 """Text form of quaternionic polynomials.
 
 The grammar accepts sums of products of atoms, where an atom is a
-rational number (``3``, ``3/2``), a basis letter ``i j k``, the
-indeterminate ``x``, or a parenthesized subexpression; multiplication can
-be written with ``*`` or by juxtaposition (``2i``, ``(3/2)i*x``), and
-``^`` raises to a natural power.  Printing (format_qpoly in qpoly) and
-parsing round-trip exactly.
+rational number written in ASCII digits (``3``, ``3/2``), a basis letter
+``i j k``, the indeterminate ``x``, or a parenthesized subexpression;
+multiplication can be written with ``*`` or by juxtaposition (``2i``,
+``(3/2)i*x``), and ``^`` raises to a natural power.  Printing
+(format_qpoly in qpoly) and parsing round-trip exactly.
+
+The text is split into tokens once, and every subexpression is a kernel
+value (den, P): a list P of coordinate 4-tuples over the integer den, as
+in coordpoly.  The whole is brought to lowest terms once, as a QPoly.
 """
 
-from fractions import Fraction
+import math
+import re
 
+from . import dense
+from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, kernel_ab
 from .errors import PolyParseError
 from .qpoly import QPoly, format_qpoly  # noqa: F401  (re-exported)
 
-_ATOM_STARTERS = set("0123456789ijkx(")
+_TOKEN = re.compile(r"[0-9]+|\S")
+_DIGITS = frozenset("0123456789")
+_ATOM_STARTERS = _DIGITS | set("ijkx(")
+_LETTERS = {"i": [(0, 1, 0, 0)], "j": [(0, 0, 1, 0)], "k": [(0, 0, 0, 1)],
+            "x": [ZERO, (1, 0, 0, 0)]}
 
 
 class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+    """Numbers and single non-space characters, each with its position,
+    ending in (len(text), None)."""
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def __init__(self, text):
+        self.toks = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
+        self.toks.append((len(text), None))
+        self.at = 0
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.toks[self.at][1]
 
     def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
+        self.at += 1
 
     def number(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise PolyParseError("expected a number", position=start)
-        return int(self.text[start:self.pos])
+        pos, tok = self.toks[self.at]
+        if tok is None or tok[0] not in _DIGITS:
+            raise PolyParseError("expected a number", position=pos)
+        self.at += 1
+        return int(tok)
 
     def error(self, msg):
-        raise PolyParseError(msg, position=self.pos)
+        raise PolyParseError(msg, position=self.toks[self.at][0])
 
 
 def parse_poly(text, A):
     """Parse text into a QPoly over the algebra A."""
     toks = _Tokens(text)
-    p = _expr(toks, A)
+    den, P = _expr(toks, kernel_ab(A))
     if toks.peek() is not None:
         toks.error("unexpected trailing input")
-    return p
+    return QPoly.from_kernel(A, den, P)
 
 
-def _expr(toks, A):
-    out = None
-    sign = 1
-    ch = toks.peek()
-    if ch == "-":
-        toks.take()
-        sign = -1
-    elif ch == "+":
-        toks.take()
+def _mul(ab, p, q):
+    return p[0] * q[0], cp_mul(*ab, p[1], q[1])
+
+
+def _expr(toks, ab):
+    den, out, ch = 1, [], toks.peek()
     while True:
-        term = _term(toks, A)
-        term = term if sign == 1 else -term
-        out = term if out is None else out + term
-        ch = toks.peek()
-        if ch == "+":
+        sign = -1 if ch == "-" else 1
+        if ch in ("+", "-"):
             toks.take()
-            sign = 1
-        elif ch == "-":
-            toks.take()
-            sign = -1
-        else:
-            return out
+        d, P = _term(toks, ab)
+        m = math.lcm(den, d)
+        out = cp_add(cp_scale(m // den, out), cp_scale(sign * m // d, P))
+        den, ch = m, toks.peek()
+        if ch not in ("+", "-"):
+            return den, out
 
 
-def _term(toks, A):
-    out = _factor(toks, A)
+def _term(toks, ab):
+    out = _factor(toks, ab)
     while True:
         ch = toks.peek()
         if ch == "*":
             toks.take()
-            out = out * _factor(toks, A)
-        elif ch is not None and ch in _ATOM_STARTERS:
-            out = out * _factor(toks, A)
-        else:
+        elif ch is None or ch[0] not in _ATOM_STARTERS:
             return out
+        out = _mul(ab, out, _factor(toks, ab))
 
 
-def _factor(toks, A):
+def _factor(toks, ab):
     if toks.peek() == "-":
         toks.take()
-        return -_factor(toks, A)
-    base = _atom(toks, A)
+        den, P = _factor(toks, ab)
+        return den, cp_scale(-1, P)
+    base = _atom(toks, ab)
     if toks.peek() == "^":
         toks.take()
-        n = toks.number()
-        return base ** n
+        return dense.power(base, toks.number(), (1, [(1, 0, 0, 0)]),
+                           lambda p, q: _mul(ab, p, q))
     return base
 
 
-def _atom(toks, A):
+def _atom(toks, ab):
     ch = toks.peek()
     if ch is None:
         toks.error("unexpected end of input")
-    if ch.isdigit():
+    if ch[0] in _DIGITS:
         num = toks.number()
-        if toks.peek() == "/":
-            toks.take()
-            den = toks.number()
-            if den == 0:
-                toks.error("zero denominator")
-            return QPoly(A, [A.scalar(Fraction(num, den))])
-        return QPoly(A, [A.scalar(num)])
-    if ch == "i":
+        if toks.peek() != "/":
+            return 1, [(num, 0, 0, 0)]
         toks.take()
-        return QPoly(A, [A.i])
-    if ch == "j":
+        pos, tok = toks.toks[toks.at]
+        den = toks.number()
+        if den == 0:
+            raise PolyParseError("zero denominator", position=pos + len(tok))
+        return den, [(num, 0, 0, 0)]
+    if ch in _LETTERS:
         toks.take()
-        return QPoly(A, [A.j])
-    if ch == "k":
-        toks.take()
-        return QPoly(A, [A.k])
-    if ch == "x":
-        toks.take()
-        return QPoly.x(A)
+        return 1, list(_LETTERS[ch])
     if ch == "(":
         toks.take()
-        inner = _expr(toks, A)
+        inner = _expr(toks, ab)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.take()

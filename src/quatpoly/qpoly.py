@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 from . import dense, ratpoly
 from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
-                        cp_pseudo_divmod, cp_scale)
+                        cp_pseudo_divmod, cp_scale, kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -26,12 +26,6 @@ from .quatalg import (Quaternion, coord_mul, coord_norm, is_conjugate,
                       make_quaternion, q_inv)
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
                       rp_factor, rp_gcd, rp_is_irreducible)
-
-def _ab(A):
-    """alpha and beta, as ints when integral so integer tuples stay ints."""
-    return [c.numerator if c.denominator == 1 else c
-            for c in (A.alpha, A.beta)]
-
 
 def _make(A, den, P, out=None):
     """The QPoly over A equal to P / den, for kernel output P (a list of
@@ -85,6 +79,13 @@ class QPoly:
         raise AttributeError("QPoly is immutable")
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def from_kernel(cls, A, den, P):
+        """The QPoly P / den, for kernel output P (a list of 4-tuples,
+        entries int or Fraction) and a nonzero rational den, brought to
+        lowest terms once."""
+        return _make(A, den, P)
+
     @classmethod
     def from_ratpoly(cls, A, p):
         return _make(A, 1, [(c, 0, 0, 0) for c in p.coeffs])
@@ -180,7 +181,7 @@ class QPoly:
             return NotImplemented
         A = self.parent
         return _make(A, self.den * other.den,
-                     cp_mul(*_ab(A), self.num, other.num))
+                     cp_mul(*kernel_ab(A), self.num, other.num))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -205,7 +206,7 @@ class QPoly:
         the coordinates, in which den cancels."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        al, be = _ab(self.parent)
+        al, be = kernel_ab(self.parent)
         t, x, y, z = lc = self.num[-1]
         n = coord_norm(al, be, lc)
         if n == 0:
@@ -237,7 +238,7 @@ def qp_norm(p):
     """N(p) = p * conj(p), central, returned as a RatPoly: the formula
     c0^2 - al*c1^2 - be*c2^2 + al*be*c3^2 on the integer coordinates of
     den*p, checked against the kernel product den*p * conj(den*p)."""
-    al, be = _ab(p.parent)
+    al, be = kernel_ab(p.parent)
     den, P = p.den, p.num
     c0, c1, c2, c3 = [dense.trim([a[i] for a in P]) for i in range(4)]
     n = dense.mul(c0, c0, ZZ)
@@ -255,7 +256,7 @@ def qp_right_divmod(p, d):
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
     A = p.parent
-    s, Q, R = cp_pseudo_divmod(*_ab(A), p.num, d.num)
+    s, Q, R = cp_pseudo_divmod(*kernel_ab(A), p.num, d.num)
     # s*dp*p = (dd*Q)*d + R, with dp and dd the denominators of p and d
     return (_make(A, s * p.den, cp_scale(d.den, Q)), _make(A, s * p.den, R))
 
@@ -297,7 +298,7 @@ def qp_gcrd(p, q):
     its coordinates, which also clears denominators of alpha and beta."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
-    al, be = _ab(p.parent)
+    al, be = kernel_ab(p.parent)
     R, D = cp_primitive(p.num), cp_primitive(q.num)
     while D:
         R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
@@ -340,7 +341,7 @@ def beck_decompose(p):
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
     A = p.parent
-    al, be = _ab(A)
+    al, be = kernel_ab(A)
     m = p.monic()
     cen, cols = primitive_gcd_cofactors(
         [dense.trim([a[i] for a in m.num]) for i in range(4)])

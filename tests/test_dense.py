@@ -211,6 +211,9 @@ _QPOLY_STEPS = ("QPoly.__add__", "QPoly.__mul__", "QPoly.monic", "qp_conj",
                 "Factorization.expand")
 _QUATERNION_NAMES = {"Fr", "Fraction", "Quaternion", "make_quaternion",
                      "q_inv", "coeffs", "cp_unscale"}
+# the recursive descent of the parser and the names it avoids
+_PARSER_STEPS = ("_expr", "_term", "_factor", "_atom")
+_PARSER_NAMES = {"QPoly", "Quaternion", "make_quaternion", "Fraction", "Fr"}
 
 
 def _names_named(module, steps, names, attrs=()):
@@ -282,6 +285,14 @@ def test_qpoly_arithmetic_stays_on_integer_coordinates():
     here."""
     assert _names_named("qpoly.py", _QPOLY_STEPS, _QUATERNION_NAMES,
                         {"coeffs"}) == []
+
+
+def test_parser_builds_kernel_values():
+    """Every subexpression the parser reads is a kernel value (den, list
+    of integer 4-tuples), brought to lowest terms once at the end: a
+    Fraction, a Quaternion or a QPoly built inside the descent shows
+    here."""
+    assert _names_named("parser.py", _PARSER_STEPS, _PARSER_NAMES) == []
 
 
 # the quadratic-subfield decision, made in quadform alone

@@ -1,13 +1,14 @@
 """Each fold of a hand-written derivation into GCRD, ramified_places or
 one subfield path, each move of a QPoly computation onto the integer
-coordinate kernel, and the early-stopping Zassenhaus lift, pinned against
-the code it replaced.  The reference
+coordinate kernel, the early-stopping Zassenhaus lift and the one-pass
+parser, pinned against the code it replaced.  The reference
 functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
 thousand inputs."""
 
 import math
 import random
+import re
 from fractions import Fraction as Fr
 from types import SimpleNamespace
 
@@ -17,7 +18,8 @@ from quatpoly import dense, qpoly, quadform, ratpoly
 from quatpoly.coordpoly import cp_primitive
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
-                             SearchExhausted, ZeroDivisorEncountered)
+                             PolyParseError, SearchExhausted,
+                             ZeroDivisorEncountered)
 from quatpoly.intarith import factorint, squarefree_kernel
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_factor_over_quadratic,
@@ -773,3 +775,222 @@ def test_early_lift_finds_the_full_bound_factors(monkeypatch):
     shapes = {tuple(full for full, _ in run) for run in runs}
     assert shapes == {(), (False,), (True,), (False, True)}
     assert any(run == [(False, s)] for run in runs for s in (2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# parsing text onto the coordinate kernel
+
+_REF_ATOM_STARTERS = set("0123456789ijkx(")
+
+
+class RefTokens:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def take(self):
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def number(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise PolyParseError("expected a number", position=start)
+        return int(self.text[start:self.pos])
+
+    def error(self, msg):
+        raise PolyParseError(msg, position=self.pos)
+
+
+def ref_parse_poly(text, A):
+    """The character-by-character parser that built every atom as a
+    Quaternion and a QPoly and combined them one operation at a time."""
+    toks = RefTokens(text)
+    p = ref_expr(toks, A)
+    if toks.peek() is not None:
+        toks.error("unexpected trailing input")
+    return p
+
+
+def ref_expr(toks, A):
+    out = None
+    sign = 1
+    ch = toks.peek()
+    if ch == "-":
+        toks.take()
+        sign = -1
+    elif ch == "+":
+        toks.take()
+    while True:
+        term = ref_term(toks, A)
+        term = term if sign == 1 else -term
+        out = term if out is None else out + term
+        ch = toks.peek()
+        if ch == "+":
+            toks.take()
+            sign = 1
+        elif ch == "-":
+            toks.take()
+            sign = -1
+        else:
+            return out
+
+
+def ref_term(toks, A):
+    out = ref_factor(toks, A)
+    while True:
+        ch = toks.peek()
+        if ch == "*":
+            toks.take()
+            out = out * ref_factor(toks, A)
+        elif ch is not None and ch in _REF_ATOM_STARTERS:
+            out = out * ref_factor(toks, A)
+        else:
+            return out
+
+
+def ref_factor(toks, A):
+    if toks.peek() == "-":
+        toks.take()
+        return -ref_factor(toks, A)
+    base = ref_atom(toks, A)
+    if toks.peek() == "^":
+        toks.take()
+        n = toks.number()
+        return base ** n
+    return base
+
+
+def ref_atom(toks, A):
+    ch = toks.peek()
+    if ch is None:
+        toks.error("unexpected end of input")
+    if ch.isdigit():
+        num = toks.number()
+        if toks.peek() == "/":
+            toks.take()
+            den = toks.number()
+            if den == 0:
+                toks.error("zero denominator")
+            return QPoly(A, [A.scalar(Fr(num, den))])
+        return QPoly(A, [A.scalar(num)])
+    if ch == "i":
+        toks.take()
+        return QPoly(A, [A.i])
+    if ch == "j":
+        toks.take()
+        return QPoly(A, [A.j])
+    if ch == "k":
+        toks.take()
+        return QPoly(A, [A.k])
+    if ch == "x":
+        toks.take()
+        return QPoly.x(A)
+    if ch == "(":
+        toks.take()
+        inner = ref_expr(toks, A)
+        if toks.peek() != ")":
+            toks.error("expected ')'")
+        toks.take()
+        return inner
+    toks.error("unexpected character %r" % ch)
+
+
+PARSE_ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
+                  QuaternionAlgebra(Fr(-1, 2), Fr(3, 7)))
+
+
+def rnd_expr(rng, depth=0):
+    """A signed sum of products of atoms: integers, rationals, i, j, k, x
+    and parenthesized sums two deep, joined by *, a space or nothing,
+    with ^ 0-3, unary minus and stray whitespace."""
+    def ws():
+        return rng.choice(("", "", "", " ", "  ", "\t"))
+
+    def atom():
+        kind = rng.randrange(5 if depth < 2 else 4)
+        if kind == 0:
+            return str(rng.randint(0, 12))
+        if kind == 1:
+            return "%d%s/%s%d" % (rng.randint(0, 12), ws(), ws(),
+                                  rng.randint(1, 9))
+        if kind < 4:
+            return rng.choice("ijkxx")
+        return "(" + ws() + rnd_expr(rng, depth + 1) + ws() + ")"
+
+    def factor():
+        out = atom()
+        if rng.random() < 0.25:
+            out += ws() + "^" + ws() + str(rng.randint(0, 3))
+        return ("-" + ws() + out) if rng.random() < 0.1 else out
+
+    def term():
+        out = factor()
+        for _ in range(rng.randint(0, 2)):
+            nxt, sep = factor(), rng.choice(("*", " ", ""))
+            if sep == "" and out[-1].isdigit() and nxt[0].isdigit():
+                sep = " "
+            out += ws() + sep + ws() + nxt
+        return out
+
+    out = rng.choice(("", "", "-", "+")) + ws() + term()
+    for _ in range(rng.randint(0, 3 if depth == 0 else 1)):
+        out += ws() + rng.choice("+-") + ws() + term()
+    return out
+
+
+def parse_outcome(parse, text, A):
+    """(den, num) of the parsed text, or the message and position of its
+    PolyParseError."""
+    try:
+        p = parse(text, A)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+    return p.den, p.num
+
+
+# every input of test_parse_errors_carry_position, and each error kind
+PARSE_ERRORS = ("", "x +", "(x", "x^", "1/0", "x^-2", "y", "3//2", "x + @",
+                "  ", "x ^ ", "1/ 00 ", "2 / 0 x", "x^2^3", "(x))", "3/x",
+                "x٣", "(1+k)x^2 -", "i j )", "*x", "x**2", "(", ")", "x/2",
+                "- - ", "x + (i - ", "2(3/", "x^(2)")
+
+
+def test_token_parser_is_the_character_parser():
+    """Parsing onto the kernel in one token pass gives the (den, num) of
+    the old parser on random expressions over three algebras; on known
+    bad inputs and on those expressions with a character inserted or
+    deleted, it fails with the same message at the same position."""
+    rng = random.Random(181)
+    texts = [rnd_expr(rng) for _ in range(700)]
+    mutants = []
+    for text in texts[:400]:
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            mutants.append(text[:at] + rng.choice("()+-*/^@y.") + text[at:])
+        elif at < len(text) and not text[at].isdigit():
+            mutants.append(text[:at] + text[at + 1:])
+    # a deletion can join an exponent to the digits after it; keep the
+    # exponents small so that the corpus stays fast
+    mutants = [t for t in mutants if not re.search(r"\^\s*\d\d", t)]
+    failed = 0
+    for n, text in enumerate(texts + mutants + list(PARSE_ERRORS)):
+        A = PARSE_ALGEBRAS[n % 3]
+        got = parse_outcome(parse_poly, text, A)
+        assert got == parse_outcome(ref_parse_poly, text, A), text
+        failed += isinstance(got[0], str)
+    assert failed >= len(PARSE_ERRORS) + 100

@@ -12,7 +12,7 @@ from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
 from quatpoly.errors import PolyParseError
 from quatpoly.parser import format_qpoly, parse_poly
-from quatpoly.qpoly import QPoly
+from quatpoly.qpoly import QPoly, qp_evaluate
 from quatpoly.quadform import ZeroDivisorCertificate
 from quatpoly.quatalg import QuaternionAlgebra
 from quatpoly.ratpoly import from_int_list
@@ -61,6 +61,17 @@ class TestParser:
             P("x + @")
         except PolyParseError as exc:
             assert "position" in str(exc)
+
+    def test_numbers_are_ascii_digits(self):
+        # str.isdigit accepts superscripts and other scripts' digits, int
+        # does not read the superscripts; neither is a number here
+        for bad, pos in (("\u00b2", 0), ("x^\u00b2", 2), ("3/\u00b2", 2),
+                         ("\u0663", 0), ("3\u0663", 1), ("x + \u0663x", 4)):
+            with pytest.raises(PolyParseError) as ei:
+                P(bad)
+            assert ei.value.position == pos, bad
+        with pytest.raises(PolyParseError, match="unexpected character"):
+            P("\u00b2")
 
     def test_round_trip_idempotent(self):
         rng = random.Random(61)
@@ -238,6 +249,52 @@ class TestCli:
                     "--beta", "-1", "--certificate", str(path)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: malformed")
+
+    def test_superscript_exponent_exit(self, capsys):
+        code = run(["factor", "x^\u00b2", "--alpha", "-1", "--beta", "-1"])
+        assert code == EXIT_USAGE
+        assert "position" in capsys.readouterr().err
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, monkeypatch,
+                                          capsys):
+        loaded = []
+        load = ZeroDivisorCertificate.load
+        monkeypatch.setattr(ZeroDivisorCertificate, "load", staticmethod(
+            lambda path: loaded.append(path) or load(path)))
+        path = write_cert(tmp_path)
+        argv = ["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                "--beta", "-1", "--max-height", "1"]
+        assert run(argv + ["--certificate", path]) == EXIT_OK
+        assert loaded == [path]
+        # without the flag the certificate list is empty again
+        assert run(argv) == EXIT_SEARCH
+        assert loaded == [path]
+        assert run(["factor", "x"]) == EXIT_USAGE
+        assert run(["--help"]) == EXIT_OK
+        assert "usage: quatpoly" in capsys.readouterr().out
+        assert run(["roots", "x^2 + 1", "--alpha", "-1", "--beta", "-1",
+                    "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["command"] == "roots"
+
+    def test_readme_cli_examples(self, capsys):
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        lines = block.strip().splitlines()
+        assert len(lines) >= 5
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "quatpoly" and run(argv[1:]) == EXIT_OK, line
+        capsys.readouterr()
+
+    def test_readme_library_example(self, capsys):
+        code = re.search(r"## Library\n\n```python\n(.*?)```",
+                         README.read_text(), re.S).group(1)
+        exec(code, {})
+        f1, f2, r1, r2 = capsys.readouterr().out.splitlines()
+        p = P("(x - i)(x - 2 - j)")
+        assert P(f1) * P(f2) == p
+        for r in (r1, r2):
+            assert qp_evaluate(p, P(r)[0]).is_zero
 
     def test_bad_usage(self, capsys):
         assert run(["factor", "x"]) == EXIT_USAGE  # missing --alpha/--beta
