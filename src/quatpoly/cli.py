@@ -124,7 +124,7 @@ def run(argv=None):
     except InternalInvariantViolation as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except (QuatpolyError, OSError, json.JSONDecodeError) as exc:
+    except (QuatpolyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     report["algebra"] = {"alpha": fr_str(A.alpha), "beta": fr_str(A.beta)}

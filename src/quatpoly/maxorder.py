@@ -6,7 +6,9 @@ splitting type above p depends only on a p-maximal order, so
 with the p-radical obtained as an iterated-Frobenius kernel), on integer
 lattices held in triangular form mod p, and splits O/pO deterministically
 through the algebra of elements that Frobenius fixes, which the primitive
-idempotents span (Cohen, GTM 138, sections 6.1-6.2).  `maximal_order`,
+idempotents span (Cohen, GTM 138, sections 6.1-6.2).  Every prime takes
+that one path: where Z[theta] is already p-maximal, round 2 returns it
+unchanged and the split gives what m mod p factors into.  `maximal_order`,
 which maximalizes at every prime whose square divides the discriminant,
 is kept as a test oracle and is off the runtime path.  Degrees stay small
 (<= 8 in practice), so all linear algebra is naive and exact.
@@ -17,8 +19,7 @@ from collections import namedtuple
 from . import dense
 from .errors import InternalInvariantViolation
 from .intarith import factorint
-from .ratpoly import (from_int_list, gfp_factor, gfp_factor_squarefree,
-                      rp_discriminant)
+from .ratpoly import from_int_list, gfp_factor_squarefree, rp_discriminant
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +272,10 @@ def splitting_type(m, p):
     """(e, f) pairs for the primes above p in Q[x]/(m), m monic integral
     irreducible.  Sorted ascending.
 
-    They come from a p-maximal order grown from Z[theta] at p alone; when
-    Z[theta] is already p-maximal, by Dedekind-Kummer from m mod p.
+    They come from a p-maximal order grown from Z[theta] at p alone,
+    which is Z[theta] itself when p does not divide its index.
     """
-    ztheta = order = _ztheta(m)
-    if disc_of_int_poly(m) % (p * p) == 0:
-        # otherwise p cannot divide the index, which squares into disc
-        order = _p_maximalize(ztheta, p)
-    if order is ztheta:
-        return sorted((mult, len(g) - 1) for g, mult in gfp_factor(m, p))
+    order = _p_maximalize(_ztheta(m), p)
     comps = _component_split(order.table, order.unit, p)
     if sum(e * f for e, f in comps) != len(m) - 1:
         raise InternalInvariantViolation("splitting degrees do not add up")

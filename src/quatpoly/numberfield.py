@@ -1,8 +1,9 @@
 """Arithmetic in L = Q[x]/(p) and the number-theoretic tests built on it.
 
 Covers field arithmetic, square testing and Trager factorization over L,
-quadratic-subfield enumeration, splitting types of rational primes, and
-the tensor-splitting criterion for a quaternion algebra extended to L.
+quadratic-subfield enumeration, the places above a rational prime as
+(e, f) pairs from maxorder, and the tensor-splitting criterion for a
+quaternion algebra extended to L.
 """
 
 import math
@@ -27,26 +28,6 @@ def check_place(place):
                                         and is_prime(place)):
         raise PreconditionViolation(
             "place must be a prime or INFINITE_PLACE, got %r" % (place,))
-
-
-class SplittingType:
-    """Local data of L at one place: list of (e, f) pairs.
-
-    At the infinite place the pairs are (1, 1) per real embedding and
-    (1, 2) per conjugate pair of complex embeddings.
-    """
-
-    def __init__(self, prime, local_factors):
-        self.prime = prime
-        self.local_factors = list(local_factors)
-
-    def __repr__(self):
-        return "SplittingType(%r, %r)" % (self.prime, self.local_factors)
-
-    def __eq__(self, other):
-        return (isinstance(other, SplittingType)
-                and self.prime == other.prime
-                and self.local_factors == other.local_factors)
 
 
 class NumberField:
@@ -102,10 +83,11 @@ class NumberField:
                             else [-self.minpoly[0]])
 
     def integral_model(self):
-        """(c, m_int): m_int = monic integral minpoly of c * theta."""
+        """The monic integral minimal polynomial of c * theta, as a list
+        of ints, for c the lcm of the denominators of the minpoly."""
         c = self.minpoly.denominator_lcm()
         n = self.degree
-        return c, [int(self.minpoly[i] * c ** (n - i)) for i in range(n)] + [1]
+        return [int(self.minpoly[i] * c ** (n - i)) for i in range(n)] + [1]
 
 
 def _element(L, coords):
@@ -406,8 +388,7 @@ def nf_quadratic_candidates(L):
     """
     if L.degree % 2 == 1:
         return []
-    _, m_int = L.integral_model()
-    disc = maxorder.disc_of_int_poly(m_int)
+    disc = maxorder.disc_of_int_poly(L.integral_model())
     divisors = [1]
     for p in sorted(factorint(4 * abs(disc))):
         divisors += [d * p for d in divisors]
@@ -425,14 +406,13 @@ def nf_quadratic_subfields(L):
 
 
 def nf_local_splitting(L, place):
-    """Splitting data of L at a finite prime or at INFINITE_PLACE."""
+    """Sorted (e, f) pairs of the places of L above a finite prime, or at
+    INFINITE_PLACE (1, 1) per real and (1, 2) per complex place."""
     check_place(place)
     if place == INFINITE_PLACE:
         r = rp_real_root_count(L.minpoly)
-        return SplittingType(INFINITE_PLACE,
-                             [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2))
-    _, m_int = L.integral_model()
-    return SplittingType(place, maxorder.splitting_type(m_int, place))
+        return [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2)
+    return maxorder.splitting_type(L.integral_model(), place)
 
 
 def nf_factor_over_quadratic(p, d):
@@ -467,7 +447,6 @@ def nf_splits_quaternion(alpha, beta, L):
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))
     first = [INFINITE_PLACE] if places.infinite else []
     for place in first + list(places.finite_primes):
-        local = nf_local_splitting(L, place).local_factors
-        if any((e * f) % 2 for e, f in local):
+        if any((e * f) % 2 for e, f in nf_local_splitting(L, place)):
             return False
     return True

@@ -56,7 +56,11 @@ class _Tokens:
 def parse_poly(text, A):
     """Parse text into a QPoly over the algebra A."""
     toks = _Tokens(text)
-    den, P = _expr(toks, kernel_ab(A))
+    try:
+        den, P = _expr(toks, kernel_ab(A))
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply",
+                             position=toks.toks[toks.at][0]) from None
     if toks.peek() is not None:
         toks.error("unexpected trailing input")
     return QPoly.from_kernel(A, den, P)

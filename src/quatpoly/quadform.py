@@ -280,16 +280,11 @@ def ternary_isotropic(coeffs):
     for (k, g, t) in reversed(post):
         # reduced solution (X, Y, Z_k) of new form -> old: coordinate k
         # gets multiplied by g and divided by the square scaling t
-        sol = [c for c in sol]
         sol[k] = sol[k] * g / t
     sol = [sol[i] * scale[i] for i in range(3)]
-    den = 1
-    for c in sol:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in sol))
     vec = [int(c * den) for c in sol]
-    g = 0
-    for c in vec:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*vec)
     vec = [c // g for c in vec]
     if sum(Fr(v) * Fr(v) * a[i] for i, v in enumerate(vec)) != 0:
         raise InternalInvariantViolation("descent produced a non-solution")
@@ -457,8 +452,14 @@ class ZeroDivisorCertificate:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The certificate in the file path: OSError when it cannot be
+        read, InvalidCertificate when it is no UTF-8 JSON certificate."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+                raise InvalidCertificate("malformed certificate: %s" % exc)
+        return cls.from_dict(data)
 
     def __eq__(self, other):
         return (isinstance(other, ZeroDivisorCertificate)

@@ -19,7 +19,9 @@ The lift first goes to a working precision p^k > 2^16 and keeps what
 recombination finds when each factor is proved irreducible by its own
 Mignotte bound; otherwise it goes again to p^k above twice the Mignotte
 bound of the input.  Each irreducible factor is made monic over Q once,
-at the end.
+at the end.  The factoring over GF(p), gfp_factor_squarefree, takes
+squarefree input only; it also splits the minimal polynomials in the
+idempotent split of maxorder.
 """
 
 import math
@@ -378,40 +380,6 @@ def gfp_factor_squarefree(f, p):
     if len(v) > 1:
         out.append(v)
     return out
-
-
-def gfp_factor(f, p):
-    """Factor any nonzero poly over GF(p): list of (monic irreducible, mult)."""
-    F = GF(p)
-    f = dense.monic(dense.trim([c % p for c in f]), F)
-    out = {}
-
-    def rec(g, mult):
-        if len(g) - 1 < 1:
-            return
-        dg = dense.derivative(g, F)
-        if not dg:
-            # g = h(x^p) = h(x)^p over the prime field
-            rec(dense.trim(g[::p]), mult * p)
-            return
-        s = dense.gcd(g, dg, F)
-        w = dense.divmod(g, s, F)[0]
-        k = 1
-        while len(w) > 1:
-            y = dense.gcd(w, s, F)
-            z = dense.divmod(w, y, F)[0]
-            if len(z) > 1:
-                for q in gfp_factor_squarefree(z, p):
-                    out[tuple(q)] = out.get(tuple(q), 0) + mult * k
-            w = y
-            s = dense.divmod(s, y, F)[0]
-            k += 1
-        if len(s) > 1:
-            # leftover multiplicities are divisible by p: s = t(x^p)
-            rec(dense.trim(s[::p]), mult * p)
-
-    rec(f, 1)
-    return [(list(q), m) for q, m in sorted(out.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,10 @@ _TRIAL_STEPS = ("_trial_value",)
 _ORDER_STEPS = ("_ztheta", "_p_maximalize", "_component_split",
                 "maximal_order", "splitting_type")
 _ORDER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "random", "mat_inv", "hnf"}
+# splitting_type and the discriminant test and Dedekind-Kummer factorisation
+# of its old second path
+_SPLIT_STEPS = ("splitting_type",)
+_FORK_NAMES = {"gfp_factor", "disc_of_int_poly"}
 # the quaternion norm and the rational or QPoly products it avoids
 _NORM_STEPS = ("qp_norm",)
 _QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
@@ -263,6 +267,13 @@ def test_order_steps_stay_over_the_integers():
     """Orders are integer multiplication tables and the split of O/pO is
     deterministic; a rational matrix or a random search inside shows here."""
     assert _names_named("maxorder.py", _ORDER_STEPS, _ORDER_NAMES) == []
+
+
+def test_splitting_type_takes_one_path():
+    """Every prime goes through a p-maximal order and the split of O/pO;
+    a discriminant pre-test or a factorisation of m mod p inside
+    splitting_type shows here."""
+    assert _names_named("maxorder.py", _SPLIT_STEPS, _FORK_NAMES) == []
 
 
 def test_norm_stays_on_integer_coordinates():

@@ -4,7 +4,9 @@ coordinate kernel, the early-stopping Zassenhaus lift and the one-pass
 parser, pinned against the code it replaced.  The reference
 functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
-thousand inputs."""
+thousand inputs.  The factorisation over GF(p) that splitting_type once
+read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
+of test_numberfield and test_ratpoly pin against it."""
 
 import math
 import random
@@ -994,3 +996,41 @@ def test_token_parser_is_the_character_parser():
         assert got == parse_outcome(ref_parse_poly, text, A), text
         failed += isinstance(got[0], str)
     assert failed >= len(PARSE_ERRORS) + 100
+
+
+# ---------------------------------------------------------------------------
+# Dedekind-Kummer: splitting_type read (e, f) off m mod p where Z[theta]
+# is p-maximal; it now splits O/pO on that path too
+
+def ref_gfp_factor(f, p):
+    """Factor any nonzero poly over GF(p): list of (monic irreducible, mult)."""
+    F = GF(p)
+    f = dense.monic(dense.trim([c % p for c in f]), F)
+    out = {}
+
+    def rec(g, mult):
+        if len(g) - 1 < 1:
+            return
+        dg = dense.derivative(g, F)
+        if not dg:
+            # g = h(x^p) = h(x)^p over the prime field
+            rec(dense.trim(g[::p]), mult * p)
+            return
+        s = dense.gcd(g, dg, F)
+        w = dense.divmod(g, s, F)[0]
+        k = 1
+        while len(w) > 1:
+            y = dense.gcd(w, s, F)
+            z = dense.divmod(w, y, F)[0]
+            if len(z) > 1:
+                for q in ratpoly.gfp_factor_squarefree(z, p):
+                    out[tuple(q)] = out.get(tuple(q), 0) + mult * k
+            w = y
+            s = dense.divmod(s, y, F)[0]
+            k += 1
+        if len(s) > 1:
+            # leftover multiplicities are divisible by p: s = t(x^p)
+            rec(dense.trim(s[::p]), mult * p)
+
+    rec(f, 1)
+    return [(list(q), m) for q, m in sorted(out.items())]

@@ -15,8 +15,8 @@ from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   nf_quadratic_candidates,
                                   nf_quadratic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
-from quatpoly.ratpoly import (RatPoly, from_int_list, gfp_factor,
-                              rp_is_irreducible)
+from quatpoly.ratpoly import RatPoly, from_int_list, rp_is_irreducible
+from test_folds import ref_gfp_factor
 
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
@@ -128,7 +128,7 @@ class TestSplittingType:
             assert splitting_type(m, p) == self.reference(m, p), (m, p)
 
     def test_split_matches_dedekind_kummer(self):
-        """Where Z[theta] is p-maximal, the split of O/pO must give what
+        """Where Z[theta] is p-maximal, splitting_type must give what
         m mod p factors into, ramified primes included."""
         rng = random.Random(67)
         checked = ramified = 0
@@ -143,9 +143,8 @@ class TestSplittingType:
                 if maxorder._p_maximalize(ztheta, p) is not ztheta:
                     continue
                 want = sorted((mult, len(g) - 1) for g, mult in
-                              gfp_factor(m, p))
-                got = sorted(_component_split(ztheta.table, ztheta.unit, p))
-                assert got == want, (m, p)
+                              ref_gfp_factor(m, p))
+                assert splitting_type(m, p) == want, (m, p)
                 checked += 1
                 ramified += disc % p == 0
         assert ramified > 20
@@ -230,9 +229,8 @@ class TestSqrtAndSubfields:
     def signed_squarefree_divisors(L):
         """The signed squarefree divisors of 4 disc: the candidates of
         nf_quadratic_candidates before its local screen."""
-        _, m_int = L.integral_model()
         divisors = [1]
-        for p in factorint(4 * abs(disc_of_int_poly(m_int))):
+        for p in factorint(4 * abs(disc_of_int_poly(L.integral_model()))):
             divisors += [d * p for d in divisors]
         return [s for d in divisors for s in (d, -d)]
 
@@ -334,18 +332,15 @@ class TestTragerFactor:
 
 class TestLocalSplitting:
     def test_infinite_place(self):
-        assert nf_local_splitting(QI, INFINITE_PLACE).local_factors == [(1, 2)]
-        assert nf_local_splitting(QS2, INFINITE_PLACE).local_factors == \
-            [(1, 1), (1, 1)]
-        assert sorted(nf_local_splitting(CUBIC,
-                                         INFINITE_PLACE).local_factors) == \
+        assert nf_local_splitting(QI, INFINITE_PLACE) == [(1, 2)]
+        assert nf_local_splitting(QS2, INFINITE_PLACE) == [(1, 1), (1, 1)]
+        assert sorted(nf_local_splitting(CUBIC, INFINITE_PLACE)) == \
             [(1, 1), (1, 2)]
 
     def test_finite_places(self):
-        assert nf_local_splitting(QI, 2).local_factors == [(2, 1)]
-        assert sorted(nf_local_splitting(QI, 5).local_factors) == \
-            [(1, 1), (1, 1)]
-        assert nf_local_splitting(QI, 3).local_factors == [(1, 2)]
+        assert nf_local_splitting(QI, 2) == [(2, 1)]
+        assert sorted(nf_local_splitting(QI, 5)) == [(1, 1), (1, 1)]
+        assert nf_local_splitting(QI, 3) == [(1, 2)]
 
     @pytest.mark.parametrize("place", [1, 0, 4, 9, -3])
     def test_rejects_non_places(self, place):

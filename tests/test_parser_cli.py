@@ -10,7 +10,7 @@ import pytest
 from quatpoly import quadform
 from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
-from quatpoly.errors import PolyParseError
+from quatpoly.errors import InvalidCertificate, PolyParseError
 from quatpoly.parser import format_qpoly, parse_poly
 from quatpoly.qpoly import QPoly, qp_evaluate
 from quatpoly.quadform import ZeroDivisorCertificate
@@ -19,6 +19,8 @@ from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
 README = Path(__file__).resolve().parents[1] / "README.md"
+# nested past the interpreter's recursion limit
+DEEP = ("(" * 1000 + "x" + ")" * 1000, "-" * 2000 + "x")
 
 
 def P(text, A=H):
@@ -72,6 +74,15 @@ class TestParser:
             assert ei.value.position == pos, bad
         with pytest.raises(PolyParseError, match="unexpected character"):
             P("\u00b2")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        for text in DEEP:
+            with pytest.raises(PolyParseError,
+                               match="nested too deeply") as ei:
+                P(text)
+            assert 0 < ei.value.position < len(text)
+        assert P("(" * 100 + "x" + ")" * 100) == QPoly.x(H)
+        assert P("-" * 200 + "x") == QPoly.x(H)
 
     def test_round_trip_idempotent(self):
         rng = random.Random(61)
@@ -249,6 +260,26 @@ class TestCli:
                     "--beta", "-1", "--certificate", str(path)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: malformed")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"not json"],
+                             ids=["not-utf8", "not-json"])
+    def test_certificate_undecodable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidCertificate, match="^malformed"):
+            ZeroDivisorCertificate.load(str(path))
+        code = run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                    "--beta", "-1", "--certificate", str(path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: malformed")
+
+    @pytest.mark.parametrize("text", DEEP, ids=["parentheses", "minus"])
+    def test_deep_nesting_exit(self, text, capsys):
+        # "--" ends the options, as text starting with "-" needs
+        code = run(["factor", "--alpha", "-1", "--beta", "-1", "--", text])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: expression nested too deeply")
 
     def test_superscript_exponent_exit(self, capsys):
         code = run(["factor", "x^\u00b2", "--alpha", "-1", "--beta", "-1"])
