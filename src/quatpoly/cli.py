@@ -8,6 +8,7 @@ algebra, 3 exhausted zero-divisor search, 4 internal invariant violation.
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -71,8 +72,10 @@ def build_parser():
 
 
 # parse_args leaves the parser as it was (the --certificate list is copied
-# before it is appended to), so one parser serves every call of run
+# before it is appended to), so one parser serves every call of run; -h is
+# its one short option, so any other "-..." is a value such as -1/2 or -i
 _PARSER = build_parser()
+_PARSER._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def _quat_tuple(a):
@@ -86,7 +89,7 @@ def _qpoly_tuples(p):
 def _load_certs(paths, A):
     store = {}
     for path in paths:
-        cert = ZeroDivisorCertificate.load(path).validate()
+        cert = ZeroDivisorCertificate.load(path)
         if cert.alpha != A.alpha or cert.beta != A.beta:
             raise InvalidCertificate(
                 "certificate %s is for algebra (%s, %s)"
@@ -139,10 +142,7 @@ def run(argv=None):
 
 def _dispatch(args, A):
     cmd = args.command
-    if cmd in ("gcrd", "eval"):
-        _expect_arity(args, 2)
-    else:
-        _expect_arity(args, 1)
+    _expect_arity(args, 2 if cmd in ("gcrd", "eval") else 1)
     p = parse_poly(args.polys[0], A)
     report = {"command": cmd, "input": str(p)}
 

@@ -1,6 +1,6 @@
 """Dense polynomials over a quaternion algebra (al, be / Q) as lists of
 coordinate 4-tuples, ascending in degree: the arithmetic kernel under
-qpoly.
+qpoly, and the one home of the product coord_mul and the norm coord_norm.
 
 A QPoly holds integer tuples over one denominator, so the kernel works
 on integers and qpoly brings each result to lowest terms once.  With
@@ -13,16 +13,34 @@ which raised peak RSS by about 1.5 MB over a run of the benchmark.
 
 import math
 
-from .quatalg import coord_mul, coord_norm
-
 ZERO = (0, 0, 0, 0)
 
 
+def kernel_ints(cs):
+    """The rationals cs, integral ones as ints, so int tuples stay ints."""
+    return [c.numerator if c.denominator == 1 else c for c in cs]
+
+
 def kernel_ab(A):
-    """alpha and beta of A, as ints when integral so integer tuples stay
-    ints."""
-    return [c.numerator if c.denominator == 1 else c
-            for c in (A.alpha, A.beta)]
+    """alpha and beta of A, as kernel_ints gives them."""
+    return kernel_ints((A.alpha, A.beta))
+
+
+def coord_mul(al, be, a, b):
+    """The product a*b of coordinate 4-tuples in (al, be / F); entries may
+    be ints, Fractions or NFElements."""
+    t1, x1, y1, z1 = a
+    t2, x2, y2, z2 = b
+    return (t1 * t2 + al * (x1 * x2) + be * (y1 * y2 - al * (z1 * z2)),
+            t1 * x2 + x1 * t2 + be * (z1 * y2 - y1 * z2),
+            t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
+            t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2)
+
+
+def coord_norm(al, be, a):
+    """The reduced norm t^2 - al x^2 - be y^2 + al be z^2 of a 4-tuple."""
+    t, x, y, z = a
+    return t * t - al * (x * x) - be * (y * y - al * (z * z))
 
 
 def cp_scaled(P):

@@ -25,6 +25,8 @@ _DIGITS = frozenset("0123456789")
 _ATOM_STARTERS = _DIGITS | set("ijkx(")
 _LETTERS = {"i": [(0, 1, 0, 0)], "j": [(0, 0, 1, 0)], "k": [(0, 0, 0, 1)],
             "x": [ZERO, (1, 0, 0, 0)]}
+# parentheses nest at most this deep, whatever the caller's stack depth
+_MAX_DEPTH = 100
 
 
 class _Tokens:
@@ -34,7 +36,7 @@ class _Tokens:
     def __init__(self, text):
         self.toks = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
         self.toks.append((len(text), None))
-        self.at = 0
+        self.at = self.depth = 0
 
     def peek(self):
         return self.toks[self.at][1]
@@ -96,16 +98,16 @@ def _term(toks, ab):
 
 
 def _factor(toks, ab):
-    if toks.peek() == "-":
+    sign = 1
+    while toks.peek() == "-":
         toks.take()
-        den, P = _factor(toks, ab)
-        return den, cp_scale(-1, P)
+        sign = -sign
     base = _atom(toks, ab)
     if toks.peek() == "^":
         toks.take()
-        return dense.power(base, toks.number(), (1, [(1, 0, 0, 0)]),
+        base = dense.power(base, toks.number(), (1, [(1, 0, 0, 0)]),
                            lambda p, q: _mul(ab, p, q))
-    return base
+    return base if sign == 1 else (base[0], cp_scale(-1, base[1]))
 
 
 def _atom(toks, ab):
@@ -126,10 +128,14 @@ def _atom(toks, ab):
         toks.take()
         return 1, list(_LETTERS[ch])
     if ch == "(":
+        if toks.depth == _MAX_DEPTH:
+            toks.error("expression nested too deeply")
         toks.take()
+        toks.depth += 1
         inner = _expr(toks, ab)
         if toks.peek() != ")":
             toks.error("expected ')'")
         toks.take()
+        toks.depth -= 1
         return inner
     toks.error("unexpected character %r" % ch)

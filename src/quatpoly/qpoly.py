@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import dense, ratpoly
-from .coordpoly import (ZERO, cp_add, cp_mul, cp_primitive,
-                        cp_pseudo_divmod, cp_scale, kernel_ab)
+from .coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
+                        cp_primitive, cp_pseudo_divmod, cp_scale, kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -22,8 +22,7 @@ from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
 from .numberfield import NumberField, nf_splits_quaternion
 from .quadform import (find_zero_divisor, search_zero_divisor,
                        subfield_zero_divisor)
-from .quatalg import (Quaternion, coord_mul, coord_norm, is_conjugate,
-                      make_quaternion, q_inv)
+from .quatalg import Quaternion, is_conjugate, make_quaternion, q_inv
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
                       rp_factor, rp_gcd, rp_is_irreducible)
 

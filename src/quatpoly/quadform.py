@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 from . import dense
+from .coordpoly import coord_norm, kernel_ints
 from .dense import ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
@@ -210,12 +211,10 @@ def _descent(A, B):
     z2 = r * z1 + A * x1
     x2 = r * x1 + z1
     y2 = Bp * m * y1
-    g = math.gcd(math.gcd(abs(x2), abs(y2)), abs(z2))
-    if g > 1:
-        x2, y2, z2 = x2 // g, y2 // g, z2 // g
-    if x2 == 0 and y2 == 0 and z2 == 0:
+    g = math.gcd(x2, y2, z2)
+    if g == 0:
         raise InternalInvariantViolation("trivial vector from descent")
-    return (x2, y2, z2)
+    return (x2 // g, y2 // g, z2 // g)
 
 
 def ternary_isotropic(coeffs):
@@ -395,7 +394,8 @@ def _fr_parse(s):
 
 
 class ZeroDivisorCertificate:
-    """Coordinates q0..q3 in Q[x] of an element of A (x) L with zero norm."""
+    """Coordinates q0..q3 in Q[x] of an element of A (x) L with zero norm,
+    checked once, by the constructor, however the certificate is made."""
 
     def __init__(self, alpha, beta, minpoly, q):
         self.alpha = Fr(alpha)
@@ -404,11 +404,10 @@ class ZeroDivisorCertificate:
         self.q = tuple(q)
         if len(self.q) != 4:
             raise DegenerateInput("certificate needs four polynomials")
+        self.validate()
 
     def norm_poly(self):
-        q0, q1, q2, q3 = self.q
-        return (q0 * q0 - self.alpha * q1 * q1 - self.beta * q2 * q2
-                + self.alpha * self.beta * q3 * q3)
+        return coord_norm(self.alpha, self.beta, self.q)
 
     def validate(self):
         reduced = [qi % self.minpoly for qi in self.q]
@@ -529,29 +528,28 @@ def subfield_zero_divisor(alpha, beta, L):
             raise InternalInvariantViolation(
                 "local embedding condition held but representation failed")
         x, y, z = rep
-        # a^2 = alpha x^2 + beta y^2 - alpha beta z^2
-        if alpha * x * x + beta * y * y - alpha * beta * z * z != d:
+        # a^2 = -N(a) for the pure a
+        if coord_norm(alpha, beta, (0, x, y, z)) != -d:
             raise InternalInvariantViolation(
                 "pure quaternion does not square to d")
         # conj(g) = sum (c0 - c1 a) x^m over the coefficients c0 + c1 sqrt d
         q0, c1 = map(RatPoly, zip(*g))
-        cert = ZeroDivisorCertificate(alpha, beta, p,
+        return ZeroDivisorCertificate(alpha, beta, p,
                                       (q0, -x * c1, -y * c1, -z * c1))
-        return cert.validate()
     return None
 
 
 def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
     """A ZeroDivisorCertificate for (alpha, beta / Q) tensor L, in layers:
-    (1) validate a supplied certificate, (2) subfield_zero_divisor, (3) the
-    seeded bounded search of search_zero_divisor."""
+    (1) a supplied certificate (valid once built) whose data match, (2)
+    subfield_zero_divisor, (3) the search of search_zero_divisor."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     if cert is not None:
         if (cert.alpha != alpha or cert.beta != beta
                 or cert.minpoly != L.minpoly):
             raise InvalidCertificate("certificate is for different data")
-        return cert.validate()
+        return cert
     if not nf_splits_quaternion(alpha, beta, L):
         raise DegenerateInput("algebra does not split over L")
     return (subfield_zero_divisor(alpha, beta, L)
@@ -595,9 +593,7 @@ def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
     succeeds."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
-    # integral data as ints, so that integral trials stay integer
-    al, be, *m = [c.numerator if c.denominator == 1 else c
-                  for c in (alpha, beta) + L.minpoly.coeffs]
+    al, be, *m = kernel_ints((alpha, beta) + L.minpoly.coeffs)
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):
@@ -614,10 +610,9 @@ def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
             q0 = RatPoly()
         else:
             continue
-        cert = ZeroDivisorCertificate(
+        return ZeroDivisorCertificate(
             alpha, beta, L.minpoly,
             (q0, RatPoly(a1), RatPoly(a2), RatPoly(a3)))
-        return cert.validate()
     raise SearchExhausted(
         "no zero divisor found in %d trials (largest height %d)"
         % (max_height, 1 + (max_height - 1) // 8),

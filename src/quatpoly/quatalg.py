@@ -3,12 +3,13 @@ conjugation, norm, trace, inversion, characteristic polynomials and
 conjugacy tests.
 
 Elements are immutable coordinate 4-tuples over Fraction; the basis
-satisfies i^2 = alpha, j^2 = beta and ij = k = -ji.
+satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
 """
 
 from fractions import Fraction
 
 from . import dense
+from .coordpoly import coord_mul, coord_norm
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      SplitAlgebra, ZeroDivisorEncountered)
 from .quadform import is_division, ramified_places
@@ -213,23 +214,6 @@ def make_quaternion(parent, coords):
     object.__setattr__(q, "parent", parent)
     object.__setattr__(q, "coords", coords)
     return q
-
-
-def coord_mul(al, be, a, b):
-    """The product a*b of coordinate 4-tuples in (al, be / F); entries may
-    be ints, Fractions or NFElements."""
-    t1, x1, y1, z1 = a
-    t2, x2, y2, z2 = b
-    return (t1 * t2 + al * (x1 * x2) + be * (y1 * y2 - al * (z1 * z2)),
-            t1 * x2 + x1 * t2 + be * (z1 * y2 - y1 * z2),
-            t1 * y2 + y1 * t2 + al * (x1 * z2 - z1 * x2),
-            t1 * z2 + z1 * t2 + x1 * y2 - y1 * x2)
-
-
-def coord_norm(al, be, a):
-    """The reduced norm of a coordinate 4-tuple."""
-    t, x, y, z = a
-    return t * t - al * (x * x) - be * (y * y - al * (z * z))
 
 
 def q_inv(a):

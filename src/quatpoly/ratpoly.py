@@ -162,10 +162,7 @@ class RatPoly:
         return _wrap(dense.compose(self.coeffs, other.coeffs, QQ))
 
     def denominator_lcm(self):
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return math.lcm(*[c.denominator for c in self.coeffs])
 
     def int_coeffs(self):
         """Integer coefficient list of d*self, d = lcm of denominators."""

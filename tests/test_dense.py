@@ -220,9 +220,8 @@ _PARSER_STEPS = ("_expr", "_term", "_factor", "_atom")
 _PARSER_NAMES = {"QPoly", "Quaternion", "make_quaternion", "Fraction", "Fr"}
 
 
-def _names_named(module, steps, names, attrs=()):
-    """Where the top-level functions or methods ("Class.method") steps of
-    module name one of names, or read one of attrs as an attribute."""
+def _functions(module):
+    """The top-level functions and methods ("Class.method") of module."""
     path = pathlib.Path(quatpoly.__file__).parent / module
     tree = ast.parse(path.read_text())
     functions = {node.name: node for node in tree.body
@@ -232,6 +231,13 @@ def _names_named(module, steps, names, attrs=()):
             functions.update({"%s.%s" % (cls.name, node.name): node
                               for node in cls.body
                               if isinstance(node, ast.FunctionDef)})
+    return functions
+
+
+def _names_named(module, steps, names, attrs=()):
+    """Where the top-level functions or methods ("Class.method") steps of
+    module name one of names, or read one of attrs as an attribute."""
+    functions = _functions(module)
     found = ["%s is missing" % name for name in steps
              if name not in functions]
     for name in steps:
@@ -337,3 +343,50 @@ def test_subfield_decision_stays_in_quadform():
               and node.name == "find_zero_divisor"]
     assert len(layers) == 1
     assert sorted(set(_identifiers(layers[0])) & _LAYER_2_NAMES) == []
+
+
+def _method_calls(node, attr, scope=""):
+    """The dotted scope (classes and functions) around each call
+    `something.attr(...)` under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr):
+            yield scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = "%s.%s" % (scope, child.name) if scope else child.name
+        yield from _method_calls(child, attr, inner)
+
+
+def test_only_the_certificate_constructor_validates():
+    """A certificate is checked once, when it is built or loaded: a second
+    .validate() call in the library repeats that work and shows here."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    callers = ["%s:%s" % (path.stem, scope)
+               for path in sorted(src.glob("*.py"))
+               for scope in _method_calls(ast.parse(path.read_text()),
+                                          "validate")]
+    assert callers == ["quadform:ZeroDivisorCertificate.__init__"]
+
+
+def test_quaternion_formulas_live_in_the_kernel():
+    """coordpoly, the home of coord_mul and coord_norm, imports nothing
+    but math, no other module defines them, and the certificate norm and
+    the pure-square check use coord_norm: a retyped norm or a second copy
+    of a formula shows here."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    tree = ast.parse((src / "coordpoly.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "")
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported == ["math"]
+    homes = [path.stem for path in sorted(src.glob("*.py"))
+             for name in ("coord_mul", "coord_norm")
+             if name in _functions(path.name)]
+    assert homes == ["coordpoly", "coordpoly"]
+    functions = _functions("quadform.py")
+    for name in ("ZeroDivisorCertificate.norm_poly", "subfield_zero_divisor"):
+        assert "coord_norm" in _identifiers(functions[name]), name

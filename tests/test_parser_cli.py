@@ -19,12 +19,17 @@ from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
 README = Path(__file__).resolve().parents[1] / "README.md"
-# nested past the interpreter's recursion limit
-DEEP = ("(" * 1000 + "x" + ")" * 1000, "-" * 2000 + "x")
+# nested past the parser's limit of 100 levels
+DEEP = "(" * 1000 + "x" + ")" * 1000
 
 
 def P(text, A=H):
     return parse_poly(text, A)
+
+
+def _down(frames, fn):
+    """fn() called from frames stack frames further down."""
+    return fn() if frames == 0 else _down(frames - 1, fn)
 
 
 class TestParser:
@@ -76,13 +81,28 @@ class TestParser:
             P("\u00b2")
 
     def test_deep_nesting_is_a_parse_error(self):
-        for text in DEEP:
+        with pytest.raises(PolyParseError, match="nested too deeply") as ei:
+            P(DEEP)
+        # at the 101st "("
+        assert ei.value.position == 100
+        assert P("(" * 100 + "x" + ")" * 100) == QPoly.x(H)
+        # signs are read in a loop and do not nest
+        assert P("-" * 200 + "x") == QPoly.x(H)
+        assert P("-" * 2000 + "x") == QPoly.x(H)
+        assert P("-" * 2001 + "x^2") == -QPoly.x(H) ** 2
+
+    def test_nesting_limit_does_not_depend_on_the_caller(self):
+        text = "(" * 150 + "x" + ")" * 150
+
+        def position():
             with pytest.raises(PolyParseError,
                                match="nested too deeply") as ei:
                 P(text)
-            assert 0 < ei.value.position < len(text)
-        assert P("(" * 100 + "x" + ")" * 100) == QPoly.x(H)
-        assert P("-" * 200 + "x") == QPoly.x(H)
+            return ei.value.position
+
+        assert position() == _down(300, position) == 100
+        assert _down(300, lambda: P("(" * 100 + "x" + ")" * 100)) \
+            == QPoly.x(H)
 
     def test_round_trip_idempotent(self):
         rng = random.Random(61)
@@ -273,13 +293,53 @@ class TestCli:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: malformed")
 
-    @pytest.mark.parametrize("text", DEEP, ids=["parentheses", "minus"])
-    def test_deep_nesting_exit(self, text, capsys):
-        # "--" ends the options, as text starting with "-" needs
-        code = run(["factor", "--alpha", "-1", "--beta", "-1", "--", text])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(
-            "error: expression nested too deeply")
+    @pytest.mark.parametrize("text, code", [
+        (DEEP, EXIT_USAGE), ("-" * 2000 + "x", EXIT_OK)],
+        ids=["parentheses", "minus"])
+    def test_deep_nesting_exit(self, text, code, capsys):
+        # "--" ends the options, as text starting with "--" needs
+        assert run(["factor", "--alpha", "-1", "--beta", "-1", "--",
+                    text]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("error: expression nested too deeply")
+
+    @pytest.mark.parametrize("argv, key, want", [
+        (["roots", "x^2 + 1/2", "--alpha", "-1/2", "--beta", "-3"],
+         "roots", [["0/1", "1/1", "0/1", "0/1"]]),
+        (["roots", "x^2 + 1/2", "--alpha=-1/2", "--beta", "-3"],
+         "roots", [["0/1", "1/1", "0/1", "0/1"]]),
+        (["factor", "x^2+1", "--alpha", "-1", "--beta", "-3/1"],
+         "factors_display", ["x + (-i)", "x + (i)"]),
+        (["eval", "x^2+1", "-i", "--alpha", "-1", "--beta", "-1"],
+         "value", ["0/1", "0/1", "0/1", "0/1"])],
+        ids=["alpha", "alpha=", "beta", "point"])
+    def test_values_may_start_with_a_minus_sign(self, argv, key, want,
+                                                capsys):
+        # -h is the one short option: every other "-..." is a value
+        assert run(argv + ["--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[key] == want
+
+    def test_unknown_short_option_is_a_bad_value(self, capsys):
+        assert run(["factor", "x^2+1", "-z", "--alpha", "-1",
+                    "--beta", "-1"]) == EXIT_USAGE
+        assert run(["-h"]) == EXIT_OK
+        assert "usage: quatpoly" in capsys.readouterr().out
+
+    def test_certificate_file_is_validated_once(self, tmp_path, monkeypatch,
+                                                capsys):
+        path = write_cert(tmp_path)
+        calls = []
+        validate = ZeroDivisorCertificate.validate
+        monkeypatch.setattr(ZeroDivisorCertificate, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        assert run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                    "--beta", "-1", "--max-height", "1", "--certificate",
+                    path]) == EXIT_OK
+        assert len(calls) == 1
+        assert "factor:" in capsys.readouterr().out
 
     def test_superscript_exponent_exit(self, capsys):
         code = run(["factor", "x^\u00b2", "--alpha", "-1", "--beta", "-1"])

@@ -404,19 +404,18 @@ class TestCertificate:
         assert (n % cert.minpoly).is_zero
 
     def test_rejects_zero(self):
+        # the constructor validates, so no invalid certificate exists
         z = from_int_list([0])
-        cert = ZeroDivisorCertificate(-1, -1, from_int_list([1, 0, 1]),
-                                      (z, z, z, z))
-        with pytest.raises(InvalidCertificate):
-            cert.validate()
+        with pytest.raises(InvalidCertificate, match="is zero"):
+            ZeroDivisorCertificate(-1, -1, from_int_list([1, 0, 1]),
+                                   (z, z, z, z))
 
     def test_rejects_nonzero_norm(self):
-        cert = ZeroDivisorCertificate(
-            -1, -1, from_int_list([1, 0, 1]),
-            (from_int_list([1]), from_int_list([0]),
-             from_int_list([0]), from_int_list([0])))
-        with pytest.raises(InvalidCertificate):
-            cert.validate()
+        with pytest.raises(InvalidCertificate, match="does not vanish"):
+            ZeroDivisorCertificate(
+                -1, -1, from_int_list([1, 0, 1]),
+                (from_int_list([1]), from_int_list([0]),
+                 from_int_list([0]), from_int_list([0])))
 
     def test_json_round_trip(self, tmp_path):
         cert = self._quartic_cert()
@@ -427,10 +426,11 @@ class TestCertificate:
         back.validate()
 
     def test_fraction_round_trip(self):
+        # 2/3 times the quartic certificate: its norm (4/9) N is still 0
+        quartic = self._quartic_cert()
         cert = ZeroDivisorCertificate(
-            -1, -1, from_int_list([2, 0, 1]),
-            (RatPoly([Fr(1, 3), Fr(2)]), RatPoly([Fr(-5, 7)]),
-             from_int_list([1]), from_int_list([0])))
+            -1, -1, quartic.minpoly, [qi * Fr(2, 3) for qi in quartic.q])
+        assert any(c.denominator == 3 for qi in cert.q for c in qi.coeffs)
         assert ZeroDivisorCertificate.from_dict(cert.to_dict()) == cert
 
     @pytest.mark.parametrize("key, value", [
