@@ -24,7 +24,6 @@ from .quadform import (PlaceSet, ZeroDivisorCertificate, find_zero_divisor,
 from .quatalg import (CharPoly, Quaternion, QuaternionAlgebra, charpoly,
                       is_conjugate, q_inv)
 from .ratpoly import (RatPoly, from_int_list, rp_discriminant, rp_factor,
-                      rp_gcd, rp_is_irreducible, rp_real_root_count,
-                      rp_xgcd)
+                      rp_gcd, rp_is_irreducible, rp_real_root_count)
 
 __version__ = "0.1.0"

@@ -12,16 +12,20 @@ squarefree decomposition with primitive gcds and exact integer division,
 then Zassenhaus' method on each squarefree part.  The prime p is the
 smallest odd one with f squarefree of full degree mod p (a gcd over
 GF(p), no resultant); distinct-degree and Cantor-Zassenhaus equal-degree
-splitting mod p; quadratic Hensel lifting along a factor tree; and
+splitting mod p, where the linear factors of a small p are found as the
+roots of f by evaluation at every residue; Hensel lifting, where each
+root is lifted by scalar Newton steps and divided out, and only the
+nonlinear factors go through quadratic lifting along a factor tree; and
 recombination of subsets of the lifted factors by integer trial
 division, which stops at the first non-integral quotient coefficient.
 The lift first goes to a working precision p^k > 2^16 and keeps what
 recombination finds when each factor is proved irreducible by its own
-Mignotte bound; otherwise it goes again to p^k above twice the Mignotte
-bound of the input.  Each irreducible factor is made monic over Q once,
-at the end.  The factoring over GF(p), gfp_factor_squarefree, takes
-squarefree input only; it also splits the minimal polynomials in the
-idempotent split of maxorder.
+Mignotte bound; each piece left unproved is then factored alone, from
+its own modular factors, at p^k above twice its own Mignotte bound.
+Each irreducible factor is made monic over Q once, at the end.  The
+factoring over GF(p), gfp_factor_squarefree, takes squarefree input
+only; it also splits the minimal polynomials in the idempotent split of
+maxorder.
 """
 
 import math
@@ -257,12 +261,6 @@ def rp_gcd(a, b):
     return _wrap(dense.monic([Fr(c) for c in f], QQ))
 
 
-def rp_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    g, u, v = dense.xgcd(a.coeffs, b.coeffs, QQ)
-    return _wrap(g), _wrap(u), _wrap(v)
-
-
 def resultant(f, g):
     """Res(f, g) over Q, computed by the Euclidean scheme."""
     if f.is_zero or g.is_zero:
@@ -334,11 +332,27 @@ def squarefree_decomposition(p):
 # ---------------------------------------------------------------------------
 # factoring in GF(p)[x]: polynomials as lists of ints in [0, p)
 
+# Below this prime the linear factors mod p are read off the roots, found
+# by evaluation at every residue; evaluation costs p Horner passes, so
+# from it on random splitting finds them.
+_ROOT_SEARCH_BOUND = 64
+
+
+def _horner(f, r, m):
+    """f(r) mod m for an integer poly f."""
+    v = 0
+    for c in reversed(f):
+        v = (v * r + c) % m
+    return v
+
+
 def _edf(f, d, p, rng):
     """Equal-degree splitting of monic squarefree f into factors of degree d."""
     n = len(f) - 1
     if n == d:
         return [f]
+    if d == 1 and p < _ROOT_SEARCH_BOUND:
+        return [[-r % p, 1] for r in range(p) if not _horner(f, r, p)]
     F = GF(p)
     while True:
         r = dense.trim([rng.randrange(p) for _ in range(n)])
@@ -359,7 +373,11 @@ def _edf(f, d, p, rng):
 
 
 def gfp_factor_squarefree(f, p):
-    """Irreducible factors of a monic squarefree poly over GF(p)."""
+    """Irreducible factors of a monic squarefree poly over GF(p).
+
+    Distinct-degree factorization, then equal-degree splitting of each
+    part; for p < _ROOT_SEARCH_BOUND the linear factors are x - r for the
+    roots r of the degree-1 part, by evaluation at every residue."""
     rng = random.Random((0, tuple(f), p).__hash__())
     F = GF(p)
     out = []
@@ -462,6 +480,21 @@ def _lift_list(f, factors, p, k):
     g2, h2 = _lift_quadratic(f, g, h, p, k)
     return (_lift_list(g2, factors[:s], p, k)
             + _lift_list(h2, factors[s:], p, k))
+
+
+def _lift_root(f, r, p, k):
+    """The root mod p^k of f over the simple root r of f mod p.
+
+    Newton steps r <- r - f(r)/f'(r), each from modulus m to min(m^2,
+    p^k) (von zur Gathen & Gerhard, Modern Computer Algebra, 9.4); f'(r)
+    is a unit mod p because r is a simple root."""
+    df = dense.derivative(f, ZZ)
+    top = p ** k
+    m = p
+    while m < top:
+        m = min(m * m, top)
+        r = (r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+    return r
 
 
 def _symmetric(c, m):
@@ -603,11 +636,26 @@ def _proves_irreducible(g, lifts, lc, m):
 
 def _lift_and_recombine(f, modular, p, bound):
     """(m, pieces): the lifts of the modular factors of f to the smallest
-    m = p^k > bound, recombined."""
+    m = p^k > bound, recombined; modular is sorted by degree.
+
+    Each linear factor x - r is a simple root r of f mod p: _lift_root
+    lifts it, and f mod m is divided by each lifted x - r.  Only the
+    nonlinear factors go to _lift_list, against what is left of f.  Monic
+    lifts mod m are unique, so these are the lifts _lift_list would give
+    for all of them, in the same order."""
     k, m = 1, p
     while m <= bound:
         k, m = k + 1, m * p
-    return m, _recombine(f, _lift_list(f, modular, p, k), m)
+    lifted = []
+    rest = [c % m for c in f]
+    for q in modular:
+        if len(q) == 2:
+            lifted.append([-_lift_root(rest, -q[0] % p, p, k) % m, 1])
+            rest = dense.divmod(rest, lifted[-1], GF(m))[0]
+    nonlinear = modular[len(lifted):]
+    if nonlinear:
+        lifted += _lift_list(rest, nonlinear, p, k)
+    return m, _recombine(f, lifted, m)
 
 
 def _factor_squarefree_int(f):
@@ -617,23 +665,31 @@ def _factor_squarefree_int(f):
     zur Gathen & Gerhard, Modern Computer Algebra, 15.6): the lift first
     goes to a working precision, and what recombination finds there is
     kept when that precision is already above twice the Mignotte bound
-    of f or every piece is proved irreducible by its own bound.
-    Otherwise the lift goes again from p to the full bound, where
-    recombination is complete: at most two precisions per call."""
+    of f or the piece is proved irreducible by its own bound.  Each
+    piece left unproved is lifted again from p, with the modular factors
+    that divide it, to above twice its own Mignotte bound, where
+    recombination is complete."""
     if len(f) - 1 == 1:
         return [f]
     p = _good_prime(f)
-    fbar = dense.monic([c % p for c in f], GF(p))
+    F = GF(p)
+    fbar = dense.monic([c % p for c in f], F)
     modular = sorted(gfp_factor_squarefree(fbar, p), key=lambda g: (len(g), g))
     if len(modular) == 1:
         return [f]
     full = 2 * _mignotte_bound(f)
     m, pieces = _lift_and_recombine(f, modular, p,
                                     min(full, _WORKING_PRECISION))
-    if m <= full and not all(_proves_irreducible(g, s, f[-1], m)
-                             for g, s in pieces):
-        _, pieces = _lift_and_recombine(f, modular, p, full)
-    return [g for g, _ in pieces]
+    out = []
+    for g, s in pieces:
+        if m > full or _proves_irreducible(g, s, f[-1], m):
+            out.append(g)
+            continue
+        gbar = [c % p for c in g]
+        own = [q for q in modular if not dense.divmod(gbar, q, F)[1]]
+        _, split = _lift_and_recombine(g, own, p, 2 * _mignotte_bound(g))
+        out += [h for h, _ in split]
+    return out
 
 
 class RatFactorization:

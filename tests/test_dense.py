@@ -179,11 +179,12 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # the integer Zassenhaus and Sturm steps of ratpoly and the rational names
 # they avoid
-_INTEGER_STEPS = ("_good_prime", "_lift_quadratic", "_lift_list",
-                  "_exact_quotient", "_recombine", "_proves_irreducible",
-                  "_lift_and_recombine", "_factor_squarefree_int",
-                  "_primitive_gcd", "_squarefree_int", "_pseudo_remainder",
-                  "_quo", "primitive_gcd_cofactors", "rp_real_root_count")
+_INTEGER_STEPS = ("_good_prime", "_horner", "_edf", "_lift_root",
+                  "_lift_quadratic", "_lift_list", "_exact_quotient",
+                  "_recombine", "_proves_irreducible", "_lift_and_recombine",
+                  "_factor_squarefree_int", "_primitive_gcd", "_squarefree_int",
+                  "_pseudo_remainder", "_quo", "primitive_gcd_cofactors",
+                  "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
 # the local square test of nf_sqrt and the Trager steps it avoids

@@ -6,7 +6,8 @@ functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
 thousand inputs.  The factorisation over GF(p) that splitting_type once
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
-of test_numberfield and test_ratpoly pin against it."""
+of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
+extended gcd over Q that only the swap reference uses."""
 
 import math
 import random
@@ -18,7 +19,7 @@ import pytest
 
 from quatpoly import dense, qpoly, quadform, ratpoly
 from quatpoly.coordpoly import cp_primitive
-from quatpoly.dense import GF, ZZ
+from quatpoly.dense import GF, QQ, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              PolyParseError, SearchExhausted,
                              ZeroDivisorEncountered)
@@ -38,7 +39,7 @@ from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
                                subfield_zero_divisor,
                                ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
-from quatpoly.ratpoly import RatPoly, rp_gcd, rp_is_irreducible, rp_xgcd
+from quatpoly.ratpoly import RatPoly, rp_gcd, rp_is_irreducible
 
 ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
             QuaternionAlgebra(-2, -5), QuaternionAlgebra(Fr(-1, 2), -3))
@@ -128,6 +129,12 @@ def test_halves_are_the_gcrd_of_the_reduction_loop(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # factor swaps
+
+def rp_xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g, g monic, in Q[x]."""
+    g, u, v = dense.xgcd(a.coeffs, b.coeffs, QQ)
+    return RatPoly(g), RatPoly(u), RatPoly(v)
+
 
 def ref_swap(p, q):
     """The Bezout-LCLM swap: with u N(p) + v N(q) = 1, p1 is the monic
@@ -755,9 +762,10 @@ def product_corpus(rng):
 
 def test_early_lift_finds_the_full_bound_factors(monkeypatch):
     """The same factors as one lift to the full bound, on norms and on
-    integer products of every height.  Each call recombines at most twice,
-    the second time above the full bound; answers kept from below it
-    include pieces of several lifts, proved by their own bound."""
+    integer products of every height.  Each call recombines once, and then
+    once more for each piece left unproved, above that piece's own full
+    bound; answers kept from below it include pieces of several lifts,
+    proved by their own bound."""
     rng = random.Random(179)
     corpus = norm_corpus(rng) + product_corpus(rng)
     runs = []
@@ -775,7 +783,8 @@ def test_early_lift_finds_the_full_bound_factors(monkeypatch):
         got = ratpoly._factor_squarefree_int(f)
         assert sorted(got) == sorted(ref_factor_squarefree_int(f)), f
     shapes = {tuple(full for full, _ in run) for run in runs}
-    assert shapes == {(), (False,), (True,), (False, True)}
+    assert shapes == {(), (False,), (True,)} | {
+        (False,) + (True,) * n for n in range(1, 5)}
     assert any(run == [(False, s)] for run in runs for s in (2, 3, 4))
 
 

@@ -10,14 +10,14 @@ from quatpoly.dense import GF, QQ, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              NotSquarefree)
 from quatpoly.intarith import is_prime
-from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list,
+from quatpoly.ratpoly import (RatPoly, _good_prime, _horner, _lift_list,
                               _mignotte_bound, _proves_irreducible,
                               from_int_list, gfp_factor_squarefree,
                               primitive_gcd_cofactors, resultant,
                               rp_discriminant, rp_factor, rp_gcd,
-                              rp_is_irreducible, rp_real_root_count, rp_xgcd,
+                              rp_is_irreducible, rp_real_root_count,
                               squarefree_decomposition)
-from test_folds import ref_gfp_factor
+from test_folds import ref_gfp_factor, rp_xgcd
 
 
 def sylvester_resultant(p, q):
@@ -564,6 +564,35 @@ class TestIntegerZassenhaus:
         assert m2 > 2 * _mignotte_bound(f)
         assert sorted(second) == [([1, 100003, 1], 2), ([200003, 0, 1], 2)]
 
+    def test_second_pass_lifts_only_the_unproved_piece(self, monkeypatch):
+        """x^2 + 1 stays irreducible mod 7 and is proved at the working
+        precision; the quartic (x^2 + 100003x + 1)(x^2 + 200003) is not.
+        The second lift takes only the quartic's four modular factors, to
+        above twice the quartic's own Mignotte bound."""
+        quartic = dense.mul([1, 100003, 1], [200003, 0, 1], ZZ)
+        f = dense.mul(quartic, [1, 0, 1], ZZ)
+        assert _good_prime(f) == 7
+        runs = []
+        recombine = ratpoly._recombine
+
+        def spy(f, lifted, m):
+            pieces = recombine(f, lifted, m)
+            runs.append((f, m, len(lifted), pieces))
+            return pieces
+
+        monkeypatch.setattr(ratpoly, "_recombine", spy)
+        fac = rp_factor(from_int_list(f))
+        monkeypatch.undo()
+        assert sorted((str(g), e) for g, e in fac.factors) == \
+            [("x^2 + 1", 1), ("x^2 + 100003*x + 1", 1), ("x^2 + 200003", 1)]
+        assert [(g, m, r) for g, m, r, _ in runs] == \
+            [(f, 7 ** 6, 5), (quartic, runs[1][1], 4)]
+        assert sorted(runs[0][3]) == [([1, 0, 1], 1), (quartic, 4)]
+        m2 = runs[1][1]
+        assert 2 * _mignotte_bound(quartic) < m2 <= 14 * _mignotte_bound(
+            quartic)
+        assert m2 < 2 * _mignotte_bound(f)
+
     def test_certificate_rejects_up_to_its_bound(self):
         """More than one lift: proved only for m > 2 |lc| 2^deg(g) |g|_2,
         and never at or below it.  One lift: always proved."""
@@ -598,6 +627,156 @@ class TestIntegerZassenhaus:
         assert fac.expand() == n
         assert Counter({g.coeffs: e for g, e in fac.factors}) == \
             Counter(g.coeffs for g in norms)
+
+
+def rnd_with_roots(rng, roots, nonlinear, lc):
+    """lc times the product of x - a for a in roots and of monic random
+    quadratics and cubics, nonlinear of them; None unless squarefree."""
+    f = [lc]
+    for a in roots:
+        f = dense.mul(f, [-a, 1], ZZ)
+    for _ in range(nonlinear):
+        f = dense.mul(f, [rng.randint(-20, 20)
+                          for _ in range(rng.randint(2, 3))] + [1], ZZ)
+    fp = from_int_list(f)
+    return f if rp_gcd(fp, fp.derivative()).degree == 0 else None
+
+
+class TestRootPath:
+    """Linear modular factors as roots: found by evaluation below
+    _ROOT_SEARCH_BOUND, lifted by Newton steps and divided out, with only
+    the nonlinear factors on the factor tree."""
+
+    @staticmethod
+    def lifts(f, modular, p, k, monkeypatch):
+        """The lifts _lift_and_recombine hands to _recombine at p^k."""
+        seen = []
+        monkeypatch.setattr(ratpoly, "_recombine",
+                            lambda f, lifted, m: seen.append((lifted, m)))
+        ratpoly._lift_and_recombine(f, modular, p, p ** (k - 1))
+        monkeypatch.undo()
+        ((lifted, m),) = seen
+        assert m == p ** k
+        return lifted
+
+    def test_newton_lifts_match_the_linear_lift(self, monkeypatch):
+        """At the prime rp_factor picks, for lc 1, 3 and 105, and at p = 3
+        with lc 1; k = 3, 7 and 12 clamp the last step below m^2."""
+        rng = random.Random(76)
+        cases = []
+        for lc in (1, 3, 105):
+            while sum(c[2] == lc for c in cases) < 12:
+                roots = rng.sample(range(-40, 40), rng.randint(1, 5))
+                f = rnd_with_roots(rng, roots, rng.randint(0, 2), lc)
+                if f is not None:
+                    cases.append((f, _good_prime(f), lc))
+        while sum(c[1] == 3 for c in cases) < 12:
+            roots = rng.sample(range(-20, 20), rng.randint(1, 3))
+            f = rnd_with_roots(rng, roots, rng.randint(0, 2), 1)
+            if f is not None and _good_prime(f) == 3:
+                cases.append((f, 3, 1))
+        shapes = set()
+        for f, p, _ in cases:
+            fbar = dense.monic([c % p for c in f], GF(p))
+            modular = sorted(gfp_factor_squarefree(fbar, p),
+                             key=lambda g: (len(g), g))
+            shapes.add((len(modular[0]) == 2, len(modular[-1]) == 2))
+            for k in (1, 2, 3, 4, 7, 12):
+                assert self.lifts(f, modular, p, k, monkeypatch) == \
+                    lift_list_reference(f, modular, p, k), (f, p, k)
+                for q in modular:
+                    if len(q) == 2:
+                        r = ratpoly._lift_root(f, -q[0] % p, p, k)
+                        assert r < p ** k and r % p == -q[0] % p
+                        assert ratpoly._horner(f, r, p ** k) == 0
+        assert {(True, True), (True, False)} <= shapes
+
+    def test_tree_lift_sees_only_nonlinear_factors(self, monkeypatch):
+        """Eight roots: no quadratic lift at all.  Four roots and three
+        quadratics: every pair lifted is a product of the quadratics."""
+        calls = []
+        lift = ratpoly._lift_quadratic
+
+        def spy(f, g, h, p, k):
+            calls.append((g, h, p))
+            return lift(f, g, h, p, k)
+
+        monkeypatch.setattr(ratpoly, "_lift_quadratic", spy)
+        linears = [1]
+        for a in (-7, -3, -1, 0, 2, 5, 6, 11):
+            linears = dense.mul(linears, [-a, 1], ZZ)
+        p = _good_prime(linears)
+        assert len(gfp_factor_squarefree([c % p for c in linears],
+                                          p)) == 8
+        assert TestIntegerZassenhaus.check(from_int_list(linears)) == \
+            sorted((str(from_int_list([-a, 1])), 1)
+                   for a in (-7, -3, -1, 0, 2, 5, 6, 11))
+        assert calls == []
+
+        mixed = dense.mul(dense.mul([-2, 1], [3, 1], ZZ),
+                          dense.mul([-5, 1], [7, 1], ZZ), ZZ)
+        for q in ([1, 0, 1], [2, 1, 1], [3, 0, 1]):
+            mixed = dense.mul(mixed, q, ZZ)
+        p = _good_prime(mixed)
+        modular = gfp_factor_squarefree([c % p for c in mixed], p)
+        degrees = sorted(len(q) - 1 for q in modular)
+        assert degrees.count(1) >= 4 and degrees.count(2) >= 2
+        assert len(TestIntegerZassenhaus.check(from_int_list(mixed))) == 7
+        assert calls
+        g0, h0, _ = calls[0]
+        assert len(g0) + len(h0) - 2 == sum(d for d in degrees if d > 1)
+        for g, h, p in calls:
+            for q in (g, h):
+                assert all(_horner(q, r, p) for r in range(p)), (q, p)
+
+    def test_evaluation_finds_the_random_splitting_factors(self,
+                                                           monkeypatch):
+        """Every prime below the bound, 2 included: the factors found with
+        the roots by evaluation are those of random splitting alone."""
+        rng = random.Random(77)
+        primes = [p for p in range(2, ratpoly._ROOT_SEARCH_BOUND)
+                  if is_prime(p)]
+        assert primes[0] == 2 and primes[-1] == 61
+        for p in primes:
+            for _ in range(6):
+                f = [1]
+                for a in rng.sample(range(p), min(p, rng.randint(1, 6))):
+                    f = dense.mul(f, [-a % p, 1], GF(p))
+                f = dense.mul(f, [rng.randrange(p)
+                                  for _ in range(rng.randint(0, 4))] + [1],
+                              GF(p))
+                if dense.gcd(f, dense.derivative(f, GF(p)), GF(p)) != [1]:
+                    continue
+                got = sorted(gfp_factor_squarefree(f, p))
+                assert got == [q for q, _ in ref_gfp_factor(f, p)]
+                monkeypatch.setattr(ratpoly, "_ROOT_SEARCH_BOUND", 2)
+                assert got == sorted(gfp_factor_squarefree(f, p)), (f, p)
+                monkeypatch.undo()
+                assert [q for q in got if len(q) == 2] == \
+                    sorted([-r % p, 1] for r in range(p)
+                           if not _horner(f, r, p))
+
+    def test_primes_from_the_bound_take_random_splitting(self,
+                                                         monkeypatch):
+        """Five roots mod 61 take 61 evaluations; mod 67 and 101, none."""
+        calls = []
+        horner = ratpoly._horner
+
+        def spy(f, r, m):
+            calls.append(m)
+            return horner(f, r, m)
+
+        monkeypatch.setattr(ratpoly, "_horner", spy)
+        for p, evaluated in ((61, [61] * 61), (67, []), (101, [])):
+            calls.clear()
+            # x^2 + 1 and x^2 + 2 are irreducible mod these primes
+            quadratic = [1, 0, 1] if p % 4 == 3 else [2, 0, 1]
+            f = quadratic
+            for a in (1, 2, 3, 5, 8):
+                f = dense.mul(f, [-a % p, 1], GF(p))
+            assert sorted(gfp_factor_squarefree(f, p)) == sorted(
+                [[-a % p, 1] for a in (1, 2, 3, 5, 8)] + [quadratic])
+            assert calls == evaluated, p
 
 
 def sturm_root_count_reference(p):
