@@ -163,6 +163,14 @@ def derivative(f, F):
     return trim([red(i * f[i]) for i in range(1, len(f))])
 
 
+def evaluate(f, x, F):
+    """f(x) by Horner's rule, reduced once at the end."""
+    v = F.zero
+    for c in reversed(f):
+        v = v * x + c
+    return F.red(v)
+
+
 def compose(f, g, F):
     """f(g) by Horner's rule."""
     out = []

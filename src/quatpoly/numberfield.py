@@ -300,14 +300,6 @@ def _mod_p(coeffs, p):
     return [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
 
 
-def _eval_mod(f, r, p):
-    """f(r) mod p by Horner's rule."""
-    v = 0
-    for c in reversed(f):
-        v = (v * r + c) % p
-    return v
-
-
 def _local_roots(minpoly):
     """(p, simple roots of minpoly mod p) for each p of _LOCAL_PRIMES
     dividing no denominator of minpoly and giving at least one root."""
@@ -316,9 +308,10 @@ def _local_roots(minpoly):
         m = _mod_p(minpoly.coeffs, p)
         if m is None:
             continue
-        dm = dense.derivative(m, dense.GF(p))
-        roots = [r for r in range(p)
-                 if _eval_mod(m, r, p) == 0 and _eval_mod(dm, r, p) != 0]
+        F = dense.GF(p)
+        dm = dense.derivative(m, F)
+        roots = [r for r in range(p) if dense.evaluate(m, r, F) == 0
+                 and dense.evaluate(dm, r, F) != 0]
         if roots:
             out.append((p, roots))
     return out
@@ -341,8 +334,8 @@ def _local_nonsquare(el):
     if L.local_roots is None:
         L.local_roots = _local_roots(L.minpoly)
     for p, roots in L.local_roots:
-        e = _mod_p(el.coords, p)
-        if e is not None and any(legendre(_eval_mod(e, r, p), p) == -1
+        e, F = _mod_p(el.coords, p), dense.GF(p)
+        if e is not None and any(legendre(dense.evaluate(e, r, F), p) == -1
                                  for r in roots):
             return True
     return False

@@ -100,6 +100,17 @@ def test_derivative_and_compose(field):
         assert dense.compose(lin, lin, F) == dense.add(lin, dense.trim([c]), F)
 
 
+def test_evaluate_is_the_remainder_by_x_minus_c(field):
+    F, elt = field
+    rng = random.Random(5)
+    for _ in range(20):
+        f = dense.trim([elt(rng) for _ in range(rng.randint(0, 6))])
+        c = elt(rng)
+        x_minus_c = dense.sub([F.zero, F.one], dense.trim([c]), F)
+        r = dense.divmod(f, x_minus_c, F)[1]
+        assert dense.evaluate(f, c, F) == (r[0] if r else F.zero)
+
+
 def test_division_by_zero_raises(field):
     F, elt = field
     with pytest.raises(DivisionByZero):
@@ -179,16 +190,16 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # the integer Zassenhaus and Sturm steps of ratpoly and the rational names
 # they avoid
-_INTEGER_STEPS = ("_good_prime", "_horner", "_edf", "_lift_root",
-                  "_lift_quadratic", "_lift_list", "_exact_quotient",
-                  "_recombine", "_proves_irreducible", "_lift_and_recombine",
+_INTEGER_STEPS = ("_good_prime", "_edf", "_lift_root", "_lift_quadratic",
+                  "_lift_list", "_exact_quotient", "_recombine",
+                  "_proves_irreducible", "_lift_and_recombine",
                   "_factor_squarefree_int", "_primitive_gcd", "_squarefree_int",
                   "_pseudo_remainder", "_quo", "primitive_gcd_cofactors",
                   "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
 # the local square test of nf_sqrt and the Trager steps it avoids
-_LOCAL_STEPS = ("_local_nonsquare", "_local_roots", "_mod_p", "_eval_mod")
+_LOCAL_STEPS = ("_local_nonsquare", "_local_roots", "_mod_p")
 _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
                  "nf_poly_norm", "nf_factor_squarefree", "rp_factor"}
 # the trial polynomial of the zero-divisor search, which goes to nf_sqrt

@@ -10,7 +10,7 @@ from quatpoly.dense import GF, QQ, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              NotSquarefree)
 from quatpoly.intarith import is_prime
-from quatpoly.ratpoly import (RatPoly, _good_prime, _horner, _lift_list,
+from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list,
                               _mignotte_bound, _proves_irreducible,
                               from_int_list, gfp_factor_squarefree,
                               primitive_gcd_cofactors, resultant,
@@ -688,7 +688,7 @@ class TestRootPath:
                     if len(q) == 2:
                         r = ratpoly._lift_root(f, -q[0] % p, p, k)
                         assert r < p ** k and r % p == -q[0] % p
-                        assert ratpoly._horner(f, r, p ** k) == 0
+                        assert dense.evaluate(f, r, GF(p ** k)) == 0
         assert {(True, True), (True, False)} <= shapes
 
     def test_tree_lift_sees_only_nonlinear_factors(self, monkeypatch):
@@ -727,7 +727,8 @@ class TestRootPath:
         assert len(g0) + len(h0) - 2 == sum(d for d in degrees if d > 1)
         for g, h, p in calls:
             for q in (g, h):
-                assert all(_horner(q, r, p) for r in range(p)), (q, p)
+                assert all(dense.evaluate(q, r, GF(p))
+                           for r in range(p)), (q, p)
 
     def test_evaluation_finds_the_random_splitting_factors(self,
                                                            monkeypatch):
@@ -754,20 +755,20 @@ class TestRootPath:
                 monkeypatch.undo()
                 assert [q for q in got if len(q) == 2] == \
                     sorted([-r % p, 1] for r in range(p)
-                           if not _horner(f, r, p))
+                           if not dense.evaluate(f, r, GF(p)))
 
     def test_primes_from_the_bound_take_random_splitting(self,
                                                          monkeypatch):
         """Five roots mod 61 take 61 evaluations; mod 67 and 101, none."""
         calls = []
-        horner = ratpoly._horner
+        evaluate = dense.evaluate
 
-        def spy(f, r, m):
-            calls.append(m)
-            return horner(f, r, m)
+        def spy(f, r, F):
+            calls.append(r)
+            return evaluate(f, r, F)
 
-        monkeypatch.setattr(ratpoly, "_horner", spy)
-        for p, evaluated in ((61, [61] * 61), (67, []), (101, [])):
+        monkeypatch.setattr(dense, "evaluate", spy)
+        for p, evaluated in ((61, list(range(61))), (67, []), (101, [])):
             calls.clear()
             # x^2 + 1 and x^2 + 2 are irreducible mod these primes
             quadratic = [1, 0, 1] if p % 4 == 3 else [2, 0, 1]
