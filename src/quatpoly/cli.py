@@ -83,7 +83,7 @@ def _quat_tuple(a):
 
 
 def _qpoly_tuples(p):
-    return [_quat_tuple(c) for c in p.coeffs]
+    return [[fr_str(c, p.den) for c in a] for a in p.num]
 
 
 def _load_certs(paths, A):
@@ -166,7 +166,8 @@ def _dispatch(args, A):
     elif cmd == "beck":
         b = beck_decompose(p)
         report["leading"] = _quat_tuple(b.leading)
-        report["central"] = [fr_str(c) for c in b.central.coeffs]
+        report["central"] = [fr_str(c, b.central.den)
+                             for c in b.central.num]
         report["central_display"] = str(b.central)
         report["central_free"] = _qpoly_tuples(b.central_free)
         report["central_free_display"] = str(b.central_free)

@@ -1,6 +1,7 @@
 """Dense polynomials over a quaternion algebra (al, be / Q) as lists of
 coordinate 4-tuples, ascending in degree: the arithmetic kernel under
-qpoly, and the one home of the product coord_mul and the norm coord_norm.
+qpoly, and the one home of the product coord_mul, the norm coord_norm
+and the display coord_text.
 
 A QPoly holds integer tuples over one denominator, so the kernel works
 on integers and qpoly brings each result to lowest terms once.  With
@@ -43,12 +44,19 @@ def coord_norm(al, be, a):
     return t * t - al * (x * x) - be * (y * y - al * (z * z))
 
 
-def cp_scaled(P):
-    """(den, den*P) with den the least common denominator of P's
-    coordinates, so den*P has integer entries."""
-    den = math.lcm(*[c.denominator for a in P for c in a])
-    return den, [tuple([c.numerator * (den // c.denominator) for c in a])
-                 for a in P]
+def coord_text(a, den=1):
+    """The quaternion a / den as text, for a 4-tuple a of ints or
+    Fractions and an int den > 0: each coordinate as str shows its
+    Fraction, +-1 dropped before i, j and k."""
+    out = ""
+    for c, name in zip(a, ("", "i", "j", "k")):
+        if c:
+            n, d = c.numerator, c.denominator * den
+            g = math.gcd(n, d)
+            s = "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
+            s = s[:-1] + name if name and s in ("1", "-1") else s + name
+            out += s if not out or s[0] == "-" else "+" + s
+    return out or "0"
 
 
 def cp_scale(n, P):
@@ -58,7 +66,8 @@ def cp_scale(n, P):
 def cp_primitive(P):
     """P divided by the positive rational content of all its coordinates:
     integer tuples whose entries have gcd 1."""
-    P = cp_scaled(P)[1]
+    m = math.lcm(*[c.denominator for a in P for c in a])
+    P = [[c.numerator * (m // c.denominator) for c in a] for a in P]
     g = math.gcd(*[c for a in P for c in a])
     return [(a[0] // g, a[1] // g, a[2] // g, a[3] // g) for a in P]
 

@@ -1,8 +1,9 @@
 """Dense univariate polynomials over a field, as plain lists.
 
-This is the one Euclidean core behind RatPoly (over Q), the modular
-factoring and Hensel lifting in GF(p)[x], and polynomials over a number
-field L = Q[x]/(m) (Trager factoring, square roots in L).
+This is the one Euclidean core behind RatPoly (over Z, on numerators),
+the modular factoring and Hensel lifting in GF(p)[x], and polynomials
+over a number field L = Q[x]/(m) (Trager factoring, square roots in L).
+format_terms shows a list of coefficient texts as a polynomial.
 
 A polynomial is a list of coefficients, constant term first, with no
 trailing zeros; [] is the zero polynomial.  Inputs are expected in that
@@ -34,7 +35,7 @@ def same(a):
     return a
 
 
-QQ = Field(Fraction(0), Fraction(1), same, lambda a: 1 / a)
+QQ = Field(Fraction(0), Fraction(1), same, lambda a: Fraction(1) / a)
 
 # the integers, for the ring operations (add, sub, mul) only
 ZZ = Field(0, 1, same, None)
@@ -177,3 +178,22 @@ def compose(f, g, F):
     for c in reversed(f):
         out = add(mul(out, g, F), [c] if c else [], F)
     return out
+
+
+def format_terms(coeffs):
+    """Ascending coefficients, each a rational as str shows it (shown
+    without a factor of +-1) or a ready-made string, as terms in
+    descending powers, no zeros."""
+    out = ""
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == "0":
+            continue
+        xs = "x" if i == 1 else "x^%d" % i
+        term = (c if i == 0 else c[:-1] + xs if c in ("1", "-1")
+                else "%s*%s" % (c, xs))
+        if out:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+        else:
+            out = term
+    return out or "0"

@@ -84,10 +84,9 @@ class NumberField:
 
     def integral_model(self):
         """The monic integral minimal polynomial of c * theta, as a list
-        of ints, for c the lcm of the denominators of the minpoly."""
-        c = self.minpoly.denominator_lcm()
-        n = self.degree
-        return [int(self.minpoly[i] * c ** (n - i)) for i in range(n)] + [1]
+        of ints, for c = minpoly.den, the lcm of its denominators."""
+        c, num, n = self.minpoly.den, self.minpoly.num, self.degree
+        return [num[i] * c ** (n - 1 - i) for i in range(n)] + [1]
 
 
 def _element(L, coords):
@@ -145,7 +144,7 @@ class NFElement:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.parent.minpoly.coeffs, self.coords))
+        return hash((self.parent.minpoly, self.coords))
 
     def __neg__(self):
         return _element(self.parent, [-c for c in self.coords])
@@ -302,12 +301,13 @@ def _mod_p(coeffs, p):
 
 def _local_roots(minpoly):
     """(p, simple roots of minpoly mod p) for each p of _LOCAL_PRIMES
-    dividing no denominator of minpoly and giving at least one root."""
+    not dividing the den of minpoly and giving at least one root."""
     out = []
     for p in _LOCAL_PRIMES:
-        m = _mod_p(minpoly.coeffs, p)
-        if m is None:
+        if minpoly.den % p == 0:
             continue
+        inv = pow(minpoly.den, -1, p)
+        m = [c * inv % p for c in minpoly.num]
         F = dense.GF(p)
         dm = dense.derivative(m, F)
         roots = [r for r in range(p) if dense.evaluate(m, r, F) == 0

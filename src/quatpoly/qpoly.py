@@ -12,9 +12,10 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from . import dense, ratpoly
-from .coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
-                        cp_primitive, cp_pseudo_divmod, cp_scale, kernel_ab)
+from . import dense
+from .coordpoly import (ZERO, coord_mul, coord_norm, coord_text, cp_add,
+                        cp_mul, cp_primitive, cp_pseudo_divmod, cp_scale,
+                        kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -26,28 +27,19 @@ from .quatalg import Quaternion, is_conjugate, make_quaternion, q_inv
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
                       rp_factor, rp_gcd, rp_is_irreducible)
 
+
 def _make(A, den, P, out=None):
     """The QPoly over A equal to P / den, for kernel output P (a list of
-    4-tuples, entries int or Fraction) and a nonzero rational den: P is
-    trimmed, its Fractions and den's are cleared by one common multiple,
-    and the gcd of den and every entry is divided out, with den > 0.
-    out, when given, is the QPoly being constructed."""
-    n = len(P)
-    while n and P[n - 1] == ZERO:
-        n -= 1
-    m = math.lcm(den.denominator, *[c.denominator for a in P[:n] for c in a])
-    den = den.numerator * (m // den.denominator)
-    P = [tuple([c.numerator * (m // c.denominator) for c in a])
-         for a in P[:n]]
-    g = math.gcd(den, *[c for a in P for c in a])
-    if den < 0:
-        g = -g
-    if g != 1:
-        den, P = den // g, [tuple([c // g for c in a]) for a in P]
+    4-tuples, entries int or Fraction) and a nonzero rational den, in the
+    lowest terms from_int_list gives the flat list of coordinates, which
+    is cut back into 4-tuples.  out, when given, is the QPoly being
+    constructed."""
+    r = from_int_list([c for a in P for c in a], den)
     out = object.__new__(QPoly) if out is None else out
     object.__setattr__(out, "parent", A)
-    object.__setattr__(out, "den", den)
-    object.__setattr__(out, "num", tuple(P))
+    object.__setattr__(out, "den", r.den)
+    object.__setattr__(out, "num", tuple(list(
+        zip_longest(*[iter(r.num)] * 4, fillvalue=0))))
     return out
 
 
@@ -87,7 +79,7 @@ class QPoly:
 
     @classmethod
     def from_ratpoly(cls, A, p):
-        return _make(A, 1, [(c, 0, 0, 0) for c in p.coeffs])
+        return _make(A, p.den, [(c, 0, 0, 0) for c in p.num])
 
     @classmethod
     def from_coordinates(cls, A, coords):
@@ -223,9 +215,11 @@ class QPoly:
 
 def format_qpoly(p):
     """Canonical display: descending powers, coefficients parenthesized
-    exactly when they are not rational scalars."""
-    return ratpoly.format_terms([c.coords[0] if c.is_central else "(%s)" % c
-                                 for c in p.coeffs])
+    exactly when they are not rational scalars; read off (den, num)."""
+    d = p.den
+    return dense.format_terms([coord_text(a, d) if a[1:] == (0, 0, 0)
+                               else "(%s)" % coord_text(a, d)
+                               for a in p.num])
 
 
 def qp_conj(p):

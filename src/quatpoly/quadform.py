@@ -380,10 +380,11 @@ def represent_pure(alpha, beta, d):
 # ---------------------------------------------------------------------------
 # zero-divisor certificates
 
-def fr_str(q):
-    """A rational as "numerator/denominator", the form certificates use."""
-    q = Fr(q)
-    return "%d/%d" % (q.numerator, q.denominator)
+def fr_str(q, den=1):
+    """The rational q/den as "numerator/denominator", for an int den > 0."""
+    n, d = q.numerator, q.denominator * den
+    g = math.gcd(n, d)
+    return "%d/%d" % (n // g, d // g)
 
 
 def _fr_parse(s):

@@ -9,7 +9,7 @@ satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
 from fractions import Fraction
 
 from . import dense
-from .coordpoly import coord_mul, coord_norm
+from .coordpoly import coord_mul, coord_norm, coord_text
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      SplitAlgebra, ZeroDivisorEncountered)
 from .quadform import is_division, ramified_places
@@ -185,25 +185,7 @@ class Quaternion:
         return str(self)
 
     def __str__(self):
-        parts = []
-        for c, name in zip(self.coords, ("", "i", "j", "k")):
-            if c == 0:
-                continue
-            if name == "":
-                s = str(c)
-            elif c == 1:
-                s = name
-            elif c == -1:
-                s = "-" + name
-            else:
-                s = "%s%s" % (c, name)
-            parts.append(s)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for s in parts[1:]:
-            out += "+" + s if not s.startswith("-") else s
-        return out
+        return coord_text(self.coords)
 
 
 def make_quaternion(parent, coords):

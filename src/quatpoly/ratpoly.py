@@ -1,21 +1,20 @@
 """Dense polynomials over Q: gcd, resultants, Sturm counting, factoring.
 
-Coefficients are fractions.Fraction, stored ascending (constant term
-first) with no trailing zeros; the zero polynomial has an empty tuple.
-Degrees in this package never exceed a few dozen, so everything is kept
-dense.
+A RatPoly holds integer coefficients, ascending with no trailing zeros,
+over one denominator; its arithmetic, division included, runs on them.
+Degrees here never exceed a few dozen, so everything is kept dense.
 
-The gcd (made monic over Q at the end) and Sturm counting run the same
-primitive remainder sequence over Z.  Factoring (rp_factor) runs
-entirely over Z on the primitive integer part of its input: Yun's
-squarefree decomposition with primitive gcds and exact integer division,
-then Zassenhaus' method on each squarefree part.  The prime p is the
-smallest odd one with f squarefree of full degree mod p (a gcd over
-GF(p), no resultant); distinct-degree and Cantor-Zassenhaus equal-degree
-splitting mod p, where the linear factors of a small p are found as the
-roots of f by evaluation at every residue; Hensel lifting, where each
-root is lifted by scalar Newton steps and divided out, and only the
-nonlinear factors go through quadratic lifting along a factor tree; and
+Division, the gcd (made monic over Q at the end) and Sturm counting run
+on one integer pseudo-division.  Factoring (rp_factor) runs entirely
+over Z on the primitive integer part of its input: Yun's squarefree
+decomposition with primitive gcds and exact integer division, then
+Zassenhaus' method on each squarefree part.  The prime p is the smallest
+odd one with f squarefree of full degree mod p (a gcd over GF(p), no
+resultant); distinct-degree and Cantor-Zassenhaus equal-degree splitting
+mod p, where the linear factors of a small p are found as the roots of f
+by evaluation at every residue; Hensel lifting, where each root is
+lifted by scalar Newton steps and divided out, and only the nonlinear
+factors go through quadratic lifting along a factor tree; and
 recombination of subsets of the lifted factors by integer trial
 division, which stops at the first non-integral quotient coefficient.
 The lift first goes to a working precision p^k > 2^16 and keeps what
@@ -34,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import dense
-from .dense import GF, QQ, ZZ
+from .dense import GF, ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      NotSquarefree)
 from .intarith import is_prime
@@ -42,86 +41,113 @@ from .intarith import is_prime
 Fr = Fraction
 
 
-def _wrap(coeffs):
-    """The RatPoly of a core result (trimmed list of Fractions), without
-    the constructor's conversion."""
+def from_int_list(ic, den=1):
+    """The RatPoly ic / den in lowest terms, for a list or tuple ic of
+    ints or Fractions and a nonzero int or Fraction den: ic is trimmed,
+    its Fractions and den's are cleared by one common multiple, and the
+    gcd of den and every entry is divided out, with den > 0.  The one
+    reduction of RatPoly and QPoly."""
+    n = len(ic)
+    while n and not ic[n - 1]:
+        n -= 1
+    m = math.lcm(den.denominator, *[c.denominator for c in ic[:n]])
+    den = den.numerator * (m // den.denominator)
+    num = [c.numerator * (m // c.denominator) for c in ic[:n]]
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den, num = den // g, [c // g for c in num]
     out = object.__new__(RatPoly)
-    out.coeffs = tuple(coeffs)
+    out.den, out.num = den, tuple(num)
     return out
 
 
+def _rational(other):
+    """other as a RatPoly, for a RatPoly, an int or a Fraction; else None."""
+    if isinstance(other, (int, Fraction)):
+        return from_int_list([other])
+    return other if isinstance(other, RatPoly) else None
+
+
 class RatPoly:
-    __slots__ = ("coeffs",)
+    """A polynomial over Q, ascending degree.  It holds an integer tuple
+    num over one positive denominator den, with gcd(den, every entry) = 1
+    and num trimmed, so equal polynomials have equal (den, num); the
+    Fraction coefficients are built on access."""
+
+    __slots__ = ("den", "num")
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(dense.trim([Fr(c) for c in coeffs]))
+        p = from_int_list(list(coeffs))
+        self.den, self.num = p.den, p.num
 
     @classmethod
     def const(cls, c):
-        return cls((Fr(c),))
+        return from_int_list([c])
+
+    @property
+    def coeffs(self):
+        return tuple([Fr(c, self.den) for c in self.num])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.num:
             raise DegenerateInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fr(self.num[-1], self.den)
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fr(0)
+        return Fr(self.num[i], self.den) if 0 <= i < len(self.num) else Fr(0)
 
     def __eq__(self, other):
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == RatPoly.const(other).coeffs
-        return NotImplemented
+        other = _rational(other)
+        return NotImplemented if other is None else (
+            self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.num))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __neg__(self):
-        return _wrap([-c for c in self.coeffs])
+        return from_int_list([-c for c in self.num], self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.const(other)
-        if not isinstance(other, RatPoly):
+        other = _rational(other)
+        if other is None:
             return NotImplemented
-        return _wrap(dense.add(self.coeffs, other.coeffs, QQ))
+        return from_int_list(dense.add(dense.scale(self.num, other.den, ZZ),
+                                       dense.scale(other.num, self.den, ZZ),
+                                       ZZ), self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.const(other)
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return _wrap(dense.sub(self.coeffs, other.coeffs, QQ))
+        other = _rational(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _wrap(dense.scale(self.coeffs, other, QQ))
-        if not isinstance(other, RatPoly):
+        other = _rational(other)
+        if other is None:
             return NotImplemented
-        return _wrap(dense.mul(self.coeffs, other.coeffs, QQ))
+        return from_int_list(dense.mul(self.num, other.num, ZZ),
+                             self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -129,14 +155,17 @@ class RatPoly:
         return dense.power(self, n, RatPoly.const(1))
 
     def __divmod__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly.const(other)
-        if not isinstance(other, RatPoly):
+        """On the integers: s*f = q*g + r for the numerators f, g of self
+        and other, so self = (q*dg / (s*df)) * other + r / (s*df)."""
+        other = _rational(other)
+        if other is None:
             return NotImplemented
         if other.is_zero:
             raise DegenerateInput("division by zero polynomial")
-        q, r = dense.divmod(self.coeffs, other.coeffs, QQ)
-        return _wrap(q), _wrap(r)
+        s, q, r = _pseudo_divmod(self.num, other.num)
+        d = s * self.den
+        return (from_int_list(dense.scale(q, other.den, ZZ), d),
+                from_int_list(r, d))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -151,63 +180,27 @@ class RatPoly:
         return q
 
     def monic(self):
-        return _wrap(dense.monic(self.coeffs, QQ))
+        return from_int_list(self.num, self.num[-1] if self.num else 1)
 
     def derivative(self):
-        return _wrap(dense.derivative(self.coeffs, QQ))
+        return from_int_list(dense.derivative(self.num, ZZ), self.den)
 
     def __call__(self, v):
-        return dense.evaluate(self.coeffs, v, QQ)
+        return dense.evaluate(self.num, v, ZZ) / Fr(self.den)
 
     def compose(self, other):
-        return _wrap(dense.compose(self.coeffs, other.coeffs, QQ))
-
-    def denominator_lcm(self):
-        return math.lcm(*[c.denominator for c in self.coeffs])
-
-    def int_coeffs(self):
-        """Integer coefficient list of d*self, d = lcm of denominators."""
-        d = self.denominator_lcm()
-        return [int(c * d) for c in self.coeffs]
+        return sum([c * other ** i for i, c in enumerate(self.coeffs)],
+                   RatPoly())
 
     def primitive_int(self):
         """Primitive integer poly with positive lc in the same Q*-class."""
-        return _primitive(self.int_coeffs())
+        return _primitive(self.num)
 
     def __repr__(self):
         return "RatPoly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
-        return format_terms(self.coeffs)
-
-
-def format_terms(coeffs):
-    """Ascending coefficients, each a rational (shown without a factor of
-    +-1) or a ready-made string, as terms in descending powers, no zeros."""
-    out = ""
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        xs = "x" if i == 1 else "x^%d" % i
-        if i == 0:
-            term = str(c)
-        elif c == 1:
-            term = xs
-        elif c == -1:
-            term = "-" + xs
-        else:
-            term = "%s*%s" % (c, xs)
-        if out:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        else:
-            out = term
-    return out or "0"
-
-
-def from_int_list(ic, den=1):
-    """The RatPoly of integer coefficients ic, each divided by den."""
-    return _wrap(dense.trim([Fr(c, den) for c in ic]))
+        return dense.format_terms([str(c) for c in self.coeffs])
 
 
 def _primitive(f):
@@ -220,22 +213,21 @@ def _primitive(f):
     return [c // g for c in f]
 
 
-def _pseudo_remainder(f, g):
-    """A remainder of c*f on division by g in Z[x], for some integer c > 0:
-    each step scales by |lc(g)| instead of dividing by lc(g)."""
-    if g[-1] < 0:
-        g = [-a for a in g]
-    n = len(g) - 1
-    lc = g[-1]
-    r = list(f)
+def _pseudo_divmod(f, g):
+    """(s, q, r) with s*f = q*g + r in Z[x] and deg r < deg g, for g != 0:
+    each step scales by |lc(g)| instead of dividing by lc(g), so s > 0 is
+    a power of |lc(g)|."""
+    n, a, u = len(g) - 1, abs(g[-1]), 1 if g[-1] > 0 else -1
+    s, q, r = 1, [0] * max(len(f) - n, 0), list(f)
     while len(r) > n:
-        c = r.pop()
-        r = [lc * a for a in r]
-        shift = len(r) - n
+        c = u * r.pop()
+        k = len(r) - n
+        s, q, r = a * s, [a * b for b in q], [a * b for b in r]
+        q[k] = c
         for j in range(n):
-            r[shift + j] -= c * g[j]
+            r[k + j] -= c * g[j]
         dense.trim(r)
-    return r
+    return s, q, r
 
 
 def _primitive_gcd(f, g):
@@ -243,10 +235,8 @@ def _primitive_gcd(f, g):
     zero, by a primitive remainder sequence over Z (Collins 1967): each
     pseudo-remainder is divided by its integer content."""
     f, g = _primitive(f), _primitive(g)
-    if len(f) < len(g):
-        f, g = g, f
     while g:
-        f, g = g, _primitive(_pseudo_remainder(f, g))
+        f, g = g, _primitive(_pseudo_divmod(f, g)[2])
     return f
 
 
@@ -255,7 +245,7 @@ def rp_gcd(a, b):
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
     f = _primitive_gcd(a.primitive_int(), b.primitive_int())
-    return _wrap(dense.monic([Fr(c) for c in f], QQ))
+    return from_int_list(f, f[-1])
 
 
 def resultant(f, g):
@@ -263,7 +253,7 @@ def resultant(f, g):
     if f.is_zero or g.is_zero:
         return Fr(0)
     if f.degree == 0:
-        return f.coeffs[0] ** g.degree
+        return f[0] ** g.degree
     sign = 1
     a, b = f, g
     res = Fr(1)
@@ -280,7 +270,7 @@ def resultant(f, g):
             sign = -sign
         res *= b.lc ** (a.degree - r.degree)
         a, b = b, r
-    return sign * res * b.coeffs[0] ** a.degree
+    return sign * res * b[0] ** a.degree
 
 
 def rp_discriminant(p):
@@ -308,7 +298,7 @@ def rp_real_root_count(p):
     f = p.primitive_int()
     seq = [f, dense.derivative(f, ZZ)]
     while len(seq[-1]) > 1:
-        r = _pseudo_remainder(seq[-2], seq[-1])
+        r = _pseudo_divmod(seq[-2], seq[-1])[2]
         if not r:
             raise NotSquarefree("input must be squarefree")
         g = math.gcd(*r)
@@ -322,7 +312,7 @@ def squarefree_decomposition(p):
     """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
-    return [(from_int_list(a).monic(), i)
+    return [(from_int_list(a, a[-1]), i)
             for a, i in _squarefree_int(p.primitive_int())]
 
 
@@ -720,10 +710,12 @@ def rp_factor(p):
     found = {}
     for sf, mult in _squarefree_int(p.primitive_int()):
         for g in _factor_squarefree_int(sf):
-            gm = tuple(dense.monic([Fr(c) for c in g], QQ))
+            gm = from_int_list(g, g[-1])
             found[gm] = found.get(gm, 0) + mult
-    factors = sorted(((_wrap(c), m) for c, m in found.items()),
-                     key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    # the coefficients over one common denominator order them as rationals
+    d = math.lcm(*[g.den for g in found])
+    factors = sorted(found.items(), key=lambda fm: (
+        fm[0].degree, [c * (d // fm[0].den) for c in fm[0].num]))
     return RatFactorization(p.lc, factors)
 
 

@@ -119,6 +119,15 @@ def test_division_by_zero_raises(field):
         dense.xgcd([], [], F)
 
 
+def test_qq_is_exact_on_int_lists():
+    """Over QQ an int list divides into exact rationals, never floats."""
+    QQ = dense.QQ
+    outs = [dense.monic([1, 3], QQ), dense.gcd([2, 2], [1, 1], QQ),
+            *dense.divmod([1, 0, 1], [0, 3], QQ)]
+    assert outs == [[Fr(1, 3), 1], [1, 1], [0, Fr(1, 3)], [1]]
+    assert all(isinstance(c, (int, Fr)) for f in outs for c in f)
+
+
 def test_gf_reduces_lazily_to_canonical_residues():
     F = dense.GF(7)
     f = [3, 5, 6]
@@ -194,7 +203,7 @@ _INTEGER_STEPS = ("_good_prime", "_edf", "_lift_root", "_lift_quadratic",
                   "_lift_list", "_exact_quotient", "_recombine",
                   "_proves_irreducible", "_lift_and_recombine",
                   "_factor_squarefree_int", "_primitive_gcd", "_squarefree_int",
-                  "_pseudo_remainder", "_quo", "primitive_gcd_cofactors",
+                  "_pseudo_divmod", "_quo", "primitive_gcd_cofactors",
                   "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
@@ -227,6 +236,13 @@ _QPOLY_STEPS = ("QPoly.__add__", "QPoly.__mul__", "QPoly.monic", "qp_conj",
                 "Factorization.expand")
 _QUATERNION_NAMES = {"Fr", "Fraction", "Quaternion", "make_quaternion",
                      "q_inv", "coeffs", "cp_unscale"}
+# RatPoly's arithmetic and the gcd, squarefree and factoring entries, and
+# the Fraction names and coefficient reads they avoid
+_RATPOLY_STEPS = ("RatPoly.__add__", "RatPoly.__sub__", "RatPoly.__neg__",
+                  "RatPoly.__mul__", "RatPoly.__divmod__", "RatPoly.monic",
+                  "RatPoly.derivative", "RatPoly.primitive_int", "rp_gcd",
+                  "squarefree_decomposition", "rp_factor")
+_FRACTION_NAMES = {"Fr", "QQ"}
 # the recursive descent of the parser and the names it avoids
 _PARSER_STEPS = ("_expr", "_term", "_factor", "_atom")
 _PARSER_NAMES = {"QPoly", "Quaternion", "make_quaternion", "Fraction", "Fr"}
@@ -313,6 +329,15 @@ def test_qpoly_arithmetic_stays_on_integer_coordinates():
     a read of the Quaternion coefficients or an unscaling inside it shows
     here."""
     assert _names_named("qpoly.py", _QPOLY_STEPS, _QUATERNION_NAMES,
+                        {"coeffs"}) == []
+
+
+def test_ratpoly_arithmetic_stays_on_integers():
+    """RatPoly holds integers over one denominator, and its arithmetic,
+    gcd, squarefree decomposition and factoring work on them: a Fraction
+    built, a division over Q or a read of the Fraction coefficients
+    inside them shows here."""
+    assert _names_named("ratpoly.py", _RATPOLY_STEPS, _FRACTION_NAMES,
                         {"coeffs"}) == []
 
 

@@ -7,7 +7,8 @@ compares its answers with the library's on a few hundred to a few
 thousand inputs.  The factorisation over GF(p) that splitting_type once
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
 of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
-extended gcd over Q that only the swap reference uses."""
+extended gcd over Q that only the swap reference uses, and so is the
+Fraction RatPoly, as RefRatPoly, that the integer one replaced."""
 
 import math
 import random
@@ -39,7 +40,8 @@ from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
                                subfield_zero_divisor,
                                ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
-from quatpoly.ratpoly import RatPoly, rp_gcd, rp_is_irreducible
+from quatpoly.ratpoly import (RatPoly, rp_gcd, rp_is_irreducible,
+                              squarefree_decomposition)
 
 ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
             QuaternionAlgebra(-2, -5), QuaternionAlgebra(Fr(-1, 2), -3))
@@ -1043,3 +1045,321 @@ def ref_gfp_factor(f, p):
 
     rec(f, 1)
     return [(list(q), m) for q, m in sorted(out.items())]
+
+
+# ---------------------------------------------------------------------------
+# RatPoly as integers over one denominator: the Fraction RatPoly it replaced
+
+def ref_wrap(coeffs):
+    """The RatPoly of a core result (trimmed list of Fractions), without
+    the constructor's conversion."""
+    out = object.__new__(RefRatPoly)
+    out.coeffs = tuple(coeffs)
+    return out
+
+
+class RefRatPoly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        self.coeffs = tuple(dense.trim([Fr(c) for c in coeffs]))
+
+    @classmethod
+    def const(cls, c):
+        return cls((Fr(c),))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        if not self.coeffs:
+            raise DegenerateInput("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fr(0)
+
+    def __eq__(self, other):
+        if isinstance(other, RefRatPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fr)):
+            return self.coeffs == RefRatPoly.const(other).coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __neg__(self):
+        return ref_wrap([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RefRatPoly.const(other)
+        if not isinstance(other, RefRatPoly):
+            return NotImplemented
+        return ref_wrap(dense.add(self.coeffs, other.coeffs, QQ))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RefRatPoly.const(other)
+        if not isinstance(other, RefRatPoly):
+            return NotImplemented
+        return ref_wrap(dense.sub(self.coeffs, other.coeffs, QQ))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fr)):
+            return ref_wrap(dense.scale(self.coeffs, other, QQ))
+        if not isinstance(other, RefRatPoly):
+            return NotImplemented
+        return ref_wrap(dense.mul(self.coeffs, other.coeffs, QQ))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        return dense.power(self, n, RefRatPoly.const(1))
+
+    def __divmod__(self, other):
+        if isinstance(other, (int, Fr)):
+            other = RefRatPoly.const(other)
+        if not isinstance(other, RefRatPoly):
+            return NotImplemented
+        if other.is_zero:
+            raise DegenerateInput("division by zero polynomial")
+        q, r = dense.divmod(self.coeffs, other.coeffs, QQ)
+        return ref_wrap(q), ref_wrap(r)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise DegenerateInput("inexact polynomial division")
+        return q
+
+    def monic(self):
+        return ref_wrap(dense.monic(self.coeffs, QQ))
+
+    def derivative(self):
+        return ref_wrap(dense.derivative(self.coeffs, QQ))
+
+    def __call__(self, v):
+        return dense.evaluate(self.coeffs, v, QQ)
+
+    def compose(self, other):
+        return ref_wrap(dense.compose(self.coeffs, other.coeffs, QQ))
+
+    def denominator_lcm(self):
+        return math.lcm(*[c.denominator for c in self.coeffs])
+
+    def int_coeffs(self):
+        """Integer coefficient list of d*self, d = lcm of denominators."""
+        d = self.denominator_lcm()
+        return [int(c * d) for c in self.coeffs]
+
+    def primitive_int(self):
+        """Primitive integer poly with positive lc in the same Q*-class."""
+        return ratpoly._primitive(self.int_coeffs())
+
+    def __repr__(self):
+        return "RatPoly(%s)" % (list(self.coeffs),)
+
+    def __str__(self):
+        return ref_format_terms(self.coeffs)
+
+
+def ref_format_terms(coeffs):
+    """Ascending coefficients, each a rational (shown without a factor of
+    +-1) or a ready-made string, as terms in descending powers, no zeros."""
+    out = ""
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        xs = "x" if i == 1 else "x^%d" % i
+        if i == 0:
+            term = str(c)
+        elif c == 1:
+            term = xs
+        elif c == -1:
+            term = "-" + xs
+        else:
+            term = "%s*%s" % (c, xs)
+        if out:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+        else:
+            out = term
+    return out or "0"
+
+
+def ref_from_int_list(ic, den=1):
+    """The RatPoly of integer coefficients ic, each divided by den."""
+    return ref_wrap(dense.trim([Fr(c, den) for c in ic]))
+
+
+def ref_rp_gcd(a, b):
+    """Monic gcd in Q[x], by a primitive remainder sequence over Z."""
+    if a.is_zero and b.is_zero:
+        raise DegenerateInput("gcd(0, 0) is undefined")
+    f = ratpoly._primitive_gcd(a.primitive_int(), b.primitive_int())
+    return ref_wrap(dense.monic([Fr(c) for c in f], QQ))
+
+
+def ref_squarefree_decomposition(p):
+    """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
+    if p.is_zero:
+        raise DegenerateInput("cannot decompose the zero polynomial")
+    return [(ref_from_int_list(a).monic(), i)
+            for a, i in ratpoly._squarefree_int(p.primitive_int())]
+
+
+def ref_rp_factor(p):
+    """(content, [(monic irreducible, multiplicity)]) of rp_factor."""
+    if p.is_zero:
+        raise DegenerateInput("cannot factor the zero polynomial")
+    found = {}
+    for sf, mult in ratpoly._squarefree_int(p.primitive_int()):
+        for g in ratpoly._factor_squarefree_int(sf):
+            gm = tuple(dense.monic([Fr(c) for c in g], QQ))
+            found[gm] = found.get(gm, 0) + mult
+    factors = sorted(((ref_wrap(c), m) for c, m in found.items()),
+                     key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return p.lc, factors
+
+
+def rnd_rational_coeffs(rng):
+    """Coefficients of zero, a constant or a polynomial of degree up to 6,
+    with a leading coefficient of either sign and sometimes trailing
+    zeros, over denominators up to 12."""
+    deg = rng.choice((-1, 0, 0, 1, 2, 3, 4, 5, 6))
+    cs = [Fr(rng.randint(-12, 12), rng.randint(1, 12))
+          for _ in range(deg + 1)]
+    if cs and not cs[-1]:
+        cs[-1] = Fr(rng.choice((-1, 1)) * rng.randint(1, 12),
+                    rng.randint(1, 4))
+    return cs + [0] * rng.randint(0, 1)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the DegenerateInput it raises."""
+    try:
+        return fn(*args)
+    except DegenerateInput as exc:
+        return type(exc)
+
+
+def tagged(value):
+    """value with each RatPoly or RefRatPoly as ("poly", coefficients) and
+    each other scalar as (type, value), through tuples and lists; a
+    RatPoly must be in lowest terms over a positive denominator."""
+    if isinstance(value, RatPoly):
+        assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+        assert not value.num or value.num[-1]
+        assert all(type(c) is int for c in value.num)
+        return "poly", value.coeffs
+    if isinstance(value, RefRatPoly):
+        return "poly", value.coeffs
+    if isinstance(value, (tuple, list)):
+        return [tagged(v) for v in value]
+    return type(value), value
+
+
+RATPOLY_BINARY = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                  lambda x, y: y + x, lambda x, y: y - x, lambda x, y: y * x,
+                  divmod, lambda x, y: x % y, lambda x, y: x // y,
+                  lambda x, y: x.exact_div(y), lambda x, y: x == y,
+                  lambda x, y: y == x)
+RATPOLY_UNARY = (lambda p: -p, lambda p: p.monic(), lambda p: p ** 2,
+                 lambda p: p.derivative(), lambda p: p.is_monic,
+                 lambda p: p.degree, lambda p: p.is_zero, bool,
+                 lambda p: p.lc, str, repr, lambda p: p.primitive_int(),
+                 lambda p: [p[i] for i in range(-1, p.degree + 3)],
+                 lambda p: p == p.monic())
+
+
+def test_integer_ratpoly_is_the_fraction_ratpoly():
+    """Every public member of RatPoly, and rp_gcd, squarefree_decomposition
+    and rp_factor, on random rational polynomials (zero, constants and
+    negative leading coefficients among them), against the Fraction
+    RatPoly: the same values of the same types, and each result a RatPoly
+    in lowest terms."""
+    rng = random.Random(80)
+    for _ in range(600):
+        ca, cb = rnd_rational_coeffs(rng), rnd_rational_coeffs(rng)
+        a, b, ra, rb = RatPoly(ca), RatPoly(cb), RefRatPoly(ca), RefRatPoly(cb)
+        s = rng.choice((rng.randint(-4, 4),
+                        Fr(rng.randint(-9, 9), rng.randint(1, 9))))
+        v = rng.choice((rng.randint(-3, 3), Fr(rng.randint(-9, 9), 7)))
+        cases = [(member, (a,), None, (ra,)) for member in RATPOLY_UNARY]
+        cases += [(op, (a, y), None, (ra, ry)) for op in RATPOLY_BINARY
+                  for y, ry in ((b, rb), (s, s))]
+        cases += [(lambda p, w: p(w), (a, v), None, (ra, v)),
+                  (lambda p, q: p.compose(q), (a, b), None, (ra, rb)),
+                  (lambda p, q: (p * q).exact_div(q), (a, b), None, (ra, rb)),
+                  (rp_gcd, (a, b), ref_rp_gcd, (ra, rb)),
+                  (squarefree_decomposition, (a,),
+                   ref_squarefree_decomposition, (ra,)),
+                  (factor_pair, (a,), ref_rp_factor, (ra,))]
+        for member, args, ref_member, ref_args in cases:
+            want = outcome(ref_member or member, *ref_args)
+            assert tagged(outcome(member, *args)) == tagged(want)
+
+
+def factor_pair(p):
+    """(content, factors) of rp_factor(p)."""
+    fac = ratpoly.rp_factor(p)
+    return fac.content, fac.factors
+
+
+def test_repeated_factors_factor_as_the_fraction_ratpoly():
+    """rp_factor and squarefree_decomposition on products with repeated
+    and shared factors, where the sort by rationals has ties of degree."""
+    rng = random.Random(81)
+    for _ in range(150):
+        c = Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        p, rp = RatPoly.const(c), RefRatPoly.const(c)
+        for _ in range(3):
+            cs, e = rnd_rational_coeffs(rng), rng.randint(1, 3)
+            if RatPoly(cs).degree > 0:
+                p, rp = p * RatPoly(cs) ** e, rp * RefRatPoly(cs) ** e
+        assert tagged(factor_pair(p)) == tagged(ref_rp_factor(rp))
+        assert tagged(squarefree_decomposition(p)) == \
+            tagged(ref_squarefree_decomposition(rp))
+
+
+def test_division_by_a_negative_leading_coefficient():
+    """s > 0 in s*f = q*g + r also when lc(g) < 0, and divmod agrees with
+    the Fraction division for zero, constant and negative divisors."""
+    cases = [([], [Fr(-2, 3)]), ([1, 2, 3], [Fr(-2, 3)]),
+             ([5, 0, -1, 4], [1, Fr(-3, 2)]), ([0, 0, 1], [0, -1]),
+             ([Fr(1, 2), 1], [Fr(1, 3), 0, -7]), ([Fr(7, 4)], [-1])]
+    for cf, cg in cases:
+        f, g = RatPoly(cf), RatPoly(cg)
+        s, q, r = ratpoly._pseudo_divmod(list(f.num), list(g.num))
+        assert s > 0 and dense.sub(dense.scale(f.num, s, ZZ),
+                                   dense.mul(q, g.num, ZZ), ZZ) == r
+        assert tagged(divmod(f, g)) == \
+            tagged(divmod(RefRatPoly(cf), RefRatPoly(cg)))
+    with pytest.raises(DegenerateInput):
+        divmod(RatPoly([1, 2]), RatPoly())

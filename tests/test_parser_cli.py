@@ -395,7 +395,7 @@ class TestCli:
 
 
 def format_qpoly_reference(p):
-    """The format_qpoly that ratpoly.format_terms replaced."""
+    """The format_qpoly that dense.format_terms replaced."""
     if p.is_zero:
         return "0"
     pieces = []

@@ -839,10 +839,12 @@ class TestSturmOnIntegers:
         rng = random.Random(22)
         for _ in range(300):
             f = rnd_rational_poly(rng, rng.randint(0, 8)).primitive_int()
-            g = rnd_rational_poly(rng, rng.randint(0, 5)).int_coeffs()
-            r = ratpoly._pseudo_remainder(f, g)
+            g = list(rnd_rational_poly(rng, rng.randint(0, 5)).num)
+            s, q, r = ratpoly._pseudo_divmod(f, g)
             want = from_int_list(f) % from_int_list(g)
-            assert len(r) < len(g)
+            assert s > 0 and len(r) < len(g)
+            assert dense.sub(dense.scale(f, s, ZZ), dense.mul(q, g, ZZ),
+                             ZZ) == r
             if want.is_zero:
                 assert r == []
             else:
