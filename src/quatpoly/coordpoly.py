@@ -29,7 +29,7 @@ def kernel_ab(A):
 
 def coord_mul(al, be, a, b):
     """The product a*b of coordinate 4-tuples in (al, be / F); entries may
-    be ints, Fractions or NFElements."""
+    be ints, Fractions or RatPolys."""
     t1, x1, y1, z1 = a
     t2, x2, y2, z2 = b
     return (t1 * t2 + al * (x1 * x2) + be * (y1 * y2 - al * (z1 * z2)),

@@ -8,11 +8,11 @@ format_terms shows a list of coefficient texts as a polynomial.
 A polynomial is a list of coefficients, constant term first, with no
 trailing zeros; [] is the zero polynomial.  Inputs are expected in that
 form with canonical coefficients; outputs are new lists in the same form.
-Every function takes a field object F with four members:
+Every function takes a field F (GF(p), ZZ or L.field) with four members:
 
     F.zero, F.one   the constants
     F.red(a)        canonical form of a ring element: a % p over GF(p),
-                    a itself over Q and over L
+                    a itself over Z and over L
     F.inv(a)        inverse of a nonzero canonical element
 
 Inner loops use only +, - and *; red and inv run once per output
@@ -23,7 +23,6 @@ ch. 2-3).
 
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DegenerateInput, DivisionByZero
 
@@ -34,8 +33,6 @@ def same(a):
     """The canonical form over fields whose elements are already exact."""
     return a
 
-
-QQ = Field(Fraction(0), Fraction(1), same, lambda a: Fraction(1) / a)
 
 # the integers, for the ring operations (add, sub, mul) only
 ZZ = Field(0, 1, same, None)

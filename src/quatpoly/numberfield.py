@@ -1,5 +1,8 @@
 """Arithmetic in L = Q[x]/(p) and the number-theoretic tests built on it.
 
+An element of L is a RatPoly in theta of degree below deg p, so its
+arithmetic is RatPoly's, on integers over one denominator, reduced by
+p; polynomials over L are dense.py lists over the field object L.field.
 Covers field arithmetic, square testing and Trager factorization over L,
 quadratic-subfield enumeration, the places above a rational prime as
 (e, f) pairs from maxorder, and the tensor-splitting criterion for a
@@ -10,14 +13,12 @@ import math
 from fractions import Fraction
 
 from . import dense, maxorder
-from .dense import QQ
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
                      PreconditionViolation, SplitAlgebra)
 from .intarith import factorint, is_prime, legendre
 from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
                       rp_real_root_count)
 
-Fr = Fraction
 
 INFINITE_PLACE = "oo"
 
@@ -64,13 +65,10 @@ class NumberField:
         return "NumberField(%s)" % (self.minpoly,)
 
     def element(self, coords):
-        coords = dense.trim([Fr(c) for c in coords])
-        if len(coords) > self.degree:
-            coords = dense.divmod(coords, self.minpoly.coeffs, QQ)[1]
-        return _element(self, coords)
+        return NFElement(self, coords)
 
     def from_rational(self, c):
-        return self.element([Fr(c)])
+        return _element(self, RatPoly.const(c))
 
     def zero(self):
         return self.from_rational(0)
@@ -79,8 +77,7 @@ class NumberField:
         return self.from_rational(1)
 
     def gen(self):
-        return self.element([0, 1] if self.degree > 1
-                            else [-self.minpoly[0]])
+        return self.element([0, 1])
 
     def integral_model(self):
         """The monic integral minimal polynomial of c * theta, as a list
@@ -89,44 +86,47 @@ class NumberField:
         return [num[i] * c ** (n - 1 - i) for i in range(n)] + [1]
 
 
-def _element(L, coords):
-    """The element of L with Fraction coordinates coords (at most
-    L.degree of them), padded with zeros, without conversion."""
+def _element(L, poly):
+    """The element of L given by a RatPoly of degree below L.degree,
+    without reduction."""
     out = object.__new__(NFElement)
     out.parent = L
-    out.coords = tuple(coords + [Fr(0)] * (L.degree - len(coords)))
+    out.poly = poly
     return out
 
 
 class NFElement:
-    __slots__ = ("parent", "coords")
+    """An element of L: a RatPoly poly in theta of degree below L.degree;
+    coords builds its padded Fraction coordinates on access."""
+
+    __slots__ = ("parent", "poly")
 
     def __init__(self, parent, coords):
         self.parent = parent
-        self.coords = tuple([Fr(c) for c in coords])
+        self.poly = RatPoly(coords) % parent.minpoly
+
+    @property
+    def coords(self):
+        return tuple([self.poly[i] for i in range(self.parent.degree)])
 
     def as_ratpoly(self):
-        return RatPoly(self.coords)
-
-    def _poly(self):
-        """The coordinates as a dense.py polynomial over Q."""
-        return dense.trim(list(self.coords))
+        return self.poly
 
     @property
     def is_zero(self):
-        return not any(self.coords)
+        return self.poly.is_zero
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.poly)
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return self.poly.degree < 1
 
     def rational_value(self):
         if not self.is_rational:
             raise DegenerateInput("element is not rational")
-        return self.coords[0]
+        return self.poly[0]
 
     def _coerce(self, other):
         if isinstance(other, NFElement):
@@ -141,20 +141,19 @@ class NFElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coords == other.coords
+        return self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.parent.minpoly, self.coords))
+        return hash((self.parent.minpoly, self.poly))
 
     def __neg__(self):
-        return _element(self.parent, [-c for c in self.coords])
+        return _element(self.parent, -self.poly)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _element(self.parent,
-                        [a + b for a, b in zip(self.coords, other.coords)])
+        return _element(self.parent, self.poly + other.poly)
 
     __radd__ = __add__
 
@@ -162,33 +161,34 @@ class NFElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _element(self.parent,
-                        [a - b for a, b in zip(self.coords, other.coords)])
+        return _element(self.parent, self.poly - other.poly)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _element(self.parent, [c * other for c in self.coords])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         L = self.parent
-        prod = dense.mul(self._poly(), other._poly(), QQ)
-        return _element(L, dense.divmod(prod, L.minpoly.coeffs, QQ)[1])
+        return _element(L, self.poly * other.poly % L.minpoly)
 
     __rmul__ = __mul__
 
     def inv(self):
+        """Euclid on the minimal polynomial and poly ends in a constant g
+        and the cofactor s0 with s0 poly = g mod the minimal polynomial;
+        s0 / g is the inverse, reduced since deg s0 < L.degree."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero in number field")
         L = self.parent
-        g, u, _ = dense.xgcd(self._poly(), L.minpoly.coeffs, QQ)
-        if len(g) != 1:
+        r0, r1, s0, s1 = L.minpoly, self.poly, RatPoly(), RatPoly.const(1)
+        while r1:
+            q, r = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        if r0.degree != 0:
             raise InternalInvariantViolation("minpoly not irreducible?")
-        # deg u < deg minpoly - deg g, so u is already reduced
-        return _element(L, u)
+        return _element(L, s0 * (1 / r0[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -200,38 +200,24 @@ class NFElement:
         return dense.power(self, n, self.parent.one())
 
     def __repr__(self):
-        return "NF(%s)" % (self.as_ratpoly(),)
+        return "NF(%s)" % (self.poly,)
 
 
 def nf_poly_norm(f, L):
     """Norm from L[y] to Q[y]: product of f over all embeddings of L.
 
-    Computed as Res_theta(minpoly, f) by evaluation and interpolation.
+    f^n for f over Q; else the Newton interpolant of the norms
+    Res_theta(minpoly, f(t)) at n deg f + 1 integers t = 0, 1, -1, 2, ...
     """
     n = L.degree
-    degf = len(f) - 1
-    gj = [RatPoly([f[i].coords[j] for i in range(len(f))]) for j in range(n)]
-    dtheta = max((j for j in range(n) if not gj[j].is_zero), default=0)
-    if dtheta == 0:
-        return gj[0] ** n
-    dbound = n * degf
-    points, values = [], []
-    t = 0
-    while len(points) <= dbound:
-        tv = Fr(t)
-        if gj[dtheta](tv) != 0:
-            theta_poly = RatPoly([gj[j](tv) for j in range(dtheta + 1)])
-            values.append(resultant(L.minpoly, theta_poly))
-            points.append(tv)
-        t = -t if t > 0 else -t + 1
-    # Newton-form interpolation
-    poly = RatPoly([values[0]])
-    base = RatPoly.const(1)
-    for k in range(1, len(points)):
-        base = base * RatPoly([-points[k - 1], 1])
-        num = values[k] - poly(points[k])
-        den = base(points[k])
-        poly = poly + base * (num / den)
+    if all(c.is_rational for c in f):
+        return RatPoly([c.poly[0] for c in f]) ** n
+    poly, base = RatPoly(), RatPoly.const(1)
+    for k in range(n * (len(f) - 1) + 1):
+        t = (k + 1) // 2 if k % 2 else -(k // 2)
+        value = resultant(L.minpoly, dense.evaluate(f, t, L.field).poly)
+        poly = poly + base * ((value - poly(t)) / base(t))
+        base = base * RatPoly([-t, 1])
     return poly
 
 
@@ -291,12 +277,13 @@ def nf_factor(f, L):
 _LOCAL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _mod_p(coeffs, p):
-    """Fraction coefficients reduced mod p, or None when p divides a
-    denominator."""
-    if any(c.denominator % p == 0 for c in coeffs):
+def _mod_p(r, p):
+    """The coefficients of the RatPoly r reduced mod p, or None when p
+    divides its denominator."""
+    if r.den % p == 0:
         return None
-    return [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+    inv = pow(r.den, -1, p)
+    return [c * inv % p for c in r.num]
 
 
 def _local_roots(minpoly):
@@ -304,10 +291,9 @@ def _local_roots(minpoly):
     not dividing the den of minpoly and giving at least one root."""
     out = []
     for p in _LOCAL_PRIMES:
-        if minpoly.den % p == 0:
+        m = _mod_p(minpoly, p)
+        if m is None:
             continue
-        inv = pow(minpoly.den, -1, p)
-        m = [c * inv % p for c in minpoly.num]
         F = dense.GF(p)
         dm = dense.derivative(m, F)
         roots = [r for r in range(p) if dense.evaluate(m, r, F) == 0
@@ -334,7 +320,7 @@ def _local_nonsquare(el):
     if L.local_roots is None:
         L.local_roots = _local_roots(L.minpoly)
     for p, roots in L.local_roots:
-        e, F = _mod_p(el.coords, p), dense.GF(p)
+        e, F = _mod_p(el.poly, p), dense.GF(p)
         if e is not None and any(legendre(dense.evaluate(e, r, F), p) == -1
                                  for r in roots):
             return True
@@ -352,10 +338,7 @@ def nf_sqrt(d, L):
     per field and reused by every later call.  The test only rejects
     non-squares, so every answer is the one Trager gives.
     """
-    if isinstance(d, NFElement):
-        el = d
-    else:
-        el = L.from_rational(d)
+    el = d if isinstance(d, NFElement) else L.from_rational(d)
     if el.is_zero:
         return L.zero()
     if _local_nonsquare(el):
@@ -395,7 +378,7 @@ def nf_quadratic_subfields(L):
     """Squarefree integers d with Q(sqrt(d)) contained in L, in the order
     of nf_quadratic_candidates."""
     return [d for d in nf_quadratic_candidates(L)
-            if nf_sqrt(Fr(d), L) is not None]
+            if nf_sqrt(d, L) is not None]
 
 
 def nf_local_splitting(L, place):

@@ -27,6 +27,9 @@ _LETTERS = {"i": [(0, 1, 0, 0)], "j": [(0, 0, 1, 0)], "k": [(0, 0, 0, 1)],
             "x": [ZERO, (1, 0, 0, 0)]}
 # parentheses nest at most this deep, whatever the caller's stack depth
 _MAX_DEPTH = 100
+# the largest exponent, and the largest degree of a power or product as
+# its coefficient list counts it (cancelled terms included)
+_MAX_DEGREE = 1000
 
 
 class _Tokens:
@@ -53,6 +56,12 @@ class _Tokens:
 
     def error(self, msg):
         raise PolyParseError(msg, position=self.toks[self.at][0])
+
+
+def _check_degree(degree, pos):
+    if degree > _MAX_DEGREE:
+        raise PolyParseError("exponent or degree above %d" % _MAX_DEGREE,
+                             position=pos)
 
 
 def parse_poly(text, A):
@@ -94,7 +103,10 @@ def _term(toks, ab):
             toks.take()
         elif ch is None or ch[0] not in _ATOM_STARTERS:
             return out
-        out = _mul(ab, out, _factor(toks, ab))
+        pos = toks.toks[toks.at][0]
+        right = _factor(toks, ab)
+        _check_degree(len(out[1]) + len(right[1]) - 2, pos)
+        out = _mul(ab, out, right)
 
 
 def _factor(toks, ab):
@@ -105,7 +117,10 @@ def _factor(toks, ab):
     base = _atom(toks, ab)
     if toks.peek() == "^":
         toks.take()
-        base = dense.power(base, toks.number(), (1, [(1, 0, 0, 0)]),
+        pos = toks.toks[toks.at][0]
+        n = toks.number()
+        _check_degree(max(n, (len(base[1]) - 1) * n), pos)
+        base = dense.power(base, n, (1, [(1, 0, 0, 0)]),
                            lambda p, q: _mul(ab, p, q))
     return base if sign == 1 else (base[0], cp_scale(-1, base[1]))
 

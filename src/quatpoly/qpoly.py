@@ -83,8 +83,10 @@ class QPoly:
 
     @classmethod
     def from_coordinates(cls, A, coords):
-        return _make(A, 1, list(zip_longest(*[c.coeffs for c in coords],
-                                            fillvalue=0)))
+        den = math.lcm(*[c.den for c in coords])
+        return _make(A, den, list(zip_longest(
+            *[[a * (den // c.den) for a in c.num] for c in coords],
+            fillvalue=0)))
 
     @classmethod
     def x(cls, A):

@@ -498,9 +498,8 @@ def _trager_half(p, d):
         return None
     g = parts[0]
     gbar = [L2.element((c.coords[0], -c.coords[1])) for c in g]
-    prod = dense.mul(g, gbar, L2.field)
-    if [c.coords for c in prod] != \
-            [L2.from_rational(c).coords for c in p.coeffs]:
+    if dense.mul(g, gbar, L2.field) != [L2.from_rational(c)
+                                        for c in p.coeffs]:
         raise InternalInvariantViolation(
             "conjugate halves fail to reconstruct the input")
     return [c.coords for c in g]

@@ -12,6 +12,7 @@ from quatpoly import dense
 from quatpoly.errors import DegenerateInput, DivisionByZero
 from quatpoly.numberfield import NumberField
 from quatpoly.ratpoly import from_int_list
+from test_folds import QQ
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
 
@@ -22,7 +23,7 @@ def _rational(rng):
 
 # (name, field object, random canonical element)
 FIELDS = [
-    ("QQ", dense.QQ, _rational),
+    ("QQ", QQ, _rational),
     ("GF2", dense.GF(2), lambda rng: rng.randrange(2)),
     ("GF3", dense.GF(3), lambda rng: rng.randrange(3)),
     ("GF7", dense.GF(7), lambda rng: rng.randrange(7)),
@@ -121,7 +122,6 @@ def test_division_by_zero_raises(field):
 
 def test_qq_is_exact_on_int_lists():
     """Over QQ an int list divides into exact rationals, never floats."""
-    QQ = dense.QQ
     outs = [dense.monic([1, 3], QQ), dense.gcd([2, 2], [1, 1], QQ),
             *dense.divmod([1, 0, 1], [0, 3], QQ)]
     assert outs == [[Fr(1, 3), 1], [1, 1], [0, Fr(1, 3)], [1]]
@@ -339,6 +339,26 @@ def test_ratpoly_arithmetic_stays_on_integers():
     inside them shows here."""
     assert _names_named("ratpoly.py", _RATPOLY_STEPS, _FRACTION_NAMES,
                         {"coeffs"}) == []
+
+
+# NFElement's arithmetic, the element constructor, the Trager norm and the
+# reduction mod p of the local square test, and the Fraction names and
+# coordinate or coefficient reads they avoid
+_NF_STEPS = ("NFElement.__add__", "NFElement.__sub__", "NFElement.__neg__",
+             "NFElement.__mul__", "NFElement.inv", "NumberField.element",
+             "nf_poly_norm", "_mod_p")
+_NF_NAMES = {"Fr", "Fraction", "QQ"}
+
+
+def test_number_field_arithmetic_stays_on_ratpoly():
+    """An element of L is one RatPoly, and its arithmetic, the Trager norm
+    and the reduction mod p are RatPoly's or work on (den, num): a
+    Fraction built, a computation over QQ or a read of the Fraction
+    coordinates or coefficients inside them shows here, and so does a
+    Fraction field of dense.py that the library could fall back on."""
+    assert _names_named("numberfield.py", _NF_STEPS, _NF_NAMES,
+                        {"coords", "coeffs"}) == []
+    assert not hasattr(dense, "QQ")
 
 
 def test_parser_builds_kernel_values():

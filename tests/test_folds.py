@@ -14,19 +14,21 @@ import math
 import random
 import re
 from fractions import Fraction as Fr
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import pytest
 
-from quatpoly import dense, qpoly, quadform, ratpoly
+from quatpoly import dense, numberfield, qpoly, quadform, ratpoly
 from quatpoly.coordpoly import cp_primitive
-from quatpoly.dense import GF, QQ, ZZ
-from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
-                             PolyParseError, SearchExhausted,
-                             ZeroDivisorEncountered)
+from quatpoly.dense import GF, ZZ
+from quatpoly.errors import (DegenerateInput, DivisionByZero,
+                             InternalInvariantViolation, PolyParseError,
+                             SearchExhausted, ZeroDivisorEncountered)
 from quatpoly.intarith import factorint, squarefree_kernel
-from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
+from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   nf_factor_over_quadratic,
+                                  nf_factor_squarefree, nf_poly_norm,
                                   nf_quadratic_candidates, nf_sqrt)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
@@ -42,6 +44,10 @@ from quatpoly.quadform import (ZeroDivisorCertificate, hilbert_symbol,
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
 from quatpoly.ratpoly import (RatPoly, rp_gcd, rp_is_irreducible,
                               squarefree_decomposition)
+
+# Q as a field object of dense.py, on Fractions: the reference code below
+# computes over it, and the library, whose Q[x] is RatPoly, does not
+QQ = dense.Field(Fr(0), Fr(1), dense.same, lambda a: Fr(1) / a)
 
 ALGEBRAS = (QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3),
             QuaternionAlgebra(-2, -5), QuaternionAlgebra(Fr(-1, 2), -3))
@@ -660,6 +666,14 @@ def test_one_polynomial_built_three_ways_is_one_value():
     assert hash(parsed) == hash(built) == hash(coords)
     assert (parsed.den, parsed.num) == (12, ((9, 0, 0, 0), (0, 0, 0, -8),
                                              (6, 12, 0, 0)))
+    # four coordinates over different denominators, against the Fraction
+    # coefficients from_coordinates once read
+    for _ in range(200):
+        cs = [RatPoly(rnd_rational_coeffs(rng)) for _ in range(4)]
+        want = QPoly.from_kernel(A, 1, list(zip_longest(
+            *[c.coeffs for c in cs], fillvalue=0)))
+        got = QPoly.from_coordinates(A, cs)
+        assert (got.den, got.num) == (want.den, want.num)
 
 
 def test_zero_norm_leading_coefficient_raises_the_typed_error():
@@ -1363,3 +1377,336 @@ def test_division_by_a_negative_leading_coefficient():
             tagged(divmod(RefRatPoly(cf), RefRatPoly(cg)))
     with pytest.raises(DegenerateInput):
         divmod(RatPoly([1, 2]), RatPoly())
+
+
+# ---------------------------------------------------------------------------
+# number-field elements as one RatPoly: the Fraction NFElement and the
+# coordinate norm they replaced
+
+class RefNumberField(NumberField):
+    """NumberField with the Fraction elements: element, from_rational and
+    gen as they were, and dense.py's field object over RefNFElement."""
+
+    def __init__(self, minpoly, _checked=True):
+        super().__init__(minpoly, _checked)
+        self.field = dense.Field(self.zero(), self.one(), dense.same,
+                                 RefNFElement.inv)
+
+    def element(self, coords):
+        coords = dense.trim([Fr(c) for c in coords])
+        if len(coords) > self.degree:
+            coords = dense.divmod(coords, self.minpoly.coeffs, QQ)[1]
+        return ref_nf_element(self, coords)
+
+    def from_rational(self, c):
+        return self.element([Fr(c)])
+
+    def gen(self):
+        return self.element([0, 1] if self.degree > 1
+                            else [-self.minpoly[0]])
+
+
+def ref_nf_element(L, coords):
+    """The element of L with Fraction coordinates coords (at most
+    L.degree of them), padded with zeros, without conversion."""
+    out = object.__new__(RefNFElement)
+    out.parent = L
+    out.coords = tuple(coords + [Fr(0)] * (L.degree - len(coords)))
+    return out
+
+
+class RefNFElement:
+    __slots__ = ("parent", "coords")
+
+    def __init__(self, parent, coords):
+        self.parent = parent
+        self.coords = tuple([Fr(c) for c in coords])
+
+    def as_ratpoly(self):
+        return RatPoly(self.coords)
+
+    def _poly(self):
+        """The coordinates as a dense.py polynomial over Q."""
+        return dense.trim(list(self.coords))
+
+    @property
+    def is_zero(self):
+        return not any(self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
+
+    @property
+    def is_rational(self):
+        return all(c == 0 for c in self.coords[1:])
+
+    def rational_value(self):
+        if not self.is_rational:
+            raise DegenerateInput("element is not rational")
+        return self.coords[0]
+
+    def _coerce(self, other):
+        if isinstance(other, RefNFElement):
+            if other.parent != self.parent:
+                raise DegenerateInput("elements of different fields")
+            return other
+        if isinstance(other, (int, Fr)):
+            return self.parent.from_rational(other)
+        return None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.parent.minpoly, self.coords))
+
+    def __neg__(self):
+        return ref_nf_element(self.parent, [-c for c in self.coords])
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return ref_nf_element(self.parent,
+                              [a + b for a, b in zip(self.coords,
+                                                     other.coords)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return ref_nf_element(self.parent,
+                              [a - b for a, b in zip(self.coords,
+                                                     other.coords)])
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fr)):
+            return ref_nf_element(self.parent,
+                                  [c * other for c in self.coords])
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        L = self.parent
+        prod = dense.mul(self._poly(), other._poly(), QQ)
+        return ref_nf_element(L, dense.divmod(prod, L.minpoly.coeffs, QQ)[1])
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.is_zero:
+            raise DivisionByZero("inverse of zero in number field")
+        L = self.parent
+        g, u, _ = dense.xgcd(self._poly(), L.minpoly.coeffs, QQ)
+        if len(g) != 1:
+            raise InternalInvariantViolation("minpoly not irreducible?")
+        # deg u < deg minpoly - deg g, so u is already reduced
+        return ref_nf_element(L, u)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inv()
+
+    def __pow__(self, n):
+        return dense.power(self, n, self.parent.one())
+
+    def __repr__(self):
+        return "NF(%s)" % (self.as_ratpoly(),)
+
+
+def ref_nf_poly_norm(f, L):
+    """Norm from L[y] to Q[y]: product of f over all embeddings of L.
+
+    Computed as Res_theta(minpoly, f) by evaluation and interpolation.
+    """
+    n = L.degree
+    degf = len(f) - 1
+    gj = [RatPoly([f[i].coords[j] for i in range(len(f))]) for j in range(n)]
+    dtheta = max((j for j in range(n) if not gj[j].is_zero), default=0)
+    if dtheta == 0:
+        return gj[0] ** n
+    dbound = n * degf
+    points, values = [], []
+    t = 0
+    while len(points) <= dbound:
+        tv = Fr(t)
+        if gj[dtheta](tv) != 0:
+            theta_poly = RatPoly([gj[j](tv) for j in range(dtheta + 1)])
+            values.append(ratpoly.resultant(L.minpoly, theta_poly))
+            points.append(tv)
+        t = -t if t > 0 else -t + 1
+    # Newton-form interpolation
+    poly = RatPoly([values[0]])
+    base = RatPoly.const(1)
+    for k in range(1, len(points)):
+        base = base * RatPoly([-points[k - 1], 1])
+        num = values[k] - poly(points[k])
+        den = base(points[k])
+        poly = poly + base * (num / den)
+    return poly
+
+
+# minimal polynomials over denominators above 1, then random ones of
+# degree 1 to 6
+NF_MINPOLYS = ([Fr(-1, 2), 0, 1], [Fr(1, 2), Fr(1, 3), 0, 1],
+               [-2, 0, 1], [1, 0, 1], [Fr(3, 4), 1])
+
+
+def nf_minpolys(rng, count):
+    """count monic irreducible minimal polynomials: NF_MINPOLYS, then
+    random ones of degree 1 to 6 over denominators up to 4."""
+    out = [RatPoly(m) for m in NF_MINPOLYS]
+    while len(out) < count:
+        n = 1 + len(out) % 6
+        m = RatPoly([Fr(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(n)] + [1])
+        if n == 1 or rp_is_irreducible(m):
+            out.append(m)
+    return out
+
+
+def nf_tagged(value):
+    """value with each NFElement or RefNFElement as ("el", coordinates)
+    and each other scalar as (type, value), through tuples and lists; an
+    NFElement must hold a RatPoly of degree below that of its field."""
+    if isinstance(value, NFElement):
+        assert isinstance(value.poly, RatPoly)
+        assert value.poly.degree < value.parent.degree
+        return "el", value.coords
+    if isinstance(value, RefNFElement):
+        return "el", value.coords
+    if isinstance(value, RatPoly):
+        return "poly", value.den, value.num
+    if isinstance(value, (tuple, list)):
+        return [nf_tagged(v) for v in value]
+    return type(value), value
+
+
+def nf_outcome(fn, *args):
+    """fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (DegenerateInput, DivisionByZero, TypeError) as exc:
+        return type(exc)
+
+
+NF_BINARY = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+             lambda x, y: x / y, lambda x, y: x == y)
+NF_UNARY = (lambda a: -a, lambda a: a.inv(), lambda a: a ** 3,
+            lambda a: a ** 0, lambda a: a.is_zero, bool,
+            lambda a: a.is_rational, lambda a: a.rational_value(),
+            lambda a: a.as_ratpoly(), lambda a: a.coords, repr,
+            lambda a: a == a.parent.gen(), lambda a: a * a.parent.gen())
+
+
+def rnd_coords(rng, n):
+    """Up to 2n rational coordinates, so that some need reducing."""
+    return [Fr(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(rng.randint(0, 2 * n))]
+
+
+def test_ratpoly_element_is_the_fraction_element():
+    """Every public member of NFElement and of NumberField's element
+    constructors, on random fields of degree 1 to 6 (some over
+    denominators above 1) and random elements with up to twice the
+    degree in coordinates, against the Fraction NFElement: the same
+    values, and the same equal hashes on equal elements."""
+    rng = random.Random(230)
+    for m in nf_minpolys(rng, 36):
+        L, R = NumberField.unchecked(m), RefNumberField.unchecked(m)
+        pairs = [(L.zero(), R.zero()), (L.one(), R.one()),
+                 (L.gen(), R.gen())]
+        for _ in range(12):
+            cs = rnd_coords(rng, L.degree)
+            pairs.append((L.element(cs), R.element(cs)))
+            pairs.append((NFElement(L, cs), R.element(cs)))
+        for _ in range(3):
+            c = Fr(rng.randint(-6, 6), rng.randint(1, 3))
+            pairs.append((L.from_rational(c), R.from_rational(c)))
+        for a, ra in pairs:
+            for member in NF_UNARY:
+                assert nf_tagged(nf_outcome(member, a)) == \
+                    nf_tagged(nf_outcome(member, ra))
+            s = rng.choice((rng.randint(-3, 3), Fr(rng.randint(-5, 5), 3)))
+            b, rb = rng.choice(pairs)
+            for op in NF_BINARY:
+                for y, ry in ((b, rb), (s, s)):
+                    assert nf_tagged(nf_outcome(op, a, y)) == \
+                        nf_tagged(nf_outcome(op, ra, ry))
+                    assert nf_tagged(nf_outcome(op, y, a)) == \
+                        nf_tagged(nf_outcome(op, ry, ra))
+            assert (hash(a) == hash(b)) == (ra == rb) == \
+                (hash(ra) == hash(rb))
+
+
+def ref_call(fn, *args):
+    """fn(*args) with numberfield on the Fraction elements and norm."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("NumberField", RefNumberField),
+                            ("NFElement", RefNFElement),
+                            ("nf_poly_norm", ref_nf_poly_norm)):
+            mp.setattr(numberfield, name, value)
+        return fn(*args)
+
+
+def test_trager_steps_are_the_fraction_steps(monkeypatch):
+    """nf_poly_norm, nf_factor_squarefree, nf_factor_over_quadratic and
+    nf_sqrt without its local pre-test, on the fields of the element test,
+    against the same steps on the Fraction elements and the coordinate
+    norm: the same norms, factors and roots."""
+    monkeypatch.setattr(numberfield, "_local_nonsquare", lambda el: False)
+    rng = random.Random(231)
+    for m in nf_minpolys(rng, 24):
+        L, R = NumberField.unchecked(m), RefNumberField.unchecked(m)
+        n = L.degree
+        a, b, c = [rnd_coords(rng, n) for _ in range(3)]
+
+        def both(build):
+            return build(L), build(R)
+
+        # squarefree monic inputs: m itself, (y - a)(y - b) and y^2 - c
+        polys = [both(lambda K: [K.from_rational(x) for x in m.coeffs])]
+        if L.element(a) != L.element(b):
+            polys.append(both(lambda K: dense.mul(
+                [-K.element(a), K.one()], [-K.element(b), K.one()],
+                K.field)))
+        if L.element(c):
+            polys.append(both(lambda K: [-K.element(c), K.zero(),
+                                         K.one()]))
+        for f, rf in polys:
+            assert nf_tagged(nf_poly_norm(f, L)) == \
+                nf_tagged(ref_nf_poly_norm(rf, R))
+            assert nf_tagged(nf_factor_squarefree(f, L)) == \
+                nf_tagged(ref_call(nf_factor_squarefree, rf, R))
+        # norms of a polynomial that need not be monic, and of one whose
+        # value at t = -1, 2, is rational (a point the coordinate norm
+        # skipped for n > 1)
+        for cs in ((a, c, b), ([1, 1], [0, 1], [1])):
+            f, rf = both(lambda K: [K.element(x) for x in cs])
+            if f[-1]:
+                assert nf_tagged(nf_poly_norm(f, L)) == \
+                    nf_tagged(ref_nf_poly_norm(rf, R))
+        for d in (rng.randint(-6, 6), L.element(c)):
+            rd = R.element(c) if isinstance(d, NFElement) else d
+            assert nf_tagged(nf_sqrt(d, L)) == \
+                nf_tagged(ref_call(nf_sqrt, rd, R))
+            assert nf_tagged(nf_sqrt(d * d, L)) == \
+                nf_tagged(ref_call(nf_sqrt, rd * rd, R))
+        # d of the subfield of a quadratic m, where m splits, and another
+        ds = [rng.choice((-7, -3, -2, -1, 2, 3, 5))] if n > 1 else []
+        if n == 2:
+            ds.append(squarefree_kernel(m[1] * m[1] - 4 * m[0]))
+        for d in ds:
+            L2, got = nf_factor_over_quadratic(m, d)
+            R2, want = ref_call(nf_factor_over_quadratic, m, d)
+            assert isinstance(R2, RefNumberField) and L2 == R2
+            assert nf_tagged(got) == nf_tagged(want)

@@ -9,7 +9,7 @@ from quatpoly.errors import DegenerateInput, PreconditionViolation
 from quatpoly.intarith import factorint
 from quatpoly.maxorder import (_component_split, disc_of_int_poly,
                                maximal_order, splitting_type)
-from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
+from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   nf_factor, nf_factor_over_quadratic,
                                   nf_local_splitting,
                                   nf_quadratic_candidates,
@@ -44,6 +44,14 @@ class TestElementArithmetic:
                 if a.is_zero:
                     continue
                 assert (a * a.inv()).rational_value() == 1
+
+    def test_constructor_pads_and_reduces(self):
+        # NFElement(L, coords) is L.element(coords): padded with zeros and
+        # reduced mod the minimal polynomial
+        assert NFElement(QI, [1]) == QI.one()
+        assert NFElement(QI, [0, 0, 1]) == -1
+        assert NFElement(QI, [0, 0, 1]).coords == (-1, 0)
+        assert NFElement(QI, [1]).coords == QI.element([1]).coords == (1, 0)
 
     def test_minpoly_relation(self):
         th = Q8.gen()

@@ -91,6 +91,17 @@ class TestParser:
         assert P("-" * 2000 + "x") == QPoly.x(H)
         assert P("-" * 2001 + "x^2") == -QPoly.x(H) ** 2
 
+    def test_degree_cap(self):
+        # an exponent, a power or a product of degree above 1000 is an
+        # error at the exponent or at the right factor, before its list
+        # is built
+        assert P("x^1000") == QPoly.x(H) ** 1000
+        for bad, pos in (("x^1001", 2), ("x^600*x^600", 6), ("2^1001", 2)):
+            with pytest.raises(PolyParseError,
+                               match="degree above 1000") as ei:
+                P(bad)
+            assert ei.value.position == pos, bad
+
     def test_nesting_limit_does_not_depend_on_the_caller(self):
         text = "(" * 150 + "x" + ")" * 150
 
@@ -198,6 +209,11 @@ class TestCli:
         code = run(["factor", "x + @", "--alpha", "-1", "--beta", "-1"])
         assert code == EXIT_USAGE
         assert "position" in capsys.readouterr().err
+
+    def test_degree_cap_exit(self, capsys):
+        code = run(["factor", "x^1001", "--alpha", "-1", "--beta", "-1"])
+        assert code == EXIT_USAGE
+        assert "position 2" in capsys.readouterr().err
 
     def test_arity_error_exit(self, capsys):
         assert run(["gcrd", "x", "--alpha", "-1", "--beta", "-1"]) == \

@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from quatpoly import dense, ratpoly
-from quatpoly.dense import GF, QQ, ZZ
+from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              NotSquarefree)
 from quatpoly.intarith import is_prime
@@ -17,7 +17,7 @@ from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list,
                               rp_discriminant, rp_factor, rp_gcd,
                               rp_is_irreducible, rp_real_root_count,
                               squarefree_decomposition)
-from test_folds import ref_gfp_factor, rp_xgcd
+from test_folds import QQ, ref_gfp_factor, rp_xgcd
 
 
 def sylvester_resultant(p, q):
