@@ -72,6 +72,13 @@ def cp_primitive(P):
     return [(a[0] // g, a[1] // g, a[2] // g, a[3] // g) for a in P]
 
 
+def cp_trim(P):
+    """P without its zero top coefficients, in place; returns P."""
+    while P and P[-1] == ZERO:
+        P.pop()
+    return P
+
+
 def cp_add(P, Q):
     if len(P) < len(Q):
         P, Q = Q, P
@@ -113,6 +120,4 @@ def cp_pseudo_divmod(al, be, P, D):
         for l, d in enumerate(D[:-1]):
             r, e = R[m + l], coord_mul(al, be, c, d)
             R[m + l] = (r[0] - e[0], r[1] - e[1], r[2] - e[2], r[3] - e[3])
-    while R and R[-1] == ZERO:
-        R.pop()
-    return s, Q, R
+    return s, Q, cp_trim(R)

@@ -151,9 +151,33 @@ def power(a, n, one, mul=operator.mul):
 
 
 def powmod(f, e, m, F):
-    """f^e mod m."""
-    return power(divmod(f, m, F)[1], e, [F.one],
-                 lambda a, b: divmod(mul(a, b, F), m, F)[1])
+    """f^e mod m, by square-and-multiply.  Each product is reduced by m in
+    the pass that forms it, on its unreduced sums: one inverse of lc(m) for
+    the whole power, one red per eliminated and per output coefficient,
+    and no quotient list."""
+    if not m:
+        raise DivisionByZero("polynomial division by zero")
+    n, red, inv, low = len(m) - 1, F.red, F.inv(m[-1]), m[:-1]
+
+    def rem(r):
+        for k in range(len(r) - n - 1, -1, -1):
+            c = red(r.pop() * inv)
+            if c:
+                for j, b in enumerate(low, k):
+                    r[j] -= c * b
+        return trim([red(c) for c in r])
+
+    def mulmod(a, b):
+        if not a or not b:
+            return []
+        out = [F.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return rem(out)
+
+    return power(rem(list(f)), e, [F.one], mulmod)
 
 
 def derivative(f, F):

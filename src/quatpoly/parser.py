@@ -16,7 +16,7 @@ import math
 import re
 
 from . import dense
-from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, kernel_ab
+from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, cp_trim, kernel_ab
 from .errors import PolyParseError
 from .qpoly import QPoly, format_qpoly  # noqa: F401  (re-exported)
 
@@ -27,8 +27,8 @@ _LETTERS = {"i": [(0, 1, 0, 0)], "j": [(0, 0, 1, 0)], "k": [(0, 0, 0, 1)],
             "x": [ZERO, (1, 0, 0, 0)]}
 # parentheses nest at most this deep, whatever the caller's stack depth
 _MAX_DEPTH = 100
-# the largest exponent, and the largest degree of a power or product as
-# its coefficient list counts it (cancelled terms included)
+# the largest exponent, and the largest degree of a power or product; each
+# sum and product is trimmed, so a cancelled term does not count
 _MAX_DEGREE = 1000
 
 
@@ -78,7 +78,7 @@ def parse_poly(text, A):
 
 
 def _mul(ab, p, q):
-    return p[0] * q[0], cp_mul(*ab, p[1], q[1])
+    return p[0] * q[0], cp_trim(cp_mul(*ab, p[1], q[1]))
 
 
 def _expr(toks, ab):
@@ -89,7 +89,8 @@ def _expr(toks, ab):
             toks.take()
         d, P = _term(toks, ab)
         m = math.lcm(den, d)
-        out = cp_add(cp_scale(m // den, out), cp_scale(sign * m // d, P))
+        out = cp_trim(cp_add(cp_scale(m // den, out),
+                             cp_scale(sign * m // d, P)))
         den, ch = m, toks.peek()
         if ch not in ("+", "-"):
             return den, out

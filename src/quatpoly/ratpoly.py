@@ -4,19 +4,27 @@ A RatPoly holds integer coefficients, ascending with no trailing zeros,
 over one denominator; its arithmetic, division included, runs on them.
 Degrees here never exceed a few dozen, so everything is kept dense.
 
-Division, the gcd (made monic over Q at the end) and Sturm counting run
-on one integer pseudo-division.  Factoring (rp_factor) runs entirely
-over Z on the primitive integer part of its input: Yun's squarefree
-decomposition with primitive gcds and exact integer division, then
-Zassenhaus' method on each squarefree part.  The prime p is the smallest
-odd one with f squarefree of full degree mod p (a gcd over GF(p), no
-resultant); distinct-degree and Cantor-Zassenhaus equal-degree splitting
+Division and Sturm counting run on one integer pseudo-division.  The
+gcd over Z (made monic over Q by rp_gcd) is the heuristic GCDHEU: the
+integer gcd of the values of both inputs at one large point, read back
+as a polynomial from its symmetric digits and kept only when it divides
+both exactly, which proves it is the gcd; after _HEU_TRIES points it
+falls back to the primitive remainder sequence on the pseudo-division.
+Factoring (rp_factor) runs entirely over Z on the primitive integer part
+of its input: Yun's squarefree decomposition with these gcds and exact
+integer division, then Zassenhaus' method on each squarefree part.  The
+prime p is the smallest odd one with f squarefree of full degree mod p (a
+gcd over GF(p), no resultant); distinct-degree and equal-degree splitting
 mod p, where the linear factors of a small p are found as the roots of f
-by evaluation at every residue; Hensel lifting, where each root is
-lifted by scalar Newton steps and divided out, and only the nonlinear
-factors go through quadratic lifting along a factor tree; and
-recombination of subsets of the lifted factors by integer trial
-division, which stops at the first non-integral quotient coefficient.
+by evaluation at every residue, and the other parts split for odd p by
+the probes x + c, whose (p^d-1)/2 powers are (p-1)/2 powers of products
+of the Frobenius powers distinct-degree splitting has computed, and by
+Cantor-Zassenhaus random splitting when no probe splits; Hensel
+lifting, where each root is lifted by scalar Newton steps and divided
+out, and only the nonlinear factors go through quadratic lifting along a
+factor tree; and recombination of subsets of the lifted factors by
+integer trial division, which stops at the first non-integral quotient
+coefficient.
 The lift first goes to a working precision p^k > 2^16 and keeps what
 recombination finds when each factor is proved irreducible by its own
 Mignotte bound; each piece left unproved is then factored alone, from
@@ -230,11 +238,46 @@ def _pseudo_divmod(f, g):
     return s, q, r
 
 
+# GCDHEU tries this many evaluation points before the remainder sequence
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f, g):
+    """The gcd of primitive nonconstant f, g with positive lc by the
+    heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7,
+    1989), or None when no point of _HEU_TRIES gives it.
+
+    At an integer xi >= 2 min(|f|_inf, |g|_inf) + 2 the symmetric xi-adic
+    digits of gcd(f(xi), g(xi)) are a candidate h.  When the primitive
+    part of h divides both f and g it is their gcd (ibid.), so the exact
+    division is the proof.  Otherwise xi grows by 73794/27011, about
+    1 + sqrt(3), which keeps the bound."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEU_TRIES):
+        gam = math.gcd(dense.evaluate(f, xi, ZZ), dense.evaluate(g, xi, ZZ))
+        h = []
+        while gam:
+            c = _symmetric(gam, xi)
+            h.append(c)
+            gam = (gam - c) // xi
+        h = _primitive(h)
+        if (_exact_quotient(f, h) is not None
+                and _exact_quotient(g, h) is not None):
+            return h
+        xi = xi * 73794 // 27011
+    return None
+
+
 def _primitive_gcd(f, g):
     """The primitive gcd with positive lc of integer polys f, g, not both
-    zero, by a primitive remainder sequence over Z (Collins 1967): each
+    zero: GCDHEU when both are nonconstant, and when it gives up a
+    primitive remainder sequence over Z (Collins 1967), where each
     pseudo-remainder is divided by its integer content."""
     f, g = _primitive(f), _primitive(g)
+    if len(f) > 1 and len(g) > 1:
+        h = _heu_gcd(f, g)
+        if h is not None:
+            return h
     while g:
         f, g = g, _primitive(_pseudo_divmod(f, g)[2])
     return f
@@ -320,50 +363,92 @@ def squarefree_decomposition(p):
 # factoring in GF(p)[x]: polynomials as lists of ints in [0, p)
 
 # Below this prime the linear factors mod p are read off the roots, found
-# by evaluation at every residue; from it on random splitting finds them.
-# Evaluation costs p Horner passes, random splitting a few powmods.  Timed
-# on 2 to 8 roots mod p, evaluation is 2.4 to 20 times faster at every
-# prime below 64; for two roots it breaks even between 191 and 383, for
-# three or more it is still faster at 383.  On the three workloads of
-# bench/, every prime gfp_factor_squarefree is called with is at most 29.
+# by evaluation at every residue; from it on the probes x + c of
+# _probe_split find them, with random splitting when no probe splits.
+# Evaluation costs p Horner passes, each probe or random split a
+# (p-1)/2 powmod.  Timed against random splitting on 2 to 8 roots mod p,
+# evaluation is 2.4 to 20 times faster at every prime below 64; for two
+# roots it breaks even between 191 and 383, for three or more it is still
+# faster at 383.  On the three workloads of bench/, every prime
+# gfp_factor_squarefree is called with is at most 29.
 _ROOT_SEARCH_BOUND = 64
 
 
-def _edf(f, d, p, rng):
-    """Equal-degree splitting of monic squarefree f into factors of degree d."""
+def _probe_split(f, d, p, frob, start):
+    """(g, c + 1) for the first probe x + c, start <= c < p, that splits f
+    into g and f/g, or (None, p) when none does; p odd.
+
+    frob holds x^(p^i) mod f for 0 < i < d.  Mod an irreducible factor q
+    of f, t = prod_{i<d} (x^(p^i) + c) is the norm of x + c from GF(p^d)
+    to GF(p), (-1)^d q(-c), so t^((p-1)/2) - 1 vanishes mod q exactly when
+    that norm is a nonzero square: the (p^d-1)/2 power of x + c at the
+    cost of d - 1 products and a (p-1)/2 power."""
+    F = GF(p)
+    n = len(f) - 1
+    for c in range(start, p):
+        t = [c, 1]
+        for h in frob:
+            t = dense.divmod(dense.mul(t, dense.add(h, [c], F), F), f, F)[1]
+        s = dense.sub(dense.powmod(t, (p - 1) // 2, f, F), [1], F)
+        g = dense.gcd(s, f, F)
+        if 0 < len(g) - 1 < n:
+            return g, c + 1
+    return None, p
+
+
+def _random_split(f, d, p, rng):
+    """A proper factor of f from one random r (Cantor & Zassenhaus), or
+    None when r does not split f."""
+    F = GF(p)
+    n = len(f) - 1
+    r = dense.trim([rng.randrange(p) for _ in range(n)])
+    if len(r) < 2:
+        return None
+    if p == 2:
+        s = []
+        t = dense.divmod(r, f, F)[1]
+        for _ in range(d):
+            s = dense.add(s, t, F)
+            t = dense.powmod(t, 2, f, F)
+    else:
+        s = dense.sub(dense.powmod(r, (p ** d - 1) // 2, f, F), [1], F)
+    g = dense.gcd(s, f, F)
+    return g if 0 < len(g) - 1 < n else None
+
+
+def _edf(f, d, p, rng, frob, c=0):
+    """Equal-degree splitting of monic squarefree f into factors of degree
+    d.  frob holds x^(p^i) mod a multiple of f for 0 < i < d; for odd p
+    the probes x + c, x + c + 1, ... of _probe_split come first, and
+    random splitting runs only when none of them splits f."""
     n = len(f) - 1
     if n == d:
         return [f]
     F = GF(p)
     if d == 1 and p < _ROOT_SEARCH_BOUND:
         return [[-r % p, 1] for r in range(p) if not dense.evaluate(f, r, F)]
-    while True:
-        r = dense.trim([rng.randrange(p) for _ in range(n)])
-        if len(r) < 2:
-            continue
-        if p == 2:
-            s = []
-            t = dense.divmod(r, f, F)[1]
-            for _ in range(d):
-                s = dense.add(s, t, F)
-                t = dense.powmod(t, 2, f, F)
-        else:
-            s = dense.sub(dense.powmod(r, (p ** d - 1) // 2, f, F), [1], F)
-        g = dense.gcd(s, f, F) if s else []
-        if g and 0 < len(g) - 1 < n:
-            return (_edf(g, d, p, rng)
-                    + _edf(dense.divmod(f, g, F)[0], d, p, rng))
+    g = None
+    if p > 2 and c < p:
+        frob = [dense.divmod(h, f, F)[1] for h in frob]
+        g, c = _probe_split(f, d, p, frob, c)
+    while g is None:
+        g = _random_split(f, d, p, rng)
+    return (_edf(g, d, p, rng, frob, c)
+            + _edf(dense.divmod(f, g, F)[0], d, p, rng, frob, c))
 
 
 def gfp_factor_squarefree(f, p):
     """Irreducible factors of a monic squarefree poly over GF(p).
 
     Distinct-degree factorization, then equal-degree splitting of each
-    part; for p < _ROOT_SEARCH_BOUND the linear factors are x - r for the
-    roots r of the degree-1 part, by evaluation at every residue."""
+    part with the Frobenius powers x^(p^i) that the first computed (von
+    zur Gathen & Shoup, Comput. Complexity 2, 1992); for p <
+    _ROOT_SEARCH_BOUND the linear factors are x - r for the roots r of
+    the degree-1 part, by evaluation at every residue."""
     rng = random.Random((0, tuple(f), p).__hash__())
     F = GF(p)
     out = []
+    frob = []
     h = [0, 1]
     v = list(f)
     d = 0
@@ -372,9 +457,10 @@ def gfp_factor_squarefree(f, p):
         h = dense.powmod(h, p, v, F)
         g = dense.gcd(dense.sub(h, [0, 1], F), v, F)
         if len(g) > 1:
-            out.extend(_edf(g, d, p, rng))
+            out.extend(_edf(g, d, p, rng, frob))
             v = dense.divmod(v, g, F)[0]
             h = dense.divmod(h, v, F)[1]
+        frob.append(h)
     if len(v) > 1:
         out.append(v)
     return out

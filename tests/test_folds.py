@@ -1,7 +1,8 @@
 """Each fold of a hand-written derivation into GCRD, ramified_places or
 one subfield path, each move of a QPoly computation onto the integer
-coordinate kernel, the early-stopping Zassenhaus lift and the one-pass
-parser, pinned against the code it replaced.  The reference
+coordinate kernel, the early-stopping Zassenhaus lift, the one-pass
+parser, and the heuristic gcd, probe splitting and fused powmod of the
+integer core, pinned against the code it replaced.  The reference
 functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
 thousand inputs.  The factorisation over GF(p) that splitting_type once
@@ -1710,3 +1711,240 @@ def test_trager_steps_are_the_fraction_steps(monkeypatch):
             R2, want = ref_call(nf_factor_over_quadratic, m, d)
             assert isinstance(R2, RefNumberField) and L2 == R2
             assert nf_tagged(got) == nf_tagged(want)
+
+
+# ---------------------------------------------------------------------------
+# the heuristic gcd GCDHEU, equal-degree splitting from the Frobenius powers
+# and the fused powmod: the remainder-sequence gcd, the random splitting and
+# the powmod with a divmod per product they replaced
+
+def ref_powmod(f, e, m, F):
+    """f^e mod m."""
+    return dense.power(dense.divmod(f, m, F)[1], e, [F.one],
+                       lambda a, b: dense.divmod(dense.mul(a, b, F), m,
+                                                 F)[1])
+
+
+def ref_primitive_gcd(f, g):
+    """The primitive gcd with positive lc of integer polys f, g, not both
+    zero, by a primitive remainder sequence over Z (Collins 1967): each
+    pseudo-remainder is divided by its integer content."""
+    f, g = ratpoly._primitive(f), ratpoly._primitive(g)
+    while g:
+        f, g = g, ratpoly._primitive(ratpoly._pseudo_divmod(f, g)[2])
+    return f
+
+
+def ref_edf(f, d, p, rng):
+    """Equal-degree splitting of monic squarefree f into factors of degree d."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    F = GF(p)
+    if d == 1 and p < ratpoly._ROOT_SEARCH_BOUND:
+        return [[-r % p, 1] for r in range(p) if not dense.evaluate(f, r, F)]
+    while True:
+        r = dense.trim([rng.randrange(p) for _ in range(n)])
+        if len(r) < 2:
+            continue
+        if p == 2:
+            s = []
+            t = dense.divmod(r, f, F)[1]
+            for _ in range(d):
+                s = dense.add(s, t, F)
+                t = ref_powmod(t, 2, f, F)
+        else:
+            s = dense.sub(ref_powmod(r, (p ** d - 1) // 2, f, F), [1], F)
+        g = dense.gcd(s, f, F) if s else []
+        if g and 0 < len(g) - 1 < n:
+            return (ref_edf(g, d, p, rng)
+                    + ref_edf(dense.divmod(f, g, F)[0], d, p, rng))
+
+
+def ref_gfp_factor_squarefree(f, p):
+    """Irreducible factors of a monic squarefree poly over GF(p).
+
+    Distinct-degree factorization, then equal-degree splitting of each
+    part; for p < _ROOT_SEARCH_BOUND the linear factors are x - r for the
+    roots r of the degree-1 part, by evaluation at every residue."""
+    rng = random.Random((0, tuple(f), p).__hash__())
+    F = GF(p)
+    out = []
+    h = [0, 1]
+    v = list(f)
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = ref_powmod(h, p, v, F)
+        g = dense.gcd(dense.sub(h, [0, 1], F), v, F)
+        if len(g) > 1:
+            out.extend(ref_edf(g, d, p, rng))
+            v = dense.divmod(v, g, F)[0]
+            h = dense.divmod(h, v, F)[1]
+    if len(v) > 1:
+        out.append(v)
+    return out
+
+
+SPLIT_PRIMES = (2, 3, 5, 7, 11, 67, 101, 257)
+
+
+def rnd_gfp_squarefree(rng, p, n):
+    """A monic squarefree poly of degree n over GF(p): a product of random
+    monic factors of degree 1 to 4, often several of one degree, or a
+    random poly, redrawn until squarefree."""
+    F = GF(p)
+    while True:
+        if rng.random() < 0.5:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+        else:
+            f, top = [1], rng.randint(1, min(n, 4))
+            while len(f) - 1 < n:
+                k = min(rng.choice((top, top, rng.randint(1, top))),
+                        n - len(f) + 1)
+                f = dense.mul(f, [rng.randrange(p) for _ in range(k)] + [1],
+                              F)
+        if dense.gcd(f, dense.derivative(f, F), F) == [1]:
+            return f
+
+
+def test_frobenius_splitting_is_the_random_splitting():
+    """For each prime of SPLIT_PRIMES and each degree 2 to 16, the sorted
+    modular factors of random squarefree polys are those of the random
+    splitting on (p^d-1)/2 powers."""
+    rng = random.Random(240)
+    for p in SPLIT_PRIMES:
+        for n in range(2, 17):
+            for _ in range(3):
+                f = rnd_gfp_squarefree(rng, p, n)
+                got = ratpoly.gfp_factor_squarefree(f, p)
+                assert sorted(got) == sorted(ref_gfp_factor_squarefree(f, p))
+                assert all(q[-1] == 1 for q in got)
+
+
+def test_every_probe_failing_leaves_random_splitting(monkeypatch):
+    """With no probe splitting, random splitting alone gives the factors;
+    and mod 3 the probes cannot tell apart two quartics whose values at
+    0, 1, 2 have the same quadratic characters, so that split is random
+    without any patch."""
+    calls = []
+    split = ratpoly._random_split
+
+    def spy(f, d, p, rng):
+        calls.append((d, p))
+        return split(f, d, p, rng)
+
+    monkeypatch.setattr(ratpoly, "_random_split", spy)
+    F = GF(3)
+    f = dense.mul([1, 0, 1, 1, 1], [1, 1, 1, 0, 1], F)
+    assert sorted(ratpoly.gfp_factor_squarefree(f, 3)) == \
+        [[1, 0, 1, 1, 1], [1, 1, 1, 0, 1]]
+    assert calls and all(c == (4, 3) for c in calls)
+
+    monkeypatch.setattr(ratpoly, "_probe_split",
+                        lambda f, d, p, frob, c: (None, p))
+    rng = random.Random(241)
+    for p in SPLIT_PRIMES[1:]:
+        for n in (4, 9, 16):
+            calls.clear()
+            f = rnd_gfp_squarefree(rng, p, n)
+            want = ref_gfp_factor_squarefree(f, p)
+            assert sorted(ratpoly.gfp_factor_squarefree(f, p)) == \
+                sorted(want)
+            degrees = [len(q) - 1 for q in want]
+            assert bool(calls) == any(
+                degrees.count(d) > 1 and (d > 1 or p >= 64)
+                for d in degrees)
+
+
+def test_fused_powmod_is_the_divmod_powmod():
+    """Over GF(p) for the split primes and over Q, moduli monic or not and
+    of degree 0 to 6, exponents 0 to 40 and a few large ones."""
+    rng = random.Random(242)
+    fields = [(GF(p), lambda r, p=p: r.randrange(p)) for p in SPLIT_PRIMES]
+    fields.append((QQ, lambda r: Fr(r.randint(-9, 9), r.randint(1, 4))))
+    for F, elt in fields:
+        for _ in range(40):
+            m = dense.trim([elt(rng) for _ in range(rng.randint(1, 7))])
+            if not m:
+                continue
+            f = dense.trim([elt(rng) for _ in range(rng.randint(0, 9))])
+            e = rng.choice((rng.randint(0, 40), rng.randint(0, 10 ** 6)))
+            if F is QQ:
+                e %= 6
+            assert dense.powmod(f, e, m, F) == ref_powmod(f, e, m, F)
+    with pytest.raises(DivisionByZero):
+        dense.powmod([1, 1], 2, [], GF(5))
+
+
+def rnd_int_poly(rng, deg, height):
+    return dense.trim([rng.randint(-height, height) for _ in range(deg)]
+                      + [rng.choice((-1, 1)) * rng.randint(1, height)])
+
+
+def planted_gcd_pairs(rng):
+    """Integer polys f, g with a planted common factor h of degree 0 to 6,
+    contents and signs of either kind, and constants and zero among them."""
+    pairs = [([5], [0, 3]), ([-3], [-2, 0, 4]), ([7], [14]), ([], [-6, 9]),
+             ([0, -4, 2], []), ([-1], [1]), ([-2, 1], [2, -1]),
+             ([1, 2, 1], [-3, -3])]
+    for _ in range(300):
+        h = rnd_int_poly(rng, rng.randint(0, 6), rng.choice((2, 9, 1000)))
+        a = rnd_int_poly(rng, rng.randint(0, 8), rng.choice((3, 50)))
+        b = rnd_int_poly(rng, rng.randint(0, 8), rng.choice((3, 50)))
+        if rng.random() < 0.2:
+            b = dense.mul(a, [rng.randint(-2, 2), 1], ZZ)
+        f, g = dense.mul(h, a, ZZ), dense.mul(h, b, ZZ)
+        f = dense.scale(f, rng.choice((1, -1, 6, -35)), ZZ)
+        pairs.append((f, g))
+    return pairs
+
+
+def test_heuristic_gcd_is_the_remainder_sequence():
+    """_primitive_gcd, primitive_gcd_cofactors and rp_gcd on planted
+    common factors, constants and negative leading coefficients give the
+    remainder sequence's gcd, and GCDHEU finds it on every pair of
+    nonconstant inputs without the fallback."""
+    rng = random.Random(243)
+    pairs = planted_gcd_pairs(rng)
+    tried = answered = 0
+    for f, g in pairs:
+        want = ref_primitive_gcd(f, g)
+        assert ratpoly._primitive_gcd(f, g) == want, (f, g)
+        assert ratpoly.primitive_gcd_cofactors([f, g]) == (
+            want, [ratpoly._quo(f, want), ratpoly._quo(g, want)])
+        pf, pg = ratpoly._primitive(f), ratpoly._primitive(g)
+        if len(pf) > 1 and len(pg) > 1:
+            tried += 1
+            answered += ratpoly._heu_gcd(pf, pg) == want
+        assert rp_gcd(RatPoly(f), RatPoly(g)) == \
+            ratpoly.from_int_list(want, want[-1])
+    assert answered == tried > 250
+
+
+def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    """When GCDHEU's candidate test rejects every point, _HEU_TRIES of
+    them, the remainder sequence gives the same gcd."""
+    rng = random.Random(244)
+    pairs = planted_gcd_pairs(rng)
+    tests, remainders = [], []
+    pseudo_divmod = ratpoly._pseudo_divmod
+
+    def reject(f, g):
+        tests.append(g)
+        return None
+
+    def spy(f, g):
+        remainders.append(g)
+        return pseudo_divmod(f, g)
+
+    monkeypatch.setattr(ratpoly, "_exact_quotient", reject)
+    monkeypatch.setattr(ratpoly, "_pseudo_divmod", spy)
+    for f, g in pairs:
+        tests.clear()
+        remainders.clear()
+        heuristic = (len(ratpoly._primitive(f)) > 1
+                     and len(ratpoly._primitive(g)) > 1)
+        assert ratpoly._primitive_gcd(f, g) == ref_primitive_gcd(f, g)
+        assert len(tests) == (ratpoly._HEU_TRIES if heuristic else 0)
+        assert remainders or not f or not g

@@ -733,7 +733,8 @@ class TestRootPath:
     def test_evaluation_finds_the_random_splitting_factors(self,
                                                            monkeypatch):
         """Every prime below the bound, 2 included: the factors found with
-        the roots by evaluation are those of random splitting alone."""
+        the roots by evaluation are those of splitting alone, by the
+        probes and random splitting."""
         rng = random.Random(77)
         primes = [p for p in range(2, ratpoly._ROOT_SEARCH_BOUND)
                   if is_prime(p)]
@@ -757,9 +758,9 @@ class TestRootPath:
                     sorted([-r % p, 1] for r in range(p)
                            if not dense.evaluate(f, r, GF(p)))
 
-    def test_primes_from_the_bound_take_random_splitting(self,
-                                                         monkeypatch):
-        """Five roots mod 61 take 61 evaluations; mod 67 and 101, none."""
+    def test_primes_from_the_bound_take_the_probes(self, monkeypatch):
+        """Five roots mod 61 take 61 evaluations; mod 67 and 101, none, and
+        the probes split them without random splitting."""
         calls = []
         evaluate = dense.evaluate
 
@@ -768,6 +769,7 @@ class TestRootPath:
             return evaluate(f, r, F)
 
         monkeypatch.setattr(dense, "evaluate", spy)
+        monkeypatch.setattr(ratpoly, "_random_split", None)
         for p, evaluated in ((61, list(range(61))), (67, []), (101, [])):
             calls.clear()
             # x^2 + 1 and x^2 + 2 are irreducible mod these primes
@@ -778,6 +780,90 @@ class TestRootPath:
             assert sorted(gfp_factor_squarefree(f, p)) == sorted(
                 [[-a % p, 1] for a in (1, 2, 3, 5, 8)] + [quadratic])
             assert calls == evaluated, p
+
+
+def is_irreducible_mod(q, p):
+    """Ben-Or's test for a monic q of degree d over GF(p): no factor of
+    degree i <= d/2, that is gcd(x^(p^i) - x, q) = 1 for each such i."""
+    F = GF(p)
+    return all(dense.gcd(dense.sub(dense.powmod([0, 1], p ** i, q, F),
+                                   [0, 1], F), q, F) == [1]
+               for i in range(1, (len(q) - 1) // 2 + 1))
+
+
+class TestProbeSplitting:
+    """Equal-degree splitting by the probes x + c, from the Frobenius
+    powers that distinct-degree factorization computes."""
+
+    @staticmethod
+    def product_of_irreducibles(rng, p, d, k):
+        """(qs, f): k distinct monic irreducibles of degree d over GF(p),
+        sorted, and their product."""
+        qs = []
+        while len(qs) < k:
+            q = [rng.randrange(p) for _ in range(d)] + [1]
+            if q not in qs and is_irreducible_mod(q, p):
+                qs.append(q)
+        f = [1]
+        for q in qs:
+            f = dense.mul(f, q, GF(p))
+        return sorted(qs), f
+
+    def test_probe_splits_by_the_character_of_the_norm(self):
+        """On a product of irreducibles q of degree d, the first probe c at
+        which the quadratic characters of the norms (-1)^d q(-c) of x + c
+        differ splits off exactly the q of character 1; with no such c,
+        no probe splits."""
+        rng = random.Random(91)
+        for p in (3, 5, 7, 11, 67):
+            F = GF(p)
+            for d in (1, 2, 3, 4):
+                for _ in range(4):
+                    # GF(3) has only three monic irreducibles of degree 1
+                    # and of degree 2
+                    k = rng.randint(2, 3 if p == 3 else 4)
+                    qs, f = self.product_of_irreducibles(rng, p, d, k)
+                    frob = [dense.powmod([0, 1], p ** i, f, F)
+                            for i in range(1, d)]
+                    want = None, p
+                    for c in range(p):
+                        ones = [q for q in qs if pow(
+                            (-1) ** d * dense.evaluate(q, -c % p, F),
+                            (p - 1) // 2, p) == 1]
+                        if 0 < len(ones) < len(qs):
+                            g = [1]
+                            for q in ones:
+                                g = dense.mul(g, q, F)
+                            want = g, c + 1
+                            break
+                    assert ratpoly._probe_split(f, d, p, frob, 0) == want
+
+    def test_splitting_gets_the_frobenius_powers(self, monkeypatch):
+        """Each probe split of gfp_factor_squarefree sees x^(p^i) mod its
+        f for 0 < i < d, reduced from the powers of distinct-degree
+        factorization."""
+        seen = []
+        probe = ratpoly._probe_split
+
+        def spy(f, d, p, frob, c):
+            F = GF(p)
+            assert frob == [dense.powmod([0, 1], p ** i, f, F)
+                            for i in range(1, d)]
+            seen.append(d)
+            return probe(f, d, p, frob, c)
+
+        monkeypatch.setattr(ratpoly, "_probe_split", spy)
+        rng = random.Random(92)
+        for p in (3, 5, 13, 67):
+            f = [1]
+            for d, k in ((1, 2), (2, 3), (3, 2), (4, 2)):
+                f = dense.mul(f, self.product_of_irreducibles(rng, p, d,
+                                                              k)[1], GF(p))
+            got = gfp_factor_squarefree(f, p)
+            assert sorted(len(q) - 1 for q in got) == \
+                [1, 1, 2, 2, 2, 3, 3, 4, 4]
+            assert all(is_irreducible_mod(q, p) for q in got)
+        assert {2, 3, 4} <= set(seen)
 
 
 def sturm_root_count_reference(p):
