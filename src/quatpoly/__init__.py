@@ -6,19 +6,19 @@ from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      NotSquarefree, PolyParseError, PreconditionViolation,
                      QuatpolyError, SearchExhausted, SplitAlgebra,
                      ZeroDivisorEncountered)
-from .numberfield import (INFINITE_PLACE, NFElement, NumberField,
+from .numberfield import (INFINITE_PLACE, NFElement, NumberField, PlaceSet,
+                          hilbert_symbol, is_division, is_local_square,
                           nf_factor, nf_local_splitting,
                           nf_quadratic_candidates, nf_quadratic_subfields,
-                          nf_splits_quaternion, nf_sqrt)
+                          nf_splits_quaternion, nf_sqrt, ramified_places)
 from .parser import format_qpoly, parse_poly
 from .qpoly import (BeckDecomposition, Factorization, QPoly, RootSet,
                     beck_decompose, factor, factor_central_irreducible,
                     is_irreducible, qp_conj, qp_evaluate, qp_gcrd,
                     qp_gcrd_bezout, qp_lclm, qp_norm, qp_right_divmod,
                     roots, subfield_factor, swap_factors)
-from .quadform import (PlaceSet, ZeroDivisorCertificate, find_zero_divisor,
-                       hilbert_symbol, is_division, is_local_square,
-                       quaternary_isotropic, ramified_places, represent_pure,
+from .quadform import (ZeroDivisorCertificate, find_zero_divisor,
+                       quaternary_isotropic, represent_pure,
                        search_zero_divisor, subfield_zero_divisor,
                        ternary_isotropic, ternary_local_obstruction)
 from .quatalg import (CharPoly, Quaternion, QuaternionAlgebra, charpoly,

@@ -1,21 +1,24 @@
 """Arithmetic in L = Q[x]/(p) and the number-theoretic tests built on it.
 
-An element of L is a RatPoly in theta of degree below deg p, so its
-arithmetic is RatPoly's, on integers over one denominator, reduced by
-p; polynomials over L are dense.py lists over the field object L.field.
-Covers field arithmetic, square testing and Trager factorization over L,
+First the places of Q: Hilbert symbols, local squares and the ramified
+places of a quaternion algebra (alpha, beta / Q), read off valuations
+and unit classes.  Then L: an element of L is a RatPoly in theta of
+degree below deg p, so its arithmetic is RatPoly's, on integers over
+one denominator, reduced by p; polynomials over L are dense.py lists
+over the field object L.field.  Covers field arithmetic, square testing and Trager factorization over L,
 quadratic-subfield enumeration, the places above a rational prime as
 (e, f) pairs from maxorder, and the tensor-splitting criterion for a
 quaternion algebra extended to L.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 from . import dense, maxorder
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
                      PreconditionViolation, SplitAlgebra)
-from .intarith import factorint, is_prime, legendre
+from .intarith import factorint, is_prime, legendre, squarefree_kernel
 from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
                       rp_real_root_count)
 
@@ -30,6 +33,135 @@ def check_place(place):
         raise PreconditionViolation(
             "place must be a prime or INFINITE_PLACE, got %r" % (place,))
 
+
+# ---------------------------------------------------------------------------
+# the places of Q: Hilbert symbols, local squares and ramification
+
+def _val_unit(n, p):
+    """(v, u) with n = p^v u for a nonzero integer n, u prime to p."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _local_class(q, p):
+    """(v, u): the valuation v_p(q) of a nonzero rational q and an integer
+    u prime to p in the square class of q / p^v, read off the numerator
+    and the denominator (q = p^v un/ud and un ud = (un/ud) ud^2)."""
+    v, un = _val_unit(q.numerator, p)
+    w, ud = _val_unit(q.denominator, p)
+    return v - w, un * ud
+
+
+def hilbert_symbol(a, b, place):
+    """(a, b)_v for nonzero rationals: +1 iff z^2 = a x^2 + b y^2 has a
+    nontrivial solution over the completion at the place.  At a prime p
+    only v_p and the unit class (mod p, mod 8 at 2) of a and b enter, so
+    nothing is factored."""
+    a = Fraction(a)
+    b = Fraction(b)
+    if a == 0 or b == 0:
+        raise DegenerateInput("Hilbert symbol needs nonzero entries")
+    check_place(place)
+    if place == INFINITE_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    al, u = _local_class(a, p)
+    be, v = _local_class(b, p)
+    if p == 2:
+        u, v = u % 8, v % 8
+        eps_u = ((u - 1) // 2) % 2
+        eps_v = ((v - 1) // 2) % 2
+        om_u = ((u * u - 1) // 8) % 2
+        om_v = ((v * v - 1) // 8) % 2
+        e = eps_u * eps_v + al * om_v + be * om_u
+        return -1 if e % 2 else 1
+    eps = ((p - 1) // 2) % 2
+    sym = 1
+    if (al * be * eps) % 2:
+        sym = -sym
+    if be % 2:
+        sym *= legendre(u, p)
+    if al % 2:
+        sym *= legendre(v, p)
+    return sym
+
+
+def is_local_square(d, place):
+    """True iff the nonzero rational d is a square in the completion: at a
+    prime p, v_p(d) is even and the unit part is a square mod p (mod 8 at
+    2)."""
+    d = Fraction(d)
+    if d == 0:
+        raise DegenerateInput("zero is degenerate here")
+    check_place(place)
+    if place == INFINITE_PLACE:
+        return d > 0
+    p = place
+    v, u = _local_class(d, p)
+    if v % 2:
+        return False
+    if p == 2:
+        return u % 8 == 1
+    return legendre(u, p) == 1
+
+
+class PlaceSet:
+    """A finite set of places of Q (finite primes plus optionally infinity).
+    Immutable: ramified_places hands one instance to every caller."""
+
+    __slots__ = ("finite_primes", "infinite")
+
+    def __init__(self, finite_primes, infinite):
+        object.__setattr__(self, "finite_primes",
+                           tuple(sorted(set(finite_primes))))
+        object.__setattr__(self, "infinite", bool(infinite))
+
+    def __setattr__(self, *args):
+        raise AttributeError("PlaceSet is immutable")
+
+    def __len__(self):
+        return len(self.finite_primes) + (1 if self.infinite else 0)
+
+    def places(self):
+        yield from self.finite_primes
+        if self.infinite:
+            yield INFINITE_PLACE
+
+    def __eq__(self, other):
+        return (isinstance(other, PlaceSet)
+                and self.finite_primes == other.finite_primes
+                and self.infinite == other.infinite)
+
+    def __repr__(self):
+        tail = " oo" if self.infinite else ""
+        return "PlaceSet{%s%s}" % (", ".join(map(str, self.finite_primes)), tail)
+
+
+@functools.lru_cache(maxsize=64)
+def ramified_places(alpha, beta):
+    """All places where (alpha, beta / Q) is not split.  Remembered for
+    the last 64 pairs: every central factor asks again for its algebra."""
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    if alpha == 0 or beta == 0:
+        raise DegenerateInput("algebra parameters must be nonzero")
+    cands = {2}
+    cands.update(factorint(abs(squarefree_kernel(alpha))))
+    cands.update(factorint(abs(squarefree_kernel(beta))))
+    finite = [p for p in cands if hilbert_symbol(alpha, beta, p) == -1]
+    inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
+    return PlaceSet(finite, inf)
+
+
+def is_division(alpha, beta):
+    return len(ramified_places(alpha, beta)) > 0
+
+
+# ---------------------------------------------------------------------------
+# the number field L = Q[x]/(p)
 
 class NumberField:
     """L = Q[x]/(minpoly), minpoly monic irreducible.  The checked
@@ -417,7 +549,6 @@ def nf_splits_quaternion(alpha, beta, L):
     primes, each of which needs a p-maximal order; the first place of odd
     local degree decides.
     """
-    from .quadform import ramified_places
     places = ramified_places(alpha, beta)
     if not places:
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))

@@ -3,9 +3,10 @@
 The indeterminate is central, coefficients multiply powers of x from the
 left, and all Euclidean structure (division, GCRD, LCLM) acts on the
 right.  On top of the arithmetic sit the main algorithms: Beck
-decomposition, irreducibility, factorization of central irreducibles via
-a zero-divisor certificate, the complete factorization loop, factor
-reordering, and root enumeration up to conjugacy.
+decomposition, irreducibility, factorization of a central irreducible p,
+given as its NumberField Q[x]/(p), via a zero-divisor certificate, the
+complete factorization loop, factor reordering, and root enumeration up
+to conjugacy.
 """
 
 import math
@@ -392,64 +393,54 @@ class Factorization:
         return len(self.factors)
 
 
-def _root_field(p, field, message):
-    """field, the caller's Q[x]/(p), or a checked NumberField(p)."""
-    if field is not None:
-        if field.minpoly != p:
-            raise PreconditionViolation("field is not Q[x]/(p)")
-        return field
-    try:
-        return NumberField(p)
-    except DegenerateInput:
-        raise PreconditionViolation(message) from None
+def _check_field(L):
+    if not isinstance(L, NumberField):
+        raise PreconditionViolation(
+            "the central factor must come as its NumberField, got %r" % (L,))
 
 
-def subfield_factor(p, A, field=None):
-    """Split a central irreducible p as conj(q) * q over an embedded
-    quadratic subfield, or None when no subfield works: conj(q) is the
-    zero divisor of subfield_zero_divisor, cut by _halves.  field, when
-    given, is Q[x]/(p) already built, and p is not tested again."""
-    if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
-        raise PreconditionViolation("input must be monic in Q[x]")
-    message = "input must be irreducible of degree >= 2"
-    if p.degree < 2:
-        raise PreconditionViolation(message)
-    L = _root_field(p, field, message)
+def subfield_factor(L, A):
+    """Split the minimal polynomial p of L = Q[x]/(p), of degree >= 2, as
+    conj(q) * q over an embedded quadratic subfield, or None when no
+    subfield works: conj(q) is the zero divisor of subfield_zero_divisor,
+    cut by _halves."""
+    _check_field(L)
+    if L.degree < 2:
+        raise PreconditionViolation("the field must have degree >= 2")
     zd = subfield_zero_divisor(A.alpha, A.beta, L)
-    if zd is None:
-        return None
-    return _halves(QPoly.from_coordinates(A, zd.q), QPoly.from_ratpoly(A, p))
+    return None if zd is None else _halves(A, zd)[1]
 
 
-def _halves(z, P):
-    """(f, conj f) with f conj(f) = P = p, for a zero divisor z of
-    A (x) Q[x]/(p) read as a polynomial.  z is neither 0 nor a unit mod p,
-    so z A[x] + p A[x] lies strictly between p A[x] and A[x]: its monic
+def _halves(A, zd):
+    """(z, (f, conj f)): the zero divisor of the certificate zd for
+    A (x) Q[x]/(p), reduced mod p and read as a polynomial z, and the
+    halves f conj(f) = P = p.  z is neither 0 nor a unit mod p, so
+    z A[x] + p A[x] lies strictly between p A[x] and A[x]: its monic
     generator f, the greatest common left divisor of z and p, has norm p.
     As p is central and rational, f is conj(GCRD(conj z, p))."""
+    p = zd.minpoly
+    z = QPoly.from_coordinates(A, [qi % p for qi in zd.q])
+    P = QPoly.from_ratpoly(A, p)
     fbar = qp_gcrd(qp_conj(z), P)
     f = qp_conj(fbar)
     # a divisor of the wrong degree has norm 1 or p^2, not p
     if f * fbar != P:
         raise InternalInvariantViolation("halves do not multiply back to p")
-    return f, fbar
+    return z, (f, fbar)
 
 
-def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
-                               field=None):
-    """Algorithm for a central irreducible p: either p stays irreducible
-    or it splits into a conjugate pair of half-degree factors.  field,
-    when given, is Q[x]/(p) already built, and p is not tested again.
-    The zero divisor comes from a quadratic subfield, the certificate
-    cert or the seeded search."""
-    message = "input must be monic irreducible in Q[x]"
-    if not isinstance(p, RatPoly) or p.is_zero or not p.is_monic:
-        raise PreconditionViolation(message)
-    L = _root_field(p, field, message)
-    P = QPoly.from_ratpoly(A, p)
+def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
+    """Algorithm for the central irreducible minimal polynomial p of
+    L = Q[x]/(p): either p stays irreducible or it splits into a
+    conjugate pair of half-degree factors.  L is NumberField(p), whose
+    constructor tests p, or NumberField.unchecked(p) for a p already
+    proved irreducible.  The zero divisor comes from a quadratic
+    subfield, the certificate cert or the seeded search."""
+    _check_field(L)
+    p = L.minpoly
     if p.degree % 2 == 1 or not nf_splits_quaternion(A.alpha, A.beta, L):
-        return Factorization(A.one(), [P])
-    pair = subfield_factor(p, A, field=L)
+        return Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
+    pair = subfield_factor(L, A)
     if pair is not None:
         return Factorization(A.one(), list(pair))
     # subfield_factor has ruled out find_zero_divisor's subfield layer
@@ -459,8 +450,8 @@ def factor_central_irreducible(p, A, cert=None, seed=0, max_height=20,
     else:
         zd = search_zero_divisor(A.alpha, A.beta, L, seed=seed,
                                  max_height=max_height)
-    z = QPoly.from_coordinates(A, [qi % p for qi in zd.q])
-    out = Factorization(A.one(), _halves(z, P))
+    z, pair = _halves(A, zd)
+    out = Factorization(A.one(), list(pair))
     out.first_quotient = qp_norm(z).exact_div(p)
     return out
 
@@ -499,8 +490,8 @@ def factor(p, certs=None, seed=0, max_height=20):
     # rp_factor proves its factors irreducible: their fields need no test
     for r, e in rp_factor(b.central).factors:
         sub = factor_central_irreducible(
-            r, A, cert=certs.get(r), seed=seed, max_height=max_height,
-            field=NumberField.unchecked(r))
+            NumberField.unchecked(r), A, cert=certs.get(r), seed=seed,
+            max_height=max_height)
         for _ in range(e):
             out.extend(sub.factors)
     q = b.central_free
@@ -567,7 +558,7 @@ def roots(p):
     for r, _e in central_factors:
         if r.degree != 2:
             continue
-        pair = subfield_factor(r, A, field=NumberField.unchecked(r))
+        pair = subfield_factor(NumberField.unchecked(r), A)
         if pair is None:
             continue
         lin = pair[0]

@@ -1,5 +1,7 @@
-"""Rational quadratic forms: Hilbert symbols, isotropic vectors, and the
-zero-divisor machinery for a quaternion algebra extended to a number field.
+"""Rational quadratic forms: isotropic vectors, and the zero-divisor
+machinery for a quaternion algebra extended to a number field.  The
+local theory they decide with (Hilbert symbols, local squares and the
+ramified places of an algebra) lives in numberfield.
 
 Ternary isotropy runs the classical Lagrange descent (square roots modulo
 squarefree numbers via Tonelli-Shanks and CRT); quaternary isotropy looks
@@ -9,7 +11,6 @@ the pure quaternion with square d) is made here alone, in
 subfield_zero_divisor.  Everything is exact.
 """
 
-import functools
 import json
 import math
 import random
@@ -21,140 +22,13 @@ from .dense import ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
                      SearchExhausted, SplitAlgebra)
-from .intarith import (factorint, legendre, sqrt_mod_squarefree,
-                       squarefree_kernel, squarefree_part)
-from .numberfield import (INFINITE_PLACE, check_place,
-                          nf_factor_over_quadratic, nf_quadratic_candidates,
-                          nf_splits_quaternion, nf_sqrt)
+from .intarith import sqrt_mod_squarefree, squarefree_kernel, squarefree_part
+from .numberfield import (is_local_square, nf_factor_over_quadratic,
+                          nf_quadratic_candidates, nf_splits_quaternion,
+                          nf_sqrt, ramified_places)
 from .ratpoly import RatPoly
 
 Fr = Fraction
-
-
-# ---------------------------------------------------------------------------
-# Hilbert symbols and ramification
-
-def _val_unit(n, p):
-    """(v, u) with n = p^v u for a nonzero integer n, u prime to p."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
-def _local_class(q, p):
-    """(v, u): the valuation v_p(q) of a nonzero rational q and an integer
-    u prime to p in the square class of q / p^v, read off the numerator
-    and the denominator (q = p^v un/ud and un ud = (un/ud) ud^2)."""
-    v, un = _val_unit(q.numerator, p)
-    w, ud = _val_unit(q.denominator, p)
-    return v - w, un * ud
-
-
-def hilbert_symbol(a, b, place):
-    """(a, b)_v for nonzero rationals: +1 iff z^2 = a x^2 + b y^2 has a
-    nontrivial solution over the completion at the place.  At a prime p
-    only v_p and the unit class (mod p, mod 8 at 2) of a and b enter, so
-    nothing is factored."""
-    a = Fr(a)
-    b = Fr(b)
-    if a == 0 or b == 0:
-        raise DegenerateInput("Hilbert symbol needs nonzero entries")
-    check_place(place)
-    if place == INFINITE_PLACE:
-        return -1 if a < 0 and b < 0 else 1
-    p = place
-    al, u = _local_class(a, p)
-    be, v = _local_class(b, p)
-    if p == 2:
-        u, v = u % 8, v % 8
-        eps_u = ((u - 1) // 2) % 2
-        eps_v = ((v - 1) // 2) % 2
-        om_u = ((u * u - 1) // 8) % 2
-        om_v = ((v * v - 1) // 8) % 2
-        e = eps_u * eps_v + al * om_v + be * om_u
-        return -1 if e % 2 else 1
-    eps = ((p - 1) // 2) % 2
-    sym = 1
-    if (al * be * eps) % 2:
-        sym = -sym
-    if be % 2:
-        sym *= legendre(u, p)
-    if al % 2:
-        sym *= legendre(v, p)
-    return sym
-
-
-def is_local_square(d, place):
-    """True iff the nonzero rational d is a square in the completion: at a
-    prime p, v_p(d) is even and the unit part is a square mod p (mod 8 at
-    2)."""
-    d = Fr(d)
-    if d == 0:
-        raise DegenerateInput("zero is degenerate here")
-    check_place(place)
-    if place == INFINITE_PLACE:
-        return d > 0
-    p = place
-    v, u = _local_class(d, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return legendre(u, p) == 1
-
-
-class PlaceSet:
-    """A finite set of places of Q (finite primes plus optionally infinity).
-    Immutable: ramified_places hands one instance to every caller."""
-
-    __slots__ = ("finite_primes", "infinite")
-
-    def __init__(self, finite_primes, infinite):
-        object.__setattr__(self, "finite_primes",
-                           tuple(sorted(set(finite_primes))))
-        object.__setattr__(self, "infinite", bool(infinite))
-
-    def __setattr__(self, *args):
-        raise AttributeError("PlaceSet is immutable")
-
-    def __len__(self):
-        return len(self.finite_primes) + (1 if self.infinite else 0)
-
-    def places(self):
-        yield from self.finite_primes
-        if self.infinite:
-            yield INFINITE_PLACE
-
-    def __eq__(self, other):
-        return (isinstance(other, PlaceSet)
-                and self.finite_primes == other.finite_primes
-                and self.infinite == other.infinite)
-
-    def __repr__(self):
-        tail = " oo" if self.infinite else ""
-        return "PlaceSet{%s%s}" % (", ".join(map(str, self.finite_primes)), tail)
-
-
-@functools.lru_cache(maxsize=64)
-def ramified_places(alpha, beta):
-    """All places where (alpha, beta / Q) is not split.  Remembered for
-    the last 64 pairs: every central factor asks again for its algebra."""
-    alpha = Fr(alpha)
-    beta = Fr(beta)
-    if alpha == 0 or beta == 0:
-        raise DegenerateInput("algebra parameters must be nonzero")
-    cands = {2}
-    cands.update(factorint(abs(squarefree_kernel(alpha))))
-    cands.update(factorint(abs(squarefree_kernel(beta))))
-    finite = [p for p in cands if hilbert_symbol(alpha, beta, p) == -1]
-    inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
-    return PlaceSet(finite, inf)
-
-
-def is_division(alpha, beta):
-    return len(ramified_places(alpha, beta)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +467,9 @@ def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
     succeeds."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
-    al, be, *m = kernel_ints((alpha, beta) + L.minpoly.coeffs)
+    al, be = kernel_ints((alpha, beta))
+    mp = L.minpoly
+    m = mp.num if mp.den == 1 else [Fr(c, mp.den) for c in mp.num]
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):

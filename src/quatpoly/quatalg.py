@@ -12,7 +12,7 @@ from . import dense
 from .coordpoly import coord_mul, coord_norm, coord_text
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      SplitAlgebra, ZeroDivisorEncountered)
-from .quadform import is_division, ramified_places
+from .numberfield import is_division, ramified_places
 from .ratpoly import RatPoly
 
 Fr = Fraction

@@ -196,10 +196,6 @@ class RatPoly:
     def __call__(self, v):
         return dense.evaluate(self.num, v, ZZ) / Fr(self.den)
 
-    def compose(self, other):
-        return sum([c * other ** i for i, c in enumerate(self.coeffs)],
-                   RatPoly())
-
     def primitive_int(self):
         """Primitive integer poly with positive lc in the same Q*-class."""
         return _primitive(self.num)

@@ -9,13 +9,13 @@ import time
 from fractions import Fraction as Fr
 
 from quatpoly.errors import SearchExhausted
-from quatpoly.numberfield import NumberField, nf_splits_quaternion
+from quatpoly.numberfield import (NumberField, hilbert_symbol,
+                                  nf_splits_quaternion, ramified_places)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             factor_central_irreducible, is_irreducible,
                             qp_evaluate, qp_norm, roots, subfield_factor)
 from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
-                               hilbert_symbol, ramified_places,
                                splits_in_quadratic, ternary_isotropic,
                                ternary_local_obstruction)
 from quatpoly.quatalg import QuaternionAlgebra, charpoly, is_conjugate, q_inv
@@ -54,7 +54,8 @@ def report(n, label, ok):
 
 def test_criterion_1_certificate_replay():
     t0 = time.monotonic()
-    out = factor_central_irreducible(QUARTIC_MIN, H, cert=quartic_cert())
+    out = factor_central_irreducible(NumberField(QUARTIC_MIN), H,
+                                     cert=quartic_cert())
     elapsed = time.monotonic() - t0
     ok = out.first_quotient == from_int_list([5989, -742, 530])
     q0 = P("x^2 - (3i - j + k)x - 2i + j - k")
@@ -103,7 +104,7 @@ def test_criterion_5_irreducibility():
         t0 = time.monotonic()
         got = is_irreducible(P(text))
         ok = ok and got is want and time.monotonic() - t0 < 1
-    pair = subfield_factor(from_int_list([1, 0, 1]), H)
+    pair = subfield_factor(NumberField(from_int_list([1, 0, 1])), H)
     ok = ok and pair == (P("x - i"), P("x + i"))
     report(5, "irreducibility suite", ok)
 
@@ -232,8 +233,9 @@ def test_criterion_9_splitting_crosscheck():
         p = from_int_list([c, b, 1])
         if not rp_is_irreducible(p):
             continue
-        splits = nf_splits_quaternion(-1, -1, NumberField(p))
-        pair = subfield_factor(p, H)
+        L = NumberField(p)
+        splits = nf_splits_quaternion(-1, -1, L)
+        pair = subfield_factor(L, H)
         ok = ok and splits == (pair is not None)
         if pair is not None:
             q, qbar = pair

@@ -137,6 +137,47 @@ def test_gf_reduces_lazily_to_canonical_residues():
     assert all(0 <= c < 7 for c in dense.divmod([1, 2, 3, 4, 5, 6], g, F)[1])
 
 
+# the layers of the package, lowest first: a module imports only modules
+# that come before it
+_LAYERS = ("errors", "intarith", "dense", "coordpoly", "ratpoly", "maxorder",
+           "numberfield", "quadform", "quatalg", "qpoly", "parser", "cli")
+
+
+def _layer_breaks(path):
+    """The imports inside function bodies of the module at path, and the
+    siblings it imports that have no layer or a later one."""
+    tree = ast.parse(path.read_text())
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from ("%s:%d imports inside %s" % (path.name, node.lineno,
+                                                     fn.name)
+                        for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)))
+    if path.stem == "__init__":
+        return
+    if path.stem not in _LAYERS:
+        yield "%s has no layer" % path.name
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+            for name in names:
+                if (name not in _LAYERS
+                        or _LAYERS.index(name) > _LAYERS.index(path.stem)):
+                    yield "%s:%d imports %s from above" % (
+                        path.name, node.lineno, name)
+
+
+def test_imports_go_down_the_layers():
+    """Each module imports, at its top, only modules of lower layers: a
+    cycle hidden in a function body or an upward edge shows here."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py"))
+             for hit in _layer_breaks(path)]
+    assert found == []
+
+
 def _private_sibling_names(path):
     """Private names path takes from a sibling module: imported with
     `from .x import _y`, or read as an attribute `x._y` of a sibling x."""

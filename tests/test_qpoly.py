@@ -309,7 +309,7 @@ def quartic_cert():
 
 class TestSubfieldFactor:
     def test_x2_plus_1(self):
-        pair = subfield_factor(from_int_list([1, 0, 1]), H)
+        pair = subfield_factor(NumberField(from_int_list([1, 0, 1])), H)
         assert pair is not None
         q, qbar = pair
         assert q * qbar == P("x^2 + 1")
@@ -319,7 +319,7 @@ class TestSubfieldFactor:
     def test_no_subfield(self):
         # x^4+11x^2+16x+6 generates a quartic field with no quadratic
         # subfield, so the subfield route must give up
-        assert subfield_factor(QUARTIC_MIN, H) is None
+        assert subfield_factor(NumberField(QUARTIC_MIN), H) is None
 
     @staticmethod
     def reference(p, A):
@@ -349,7 +349,7 @@ class TestSubfieldFactor:
             p = from_int_list(c)
             for A in (H, H13, QuaternionAlgebra(-2, -5)):
                 want = self.reference(p, A)
-                assert subfield_factor(p, A) == want, (p, A)
+                assert subfield_factor(NumberField(p), A) == want, (p, A)
                 split += want is not None
         assert split >= 4
 
@@ -382,7 +382,7 @@ class TestSubfieldFactor:
             A = QuaternionAlgebra(*ab)
             for p in self.quadratic_corpus(rng, A, 100):
                 want = self.reference(p, A)
-                assert subfield_factor(p, A) == want, (p, A)
+                assert subfield_factor(NumberField(p), A) == want, (p, A)
                 split += want is not None
                 unsplit += want is None
         assert split >= 400 and unsplit > 0
@@ -395,7 +395,7 @@ class TestSubfieldFactor:
 
         monkeypatch.setattr(quadform, "nf_quadratic_candidates", forbidden)
         monkeypatch.setattr(quadform, "nf_factor_over_quadratic", forbidden)
-        pairs = [subfield_factor(from_int_list(c), H13)
+        pairs = [subfield_factor(NumberField(from_int_list(c)), H13)
                  for c in ([1, 0, 1], [3, 2, 1], [-2, 0, 1], [7, 1, 1])]
         assert pairs[-1] is not None
 
@@ -410,7 +410,7 @@ class TestSubfieldFactor:
         for c, want in (([6, 16, 11, 0, 1], 0), ([6, 2, 9, -4, 1], 0),
                         ([1, 0, 0, 0, 1], 1)):
             calls.clear()
-            subfield_factor(from_int_list(c), H)
+            subfield_factor(NumberField(from_int_list(c)), H)
             assert len(calls) == want, c
 
     @staticmethod
@@ -444,7 +444,7 @@ class TestSubfieldFactor:
                  for p in self.screen_corpus(rng, A)]
 
         def answers():
-            return [subfield_factor(p, A) for p, A in cases]
+            return [subfield_factor(NumberField(p), A) for p, A in cases]
 
         with_screen = answers()
         monkeypatch.setattr(numberfield, "_local_nonsquare", lambda el: False)
@@ -454,19 +454,17 @@ class TestSubfieldFactor:
         assert split.count(2) == 12 and split.count(4) >= 4
 
     def test_rejects_bad_input(self):
-        with pytest.raises(PreconditionViolation):
-            subfield_factor(from_int_list([1, 2, 1]), H)
-        with pytest.raises(PreconditionViolation):
-            subfield_factor(P("x^2 + 1"), H)
-        for c in ([1], [2, 1], [-1, 0, 1], [4, 0, 0, 0, 1]):
-            with pytest.raises(PreconditionViolation,
-                               match="irreducible of degree >= 2"):
-                subfield_factor(from_int_list(c), H)
+        """A degree-1 field has no quadratic subfield; reducible and
+        constant input never becomes a field (see
+        TestFactorCentralIrreducible.test_rejects_reducible_and_constant)."""
+        with pytest.raises(PreconditionViolation, match="degree >= 2"):
+            subfield_factor(NumberField(from_int_list([2, 1])), H)
 
 
 class TestFactorCentralIrreducible:
     def test_certificate_reduction_replay(self):
-        out = factor_central_irreducible(QUARTIC_MIN, H, cert=quartic_cert())
+        out = factor_central_irreducible(NumberField(QUARTIC_MIN), H,
+                                         cert=quartic_cert())
         assert len(out.factors) == 2
         f, fbar = out.factors
         assert f * fbar == QPoly.from_ratpoly(H, QUARTIC_MIN)
@@ -475,48 +473,48 @@ class TestFactorCentralIrreducible:
         assert qp_norm(f) == QUARTIC_MIN
 
     def test_odd_degree_stays(self):
-        out = factor_central_irreducible(from_int_list([-2, 0, 0, 1]), H)
+        out = factor_central_irreducible(
+            NumberField(from_int_list([-2, 0, 0, 1])), H)
         assert len(out.factors) == 1
 
     def test_nonsplitting_quartic_stays(self):
         # x^4 + 1 generates Q(zeta_8) whose quadratic subfields include
         # sqrt 2 ... the field splits (-1,-1)? zeta_8 field contains
         # sqrt(-1), so it does split and the factor pair must appear
-        out = factor_central_irreducible(from_int_list([1, 0, 0, 0, 1]), H)
+        out = factor_central_irreducible(
+            NumberField(from_int_list([1, 0, 0, 0, 1])), H)
         assert len(out.factors) == 2
         f, fbar = out.factors
         assert f * fbar == QPoly.from_ratpoly(H, from_int_list([1, 0, 0, 0, 1]))
 
     def test_real_quartic_stays(self):
         # x^4 - 2: field has real embeddings, cannot split (-1,-1)
-        out = factor_central_irreducible(from_int_list([-2, 0, 0, 0, 1]), H)
+        out = factor_central_irreducible(
+            NumberField(from_int_list([-2, 0, 0, 0, 1])), H)
         assert len(out.factors) == 1
 
     def test_rejects_reducible_and_constant(self):
-        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
-        for c in ([1], [1, 2, 1], [-1, 0, 1], [4, 0, 0, 0, 1]):
-            with pytest.raises(PreconditionViolation,
-                               match="monic irreducible"):
-                factor_central_irreducible(from_int_list(c), H)
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2); 2x + 1 is not monic
+        for c in ([1], [1, 2, 1], [-1, 0, 1], [4, 0, 0, 0, 1], [1, 2]):
+            with pytest.raises(DegenerateInput,
+                               match="irreducible|nonconstant"):
+                NumberField(from_int_list(c))
 
-    def test_field_must_be_the_root_field(self):
-        """A field passed in must be Q[x]/(p).  Reducible input without a
-        field stays rejected: see the two test_rejects_* tests."""
-        p = from_int_list([1, 0, 0, 0, 1])
-        for other in ([2, 0, 0, 0, 1], [1, 0, 1]):
-            L = NumberField(from_int_list(other))
+    def test_first_argument_must_be_a_number_field(self):
+        """A central factor comes as its field: a bare polynomial or
+        anything else is a precondition violation, not an AttributeError
+        from deep inside the route."""
+        for bad in (from_int_list([1, 0, 0, 0, 1]), P("x^2 + 1"), None, 3):
             for fn in (factor_central_irreducible, subfield_factor):
-                with pytest.raises(PreconditionViolation, match="field"):
-                    fn(p, H, field=L)
-        L = NumberField(p)
-        assert subfield_factor(p, H, field=L) == subfield_factor(p, H)
-        assert factor_central_irreducible(p, H, field=L).factors == \
-            factor_central_irreducible(p, H).factors
+                with pytest.raises(PreconditionViolation,
+                                   match="NumberField"):
+                    fn(bad, H)
 
     def test_one_irreducibility_test_per_field(self, monkeypatch):
-        """p is tested once, by the NumberField(p) that
-        factor_central_irreducible builds and hands on to subfield_factor,
-        and the search runs without find_zero_divisor's subfield layer."""
+        """p is tested once, by the NumberField(p) its caller builds, and
+        not again inside the route, which runs its search without
+        find_zero_divisor's subfield layer; factor hands on the factors
+        rp_factor has proved irreducible and tests none of them."""
         seen = []
         real = numberfield.rp_is_irreducible
 
@@ -538,9 +536,15 @@ class TestFactorCentralIrreducible:
                  (QUARTIC_MIN, quartic_cert()))
         for p, cert in cases:
             seen.clear()
-            out = factor_central_irreducible(p, H, cert=cert, seed=1)
+            L = NumberField(p)
+            out = factor_central_irreducible(L, H, cert=cert, seed=1)
             assert len(out.factors) == 2
-            assert seen.count(p) == 1, p
+            assert seen == [p], p
+            seen.clear()
+            certs = {p: cert} if cert is not None else None
+            out = factor(QPoly.from_ratpoly(H, p), certs=certs, seed=1)
+            assert len(out.factors) == 2
+            assert seen == [], p
 
 
 class TestSwapFactors:

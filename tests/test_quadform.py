@@ -10,14 +10,14 @@ from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
 from quatpoly.intarith import (crt, legendre, squarefree_kernel,
                                squarefree_part)
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
-                                  nf_quadratic_subfields, nf_splits_quaternion,
-                                  nf_sqrt)
+                                  hilbert_symbol, is_division,
+                                  is_local_square, nf_quadratic_subfields,
+                                  nf_splits_quaternion, nf_sqrt,
+                                  ramified_places)
 from quatpoly.quadform import (ZeroDivisorCertificate, find_zero_divisor,
-                               hilbert_symbol, is_division, is_local_square,
-                               quaternary_isotropic, ramified_places,
-                               represent_pure, search_zero_divisor,
-                               splits_in_quadratic, ternary_isotropic,
-                               ternary_local_obstruction)
+                               quaternary_isotropic, represent_pure,
+                               search_zero_divisor, splits_in_quadratic,
+                               ternary_isotropic, ternary_local_obstruction)
 from quatpoly.qpoly import subfield_factor
 from quatpoly.quatalg import QuaternionAlgebra
 from quatpoly.ratpoly import RatPoly, from_int_list
@@ -149,8 +149,8 @@ def kernel_hilbert_symbol(a, b, place, kernel=squarefree_kernel):
         return -1 if a < 0 and b < 0 else 1
     p = place
     sa, sb = kernel(Fr(a)), kernel(Fr(b))
-    al, u = quadform._val_unit(sa, p)
-    be, v = quadform._val_unit(sb, p)
+    al, u = numberfield._val_unit(sa, p)
+    be, v = numberfield._val_unit(sb, p)
     if p == 2:
         eps_u, eps_v = ((u - 1) // 2) % 2, ((v - 1) // 2) % 2
         om_u, om_v = ((u * u - 1) // 8) % 2, ((v * v - 1) // 8) % 2
@@ -207,7 +207,7 @@ class TestLocalSymbolsByValuation:
             raise AssertionError("factorint(%d) called" % n)
 
         monkeypatch.setattr(intarith, "factorint", forbidden)
-        monkeypatch.setattr(quadform, "factorint", forbidden)
+        monkeypatch.setattr(numberfield, "factorint", forbidden)
         # pq, -3 pq and 2/pq are squarefree kernels up to a square, so the
         # reference needs no factorization either
         identity = {pq: pq, -3: -3, -3 * pq: -3 * pq, Fr(2, pq): 2 * pq,
@@ -504,8 +504,7 @@ class TestFindZeroDivisor:
                       if splits_in_quadratic(alpha, beta, d)]
                 if not ds or not nf_splits_quaternion(alpha, beta, L):
                     continue
-                pair = subfield_factor(L.minpoly,
-                                       QuaternionAlgebra(alpha, beta))
+                pair = subfield_factor(L, QuaternionAlgebra(alpha, beta))
                 want = ZeroDivisorCertificate(alpha, beta, L.minpoly,
                                               pair[0].coordinates())
                 assert find_zero_divisor(alpha, beta, L) == want
@@ -650,7 +649,7 @@ class TestFindZeroDivisor:
         def forbidden(n):
             raise AssertionError("factorint(%d) called" % n)
 
-        monkeypatch.setattr(quadform, "factorint", forbidden)
+        monkeypatch.setattr(numberfield, "factorint", forbidden)
         monkeypatch.setattr(intarith, "factorint", forbidden)
         assert ramified_places(Fr(-7, 3), -11) == want
         with pytest.raises(AttributeError):
@@ -684,7 +683,7 @@ def test_local_symbols_reject_non_places(monkeypatch, place):
     def forbidden(*args):
         raise AssertionError("local arithmetic at a non-place")
 
-    monkeypatch.setattr(quadform, "_local_class", forbidden)
+    monkeypatch.setattr(numberfield, "_local_class", forbidden)
     with pytest.raises(PreconditionViolation):
         hilbert_symbol(2, 3, place)
     with pytest.raises(PreconditionViolation):

@@ -82,20 +82,25 @@ def _sign_variations(coeffs):
     return v
 
 
+def _compose(q, r):
+    """q(r) for RatPolys q and r."""
+    return sum([c * r ** i for i, c in enumerate(q.coeffs)], RatPoly())
+
+
 def _vca_01(q, depth):
     """Number of roots of q in the open interval (0, 1)."""
     assert depth < 64, "VCA recursion ran away"
     n = q.degree
     # Descartes bound for (0,1): variations of (x+1)^n q(1/(x+1))
     rev = RatPoly(list(reversed([q[m] for m in range(n + 1)])))
-    shifted = rev.compose(from_int_list([1, 1]))
+    shifted = _compose(rev, from_int_list([1, 1]))
     v = _sign_variations(shifted.coeffs)
     if v == 0:
         return 0
     if v == 1:
         return 1
-    half = q.compose(RatPoly([Fr(0), Fr(1, 2)]))      # roots in (0, 1/2)
-    other = q.compose(RatPoly([Fr(1, 2), Fr(1, 2)]))  # roots in (1/2, 1)
+    half = _compose(q, RatPoly([Fr(0), Fr(1, 2)]))      # roots in (0, 1/2)
+    other = _compose(q, RatPoly([Fr(1, 2), Fr(1, 2)]))  # roots in (1/2, 1)
     mid = 1 if q(Fr(1, 2)) == 0 else 0
     return _vca_01(half, depth + 1) + mid + _vca_01(other, depth + 1)
 
