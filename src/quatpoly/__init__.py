@@ -10,7 +10,8 @@ from .numberfield import (INFINITE_PLACE, NFElement, NumberField, PlaceSet,
                           hilbert_symbol, is_division, is_local_square,
                           nf_factor, nf_local_splitting,
                           nf_quadratic_candidates, nf_quadratic_subfields,
-                          nf_splits_quaternion, nf_sqrt, ramified_places)
+                          nf_quartic_subfields, nf_splits_quaternion,
+                          nf_sqrt, ramified_places)
 from .parser import format_qpoly, parse_poly
 from .qpoly import (BeckDecomposition, Factorization, QPoly, RootSet,
                     beck_decompose, factor, factor_central_irreducible,

@@ -5,9 +5,12 @@ places of a quaternion algebra (alpha, beta / Q), read off valuations
 and unit classes.  Then L: an element of L is a RatPoly in theta of
 degree below deg p, so its arithmetic is RatPoly's, on integers over
 one denominator, reduced by p; polynomials over L are dense.py lists
-over the field object L.field.  Covers field arithmetic, square testing and Trager factorization over L,
-quadratic-subfield enumeration, the places above a rational prime as
-(e, f) pairs from maxorder, and the tensor-splitting criterion for a
+over the field object L.field.  Covers field arithmetic, square
+testing and Trager factorization over L, the quadratic subfields of L
+(of a quartic from the rational roots of its resolvent cubic; from
+degree 6 the divisors of 4 disc that pass a local screen, each then
+tested as a square in L), the places above a rational prime as (e, f)
+pairs from maxorder, and the tensor-splitting criterion for a
 quaternion algebra extended to L.
 """
 
@@ -484,6 +487,12 @@ def nf_sqrt(d, L):
     return None
 
 
+def _subfield_order(d):
+    """The order in which the subfields Q(sqrt(d)) are listed and tried:
+    increasing |d|, positive sign first."""
+    return abs(d), d < 0
+
+
 def nf_quadratic_candidates(L):
     """Squarefree integers d != 1 that may give a subfield Q(sqrt(d)) of L:
     the signed squarefree divisors of 4 disc, none for odd degree, less
@@ -501,7 +510,7 @@ def nf_quadratic_candidates(L):
     for p in sorted(factorint(4 * abs(disc))):
         divisors += [d * p for d in divisors]
     candidates = [s for d in divisors for s in (d, -d) if s != 1]
-    candidates.sort(key=lambda s: (abs(s), s < 0))
+    candidates.sort(key=_subfield_order)
     return [d for d in candidates
             if not _local_nonsquare(L.from_rational(d))]
 
@@ -511,6 +520,35 @@ def nf_quadratic_subfields(L):
     of nf_quadratic_candidates."""
     return [d for d in nf_quadratic_candidates(L)
             if nf_sqrt(d, L) is not None]
+
+
+def nf_quartic_subfields(L):
+    """Squarefree integers d with Q(sqrt(d)) contained in the quartic
+    field L, read off the rational roots of one resolvent cubic (Kappe
+    and Warren, Amer. Math. Monthly 96, 1989); no discriminant is formed
+    and nothing but that cubic is factored.
+
+    For p = x^4 + a x^3 + b x^2 + c x + e and a rational root r of
+    R(y) = y^3 - b y^2 + (ac - 4e) y - (a^2 e - 4be + c^2), Ferrari's
+    identity p = (x^2 + (a/2) x + r/2)^2 - (s x + t)^2 holds with
+    s^2 = a^2/4 - b + r and t^2 = r^2/4 - e, so p splits over Q(sqrt d)
+    for d the squarefree kernel of s^2, or of t^2 when s = 0; p being
+    irreducible, d is no square and Q(sqrt d) lies in L.  The roots of R
+    are distinct and each gives its own subfield, and every quadratic
+    subfield arises so.  Sorted as nf_quadratic_candidates sorts.
+    Raises PreconditionViolation unless L has degree 4.
+    """
+    if L.degree != 4:
+        raise PreconditionViolation("the field must have degree 4")
+    e, c, b, a = [L.minpoly[i] for i in range(4)]
+    cubic = RatPoly([4 * b * e - a * a * e - c * c, a * c - 4 * e, -b, 1])
+    out = []
+    for g, _mult in rp_factor(cubic).factors:
+        if g.degree == 1:
+            r = -g[0]
+            s2 = a * a / 4 - b + r
+            out.append(squarefree_kernel(s2 if s2 else r * r / 4 - e))
+    return sorted(out, key=_subfield_order)
 
 
 def nf_local_splitting(L, place):

@@ -8,7 +8,9 @@ squarefree numbers via Tonelli-Shanks and CRT); quaternary isotropy looks
 for a value represented by both binary halves.  The quadratic-subfield
 decision (which Q(sqrt d) splits the algebra and lies in the field, and
 the pure quaternion with square d) is made here alone, in
-subfield_zero_divisor.  Everything is exact.
+subfield_zero_divisor: a quadratic field is its own subfield, a quartic
+one reads its subfields off the resolvent cubic, and from degree 6 the
+locally screened candidates are tried in turn.  Everything is exact.
 """
 
 import json
@@ -24,8 +26,8 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
                      SearchExhausted, SplitAlgebra)
 from .intarith import sqrt_mod_squarefree, squarefree_kernel, squarefree_part
 from .numberfield import (is_local_square, nf_factor_over_quadratic,
-                          nf_quadratic_candidates, nf_splits_quaternion,
-                          nf_sqrt, ramified_places)
+                          nf_quadratic_candidates, nf_quartic_subfields,
+                          nf_splits_quaternion, nf_sqrt, ramified_places)
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -382,15 +384,22 @@ def _trager_half(p, d):
 def subfield_zero_divisor(alpha, beta, L):
     """Layer 2 of find_zero_divisor alone: conj(g) for the first factor g
     of p = L.minpoly over the first quadratic subfield Q(sqrt d) of L
-    that splits the algebra (in the order of nf_quadratic_candidates; a
-    quadratic p is its own), or None.  With sqrt d read as the pure
-    quaternion a of represent_pure, the coefficients of g lie in Q(a) and
-    commute, so p = conj(g) g and conj(g) has norm 0 in A (x) L."""
+    that splits the algebra, or None.  The d are tried by increasing |d|,
+    positive sign first: a quadratic p is its own subfield, a quartic
+    takes nf_quartic_subfields, and from degree 6 the candidates of
+    nf_quadratic_candidates are tried, a d over which p stays irreducible
+    being no subfield.  With sqrt d read as the pure quaternion a of
+    represent_pure, the coefficients of g lie in Q(a) and commute, so
+    p = conj(g) g and conj(g) has norm 0 in A (x) L."""
     alpha, beta = Fr(alpha), Fr(beta)
     p = L.minpoly
     quadratic = p.degree == 2
-    ds = ([squarefree_kernel(p[1] * p[1] - 4 * p[0])] if quadratic
-          else nf_quadratic_candidates(L))
+    if quadratic:
+        ds = [squarefree_kernel(p[1] * p[1] - 4 * p[0])]
+    elif p.degree == 4:
+        ds = nf_quartic_subfields(L)
+    else:
+        ds = nf_quadratic_candidates(L)
     for d in ds:
         if not splits_in_quadratic(alpha, beta, d):
             continue

@@ -413,9 +413,10 @@ def test_parser_builds_kernel_values():
 
 # the quadratic-subfield decision, made in quadform alone
 _SUBFIELD_NAMES = {"nf_factor_over_quadratic", "nf_quadratic_candidates",
-                   "splits_in_quadratic", "embed_quadratic",
-                   "represent_pure", "squarefree_kernel"}
-_LAYER_2_NAMES = {"nf_sqrt", "represent_pure", "nf_quadratic_candidates"}
+                   "nf_quartic_subfields", "splits_in_quadratic",
+                   "embed_quadratic", "represent_pure", "squarefree_kernel"}
+_LAYER_2_NAMES = {"nf_sqrt", "represent_pure", "nf_quadratic_candidates",
+                  "nf_quartic_subfields"}
 
 
 def _identifiers(node):
@@ -442,6 +443,23 @@ def test_subfield_decision_stays_in_quadform():
               and node.name == "find_zero_divisor"]
     assert len(layers) == 1
     assert sorted(set(_identifiers(layers[0])) & _LAYER_2_NAMES) == []
+
+
+# what the quadratic subfields of a p of degree 6 or more cost, and a
+# quartic must not pay: the discriminant, its factorization, a square
+# test in L or a Trager factorization
+_QUARTIC_SUBFIELD_NAMES = {"factorint", "disc_of_int_poly",
+                           "nf_quadratic_candidates", "nf_sqrt",
+                           "nf_factor_squarefree"}
+
+
+def test_quartic_subfields_factor_only_the_resolvent_cubic():
+    """nf_quartic_subfields reads the subfields of a quartic off the
+    rational roots of its resolvent cubic: a call or a name of the
+    discriminant route inside it shows here."""
+    assert _names_named("numberfield.py", ("nf_quartic_subfields",),
+                        _QUARTIC_SUBFIELD_NAMES,
+                        _QUARTIC_SUBFIELD_NAMES) == []
 
 
 def _method_calls(node, attr, scope=""):

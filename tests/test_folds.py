@@ -1,8 +1,9 @@
 """Each fold of a hand-written derivation into GCRD, ramified_places or
 one subfield path, each move of a QPoly computation onto the integer
 coordinate kernel, the early-stopping Zassenhaus lift, the one-pass
-parser, and the heuristic gcd, probe splitting and fused powmod of the
-integer core, pinned against the code it replaced.  The reference
+parser, the heuristic gcd, probe splitting and fused powmod of the
+integer core, and the quadratic subfields of a quartic read off its
+resolvent cubic, pinned against the code it replaced.  The reference
 functions below are that code, kept verbatim in behaviour, and each test
 compares its answers with the library's on a few hundred to a few
 thousand inputs.  The factorisation over GF(p) that splitting_type once
@@ -31,7 +32,8 @@ from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   hilbert_symbol, is_local_square,
                                   nf_factor_over_quadratic,
                                   nf_factor_squarefree, nf_poly_norm,
-                                  nf_quadratic_candidates, nf_sqrt)
+                                  nf_quadratic_candidates,
+                                  nf_quartic_subfields, nf_sqrt)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             beck_decompose, factor_central_irreducible,
@@ -43,8 +45,8 @@ from quatpoly.quadform import (ZeroDivisorCertificate, quaternary_isotropic,
                                subfield_zero_divisor,
                                ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
-from quatpoly.ratpoly import (RatPoly, rp_gcd, rp_is_irreducible,
-                              squarefree_decomposition)
+from quatpoly.ratpoly import (RatPoly, from_int_list, rp_gcd,
+                              rp_is_irreducible, squarefree_decomposition)
 
 # Q as a field object of dense.py, on Fractions: the reference code below
 # computes over it, and the library, whose Q[x] is RatPoly, does not
@@ -443,6 +445,99 @@ def test_one_subfield_path_gives_the_old_halves_and_layer_2():
                        for i in range(3) for j in range(i)), (p, A)
     assert cases == 400 and splits[4] + splits[6] >= 100
     assert 0 < sum(splits.values()) < cases
+
+
+def ref_quartic_subfields(L):
+    """The quadratic subfields of L as every even degree finds them: the
+    locally screened divisors of 4 disc that are squares in L."""
+    return [d for d in nf_quadratic_candidates(L) if nf_sqrt(d, L) is not None]
+
+
+# V4 (x^4 + 1, x^4 - 10x^2 + 1), C4 (x^4 - 4x^2 + 2, x^4 + 5x^2 + 5),
+# D4 (x^4 - 2, x^4 + 3), A4 (x^4 + 8x + 12) and S4 (x^4 + x + 1)
+NAMED_QUARTICS = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [2, 0, -4, 0, 1],
+                  [5, 0, 5, 0, 1], [-2, 0, 0, 0, 1], [3, 0, 0, 0, 1],
+                  [12, 8, 0, 0, 1], [1, 1, 0, 0, 1])
+
+
+def quartic_corpus(rng):
+    """(p, d) pairs, d the squarefree kernel of u^2 when p = N(q) for a
+    monic quadratic q with coefficients in Q(u), else None: the named
+    quartics; 90 irreducible x^4 + b x^2 + e, e or e (b^2 - 4e) a square
+    for two in three; 90 with integer and 60 with rational coefficients;
+    and 20 norms N(q) over each of (-1,-1), (-1,-3) and (-2,-5), half
+    planted."""
+    out = [(from_int_list(c), None) for c in NAMED_QUARTICS]
+
+    def add(p, d=None):
+        if rp_is_irreducible(p):
+            out.append((p, d))
+
+    while len(out) < 98:
+        b, e = rng.randint(-20, 20), rng.randint(-40, 40)
+        if len(out) % 3 == 0:
+            e = rng.randint(1, 8) ** 2
+        elif len(out) % 3 == 1:
+            # e (b^2 - 4e) = (c s w)^2 for b = c = w^2 + 4s^2 and e = c s^2
+            w, s = rng.randint(1, 3), rng.randint(1, 3)
+            b = w * w + 4 * s * s
+            b, e = rng.choice((b, -b)), b * s * s
+        add(from_int_list([e, 0, b, 0, 1]))
+    while len(out) < 188:
+        add(from_int_list([rng.randint(-9, 9) for _ in range(4)] + [1]))
+    while len(out) < 248:
+        add(RatPoly([Fr(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(4)] + [1]))
+    for A in ALGEBRAS[:3]:
+        count = len(out) + 20
+        while len(out) < count:
+            if len(out) % 2:
+                add(qp_norm(QPoly(A, [rnd_q(rng, A), rnd_q(rng, A),
+                                      A.one()])))
+                continue
+            u = A.element([0] + [rng.randint(-2, 2) for _ in range(3)])
+            if u.is_zero:
+                continue
+            a, b = [A.scalar(rng.randint(-3, 3)) + rng.randint(-2, 2) * u
+                    for _ in range(2)]
+            add(qp_norm(QPoly(A, [b, a, A.one()])),
+                squarefree_kernel((u * u).coords[0]))
+    return out
+
+
+def is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def test_quartic_subfields_are_the_squares_among_the_candidates():
+    """nf_quartic_subfields, read off the resolvent cubic, gives the list
+    and order of the discriminant route on 308 irreducible quartics: the
+    Galois groups V4, C4, D4, A4 and S4, rational coefficients, and norms
+    over three algebras, every planted subfield among them."""
+    rng = random.Random(151)
+    corpus = quartic_corpus(rng)
+    counts = {0: 0, 1: 0, 3: 0}
+    rational_with_subfield = 0
+    for p, planted in corpus:
+        L = NumberField.unchecked(p)
+        got = nf_quartic_subfields(L)
+        assert got == ref_quartic_subfields(L), p
+        counts[len(got)] += 1
+        rational_with_subfield += p.den > 1 and len(got) > 0
+        assert planted is None or planted in got, (p, planted)
+    assert len(corpus) == 308
+    assert sum(planted is not None for _, planted in corpus) == 30
+    assert min(counts.values()) >= 20, counts
+    # x^4 + b x^2 + e has the group V4 when e is a square, else C4 when
+    # e (b^2 - 4e) is one, else D4
+    groups = {"V4": 0, "C4": 0, "D4": 0}
+    for p, _ in corpus[8:98]:
+        b, e = int(p[2]), int(p[0])
+        group = ("V4" if is_square(e)
+                 else "C4" if is_square(e * (b * b - 4 * e)) else "D4")
+        groups[group] += 1
+    assert min(groups.values()) > 0, groups
+    assert rational_with_subfield > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   nf_factor, nf_factor_over_quadratic,
                                   nf_local_splitting,
                                   nf_quadratic_candidates,
-                                  nf_quadratic_subfields, nf_sqrt,
+                                  nf_quadratic_subfields,
+                                  nf_quartic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
 from quatpoly.ratpoly import RatPoly, from_int_list, rp_is_irreducible
 from test_folds import ref_gfp_factor
@@ -214,13 +215,20 @@ class TestSqrtAndSubfields:
     SUBFIELDS = [[-1], [-1, 2, -2], [2], [2, 3, 6], [], []]
 
     def test_subfields_are_candidates_in_order(self):
+        """The subfields are candidates, in their order; a quartic reads
+        the same list off its resolvent cubic, and no other degree can."""
         for L, want in zip(self.FIELDS, self.SUBFIELDS):
             candidates = nf_quadratic_candidates(L)
             subfields = nf_quadratic_subfields(L)
             assert subfields == want
             it = iter(candidates)
             assert all(d in it for d in subfields)  # a subsequence
+            if L.degree == 4:
+                assert nf_quartic_subfields(L) == want
         assert nf_quadratic_candidates(self.FIELDS[-1]) == []
+        for L in (QI, CUBIC):
+            with pytest.raises(PreconditionViolation, match="degree 4"):
+                nf_quartic_subfields(L)
 
     def test_candidates_pass_the_local_screen(self):
         """nf_quadratic_candidates keeps exactly the divisors of 4 disc

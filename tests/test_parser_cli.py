@@ -237,6 +237,24 @@ class TestCli:
         assert code == EXIT_SEARCH
         assert "certificate" in err
 
+    def test_quartic_subfields_factor_no_discriminant(self, monkeypatch,
+                                                      capsys):
+        """The quadratic subfields of this quartic come from its resolvent
+        cubic, which has no rational root: 4 disc, whose factorization
+        once gave no answer in 20 s, is never formed, and the search
+        gives up with exit code 3 on the central factor."""
+        def forbidden(L):
+            raise AssertionError("a quartic reached nf_quadratic_candidates")
+
+        monkeypatch.setattr(quadform, "nf_quadratic_candidates", forbidden)
+        poly = ("x^4 - 1875550258920x^2 + 6505750376804x"
+                " + 2042929474347385272996021")
+        code = run(["factor", poly, "--alpha", "-1", "--beta", "-1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_SEARCH
+        assert ("central factor x^4 - 1875550258920*x^2 + 6505750376804*x"
+                " + 2042929474347385272996021 needs a certificate") in err
+
     def test_quaternary_height_cap_exit(self, monkeypatch, capsys):
         # the subfield route embeds Q(sqrt -14) through represent_pure
         monkeypatch.setattr(quadform, "_QUATERNARY_HEIGHT_CAP", 1)

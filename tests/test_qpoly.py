@@ -402,13 +402,17 @@ class TestSubfieldFactor:
     def test_local_screen_skips_trager(self, monkeypatch):
         """Candidates the local test proves to be non-squares in Q[x]/(p)
         reach no Trager factorization; the subfield of x^4 + 1 still
-        does."""
+        does.  A quartic reads its subfields off the resolvent cubic, so
+        the screen is seen at work on the two sextic norms N(q) of cubics
+        q, where Trager would otherwise try 7 and 3 candidates."""
         calls = []
         trager = numberfield.nf_factor_squarefree
         monkeypatch.setattr(numberfield, "nf_factor_squarefree",
                             lambda f, K: calls.append(f) or trager(f, K))
         for c, want in (([6, 16, 11, 0, 1], 0), ([6, 2, 9, -4, 1], 0),
-                        ([1, 0, 0, 0, 1], 1)):
+                        ([1, 0, 0, 0, 1], 1),
+                        ([13, 18, -2, -4, 6, -2, 1], 0),
+                        ([4, -10, 9, 0, 11, 4, 1], 1)):
             calls.clear()
             subfield_factor(NumberField(from_int_list(c)), H)
             assert len(calls) == want, c
@@ -435,13 +439,33 @@ class TestSubfieldFactor:
                 charpolys.append(qp_norm(QPoly(A, [-u, A.one()])))
         return quartics + charpolys
 
+    @staticmethod
+    def sextic_corpus(rng, A):
+        """4 irreducible sextic norms N(q) of monic cubics q, half with
+        coefficients in Q(u) for a pure quaternion u: from degree 6 the
+        subfield candidates still pass the local screen."""
+        out = []
+        while len(out) < 4:
+            if len(out) % 2:
+                q = [rnd_q(rng, A, 2) for _ in range(3)]
+            else:
+                u = A.element([0] + [rng.randint(-1, 1) for _ in range(3)])
+                q = [A.scalar(rng.randint(-2, 2)) + rng.randint(-1, 1) * u
+                     for _ in range(3)]
+            p = qp_norm(QPoly(A, q + [A.one()]))
+            if rp_is_irreducible(p):
+                out.append(p)
+        return out
+
     def test_answers_do_not_depend_on_the_local_screen(self, monkeypatch):
         """subfield_factor gives the same pairs and Nones on a seeded
         corpus whether or not nf_quadratic_candidates screens its
         candidates with the local test."""
-        rng = random.Random(47)
-        cases = [(p, A) for A in (H, H13, QuaternionAlgebra(-2, -5))
-                 for p in self.screen_corpus(rng, A)]
+        rng, rng6 = random.Random(47), random.Random(59)
+        algebras = (H, H13, QuaternionAlgebra(-2, -5))
+        cases = [(p, A) for A in algebras for p in self.screen_corpus(rng, A)]
+        cases += [(p, A) for A in algebras
+                  for p in self.sextic_corpus(rng6, A)]
 
         def answers():
             return [subfield_factor(NumberField(p), A) for p, A in cases]
@@ -452,6 +476,7 @@ class TestSubfieldFactor:
         split = [p.degree for (p, _), a in zip(cases, with_screen)
                  if a is not None]
         assert split.count(2) == 12 and split.count(4) >= 4
+        assert 0 < split.count(6) < 12, split
 
     def test_rejects_bad_input(self):
         """A degree-1 field has no quadratic subfield; reducible and
