@@ -1,15 +1,18 @@
 """Elementary integer number theory used throughout the package.
 
-Everything here works on plain Python ints; sizes stay desk-scale
-(discriminants of degree <= 8 polynomials with small coefficients), so
-trial division plus Pollard rho is entirely adequate.
+Everything here works on plain Python ints.  factorint (trial division,
+then Pollard rho) has no time bound: on a 61-digit algebra parameter it
+gave no answer in 20 s.  Its callers at run time are square_class (the
+ramified places of an algebra, the quadratic-form reductions and
+descent, the quadratic subfields of a quadratic or quartic field),
+nf_quadratic_candidates on 4 disc, and maxorder's maximal order.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation
+from .errors import DegenerateInput, InternalInvariantViolation
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
@@ -87,22 +90,28 @@ def factorint(n):
     return out
 
 
-def squarefree_part(n):
-    """The squarefree integer with the same sign and square class as n."""
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorint(n).items():
-        if e % 2 == 1:
-            out *= p
-    return out
+def square_class(q):
+    """(s, r, primes) with q = s r^2 for a nonzero rational q: s the
+    squarefree integer of the sign and square class of q, r > 0 a
+    Fraction, primes the sorted tuple of the primes dividing s.  One
+    factorint call; DegenerateInput for q = 0."""
+    q = Fraction(q)
+    if q == 0:
+        raise DegenerateInput("zero has no square class")
+    s, k = (-1 if q < 0 else 1), 1
+    primes = []
+    for p, e in sorted(factorint(q.numerator * q.denominator).items()):
+        k *= p ** (e // 2)
+        if e % 2:
+            s *= p
+            primes.append(p)
+    # q = n/d and n d = s k^2, so q = s (k/d)^2
+    return s, Fraction(k, q.denominator), tuple(primes)
 
 
 def squarefree_kernel(q):
     """Squarefree integer in the square class of a nonzero rational."""
-    q = Fraction(q)
-    return squarefree_part(q.numerator * q.denominator)
+    return square_class(q)[0]
 
 
 def legendre(a, p):
@@ -163,23 +172,10 @@ def crt(residues, moduli):
     return x % m
 
 
-def sqrt_mod_squarefree(a, n):
-    """Square root of a modulo a squarefree n >= 1, or None.
-
-    Returns r with r*r = a (mod n), combining the roots modulo the prime
-    factors of n by CRT.
-    """
-    if n == 1:
-        return 0
-    roots = []
-    mods = []
-    for p in factorint(n):
-        if p == 2:
-            r = a % 2
-        else:
-            r = sqrt_mod_prime(a, p)
-            if r is None:
-                return None
-        roots.append(r)
-        mods.append(p)
-    return crt(roots, mods)
+def sqrt_mod_squarefree(a, primes):
+    """A square root of a modulo the product of the distinct primes, or
+    None: r with r*r = a modulo each, combined by CRT (0 for no primes)."""
+    roots = [sqrt_mod_prime(a, p) for p in primes]
+    if None in roots:
+        return None
+    return crt(roots, primes)

@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import dense, maxorder
 from .errors import (DegenerateInput, DivisionByZero, InternalInvariantViolation,
                      PreconditionViolation, SplitAlgebra)
-from .intarith import factorint, is_prime, legendre, squarefree_kernel
+from .intarith import (factorint, is_prime, legendre, square_class,
+                       squarefree_kernel)
 from .ratpoly import (RatPoly, resultant, rp_factor, rp_gcd, rp_is_irreducible,
                       rp_real_root_count)
 
@@ -151,10 +152,15 @@ def ramified_places(alpha, beta):
     beta = Fraction(beta)
     if alpha == 0 or beta == 0:
         raise DegenerateInput("algebra parameters must be nonzero")
-    cands = {2}
-    cands.update(factorint(abs(squarefree_kernel(alpha))))
-    cands.update(factorint(abs(squarefree_kernel(beta))))
-    finite = [p for p in cands if hilbert_symbol(alpha, beta, p) == -1]
+    return ramified_among(alpha, beta,
+                          square_class(alpha)[2] + square_class(beta)[2])
+
+
+def ramified_among(alpha, beta, primes):
+    """The places where (alpha, beta / Q) is not split, for nonzero
+    rationals and primes holding every odd prime at which alpha or beta
+    has odd valuation: only those, 2 and infinity can ramify."""
+    finite = [p for p in {2, *primes} if hilbert_symbol(alpha, beta, p) == -1]
     inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
     return PlaceSet(finite, inf)
 

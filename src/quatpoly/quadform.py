@@ -5,12 +5,16 @@ ramified places of an algebra) lives in numberfield.
 
 Ternary isotropy runs the classical Lagrange descent (square roots modulo
 squarefree numbers via Tonelli-Shanks and CRT); quaternary isotropy looks
-for a value represented by both binary halves.  The quadratic-subfield
-decision (which Q(sqrt d) splits the algebra and lies in the field, and
-the pure quaternion with square d) is made here alone, in
-subfield_zero_divisor: a quadratic field is its own subfield, a quartic
-one reads its subfields off the resolvent cubic, and from degree 6 the
-locally screened candidates are tried in turn.  Everything is exact.
+for a value represented by both binary halves.  Each rational is factored
+once, by square_class, and its primes are handed down: the local
+obstructions take the Hilbert symbols at them (ramified_among), and the
+coprime reduction and the descent, which factors only its new value at
+each level, work on them.  The quadratic-subfield decision (which
+Q(sqrt d) splits the algebra and lies in the field, and the pure
+quaternion with square d) is made here alone, in subfield_zero_divisor:
+a quadratic field is its own subfield, a quartic one reads its
+subfields off the resolvent cubic, and from degree 6 the locally
+screened candidates are tried in turn.  Everything is exact.
 """
 
 import json
@@ -24,10 +28,11 @@ from .dense import ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
                      SearchExhausted, SplitAlgebra)
-from .intarith import sqrt_mod_squarefree, squarefree_kernel, squarefree_part
+from .intarith import square_class, sqrt_mod_squarefree, squarefree_kernel
 from .numberfield import (is_local_square, nf_factor_over_quadratic,
                           nf_quadratic_candidates, nf_quartic_subfields,
-                          nf_splits_quaternion, nf_sqrt, ramified_places)
+                          nf_splits_quaternion, nf_sqrt, ramified_among,
+                          ramified_places)
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -41,34 +46,36 @@ def ternary_local_obstruction(coeffs):
 
     a x^2 + b y^2 + c z^2 = 0 is w^2 = (-ac) x^2 + (-bc) y^2 with w = cz,
     so the form is anisotropic exactly where (-ac, -bc / Q) ramifies: the
-    first such place, finite primes ascending, then infinity.  The
-    uncached body of ramified_places keeps single forms out of the cache
-    of algebras.
+    first such place, finite primes ascending, then infinity.
     """
     a, b, c = [Fr(x) for x in coeffs]
-    return next(ramified_places.__wrapped__(-a * c, -b * c).places(), None)
+    A, B = -a * c, -b * c
+    primes = square_class(A)[2] + square_class(B)[2]
+    return next(ramified_among(A, B, primes).places(), None)
 
 
-def _descent(A, B):
+def _descent(A, B, pA, pB):
     """Nontrivial (x, y, z) with z^2 = A x^2 + B y^2; A, B squarefree
-    integers, the equation being globally solvable.
+    integers with the primes pA, pB dividing them, the equation being
+    globally solvable.
 
     Lagrange's reduction: with |A| <= |B|, a square root r of A modulo B
     gives B' = (r^2 - A)/B with |B'| < |B|, and a solution for (A, B')
-    lifts to one for (A, B) by multiplying in Z[sqrt(A)].
+    lifts to one for (A, B) by multiplying in Z[sqrt(A)].  Only the new
+    (r^2 - A)/B is factored at each level.
     """
     if A == 1:
         return (1, 0, 1)
     if B == 1:
         return (0, 1, 1)
     if abs(A) > abs(B):
-        x, y, z = _descent(B, A)
+        x, y, z = _descent(B, A, pB, pA)
         return (y, x, z)
     # now |A| <= |B|; termination shrinks |B| so B = -1 forces A = -1
     if B == -1:
         raise InternalInvariantViolation("insolvable pair reached descent")
     nb = abs(B)
-    r = sqrt_mod_squarefree(A % nb, nb)
+    r = sqrt_mod_squarefree(A % nb, pB)
     if r is None:
         raise InternalInvariantViolation("missing square root during descent")
     if r > nb // 2:
@@ -79,14 +86,12 @@ def _descent(A, B):
     if t == 0:
         # A = r^2, impossible for squarefree |A| >= 2
         raise InternalInvariantViolation("unexpected square during descent")
-    Bp = squarefree_part(t)
-    m2 = t // Bp
-    m = math.isqrt(abs(m2))
-    x1, y1, z1 = _descent(A, Bp)
+    Bp, m, pBp = square_class(t)
+    x1, y1, z1 = _descent(A, Bp, pA, pBp)
     # compose: (r + sqrt A)(z1 + x1 sqrt A)
     z2 = r * z1 + A * x1
     x2 = r * x1 + z1
-    y2 = Bp * m * y1
+    y2 = Bp * m.numerator * y1
     g = math.gcd(x2, y2, z2)
     if g == 0:
         raise InternalInvariantViolation("trivial vector from descent")
@@ -104,59 +109,46 @@ def ternary_isotropic(coeffs):
     a = [Fr(c) for c in coeffs]
     if any(c == 0 for c in a):
         raise DegenerateInput("form coefficients must be nonzero")
-    if ternary_local_obstruction(a) is not None:
-        return None
-    # scale to squarefree integers, tracking per-variable scalings
-    scale = [Fr(1)] * 3
-    ints = []
-    for idx, c in enumerate(a):
-        s = squarefree_kernel(c)
-        # c = s * (t)^2 with t rational; x_idx -> x_idx / t
-        t2 = c / s
-        num = math.isqrt(t2.numerator)
-        den = math.isqrt(t2.denominator)
-        scale[idx] = Fr(den, num)  # multiply solution coordinate by this
-        ints.append(s)
-    # pairwise coprime reduction
-    post = []  # undo operations, applied in reverse
+    return _ternary(a, [square_class(c) for c in a])
 
-    def reduce_pair(i, j, k):
-        g = math.gcd(abs(ints[i]), abs(ints[j]))
-        if g <= 1:
-            return False
+
+def _ternary(a, classes):
+    """ternary_isotropic for nonzero coefficients a with their square
+    classes (s, r, primes), factoring nothing more but in the descent.
+
+    With c = s r^2 the variable x becomes x / r, leaving the squarefree
+    s; a common factor g of two of them is moved onto the third, so they
+    become pairwise coprime and the pair (A, B) of the descent is
+    squarefree with the primes of its two factors.  (A, B) is the
+    original (-a1 a3, -a2 a3) up to squares, so it ramifies at the same
+    places.
+    """
+    ints = [s for s, _, _ in classes]
+    primes = {p for _, _, ps in classes for p in ps}
+    post = []  # undo operations, applied in reverse
+    # each step leaves i, j coprime to each other and to k, so one pass
+    # leaves all three pairwise coprime
+    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        g = math.gcd(ints[i], ints[j])
         ints[i] //= g
         ints[j] //= g
-        ck = ints[k] * g
-        sk = squarefree_part(ck)
-        t = math.isqrt(ck // sk)
-        ints[k] = sk
+        t = math.gcd(ints[k], g)  # ints[k] g = (ints[k] g / t^2) t^2
+        ints[k] = ints[k] * g // (t * t)
         post.append((k, g, t))
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            if reduce_pair(i, j, k):
-                changed = True
     A = -ints[2] * ints[0]
     B = -ints[2] * ints[1]
-    sA = squarefree_part(A)
-    tA = math.isqrt(A // sA)
-    sB = squarefree_part(B)
-    tB = math.isqrt(B // sB)
-    X, Y, Z = _descent(sA, sB)
-    # z'^2 = sA X^2 + sB Y^2 ; original reduced ternary solution:
-    x = Fr(X * tA, 1)
-    y = Fr(Y * tB, 1)
-    z = Fr(Z, ints[2])
-    # verify against the reduced pairwise-coprime form
-    sol = [x, y, z]
+    pA = [p for p in primes if A % p == 0]
+    pB = [p for p in primes if B % p == 0]
+    if ramified_among(A, B, pA + pB):
+        return None
+    X, Y, Z = _descent(A, B, pA, pB)
+    # z'^2 = A X^2 + B Y^2 ; original reduced ternary solution:
+    sol = [Fr(X), Fr(Y), Fr(Z, ints[2])]
     for (k, g, t) in reversed(post):
         # reduced solution (X, Y, Z_k) of new form -> old: coordinate k
         # gets multiplied by g and divided by the square scaling t
         sol[k] = sol[k] * g / t
-    sol = [sol[i] * scale[i] for i in range(3)]
+    sol = [sol[i] / r for i, (_, r, _) in enumerate(classes)]
     den = math.lcm(*(c.denominator for c in sol))
     vec = [int(c * den) for c in sol]
     g = math.gcd(*vec)
@@ -166,8 +158,9 @@ def ternary_isotropic(coeffs):
     return tuple(vec)
 
 
-def _quaternary_local_obstruction(a):
-    """A place where the quaternary diagonal form is anisotropic, or None.
+def _quaternary_local_obstruction(a, primes):
+    """A place where the quaternary diagonal form is anisotropic, or None;
+    primes holds the primes at which some a_i has odd valuation.
 
     Where the determinant is a local square, a3 is a0 a1 a2 up to squares
     and the form is a0 times the norm form of (-a0 a1, -a0 a2 / Q), which
@@ -175,7 +168,7 @@ def _quaternary_local_obstruction(a):
     quaternary form is isotropic.
     """
     det = a[0] * a[1] * a[2] * a[3]
-    places = ramified_places.__wrapped__(-a[0] * a[1], -a[0] * a[2]).places()
+    places = ramified_among(-a[0] * a[1], -a[0] * a[2], primes).places()
     return next((v for v in places if is_local_square(det, v)), None)
 
 
@@ -186,15 +179,18 @@ _QUATERNARY_HEIGHT_CAP = 4096
 def quaternary_isotropic(coeffs):
     """Primitive solution of sum a_i x_i^2 = 0 (4 variables), or None.
 
-    Raises SearchExhausted when no solution turns up by height
-    _QUATERNARY_HEIGHT_CAP, though the local conditions hold.
+    Each coefficient is factored once, and each value t = a0 u^2 + a1 v^2
+    of the search once.  Raises SearchExhausted when no solution turns up
+    by height _QUATERNARY_HEIGHT_CAP, though the local conditions hold.
     """
     if len(coeffs) != 4:
         raise DegenerateInput("quaternary form needs 4 coefficients")
     a = [Fr(c) for c in coeffs]
     if any(c == 0 for c in a):
         raise DegenerateInput("form coefficients must be nonzero")
-    if _quaternary_local_obstruction(a) is not None:
+    classes = [square_class(c) for c in a]
+    primes = {p for _, _, ps in classes for p in ps}
+    if _quaternary_local_obstruction(a, primes) is not None:
         return None
     # isotropic binary half?
     for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
@@ -220,11 +216,11 @@ def quaternary_isotropic(coeffs):
             t = a[0] * u * u + a[1] * v * v
             if t == 0:
                 return (u, v, 0, 0)
-            key = squarefree_kernel(t)
-            if key in seen:
+            ct = square_class(t)
+            if ct[0] in seen:
                 continue
-            seen.add(key)
-            res = ternary_isotropic([a[2], a[3], t])
+            seen.add(ct[0])
+            res = _ternary([a[2], a[3], t], [classes[2], classes[3], ct])
             if res is None:
                 continue
             X, Y, Z = res

@@ -183,9 +183,9 @@ def test_criterion_8_local_global():
         ok = ok and prod == 1
         if not ok:
             break
-    from quatpoly.intarith import squarefree_part
+    from quatpoly.intarith import squarefree_kernel
     grid = [v for v in range(-20, 21)
-            if v != 0 and squarefree_part(v) == v]
+            if v != 0 and squarefree_kernel(v) == v]
     for p in (2, 3, 5, 7, 11, 13):
         for a in grid:
             for b in grid:
@@ -211,8 +211,8 @@ def test_criterion_8_local_global():
                 continue
             place = ternary_local_obstruction([a, b, c])
             ok = ok and place is not None
-            A1 = squarefree_part(-a * c)
-            B1 = squarefree_part(-b * c)
+            A1 = squarefree_kernel(-a * c)
+            B1 = squarefree_kernel(-b * c)
             if place == "oo":
                 ok = ok and not real_solvable(A1, B1)
             else:
@@ -258,8 +258,8 @@ def test_criterion_10_search_layers():
     done = 0
     while done < 20:
         d = rng.choice([-1, 1]) * rng.randint(1, 80)
-        from quatpoly.intarith import squarefree_part
-        if squarefree_part(d) != d or d == 1:
+        from quatpoly.intarith import squarefree_kernel
+        if squarefree_kernel(d) != d or d == 1:
             continue
         alpha, beta = rng.choice([(-1, -1), (-1, -3), (-2, -5)])
         if not splits_in_quadratic(alpha, beta, d):

@@ -2,16 +2,18 @@
 one subfield path, each move of a QPoly computation onto the integer
 coordinate kernel, the early-stopping Zassenhaus lift, the one-pass
 parser, the heuristic gcd, probe splitting and fused powmod of the
-integer core, and the quadratic subfields of a quartic read off its
-resolvent cubic, pinned against the code it replaced.  The reference
-functions below are that code, kept verbatim in behaviour, and each test
-compares its answers with the library's on a few hundred to a few
-thousand inputs.  The factorisation over GF(p) that splitting_type once
+integer core, the quadratic subfields of a quartic read off its
+resolvent cubic, and the isotropic vectors of the quadratic-form layer
+found with each number factored once, pinned against the code it
+replaced.  The reference functions below are that code, kept verbatim
+in behaviour, and each test compares its answers with the library's on
+a few hundred to a few thousand inputs.  The factorisation over GF(p) that splitting_type once
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
 of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
 extended gcd over Q that only the swap reference uses, and so is the
 Fraction RatPoly, as RefRatPoly, that the integer one replaced."""
 
+import collections
 import math
 import random
 import re
@@ -26,10 +28,12 @@ from quatpoly.coordpoly import cp_primitive
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
-                             SearchExhausted, ZeroDivisorEncountered)
-from quatpoly.intarith import factorint, squarefree_kernel
+                             QuatpolyError, SearchExhausted,
+                             ZeroDivisorEncountered)
+from quatpoly.intarith import (crt, factorint, legendre, square_class,
+                               sqrt_mod_prime, squarefree_kernel)
 from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
-                                  hilbert_symbol, is_local_square,
+                                  PlaceSet, hilbert_symbol, is_local_square,
                                   nf_factor_over_quadratic,
                                   nf_factor_squarefree, nf_poly_norm,
                                   nf_quadratic_candidates,
@@ -42,7 +46,7 @@ from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             subfield_factor, swap_factors)
 from quatpoly.quadform import (ZeroDivisorCertificate, quaternary_isotropic,
                                represent_pure, splits_in_quadratic,
-                               subfield_zero_divisor,
+                               subfield_zero_divisor, ternary_isotropic,
                                ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
 from quatpoly.ratpoly import (RatPoly, from_int_list, rp_gcd,
@@ -189,6 +193,11 @@ def test_swap_is_the_bezout_lclm_swap():
 # ---------------------------------------------------------------------------
 # local obstructions
 
+def _form_primes(coeffs):
+    """The primes at which some coefficient has odd valuation."""
+    return {p for c in coeffs for p in square_class(c)[2]}
+
+
 def _relevant_places(coeffs):
     places = {2, INFINITE_PLACE}
     for c in coeffs:
@@ -229,6 +238,11 @@ def ref_quaternary_obstruction(a):
     return None
 
 
+def _quaternary_local_obstruction(a):
+    """The library's obstruction, given the primes of the coefficients."""
+    return quadform._quaternary_local_obstruction(a, _form_primes(a))
+
+
 def rnd_coeff(rng):
     num = rng.choice([-1, 1]) * rng.randint(1, 60)
     return Fr(num, rng.choice([1, 1, 2, 3, 4, 5, 9, 12]))
@@ -238,7 +252,7 @@ def rnd_coeff(rng):
 # prime always comes before the real place
 @pytest.mark.parametrize("n, new, ref, seen", [
     (3, ternary_local_obstruction, ref_ternary_obstruction, {None, 2, 3}),
-    (4, quadform._quaternary_local_obstruction, ref_quaternary_obstruction,
+    (4, _quaternary_local_obstruction, ref_quaternary_obstruction,
      {None, INFINITE_PLACE, 2, 3})])
 def test_obstruction_is_the_hasse_loop(n, new, ref, seen):
     rng = random.Random(139 + n)
@@ -254,7 +268,7 @@ def test_obstruction_is_the_hasse_loop(n, new, ref, seen):
 def test_obstructions_leave_the_algebra_cache_alone():
     quadform.ramified_places.cache_clear()
     ternary_local_obstruction([1, 1, 1])
-    quadform._quaternary_local_obstruction([Fr(1)] * 4)
+    quadform._quaternary_local_obstruction([Fr(1)] * 4, ())
     assert quadform.ramified_places.cache_info().currsize == 0
 
 
@@ -268,7 +282,7 @@ def test_height_loop_walks_only_pairs_of_height_h(monkeypatch):
     cap = 200
     tried = []
 
-    def no_solution(coeffs):
+    def no_solution(coeffs, classes):
         # t = u^2 + 10^6 v^2 names the pair (u, v) for u < 1000
         v2, u2 = divmod(int(coeffs[2]), 10 ** 6)
         tried.append((math.isqrt(u2), math.isqrt(v2)))
@@ -276,16 +290,354 @@ def test_height_loop_walks_only_pairs_of_height_h(monkeypatch):
 
     monkeypatch.setattr(quadform, "_QUATERNARY_HEIGHT_CAP", cap)
     monkeypatch.setattr(quadform, "_quaternary_local_obstruction",
-                        lambda a: None)
-    monkeypatch.setattr(quadform, "ternary_isotropic", no_solution)
+                        lambda a, primes: None)
+    monkeypatch.setattr(quadform, "_ternary", no_solution)
     # no two values share a square class, so every pair is tried
-    monkeypatch.setattr(quadform, "squarefree_kernel", lambda t: t)
+    monkeypatch.setattr(quadform, "square_class", lambda t: (t, Fr(1), ()))
     with pytest.raises(SearchExhausted, match="height cap of %d" % cap):
         quaternary_isotropic([1, 10 ** 6, -3, -5])
     old = [(u, v) for h in range(1, cap + 1)
            for u in range(0, h + 1) for v in range(0, h + 1)
            if (max(u, v) == h or h <= 1) and (u, v) != (0, 0)]
     assert tried == old
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-form layer factoring each number once
+
+def ref_squarefree_part(n):
+    """The squarefree integer with the same sign and square class as n."""
+    if n == 0:
+        return 0
+    sign = -1 if n < 0 else 1
+    out = sign
+    for p, e in factorint(n).items():
+        if e % 2 == 1:
+            out *= p
+    return out
+
+
+def ref_squarefree_kernel(q):
+    """Squarefree integer in the square class of a nonzero rational."""
+    q = Fr(q)
+    return ref_squarefree_part(q.numerator * q.denominator)
+
+
+def ref_sqrt_mod_squarefree(a, n):
+    """Square root of a modulo a squarefree n >= 1, or None.
+
+    Returns r with r*r = a (mod n), combining the roots modulo the prime
+    factors of n by CRT.
+    """
+    if n == 1:
+        return 0
+    roots = []
+    mods = []
+    for p in factorint(n):
+        if p == 2:
+            r = a % 2
+        else:
+            r = sqrt_mod_prime(a, p)
+            if r is None:
+                return None
+        roots.append(r)
+        mods.append(p)
+    return crt(roots, mods)
+
+
+def ref_ramified_places(alpha, beta):
+    """All places where (alpha, beta / Q) is not split, uncached."""
+    alpha = Fr(alpha)
+    beta = Fr(beta)
+    if alpha == 0 or beta == 0:
+        raise DegenerateInput("algebra parameters must be nonzero")
+    cands = {2}
+    cands.update(factorint(abs(ref_squarefree_kernel(alpha))))
+    cands.update(factorint(abs(ref_squarefree_kernel(beta))))
+    finite = [p for p in cands if hilbert_symbol(alpha, beta, p) == -1]
+    inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
+    return PlaceSet(finite, inf)
+
+
+def ref_ternary_local_obstruction(coeffs):
+    """A place where the ternary form is anisotropic, or None.
+
+    a x^2 + b y^2 + c z^2 = 0 is w^2 = (-ac) x^2 + (-bc) y^2 with w = cz,
+    so the form is anisotropic exactly where (-ac, -bc / Q) ramifies: the
+    first such place, finite primes ascending, then infinity.  The
+    uncached body of ramified_places keeps single forms out of the cache
+    of algebras.
+    """
+    a, b, c = [Fr(x) for x in coeffs]
+    return next(ref_ramified_places(-a * c, -b * c).places(), None)
+
+
+def ref_descent(A, B):
+    """Nontrivial (x, y, z) with z^2 = A x^2 + B y^2; A, B squarefree
+    integers, the equation being globally solvable.
+
+    Lagrange's reduction: with |A| <= |B|, a square root r of A modulo B
+    gives B' = (r^2 - A)/B with |B'| < |B|, and a solution for (A, B')
+    lifts to one for (A, B) by multiplying in Z[sqrt(A)].
+    """
+    if A == 1:
+        return (1, 0, 1)
+    if B == 1:
+        return (0, 1, 1)
+    if abs(A) > abs(B):
+        x, y, z = ref_descent(B, A)
+        return (y, x, z)
+    # now |A| <= |B|; termination shrinks |B| so B = -1 forces A = -1
+    if B == -1:
+        raise InternalInvariantViolation("insolvable pair reached descent")
+    nb = abs(B)
+    r = ref_sqrt_mod_squarefree(A % nb, nb)
+    if r is None:
+        raise InternalInvariantViolation("missing square root during descent")
+    if r > nb // 2:
+        r = nb - r
+    t = (r * r - A) // B  # exact: r^2 = A mod B
+    if (r * r - A) % B != 0:
+        raise InternalInvariantViolation("descent congruence failed")
+    if t == 0:
+        # A = r^2, impossible for squarefree |A| >= 2
+        raise InternalInvariantViolation("unexpected square during descent")
+    Bp = ref_squarefree_part(t)
+    m2 = t // Bp
+    m = math.isqrt(abs(m2))
+    x1, y1, z1 = ref_descent(A, Bp)
+    # compose: (r + sqrt A)(z1 + x1 sqrt A)
+    z2 = r * z1 + A * x1
+    x2 = r * x1 + z1
+    y2 = Bp * m * y1
+    g = math.gcd(x2, y2, z2)
+    if g == 0:
+        raise InternalInvariantViolation("trivial vector from descent")
+    return (x2 // g, y2 // g, z2 // g)
+
+
+def ref_ternary_isotropic(coeffs):
+    """Primitive integer solution of a1 x^2 + a2 y^2 + a3 z^2 = 0, or None.
+
+    The decision (None = anisotropic) comes from Hilbert symbols; the
+    vector from Lagrange descent, so answers are exact on both sides.
+    """
+    if len(coeffs) != 3:
+        raise DegenerateInput("ternary form needs 3 coefficients")
+    a = [Fr(c) for c in coeffs]
+    if any(c == 0 for c in a):
+        raise DegenerateInput("form coefficients must be nonzero")
+    if ref_ternary_local_obstruction(a) is not None:
+        return None
+    # scale to squarefree integers, tracking per-variable scalings
+    scale = [Fr(1)] * 3
+    ints = []
+    for idx, c in enumerate(a):
+        s = ref_squarefree_kernel(c)
+        # c = s * (t)^2 with t rational; x_idx -> x_idx / t
+        t2 = c / s
+        num = math.isqrt(t2.numerator)
+        den = math.isqrt(t2.denominator)
+        scale[idx] = Fr(den, num)  # multiply solution coordinate by this
+        ints.append(s)
+    # pairwise coprime reduction
+    post = []  # undo operations, applied in reverse
+
+    def reduce_pair(i, j, k):
+        g = math.gcd(abs(ints[i]), abs(ints[j]))
+        if g <= 1:
+            return False
+        ints[i] //= g
+        ints[j] //= g
+        ck = ints[k] * g
+        sk = ref_squarefree_part(ck)
+        t = math.isqrt(ck // sk)
+        ints[k] = sk
+        post.append((k, g, t))
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            if reduce_pair(i, j, k):
+                changed = True
+    A = -ints[2] * ints[0]
+    B = -ints[2] * ints[1]
+    sA = ref_squarefree_part(A)
+    tA = math.isqrt(A // sA)
+    sB = ref_squarefree_part(B)
+    tB = math.isqrt(B // sB)
+    X, Y, Z = ref_descent(sA, sB)
+    # z'^2 = sA X^2 + sB Y^2 ; original reduced ternary solution:
+    x = Fr(X * tA, 1)
+    y = Fr(Y * tB, 1)
+    z = Fr(Z, ints[2])
+    # verify against the reduced pairwise-coprime form
+    sol = [x, y, z]
+    for (k, g, t) in reversed(post):
+        # reduced solution (X, Y, Z_k) of new form -> old: coordinate k
+        # gets multiplied by g and divided by the square scaling t
+        sol[k] = sol[k] * g / t
+    sol = [sol[i] * scale[i] for i in range(3)]
+    den = math.lcm(*(c.denominator for c in sol))
+    vec = [int(c * den) for c in sol]
+    g = math.gcd(*vec)
+    vec = [c // g for c in vec]
+    if sum(Fr(v) * Fr(v) * a[i] for i, v in enumerate(vec)) != 0:
+        raise InternalInvariantViolation("descent produced a non-solution")
+    return tuple(vec)
+
+
+def ref_quaternary_local_obstruction(a):
+    """A place where the quaternary diagonal form is anisotropic, or None.
+
+    Where the determinant is a local square, a3 is a0 a1 a2 up to squares
+    and the form is a0 times the norm form of (-a0 a1, -a0 a2 / Q), which
+    is anisotropic exactly where that algebra ramifies; elsewhere a
+    quaternary form is isotropic.
+    """
+    det = a[0] * a[1] * a[2] * a[3]
+    places = ref_ramified_places(-a[0] * a[1], -a[0] * a[2]).places()
+    return next((v for v in places if is_local_square(det, v)), None)
+
+
+def ref_quaternary_isotropic(coeffs):
+    """Primitive solution of sum a_i x_i^2 = 0 (4 variables), or None.
+
+    Raises SearchExhausted when no solution turns up by height
+    _QUATERNARY_HEIGHT_CAP, though the local conditions hold.
+    """
+    if len(coeffs) != 4:
+        raise DegenerateInput("quaternary form needs 4 coefficients")
+    a = [Fr(c) for c in coeffs]
+    if any(c == 0 for c in a):
+        raise DegenerateInput("form coefficients must be nonzero")
+    if ref_quaternary_local_obstruction(a) is not None:
+        return None
+    # isotropic binary half?
+    for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        q = -a[i] / a[j]
+        if q > 0:
+            num, den = q.numerator, q.denominator
+            rn, rd = math.isqrt(num), math.isqrt(den)
+            if rn * rn == num and rd * rd == den:
+                # (x_i / x_j)^2 = -a_j / a_i = den / num
+                vec = [0] * 4
+                vec[i] = rd
+                vec[j] = rn
+                if a[i] * rd * rd + a[j] * rn * rn != 0:
+                    raise InternalInvariantViolation("binary ratio mismatch")
+                return tuple(vec)
+    # search a value represented by both binary halves
+    h = 1
+    seen = set()
+    while True:
+        # the pairs of height max(u, v) = h, in the order of u, then v
+        for u, v in ([(u, h) for u in range(h)]
+                     + [(h, v) for v in range(h + 1)]):
+            t = a[0] * u * u + a[1] * v * v
+            if t == 0:
+                return (u, v, 0, 0)
+            key = ref_squarefree_kernel(t)
+            if key in seen:
+                continue
+            seen.add(key)
+            res = ref_ternary_isotropic([a[2], a[3], t])
+            if res is None:
+                continue
+            X, Y, Z = res
+            if Z == 0:
+                return (0, 0, X, Y)
+            return (u * Z, v * Z, X, Y)
+        h += 1
+        if h > quadform._QUATERNARY_HEIGHT_CAP:
+            raise SearchExhausted(
+                "isotropic quaternary search passed its height cap of %d"
+                % quadform._QUATERNARY_HEIGHT_CAP)
+
+
+def ref_represent_pure(alpha, beta, d):
+    """represent_pure on ref_quaternary_isotropic."""
+    alpha, beta, d = Fr(alpha), Fr(beta), Fr(d)
+    if alpha == 0 or beta == 0 or d == 0:
+        raise DegenerateInput("parameters must be nonzero")
+    sol = ref_quaternary_isotropic([alpha, beta, -alpha * beta, -d])
+    if sol is None:
+        return None
+    x, y, z, w = [Fr(c) for c in sol]
+    return (x / w, y / w, z / w)
+
+
+def form_outcome(fn, *args):
+    """fn(*args), or the type of the QuatpolyError it raises."""
+    try:
+        return fn(*args)
+    except QuatpolyError as exc:
+        return type(exc)
+
+
+def rnd_form_coeff(rng):
+    """A nonzero rational: small, or a numerator up to 10^6 over a small
+    denominator."""
+    if rng.random() < 0.5:
+        return rnd_coeff(rng)
+    return Fr(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+              rng.randint(1, 30))
+
+
+def rnd_ternary(rng):
+    """Three rational coefficients: random ones, which are mostly
+    anisotropic, or, half the time, two small random ones and the third
+    planted so that a random integer vector is a zero."""
+    if rng.random() < 0.5:
+        a = [rnd_form_coeff(rng) for _ in range(3)]
+    else:
+        a = [rnd_coeff(rng), rnd_coeff(rng), Fr(0)]
+        x, y, z = [rng.randint(1, 30) for _ in range(3)]
+        a[2] = -(a[0] * x * x + a[1] * y * y) / (z * z) or a[0]
+    if rng.random() < 0.02:
+        a[rng.randrange(3)] = Fr(0)
+    return a
+
+
+def test_square_classes_give_the_old_ternary_answers():
+    """ternary_isotropic and ternary_local_obstruction on square classes
+    answer as the code that factored each number again where it needed
+    it, on 3000 forms, a few with a zero coefficient."""
+    rng = random.Random(271)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        a = rnd_ternary(rng)
+        want = form_outcome(ref_ternary_isotropic, a)
+        assert form_outcome(ternary_isotropic, a) == want, a
+        assert form_outcome(ternary_local_obstruction, a) == \
+            form_outcome(ref_ternary_local_obstruction, a), a
+        kinds[want if want in (None, DegenerateInput) else "vector"] += 1
+    assert kinds["vector"] >= 1000 and kinds[None] >= 1000, kinds
+    assert kinds[DegenerateInput] >= 30, kinds
+
+
+def test_square_classes_give_the_old_pure_quaternions():
+    """represent_pure answers as before on 300 d with |d| <= 10^6 over
+    three division algebras: random d, a tenth of them rational, and
+    half the time a planted value alpha x^2 + beta y^2 - alpha beta z^2."""
+    rng = random.Random(272)
+    found = 0
+    for k in range(300):
+        alpha, beta = ((-1, -1), (-1, -3), (-2, -5))[k % 3]
+        d = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 6))
+        if k % 2:
+            h = rng.choice([10, 100, 200])
+            x, y, z = [rng.randint(-h, h) for _ in range(3)]
+            d = alpha * x * x + beta * y * y - alpha * beta * z * z or d
+        elif k % 10 == 8:
+            d = Fr(d, rng.randint(2, 30))
+        want = form_outcome(ref_represent_pure, alpha, beta, d)
+        assert form_outcome(represent_pure, alpha, beta, d) == want, d
+        found += want is not None
+    assert found >= 150
+    assert form_outcome(represent_pure, -1, -1, 0) is DegenerateInput
 
 
 # ---------------------------------------------------------------------------

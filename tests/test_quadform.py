@@ -1,14 +1,15 @@
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from quatpoly import intarith, numberfield, quadform
+from quatpoly import intarith, maxorder, numberfield, quadform
 from quatpoly.errors import (DegenerateInput, InternalInvariantViolation,
                              InvalidCertificate, PreconditionViolation,
                              SearchExhausted, SplitAlgebra)
-from quatpoly.intarith import (crt, legendre, squarefree_kernel,
-                               squarefree_part)
+from quatpoly.intarith import (crt, legendre, square_class,
+                               sqrt_mod_squarefree, squarefree_kernel)
 from quatpoly.numberfield import (INFINITE_PLACE, NumberField,
                                   hilbert_symbol, is_division,
                                   is_local_square, nf_quadratic_subfields,
@@ -58,7 +59,7 @@ def padic_solvable_bruteforce(a, b, p):
             return True
         if (a * p * p + b * x * x) % mod in squares:   # x = p, y unit
             return True
-    if squarefree_part(-a * b) == 1 or is_local_square(Fr(-a, b), p):
+    if squarefree_kernel(-a * b) == 1 or is_local_square(Fr(-a, b), p):
         return True
     return False
 
@@ -72,7 +73,7 @@ class TestHilbertSymbol:
         rng = random.Random(21)
         pairs = set()
         for v in range(-10, 11):
-            if squarefree_part(v) == v and v != 0:
+            if v != 0 and squarefree_kernel(v) == v:
                 pairs.add(v)
         vals = sorted(pairs)
         for p in (2, 3, 5, 7, 11, 13):
@@ -256,8 +257,8 @@ class TestTernary:
             # cross-check the failing place with the brute-force oracle:
             # a x^2 + b y^2 + c z^2 = 0 solvable iff z^2 = (-a/c) x^2
             # + (-b/c) y^2 is
-            A = squarefree_part(-a * c)
-            B = squarefree_part(-b * c)
+            A = squarefree_kernel(-a * c)
+            B = squarefree_kernel(-b * c)
             if place == INFINITE_PLACE:
                 assert not real_solvable(A, B)
             else:
@@ -465,7 +466,7 @@ class TestFindZeroDivisor:
         while hits < 20 and tried < 200:
             tried += 1
             d = rng.choice([-1, 1]) * rng.randint(2, 60)
-            if squarefree_part(d) != d or d == 1:
+            if squarefree_kernel(d) != d or d == 1:
                 continue
             alpha, beta = rng.choice([(-1, -1), (-1, -3), (-2, -5)])
             if not splits_in_quadratic(alpha, beta, d):
@@ -673,6 +674,81 @@ class TestCrt:
     def test_rejects_moduli_with_a_common_factor(self):
         with pytest.raises(InternalInvariantViolation):
             crt([0, 1], [2, 4])
+
+
+class TestSquareClass:
+    def test_rational_is_s_r_squared(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            q = Fr(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                   rng.randint(1, 10 ** 4))
+            s, r, primes = square_class(q)
+            assert q == s * r * r and r > 0
+            assert primes == tuple(sorted(set(primes)))
+            assert abs(s) == math.prod(primes)
+
+    def test_zero_is_degenerate(self):
+        with pytest.raises(DegenerateInput):
+            square_class(0)
+
+
+class TestSqrtModSquarefree:
+    PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 1000003)
+
+    def test_edge_cases(self):
+        assert sqrt_mod_squarefree(5, ()) == 0
+        assert sqrt_mod_squarefree(3, (2,)) == 1
+        assert sqrt_mod_squarefree(2, (2, 7)) ** 2 % 14 == 2
+        assert sqrt_mod_squarefree(3, (7,)) is None    # 3 is no square mod 7
+        assert sqrt_mod_squarefree(2, (3, 7)) is None  # nor 2 mod 3
+
+    def test_roots_square_back(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            primes = rng.sample(self.PRIMES, rng.randint(1, 5))
+            n = math.prod(primes)
+            a = rng.randrange(n) ** 2 % n if rng.random() < 0.7 \
+                else rng.randrange(n)
+            r = sqrt_mod_squarefree(a, primes)
+            if r is None:
+                assert any(p != 2 and legendre(a, p) == -1 for p in primes)
+            else:
+                assert r * r % n == a % n
+
+
+class TestFactorOnce:
+    """Each number of the quadratic-form layer is factored once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = intarith.factorint
+
+        def spy(n):
+            seen.append(n)
+            return real(n)
+
+        for module in (intarith, numberfield, maxorder):
+            monkeypatch.setattr(module, "factorint", spy)
+        return seen
+
+    def test_ramified_places_factors_each_parameter_once(self, calls):
+        ramified_places.cache_clear()
+        alpha, beta = Fr(-21, 5), 33
+        places = ramified_places(alpha, beta)
+        assert len(calls) == 2
+        assert list(places.finite_primes) == [
+            p for p in (2, 3, 5, 7, 11) if hilbert_symbol(alpha, beta, p) < 0]
+
+    def test_sqrt_mod_squarefree_factors_nothing(self, calls):
+        n = 7 * 17 * 1000003
+        assert sqrt_mod_squarefree(4, (7, 17, 1000003)) ** 2 % n == 4
+        assert calls == []
+
+    def test_represent_pure_factors_little(self, calls):
+        x, y, z = represent_pure(-1, -1, -59)
+        assert -x * x - y * y - z * z == -59
+        assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("place", [1, 0, -3, 4, "x"])
