@@ -22,8 +22,7 @@ from .quadform import (ZeroDivisorCertificate, find_zero_divisor,
                        quaternary_isotropic, represent_pure,
                        search_zero_divisor, subfield_zero_divisor,
                        ternary_isotropic, ternary_local_obstruction)
-from .quatalg import (CharPoly, Quaternion, QuaternionAlgebra, charpoly,
-                      is_conjugate, q_inv)
+from .quatalg import Quaternion, QuaternionAlgebra, is_conjugate, q_inv
 from .ratpoly import (RatPoly, from_int_list, rp_discriminant, rp_factor,
                       rp_gcd, rp_is_irreducible, rp_real_root_count)
 

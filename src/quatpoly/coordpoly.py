@@ -63,15 +63,6 @@ def cp_scale(n, P):
     return [(n * a[0], n * a[1], n * a[2], n * a[3]) for a in P]
 
 
-def cp_primitive(P):
-    """P divided by the positive rational content of all its coordinates:
-    integer tuples whose entries have gcd 1."""
-    m = math.lcm(*[c.denominator for a in P for c in a])
-    P = [[c.numerator * (m // c.denominator) for c in a] for a in P]
-    g = math.gcd(*[c for a in P for c in a])
-    return [(a[0] // g, a[1] // g, a[2] // g, a[3] // g) for a in P]
-
-
 def cp_trim(P):
     """P without its zero top coefficients, in place; returns P."""
     while P and P[-1] == ZERO:

@@ -250,9 +250,6 @@ class NFElement:
     def coords(self):
         return tuple([self.poly[i] for i in range(self.parent.degree)])
 
-    def as_ratpoly(self):
-        return self.poly
-
     @property
     def is_zero(self):
         return self.poly.is_zero
@@ -263,11 +260,6 @@ class NFElement:
     @property
     def is_rational(self):
         return self.poly.degree < 1
-
-    def rational_value(self):
-        if not self.is_rational:
-            raise DegenerateInput("element is not rational")
-        return self.poly[0]
 
     def _coerce(self, other):
         if isinstance(other, NFElement):

@@ -15,8 +15,7 @@ from itertools import zip_longest
 
 from . import dense
 from .coordpoly import (ZERO, coord_mul, coord_norm, coord_text, cp_add,
-                        cp_mul, cp_primitive, cp_pseudo_divmod, cp_scale,
-                        kernel_ab)
+                        cp_mul, cp_pseudo_divmod, cp_scale, kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -42,6 +41,11 @@ def _make(A, den, P, out=None):
     object.__setattr__(out, "num", tuple(list(
         zip_longest(*[iter(r.num)] * 4, fillvalue=0))))
     return out
+
+
+def _columns(P):
+    """The four coordinate columns of the kernel tuples P, trimmed."""
+    return [dense.trim([a[i] for a in P]) for i in range(4)]
 
 
 def _quaternion(A, den, a):
@@ -124,8 +128,7 @@ class QPoly:
 
     def coordinates(self):
         """The four RatPoly coordinates with respect to 1, i, j, k."""
-        return tuple([from_int_list([a[pos] for a in self.num], self.den)
-                      for pos in range(4)])
+        return tuple([from_int_list(c, self.den) for c in _columns(self.num)])
 
     @property
     def is_central(self):
@@ -236,7 +239,7 @@ def qp_norm(p):
     den*p, checked against the kernel product den*p * conj(den*p)."""
     al, be = kernel_ab(p.parent)
     den, P = p.den, p.num
-    c0, c1, c2, c3 = [dense.trim([a[i] for a in P]) for i in range(4)]
+    c0, c1, c2, c3 = _columns(P)
     n = dense.mul(c0, c0, ZZ)
     for c, w in ((c1, -al), (c2, -be), (c3, al * be)):
         n = dense.add(n, dense.scale(dense.mul(c, c, ZZ), w, ZZ), ZZ)
@@ -248,11 +251,17 @@ def qp_norm(p):
 
 
 def qp_right_divmod(p, d):
-    """(quot, rem) with p = quot*d + rem and deg rem < deg d."""
+    """(quot, rem) with p = quot*d + rem and deg rem < deg d.  A leading
+    coefficient of d with norm 0 is a zero divisor, reported as by
+    monic."""
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
     A = p.parent
-    s, Q, R = cp_pseudo_divmod(*kernel_ab(A), p.num, d.num)
+    al, be = kernel_ab(A)
+    if coord_norm(al, be, d.num[-1]) == 0:
+        raise ZeroDivisorEncountered("nonzero element with zero norm",
+                                     witness=d.lc)
+    s, Q, R = cp_pseudo_divmod(al, be, p.num, d.num)
     # s*dp*p = (dd*Q)*d + R, with dp and dd the denominators of p and d
     return (_make(A, s * p.den, cp_scale(d.den, Q)), _make(A, s * p.den, R))
 
@@ -289,16 +298,14 @@ def qp_gcrd_bezout(p, q):
 
 
 def qp_gcrd(p, q):
-    """The monic GCRD, by a primitive pseudo-remainder sequence over Z
-    (Collins 1967): each pseudo-remainder is divided by the content of all
-    its coordinates, which also clears denominators of alpha and beta."""
+    """The monic GCRD, by the right Euclid of _right_euclid without its
+    cofactors: each remainder of qp_right_divmod is a QPoly, already in
+    lowest terms."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
-    al, be = kernel_ab(p.parent)
-    R, D = cp_primitive(p.num), cp_primitive(q.num)
-    while D:
-        R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
-    return _make(p.parent, 1, R).monic()
+    while not q.is_zero:
+        p, q = q, qp_right_divmod(p, q)[1]
+    return p.monic()
 
 
 def qp_lclm(p, q):
@@ -339,8 +346,7 @@ def beck_decompose(p):
     A = p.parent
     al, be = kernel_ab(A)
     m = p.monic()
-    cen, cols = primitive_gcd_cofactors(
-        [dense.trim([a[i] for a in m.num]) for i in range(4)])
+    cen, cols = primitive_gcd_cofactors(_columns(m.num))
     Q = list(zip_longest(*cols, fillvalue=0))
     QC = cp_mul(al, be, Q, [(c, 0, 0, 0) for c in cen])
     if cp_mul(al, be, [p.num[-1]], QC) != cp_scale(m.den, p.num):

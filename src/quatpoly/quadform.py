@@ -443,50 +443,40 @@ def _check_trials(max_height):
             % max_height)
 
 
-def _trial_value(al, be, m, a1, a2, a3):
-    """The coordinates of al a1^2 + be a2^2 - al be a3^2 in Q[x]/(m), for
-    coordinate lists a1, a2, a3 and a monic m: the polynomial is formed
-    whole and reduced once by m.  Ring operations only, so no inverse is
-    needed and integer data stays integer."""
-    n = len(m) - 1
-    t = [0] * (2 * n - 1)
+def _trial_value(al, be, a1, a2, a3):
+    """The coefficients of the polynomial al a1^2 + be a2^2 - al be a3^2,
+    for coordinate lists a1, a2, a3 of one length n, as one list of
+    length 2n - 1, unreduced.  Integer data stays integer."""
+    t = [0] * (2 * len(a1) - 1)
     for w, a in ((al, a1), (be, a2), (-al * be, a3)):
         for k, c in enumerate(dense.mul(a, a, ZZ)):
             t[k] += w * c
-    for k in range(len(t) - 1, n - 1, -1):
-        c = t[k]
-        if c:
-            # mod m, c x^k = c x^(k-n) (x^n - m), of degree below k
-            for j in range(n):
-                t[k - n + j] -= c * m[j]
-    return t[:n]
+    return t
 
 
 def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
     """Layer 3 of find_zero_divisor alone: a seeded bounded search solving
     q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L, max_height random
     trials, trial t drawing coefficients of height 1 + t//8.  Each trial
-    is an integer polynomial in the coordinates of q1, q2, q3, reduced
-    once by the minimal polynomial (_trial_value); only its value goes to
-    nf_sqrt as an element of L.  Raises SearchExhausted when no trial
+    is an integer polynomial in the coordinates of q1, q2, q3
+    (_trial_value), reduced by the minimal polynomial in L.element; only
+    its value goes to nf_sqrt.  Raises SearchExhausted when no trial
     succeeds."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     al, be = kernel_ints((alpha, beta))
-    mp = L.minpoly
-    m = mp.num if mp.den == 1 else [Fr(c, mp.den) for c in mp.num]
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):
         h = 1 + trial // 8
         a1, a2, a3 = [[rng.randint(-h, h) for _ in range(n)]
                       for _ in range(3)]
-        t = _trial_value(al, be, m, a1, a2, a3)
-        if any(t):
-            s = nf_sqrt(L.element(t), L)
+        t = L.element(_trial_value(al, be, a1, a2, a3))
+        if t:
+            s = nf_sqrt(t, L)
             if s is None:
                 continue
-            q0 = s.as_ratpoly()
+            q0 = s.poly
         elif any(a1 + a2 + a3):
             q0 = RatPoly()
         else:

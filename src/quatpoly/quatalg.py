@@ -1,6 +1,5 @@
 """The quaternion algebra (alpha, beta / Q): element arithmetic,
-conjugation, norm, trace, inversion, characteristic polynomials and
-conjugacy tests.
+conjugation, norm, trace, inversion and conjugacy tests.
 
 Elements are immutable coordinate 4-tuples over Fraction; the basis
 satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
@@ -12,8 +11,7 @@ from . import dense
 from .coordpoly import coord_mul, coord_norm, coord_text
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      SplitAlgebra, ZeroDivisorEncountered)
-from .numberfield import is_division, ramified_places
-from .ratpoly import RatPoly
+from .numberfield import is_division
 
 Fr = Fraction
 
@@ -35,10 +33,6 @@ class QuaternionAlgebra:
     @classmethod
     def unchecked(cls, alpha, beta):
         return cls(alpha, beta, _checked=False)
-
-    @property
-    def ramified(self):
-        return ramified_places(self.alpha, self.beta)
 
     def element(self, coords):
         return Quaternion(self, coords)
@@ -211,34 +205,10 @@ def q_inv(a):
                            tuple(c * ninv for c in a.conj().coords))
 
 
-class CharPoly:
-    """x^2 - Tr(a) x + N(a); for non-central a its minimal polynomial."""
-
-    def __init__(self, trace, norm):
-        self.trace = trace
-        self.norm = norm
-
-    def as_ratpoly(self):
-        return RatPoly([self.norm, -self.trace, Fr(1)])
-
-    def __eq__(self, other):
-        return (isinstance(other, CharPoly) and self.trace == other.trace
-                and self.norm == other.norm)
-
-    def __hash__(self):
-        return hash((self.trace, self.norm))
-
-    def __repr__(self):
-        return "CharPoly(%s)" % (self.as_ratpoly(),)
-
-
-def charpoly(a):
-    return CharPoly(a.trace(), a.norm())
-
-
 def is_conjugate(a, b):
     """Dickson: non-central elements are conjugate iff their characteristic
-    polynomials agree; central elements are alone in their class."""
+    polynomials x^2 - Tr x + N agree, that is their traces and norms;
+    central elements are alone in their class."""
     a._check(b)
     if a.is_central or b.is_central:
         return a == b

@@ -266,6 +266,10 @@ _FORK_NAMES = {"gfp_factor", "disc_of_int_poly"}
 # the quaternion norm and the rational or QPoly products it avoids
 _NORM_STEPS = ("qp_norm",)
 _QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
+# the GCRD, the Euclid behind Bezout and LCLM, and evaluation, and the
+# kernel division and content they reach only through qp_right_divmod
+_DIVIDING_STEPS = ("qp_gcrd", "_right_euclid", "qp_evaluate")
+_KERNEL_DIVISION = {"cp_pseudo_divmod", "cp_primitive"}
 # the Beck decomposition and the quaternion inverse, gcd over Q and A[x]
 # division it avoids
 _BECK_STEPS = ("beck_decompose",)
@@ -333,8 +337,8 @@ def test_local_square_test_stays_over_the_integers():
 
 def test_search_trial_stays_over_the_integers():
     """Each search trial is one polynomial in the integer coordinates,
-    reduced once by the minimal polynomial; field arithmetic, a square
-    root or a Trager step inside it shows here."""
+    which L.element reduces; field arithmetic, a square root or a Trager
+    step inside it shows here."""
     assert _names_named("quadform.py", _TRIAL_STEPS,
                         _TRAGER_NAMES | {"nf_sqrt"}) == []
 
@@ -356,6 +360,16 @@ def test_norm_stays_on_integer_coordinates():
     """qp_norm works on the integer coordinate tuples of the kernel; a
     RatPoly or QPoly product inside it shows here."""
     assert _names_named("qpoly.py", _NORM_STEPS, _QPOLY_NAMES) == []
+
+
+def test_gcrd_divides_only_through_right_division():
+    """qp_right_divmod is the one caller of the kernel division in qpoly;
+    a second kernel GCRD or remainder sequence shows here."""
+    assert _names_named("qpoly.py", _DIVIDING_STEPS, _KERNEL_DIVISION) == []
+    callers = [name for name, node in _functions("qpoly.py").items()
+               if any(isinstance(n, ast.Name) and n.id in _KERNEL_DIVISION
+                      for n in ast.walk(node))]
+    assert callers == ["qp_right_divmod"]
 
 
 def test_beck_stays_on_integer_coordinates():

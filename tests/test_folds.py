@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform, ratpoly
-from quatpoly.coordpoly import cp_primitive
+from quatpoly.coordpoly import cp_pseudo_divmod, kernel_ab, kernel_ints
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
@@ -45,9 +45,9 @@ from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             qp_lclm, qp_norm, qp_right_divmod,
                             subfield_factor, swap_factors)
 from quatpoly.quadform import (ZeroDivisorCertificate, quaternary_isotropic,
-                               represent_pure, splits_in_quadratic,
-                               subfield_zero_divisor, ternary_isotropic,
-                               ternary_local_obstruction)
+                               represent_pure, search_zero_divisor,
+                               splits_in_quadratic, subfield_zero_divisor,
+                               ternary_isotropic, ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
 from quatpoly.ratpoly import (RatPoly, from_int_list, rp_gcd,
                               rp_is_irreducible, squarefree_decomposition)
@@ -71,6 +71,88 @@ def rnd_poly(rng, A, deg, height=3, monic=False):
     while coeffs[-1].is_zero:
         coeffs[-1] = rnd_q(rng, A, height)
     return QPoly(A, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the GCRD by a primitive pseudo-remainder sequence on kernel tuples, which
+# right Euclid on QPolys replaced
+
+def cp_primitive(P):
+    """P divided by the positive rational content of all its coordinates:
+    integer tuples whose entries have gcd 1."""
+    m = math.lcm(*[c.denominator for a in P for c in a])
+    P = [[c.numerator * (m // c.denominator) for c in a] for a in P]
+    g = math.gcd(*[c for a in P for c in a])
+    return [(a[0] // g, a[1] // g, a[2] // g, a[3] // g) for a in P]
+
+
+def ref_qp_gcrd(p, q):
+    """The monic GCRD, by a primitive pseudo-remainder sequence over Z
+    (Collins 1967): each pseudo-remainder is divided by the content of all
+    its coordinates, which also clears denominators of alpha and beta."""
+    if p.is_zero and q.is_zero:
+        raise DegenerateInput("gcrd(0, 0) is undefined")
+    al, be = kernel_ab(p.parent)
+    R, D = cp_primitive(p.num), cp_primitive(q.num)
+    while D:
+        R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
+    return QPoly.from_kernel(p.parent, 1, R).monic()
+
+
+def rnd_linear(rng, A):
+    """x - a for a random quaternion a of height 5."""
+    return QPoly(A, [-rnd_q(rng, A, 5), A.one()])
+
+
+def gcrd_corpus(rng, A):
+    """(p, q) pairs: random pairs with a planted common right factor of
+    degree 0 to 3, some over non-integral coefficients, each also with a
+    zero second argument; q against a central norm factor N(x - a), as
+    factor and roots pass them; and ladder products of 4 to 24 linear
+    factors against the norm of one of their factors."""
+    out = []
+    for k in range(4):
+        for _ in range(12):
+            g = rnd_poly(rng, A, k, height=2)
+            if rng.random() < 0.5:
+                g = g * QPoly(A, [rnd_rational_q(rng, A)])
+            p = rnd_poly(rng, A, rng.randint(0, 3)) * g
+            q = rnd_poly(rng, A, rng.randint(0, 3)) * g
+            out += [(p, q), (q, p), (p, QPoly(A, []))]
+    for _ in range(16):
+        q = rnd_poly(rng, A, rng.randint(1, 4))
+        for n in (qp_norm(rnd_linear(rng, A)), qp_norm(q)):
+            c = QPoly.from_ratpoly(A, n)
+            out += [(q, c), (c, q)]
+    for n in (4, 8, 12, 16, 24):
+        fs = [rnd_linear(rng, A) for _ in range(n)]
+        ladder = fs[0]
+        for f in fs[1:]:
+            ladder = ladder * f
+        for f in (fs[-1], fs[0], rng.choice(fs)):
+            c = QPoly.from_ratpoly(A, qp_norm(f))
+            out += [(ladder, c), (c, ladder)]
+    return out
+
+
+def test_right_euclid_gcrd_is_the_primitive_remainder_gcrd():
+    """qp_gcrd gives the (den, num) of the primitive pseudo-remainder
+    sequence, or raises the same error, on planted common right factors,
+    zero second arguments, central second arguments and linear ladders
+    over four algebras."""
+    rng = random.Random(281)
+    pairs = nontrivial = 0
+    for A in ALGEBRAS:
+        for p, q in gcrd_corpus(rng, A) + [(QPoly(A, []), QPoly(A, []))]:
+            got, want = (form_outcome(gcrd, p, q)
+                         for gcrd in (qp_gcrd, ref_qp_gcrd))
+            if isinstance(want, QPoly):
+                assert (got.den, got.num) == (want.den, want.num)
+                nontrivial += want.degree > 0
+            else:
+                assert got == want
+            pairs += 1
+    assert pairs >= 900 and nontrivial >= 600
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +821,7 @@ def ref_layer_2(alpha, beta, L):
         x, y, z = rep
         cert = ZeroDivisorCertificate(
             alpha, beta, L.minpoly,
-            (-s.as_ratpoly(), RatPoly.const(x), RatPoly.const(y),
+            (-s.poly, RatPoly.const(x), RatPoly.const(y),
              RatPoly.const(z)))
         return cert.validate()
     return None
@@ -1866,7 +1948,8 @@ class RefNFElement:
         self.parent = parent
         self.coords = tuple([Fr(c) for c in coords])
 
-    def as_ratpoly(self):
+    @property
+    def poly(self):
         return RatPoly(self.coords)
 
     def _poly(self):
@@ -1883,11 +1966,6 @@ class RefNFElement:
     @property
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational:
-            raise DegenerateInput("element is not rational")
-        return self.coords[0]
 
     def _coerce(self, other):
         if isinstance(other, RefNFElement):
@@ -1964,7 +2042,7 @@ class RefNFElement:
         return dense.power(self, n, self.parent.one())
 
     def __repr__(self):
-        return "NF(%s)" % (self.as_ratpoly(),)
+        return "NF(%s)" % (self.poly,)
 
 
 def ref_nf_poly_norm(f, L):
@@ -2047,8 +2125,8 @@ NF_BINARY = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
              lambda x, y: x / y, lambda x, y: x == y)
 NF_UNARY = (lambda a: -a, lambda a: a.inv(), lambda a: a ** 3,
             lambda a: a ** 0, lambda a: a.is_zero, bool,
-            lambda a: a.is_rational, lambda a: a.rational_value(),
-            lambda a: a.as_ratpoly(), lambda a: a.coords, repr,
+            lambda a: a.is_rational, lambda a: a.poly, lambda a: a.coords,
+            repr,
             lambda a: a == a.parent.gen(), lambda a: a * a.parent.gen())
 
 
@@ -2391,3 +2469,115 @@ def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
         assert ratpoly._primitive_gcd(f, g) == ref_primitive_gcd(f, g)
         assert len(tests) == (ratpoly._HEU_TRIES if heuristic else 0)
         assert remainders or not f or not g
+
+
+# ---------------------------------------------------------------------------
+# search trials reduced by L.element, not by a loop of their own
+
+def ref_trial_value(al, be, m, a1, a2, a3):
+    """The coordinates of al a1^2 + be a2^2 - al be a3^2 in Q[x]/(m), for
+    coordinate lists a1, a2, a3 and a monic m: the polynomial is formed
+    whole and reduced once by m.  Ring operations only, so no inverse is
+    needed and integer data stays integer."""
+    n = len(m) - 1
+    t = [0] * (2 * n - 1)
+    for w, a in ((al, a1), (be, a2), (-al * be, a3)):
+        for k, c in enumerate(dense.mul(a, a, ZZ)):
+            t[k] += w * c
+    for k in range(len(t) - 1, n - 1, -1):
+        c = t[k]
+        if c:
+            # mod m, c x^k = c x^(k-n) (x^n - m), of degree below k
+            for j in range(n):
+                t[k - n + j] -= c * m[j]
+    return t[:n]
+
+
+def ref_search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
+    """search_zero_divisor with its own reduction of each trial by a
+    Fraction copy m of the minimal polynomial."""
+    quadform._check_trials(max_height)
+    alpha, beta = Fr(alpha), Fr(beta)
+    al, be = kernel_ints((alpha, beta))
+    mp = L.minpoly
+    m = mp.num if mp.den == 1 else [Fr(c, mp.den) for c in mp.num]
+    rng = random.Random(seed)
+    n = L.degree
+    for trial in range(max_height):
+        h = 1 + trial // 8
+        a1, a2, a3 = [[rng.randint(-h, h) for _ in range(n)]
+                      for _ in range(3)]
+        t = ref_trial_value(al, be, m, a1, a2, a3)
+        if any(t):
+            s = nf_sqrt(L.element(t), L)
+            if s is None:
+                continue
+            q0 = s.poly
+        elif any(a1 + a2 + a3):
+            q0 = RatPoly()
+        else:
+            continue
+        return ZeroDivisorCertificate(
+            alpha, beta, L.minpoly,
+            (q0, RatPoly(a1), RatPoly(a2), RatPoly(a3)))
+    raise SearchExhausted(
+        "no zero divisor found in %d trials (largest height %d)"
+        % (max_height, 1 + (max_height - 1) // 8),
+        central_factor=L.minpoly)
+
+
+def test_unreduced_trial_is_the_reduced_trial_in_the_field():
+    """L.element of the unreduced trial list is L.element of the old
+    reduced coordinates, over random algebras with rational parameters
+    and random fields of degree 1 to 6, some of whose minimal polynomials
+    have denominators above 1."""
+    rng = random.Random(283)
+    fields = [NumberField.unchecked(m) for m in nf_minpolys(rng, 30)]
+    assert sum(L.minpoly.den > 1 for L in fields) >= 10
+    zero = 0
+    for L in fields:
+        mp = L.minpoly
+        m = mp.num if mp.den == 1 else [Fr(c, mp.den) for c in mp.num]
+        for _ in range(40):
+            al, be = kernel_ints([Fr(rng.randint(-9, 9) or 1,
+                                     rng.choice((1, 1, 2, 3)))
+                                  for _ in range(2)])
+            h = rng.randint(0, 3)
+            a1, a2, a3 = [[rng.randint(-h, h) for _ in range(L.degree)]
+                          for _ in range(3)]
+            want = L.element(ref_trial_value(al, be, m, a1, a2, a3))
+            got = L.element(quadform._trial_value(al, be, a1, a2, a3))
+            assert got == want
+            zero += not want
+    assert zero >= 20
+
+
+# three quartic fields, one with a non-integral minimal polynomial and one
+# under an algebra with non-integral alpha, and a sextic N(q) for a monic
+# cubic q over (-1, -1)
+SEARCH_CASES = [
+    (-1, -1, from_int_list([6, 2, 9, -4, 1])),
+    (-1, -1, RatPoly([Fr(5, 4), 1, 4, -1, 1])),
+    (Fr(-1, 2), -3, from_int_list([6, -6, 3, 0, 1])),
+    (-1, -1, from_int_list([8, -16, 10, 0, 2, -2, 1])),
+]
+
+
+def test_search_reduced_by_the_field_gives_the_old_certificates():
+    """Seeds 0-9 give the certificates, or the SearchExhausted messages,
+    of the search that reduced each trial itself."""
+    found = 0
+    for alpha, beta, minpoly in SEARCH_CASES:
+        L = NumberField(minpoly)
+        for seed in range(10):
+            got, want = [], []
+            for search, out in ((search_zero_divisor, got),
+                                (ref_search_zero_divisor, want)):
+                try:
+                    cert = search(alpha, beta, L, seed=seed)
+                    out.append((cert.q, cert.minpoly))
+                except SearchExhausted as exc:
+                    out.append(str(exc))
+            assert got == want
+            found += not isinstance(want[0], str)
+    assert found >= 2

@@ -5,15 +5,16 @@ import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
-                             PreconditionViolation)
+                             PreconditionViolation, ZeroDivisorEncountered)
 from quatpoly.numberfield import (NumberField, nf_factor_over_quadratic,
                                   nf_quadratic_subfields)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             factor_central_irreducible, is_irreducible,
-                            qp_conj, qp_evaluate, qp_gcrd, qp_gcrd_bezout,
-                            qp_lclm, qp_norm, qp_right_divmod, roots,
-                            subfield_factor, swap_factors)
+                            qp_conj, qp_evaluate, qp_exact_right_div,
+                            qp_gcrd, qp_gcrd_bezout, qp_lclm, qp_norm,
+                            qp_right_divmod, roots, subfield_factor,
+                            swap_factors)
 from quatpoly.quadform import (ZeroDivisorCertificate, represent_pure,
                                splits_in_quadratic)
 from quatpoly.quatalg import QuaternionAlgebra, is_conjugate, q_inv
@@ -194,6 +195,20 @@ class TestGcrdLclm:
     def test_gcrd_of_zero_pair(self):
         with pytest.raises(DegenerateInput):
             qp_gcrd(QPoly(H, []), QPoly(H, []))
+
+    def test_divisor_with_a_zero_norm_leading_coefficient(self):
+        """Over a split algebra, dividing by (1+i)x + 2, whose leading
+        coefficient has norm 0, reports that zero divisor through every
+        entry that divides by it."""
+        A = QuaternionAlgebra.unchecked(1, 1)
+        lc = A.one() + A.i
+        p = QPoly(A, [A.scalar(3), A.zero(), A.one()])
+        d = QPoly(A, [A.scalar(2), lc])
+        for divide in (qp_right_divmod, qp_exact_right_div, qp_gcrd,
+                       qp_gcrd_bezout, qp_lclm):
+            with pytest.raises(ZeroDivisorEncountered) as ei:
+                divide(p, d)
+            assert ei.value.witness == lc
 
 
 class TestRootsAndRightFactors:

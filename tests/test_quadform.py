@@ -598,10 +598,10 @@ class TestFindZeroDivisor:
                 s = nf_sqrt(t, L)
                 if s is None:
                     continue
-                q0 = s.as_ratpoly()
+                q0 = s.poly
             return ZeroDivisorCertificate(
                 alpha, beta, L.minpoly,
-                (q0, a1.as_ratpoly(), a2.as_ratpoly(), a3.as_ratpoly()))
+                (q0, a1.poly, a2.poly, a3.poly))
         return ("no zero divisor found in %d trials (largest height %d)"
                 % (max_height, 1 + (max_height - 1) // 8))
 
