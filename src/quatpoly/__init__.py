@@ -17,7 +17,7 @@ from .qpoly import (BeckDecomposition, Factorization, QPoly, RootSet,
                     beck_decompose, factor, factor_central_irreducible,
                     is_irreducible, qp_conj, qp_evaluate, qp_gcrd,
                     qp_gcrd_bezout, qp_lclm, qp_norm, qp_right_divmod,
-                    roots, subfield_factor, swap_factors)
+                    roots, subfield_factor)
 from .quadform import (ZeroDivisorCertificate, find_zero_divisor,
                        quaternary_isotropic, represent_pure,
                        search_zero_divisor, subfield_zero_divisor,

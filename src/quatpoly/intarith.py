@@ -4,8 +4,9 @@ Everything here works on plain Python ints.  factorint (trial division,
 then Pollard rho) has no time bound: on a 61-digit algebra parameter it
 gave no answer in 20 s.  Its callers at run time are square_class (the
 ramified places of an algebra, the quadratic-form reductions and
-descent, the quadratic subfields of a quadratic or quartic field),
-nf_quadratic_candidates on 4 disc, and maxorder's maximal order.
+descent, the quadratic subfields of a quadratic or quartic field) and,
+for a central factor of degree 6 or more, nf_quadratic_candidates on
+4 disc; maxorder's maximal order calls it too, but only tests call that.
 """
 
 import math
@@ -44,16 +45,39 @@ def is_prime(n):
     return True
 
 
+# the steps of Pollard rho whose differences share one gcd
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n, rng):
+    """A proper factor of the composite n by Pollard rho on y^2 + c, with
+    Brent's cycle search (BIT 20, 1980): x is held while y runs r steps,
+    r doubling, and the differences x - y of a batch of _RHO_BATCH steps
+    are multiplied mod n for one gcd.  A batch whose product reaches 0
+    mod n is replayed step by step; a new c is drawn when even that
+    gives n."""
     while True:
         c = rng.randrange(1, n)
-        x = y = rng.randrange(0, n)
-        d = 1
+        y = rng.randrange(0, n)
+        r, q, d = 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(x - ys, n)
         if d != n:
             return d
 

@@ -164,21 +164,23 @@ def disc_of_int_poly(m):
 
 
 def _p_maximalize(order, p):
-    """Grow the order by round 2 until it is p-maximal; the same object
-    when it already is."""
+    """(order, radical): the order grown by round 2 until it is
+    p-maximal, the same object when it already is, and the basis of the
+    nilradical of O/pO that proved it so."""
     n = len(order.unit)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     while True:
         table = order.table
         # I_p = radical + pO; U = {y : y I_p in p I_p} mod p
-        ideal = _lattice(_radical_basis(table, p, n, order.unit), p, n)
+        radical = _radical_basis(table, p, n, order.unit)
+        ideal = _lattice(radical, p, n)
         eqs = []
         for w in ideal:
             prods = [_coords(ideal, _mult(e, w, table)) for e in eye]
             eqs.extend([c[k] % p for c in prods] for k in range(n))
         U = gfp_nullspace(eqs, p, n)
         if not U:
-            return order
+            return order, radical
         # the new order is V/p for the lattice V = U + pO
         V = _lattice(U, p, n)
         new = [[None] * n for _ in range(n)]
@@ -203,7 +205,7 @@ def maximal_order(m):
     order = _ztheta(m)
     for p, e in sorted(factorint(disc0).items()):
         if e >= 2:
-            order = _p_maximalize(order, p)
+            order = _p_maximalize(order, p)[0]
     index = order.index
     if disc0 % (index * index):
         raise InternalInvariantViolation("index^2 does not divide disc(m)")
@@ -213,8 +215,9 @@ def maximal_order(m):
 # ---------------------------------------------------------------------------
 # splitting types
 
-def _component_split(table, unit, p):
-    """(e, f) of each prime above p, from the table of a p-maximal order.
+def _component_split(table, unit, p, radical):
+    """(e, f) of each prime above p, from the table of a p-maximal order
+    and the basis of the nilradical of O/pO.
 
     B = O/pO is commutative, so Frobenius is F_p-linear on it and its
     fixed space is spanned by the primitive idempotents.  Each element b
@@ -257,7 +260,6 @@ def _component_split(table, unit, p):
     if len(idems) != len(fixed):
         raise InternalInvariantViolation(
             "idempotents do not separate the Frobenius-fixed algebra")
-    radical = _radical_basis(table, p, n, one)
     out = []
     for e in idems:
         dim = _rank([_mult_mod(e, w, table, p) for w in eye], p)
@@ -275,8 +277,8 @@ def splitting_type(m, p):
     They come from a p-maximal order grown from Z[theta] at p alone,
     which is Z[theta] itself when p does not divide its index.
     """
-    order = _p_maximalize(_ztheta(m), p)
-    comps = _component_split(order.table, order.unit, p)
+    order, radical = _p_maximalize(_ztheta(m), p)
+    comps = _component_split(order.table, order.unit, p, radical)
     if sum(e * f for e, f in comps) != len(m) - 1:
         raise InternalInvariantViolation("splitting degrees do not add up")
     return sorted(comps)

@@ -6,16 +6,16 @@ and unit classes.  Then L: an element of L is a RatPoly in theta of
 degree below deg p, so its arithmetic is RatPoly's, on integers over
 one denominator, reduced by p; polynomials over L are dense.py lists
 over the field object L.field.  Covers field arithmetic, square
-testing and Trager factorization over L, the quadratic subfields of L
-(of a quartic from the rational roots of its resolvent cubic; from
-degree 6 the divisors of 4 disc that pass a local screen, each then
-tested as a square in L), the places above a rational prime as (e, f)
-pairs from maxorder, and the tensor-splitting criterion for a
+testing and Trager factorization over L (quadform takes the halves of
+a central factor from it over L = Q(sqrt d)), the quadratic subfields
+of L (of a quartic from the rational roots of its resolvent cubic;
+from degree 6 the divisors of 4 disc that pass a local screen, each
+then tested as a square in L), the places above a rational prime as
+(e, f) pairs from maxorder, and the tensor-splitting criterion for a
 quaternion algebra extended to L.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 from . import dense, maxorder
@@ -337,14 +337,11 @@ class NFElement:
 
 
 def nf_poly_norm(f, L):
-    """Norm from L[y] to Q[y]: product of f over all embeddings of L.
-
-    f^n for f over Q; else the Newton interpolant of the norms
-    Res_theta(minpoly, f(t)) at n deg f + 1 integers t = 0, 1, -1, 2, ...
+    """Norm from L[y] to Q[y]: product of f over all embeddings of L, the
+    Newton interpolant of the norms Res_theta(minpoly, f(t)) at
+    n deg f + 1 integers t = 0, 1, -1, 2, ...
     """
     n = L.degree
-    if all(c.is_rational for c in f):
-        return RatPoly([c.poly[0] for c in f]) ** n
     poly, base = RatPoly(), RatPoly.const(1)
     for k in range(n * (len(f) - 1) + 1):
         t = (k + 1) // 2 if k % 2 else -(k // 2)
@@ -355,12 +352,15 @@ def nf_poly_norm(f, L):
 
 
 def nf_factor_squarefree(f, L):
-    """Monic irreducible factors over L of a monic squarefree f in L[y]."""
+    """Monic irreducible factors over L of a monic squarefree f in L[y].
+
+    The shift k starts at 1 for f over Q and L of degree n > 1: the
+    norm of the unshifted f is then f^n, never squarefree."""
     if len(f) - 1 == 1:
         return [f]
     F = L.field
     theta = L.gen()
-    k = 0
+    k = int(L.degree > 1 and all(c.is_rational for c in f))
     while True:
         shift = [theta * (-k), L.one()]  # y - k*theta
         fs = dense.compose(f, shift, F)
@@ -557,23 +557,6 @@ def nf_local_splitting(L, place):
         r = rp_real_root_count(L.minpoly)
         return [(1, 1)] * r + [(1, 2)] * ((L.degree - r) // 2)
     return maxorder.splitting_type(L.integral_model(), place)
-
-
-def nf_factor_over_quadratic(p, d):
-    """Factor p (monic, irreducible over Q) over Q(sqrt(d)).
-
-    Returns (L2, factors): L2 = Q[x]/(x^2 - d) and the monic irreducible
-    factors of p over L2 as NFElement coefficient lists, one factor when
-    Q(sqrt(d)) is not a subfield of Q[x]/(p).
-    """
-    sq = math.isqrt(abs(d))
-    if d >= 0 and sq * sq == d:
-        raise DegenerateInput("d must not be a square")
-    if not p.is_monic:
-        raise PreconditionViolation("input polynomial must be monic")
-    L2 = NumberField.unchecked(RatPoly([-d, 0, 1]))  # d is no square
-    f = [L2.from_rational(c) for c in p.coeffs]
-    return L2, nf_factor_squarefree(f, L2)
 
 
 def nf_splits_quaternion(alpha, beta, L):

@@ -5,8 +5,7 @@ left, and all Euclidean structure (division, GCRD, LCLM) acts on the
 right.  On top of the arithmetic sit the main algorithms: Beck
 decomposition, irreducibility, factorization of a central irreducible p,
 given as its NumberField Q[x]/(p), via a zero-divisor certificate, the
-complete factorization loop, factor reordering, and root enumeration up
-to conjugacy.
+complete factorization loop, and root enumeration up to conjugacy.
 """
 
 import math
@@ -25,7 +24,7 @@ from .quadform import (find_zero_divisor, search_zero_divisor,
                        subfield_zero_divisor)
 from .quatalg import Quaternion, is_conjugate, make_quaternion, q_inv
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
-                      rp_factor, rp_gcd, rp_is_irreducible)
+                      rp_factor, rp_is_irreducible)
 
 
 def _make(A, den, P, out=None):
@@ -460,27 +459,6 @@ def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
     out = Factorization(A.one(), list(pair))
     out.first_quotient = qp_norm(z).exact_div(p)
     return out
-
-
-def swap_factors(p, q):
-    """(q1, p1) with q1*p1 = p*q, swapping irreducible factors with
-    coprime norms while preserving both norms (Lemma on semicommutativity).
-
-    p1 is GCRD(p*q, N(p)): the lemma's p1 right-divides p*q and its own
-    norm N(p), hence the GCRD, whose norm divides
-    gcd(N(p) N(q), N(p)^2) = N(p).  A central factor needs no special
-    case: the GCRD is then p."""
-    if not (p.is_monic and q.is_monic):
-        raise PreconditionViolation("factors must be monic")
-    np, nq = qp_norm(p), qp_norm(q)
-    if rp_gcd(np, nq).degree > 0:
-        raise PreconditionViolation("norms must be relatively prime")
-    pq = p * q
-    p1 = qp_gcrd(pq, QPoly.from_ratpoly(p.parent, np))
-    q1 = qp_exact_right_div(pq, p1)
-    if q1 * p1 != pq or qp_norm(p1) != np or qp_norm(q1) != nq:
-        raise InternalInvariantViolation("factor swap failed verification")
-    return q1, p1
 
 
 def factor(p, certs=None, seed=0, max_height=20):

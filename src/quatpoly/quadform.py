@@ -28,8 +28,8 @@ from .dense import ZZ
 from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
                      SearchExhausted, SplitAlgebra)
-from .intarith import square_class, sqrt_mod_squarefree, squarefree_kernel
-from .numberfield import (is_local_square, nf_factor_over_quadratic,
+from .intarith import square_class, sqrt_mod_squarefree
+from .numberfield import (NumberField, is_local_square, nf_factor_squarefree,
                           nf_quadratic_candidates, nf_quartic_subfields,
                           nf_splits_quaternion, nf_sqrt, ramified_among,
                           ramified_places)
@@ -188,7 +188,13 @@ def quaternary_isotropic(coeffs):
     a = [Fr(c) for c in coeffs]
     if any(c == 0 for c in a):
         raise DegenerateInput("form coefficients must be nonzero")
-    classes = [square_class(c) for c in a]
+    return _quaternary(a, [square_class(c) for c in a])
+
+
+def _quaternary(a, classes):
+    """quaternary_isotropic for nonzero coefficients a with their square
+    classes (s, r, primes), factoring nothing more but the values of its
+    search."""
     primes = {p for _, _, ps in classes for p in ps}
     if _quaternary_local_obstruction(a, primes) is not None:
         return None
@@ -235,11 +241,19 @@ def quaternary_isotropic(coeffs):
 
 
 def represent_pure(alpha, beta, d):
-    """(x, y, z) with alpha x^2 + beta y^2 - alpha beta z^2 = d, or None."""
+    """(x, y, z) with alpha x^2 + beta y^2 - alpha beta z^2 = d, or None.
+    alpha, beta and d are factored once each; the square class of
+    -alpha beta is read off those of alpha and beta."""
     alpha, beta, d = Fr(alpha), Fr(beta), Fr(d)
     if alpha == 0 or beta == 0 or d == 0:
         raise DegenerateInput("parameters must be nonzero")
-    sol = quaternary_isotropic([alpha, beta, -alpha * beta, -d])
+    (sa, ra, pa), (sb, rb, pb) = square_class(alpha), square_class(beta)
+    # alpha beta = sa sb (ra rb)^2 and sa sb = (sa/g)(sb/g) g^2
+    g = math.gcd(sa, sb)
+    ab = (-(sa // g) * (sb // g), ra * rb * g,
+          tuple(sorted(set(pa).symmetric_difference(pb))))
+    sol = _quaternary([alpha, beta, -alpha * beta, -d],
+                      [(sa, ra, pa), (sb, rb, pb), ab, square_class(-d)])
     if sol is None:
         return None
     x, y, z, w = [Fr(c) for c in sol]
@@ -346,14 +360,12 @@ def splits_in_quadratic(alpha, beta, d):
     return True
 
 
-def _quadratic_half(p, d):
+def _quadratic_half(p, d, s):
     """The first factor g = x - (t/2 + u sqrt d) of p = x^2 - t x + n
     over its own field Q(sqrt d), t^2 - 4n = s^2 d and s > 0, with the
     sign the Trager factorization over Q(sqrt d) takes first: u = -s/2
     for d < 0 and +s/2 for d > 0."""
     n, t = p[0], -p[1]
-    s2 = (t * t - 4 * n) / d
-    s = Fr(math.isqrt(s2.numerator), math.isqrt(s2.denominator))
     r0, u = t / 2, (s if d > 0 else -s) / 2
     # (x - r)(x - conj r) has the coefficients of p
     if (2 * r0, r0 * r0 - d * u * u) != (t, n):
@@ -364,8 +376,10 @@ def _quadratic_half(p, d):
 
 def _trager_half(p, d):
     """The first factor of p over Q(sqrt d), or None when p stays
-    irreducible there, that is when Q(sqrt d) is no subfield of Q[x]/(p)."""
-    L2, parts = nf_factor_over_quadratic(p, d)
+    irreducible there, that is when Q(sqrt d) is no subfield of Q[x]/(p).
+    p is monic and d squarefree, no square."""
+    L2 = NumberField.unchecked(RatPoly([-d, 0, 1]))
+    parts = nf_factor_squarefree([L2.from_rational(c) for c in p.coeffs], L2)
     if len(parts) == 1:
         return None
     g = parts[0]
@@ -391,7 +405,9 @@ def subfield_zero_divisor(alpha, beta, L):
     p = L.minpoly
     quadratic = p.degree == 2
     if quadratic:
-        ds = [squarefree_kernel(p[1] * p[1] - 4 * p[0])]
+        # p[1]^2 - 4 p[0] = d s^2
+        d, s, _ = square_class(p[1] * p[1] - 4 * p[0])
+        ds = [d]
     elif p.degree == 4:
         ds = nf_quartic_subfields(L)
     else:
@@ -399,7 +415,7 @@ def subfield_zero_divisor(alpha, beta, L):
     for d in ds:
         if not splits_in_quadratic(alpha, beta, d):
             continue
-        g = _quadratic_half(p, d) if quadratic else _trager_half(p, d)
+        g = _quadratic_half(p, d, s) if quadratic else _trager_half(p, d)
         if g is None:
             continue
         rep = represent_pure(alpha, beta, d)

@@ -207,14 +207,16 @@ class RatPoly:
         return dense.format_terms([str(c) for c in self.coeffs])
 
 
+def _content(f):
+    """The integer content of f with the sign of its lc; 0 for f = []."""
+    g = math.gcd(*f)
+    return -g if f and f[-1] < 0 else g
+
+
 def _primitive(f):
     """f divided by its integer content, with positive lc; [] for f = []."""
-    g = math.gcd(*f)
-    if g == 0:
-        return []
-    if f[-1] < 0:
-        g = -g
-    return [c // g for c in f]
+    g = _content(f)
+    return [c // g for c in f] if g else []
 
 
 def _pseudo_divmod(f, g):
@@ -239,9 +241,10 @@ _HEU_TRIES = 6
 
 
 def _heu_gcd(f, g):
-    """The gcd of primitive nonconstant f, g with positive lc by the
-    heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7,
-    1989), or None when no point of _HEU_TRIES gives it.
+    """(h, f/h, g/h) for h the gcd of primitive nonconstant f, g with
+    positive lc by the heuristic gcd GCDHEU (Char, Geddes & Gonnet,
+    J. Symbolic Comput. 7, 1989), or None when no point of _HEU_TRIES
+    gives it.
 
     At an integer xi >= 2 min(|f|_inf, |g|_inf) + 2 the symmetric xi-adic
     digits of gcd(f(xi), g(xi)) are a candidate h.  When the primitive
@@ -257,33 +260,36 @@ def _heu_gcd(f, g):
             h.append(c)
             gam = (gam - c) // xi
         h = _primitive(h)
-        if (_exact_quotient(f, h) is not None
-                and _exact_quotient(g, h) is not None):
-            return h
+        qf = _exact_quotient(f, h)
+        qg = None if qf is None else _exact_quotient(g, h)
+        if qg is not None:
+            return h, qf, qg
         xi = xi * 73794 // 27011
     return None
 
 
 def _primitive_gcd(f, g):
-    """The primitive gcd with positive lc of integer polys f, g, not both
-    zero: GCDHEU when both are nonconstant, and when it gives up a
-    primitive remainder sequence over Z (Collins 1967), where each
-    pseudo-remainder is divided by its integer content."""
+    """(h, pp(f)/h, pp(g)/h) for h the primitive gcd with positive lc of
+    integer polys f, g, not both zero, and pp(f), pp(g) their primitive
+    parts with positive lc: GCDHEU when both are nonconstant, and when it
+    gives up a primitive remainder sequence over Z (Collins 1967), where
+    each pseudo-remainder is divided by its integer content."""
     f, g = _primitive(f), _primitive(g)
     if len(f) > 1 and len(g) > 1:
-        h = _heu_gcd(f, g)
-        if h is not None:
-            return h
-    while g:
-        f, g = g, _primitive(_pseudo_divmod(f, g)[2])
-    return f
+        out = _heu_gcd(f, g)
+        if out is not None:
+            return out
+    h, r = f, g
+    while r:
+        h, r = r, _primitive(_pseudo_divmod(h, r)[2])
+    return h, _quo(f, h), _quo(g, h)
 
 
 def rp_gcd(a, b):
     """Monic gcd in Q[x], by a primitive remainder sequence over Z."""
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
-    f = _primitive_gcd(a.primitive_int(), b.primitive_int())
+    f = _primitive_gcd(a.primitive_int(), b.primitive_int())[0]
     return from_int_list(f, f[-1])
 
 
@@ -362,11 +368,13 @@ def squarefree_decomposition(p):
 # by evaluation at every residue; from it on the probes x + c of
 # _probe_split find them, with random splitting when no probe splits.
 # Evaluation costs p Horner passes, each probe or random split a
-# (p-1)/2 powmod.  Timed against random splitting on 2 to 8 roots mod p,
-# evaluation is 2.4 to 20 times faster at every prime below 64; for two
-# roots it breaks even between 191 and 383, for three or more it is still
-# faster at 383.  On the three workloads of bench/, every prime
-# gfp_factor_squarefree is called with is at most 29.
+# (p-1)/2 powmod.  The bound was timed against random splitting alone, on
+# 2 to 8 roots mod p: evaluation is 2.4 to 20 times faster at every prime
+# below 64; for two roots it breaks even between 191 and 383, for three or
+# more it is still faster at 383.  The probes now come first from 64 on,
+# and where evaluation and the probes cross over is unmeasured.  On the
+# three workloads of bench/, every prime gfp_factor_squarefree is called
+# with is at most 29.
 _ROOT_SEARCH_BOUND = 64
 
 
@@ -607,30 +615,31 @@ def primitive_gcd_cofactors(polys):
     their primitive gcd with positive lc, and each quotient is exact in
     Z[x]."""
     g = []
-    for f in polys:
-        g = _primitive_gcd(g, f)
+    for f in filter(None, polys):
+        g = _primitive_gcd(g, f)[0] if g else _primitive(f)
     return g, [_quo(f, g) for f in polys]
 
 
 def _squarefree_int(f):
     """Yun's squarefree decomposition over Z of a primitive f with lc > 0:
     the list of (primitive squarefree part of positive lc, multiplicity)
-    whose product of powers is f.  The gcds are primitive, so each
-    division is exact in Z[x] (Gauss's lemma)."""
+    whose product of powers is f.  Each gcd comes with the quotients
+    _primitive_gcd proved, of the primitive parts: b is primitive with
+    lc > 0, and the content of f' or d is multiplied back."""
     if len(f) < 2:
         return []
     df = dense.derivative(f, ZZ)
-    g = _primitive_gcd(f, df)
-    b, c = _quo(f, g), _quo(df, g)
-    d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
+    _, b, c = _primitive_gcd(f, df)
+    d = dense.sub(dense.scale(c, _content(df), ZZ),
+                  dense.derivative(b, ZZ), ZZ)
     out = []
     i = 1
     while len(b) > 1:
-        a = _primitive_gcd(b, d) if d else b
+        a, b, c = _primitive_gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
-        b, c = _quo(b, a), _quo(d, a)
-        d = dense.sub(c, dense.derivative(b, ZZ), ZZ)
+        d = dense.sub(dense.scale(c, _content(d), ZZ),
+                      dense.derivative(b, ZZ), ZZ)
         i += 1
     return out
 

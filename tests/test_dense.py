@@ -426,7 +426,7 @@ def test_parser_builds_kernel_values():
 
 
 # the quadratic-subfield decision, made in quadform alone
-_SUBFIELD_NAMES = {"nf_factor_over_quadratic", "nf_quadratic_candidates",
+_SUBFIELD_NAMES = {"nf_factor_squarefree", "nf_quadratic_candidates",
                    "nf_quartic_subfields", "splits_in_quadratic",
                    "embed_quadratic", "represent_pure", "squarefree_kernel"}
 _LAYER_2_NAMES = {"nf_sqrt", "represent_pure", "nf_quadratic_candidates",

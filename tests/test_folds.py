@@ -11,12 +11,18 @@ a few hundred to a few thousand inputs.  The factorisation over GF(p) that split
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
 of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
 extended gcd over Q that only the swap reference uses, and so is the
-Fraction RatPoly, as RefRatPoly, that the integer one replaced."""
+Fraction RatPoly, as RefRatPoly, that the integer one replaced.  Three
+functions the library no longer calls live here under their own names,
+for the tests that still use them: swap_factors, the factor swap of the
+semicommutativity lemma, nf_factor_over_quadratic, the Trager
+factorisation over Q(sqrt d) that quadform now runs itself, and
+nf_poly_norm with its f^n branch for f over Q, as ref_trager_norm."""
 
 import collections
 import math
 import random
 import re
+import sys
 from fractions import Fraction as Fr
 from itertools import zip_longest
 from types import SimpleNamespace
@@ -28,13 +34,12 @@ from quatpoly.coordpoly import cp_pseudo_divmod, kernel_ab, kernel_ints
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
-                             QuatpolyError, SearchExhausted,
-                             ZeroDivisorEncountered)
+                             PreconditionViolation, QuatpolyError,
+                             SearchExhausted, ZeroDivisorEncountered)
 from quatpoly.intarith import (crt, factorint, legendre, square_class,
                                sqrt_mod_prime, squarefree_kernel)
 from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   PlaceSet, hilbert_symbol, is_local_square,
-                                  nf_factor_over_quadratic,
                                   nf_factor_squarefree, nf_poly_norm,
                                   nf_quadratic_candidates,
                                   nf_quartic_subfields, nf_sqrt)
@@ -43,7 +48,7 @@ from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             beck_decompose, factor_central_irreducible,
                             qp_conj, qp_evaluate, qp_exact_right_div, qp_gcrd,
                             qp_lclm, qp_norm, qp_right_divmod,
-                            subfield_factor, swap_factors)
+                            subfield_factor)
 from quatpoly.quadform import (ZeroDivisorCertificate, quaternary_isotropic,
                                represent_pure, search_zero_divisor,
                                splits_in_quadratic, subfield_zero_divisor,
@@ -226,6 +231,27 @@ def test_halves_are_the_gcrd_of_the_reduction_loop(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # factor swaps
+
+def swap_factors(p, q):
+    """(q1, p1) with q1*p1 = p*q, swapping irreducible factors with
+    coprime norms while preserving both norms (Lemma on semicommutativity).
+
+    p1 is GCRD(p*q, N(p)): the lemma's p1 right-divides p*q and its own
+    norm N(p), hence the GCRD, whose norm divides
+    gcd(N(p) N(q), N(p)^2) = N(p).  A central factor needs no special
+    case: the GCRD is then p."""
+    if not (p.is_monic and q.is_monic):
+        raise PreconditionViolation("factors must be monic")
+    np, nq = qp_norm(p), qp_norm(q)
+    if rp_gcd(np, nq).degree > 0:
+        raise PreconditionViolation("norms must be relatively prime")
+    pq = p * q
+    p1 = qp_gcrd(pq, QPoly.from_ratpoly(p.parent, np))
+    q1 = qp_exact_right_div(pq, p1)
+    if q1 * p1 != pq or qp_norm(p1) != np or qp_norm(q1) != nq:
+        raise InternalInvariantViolation("factor swap failed verification")
+    return q1, p1
+
 
 def rp_xgcd(a, b):
     """(g, u, v) with u*a + v*b = g, g monic, in Q[x]."""
@@ -1763,7 +1789,7 @@ def ref_rp_gcd(a, b):
     """Monic gcd in Q[x], by a primitive remainder sequence over Z."""
     if a.is_zero and b.is_zero:
         raise DegenerateInput("gcd(0, 0) is undefined")
-    f = ratpoly._primitive_gcd(a.primitive_int(), b.primitive_int())
+    f = ratpoly._primitive_gcd(a.primitive_int(), b.primitive_int())[0]
     return ref_wrap(dense.monic([Fr(c) for c in f], QQ))
 
 
@@ -2170,6 +2196,78 @@ def test_ratpoly_element_is_the_fraction_element():
                 (hash(ra) == hash(rb))
 
 
+def nf_factor_over_quadratic(p, d):
+    """Factor p (monic, irreducible over Q) over Q(sqrt(d)).
+
+    Returns (L2, factors): L2 = Q[x]/(x^2 - d) and the monic irreducible
+    factors of p over L2 as NFElement coefficient lists, one factor when
+    Q(sqrt(d)) is not a subfield of Q[x]/(p).  The field class and the
+    factorisation are read off numberfield at call time, so that ref_call
+    runs this on the Fraction elements.
+    """
+    sq = math.isqrt(abs(d))
+    if d >= 0 and sq * sq == d:
+        raise DegenerateInput("d must not be a square")
+    if not p.is_monic:
+        raise PreconditionViolation("input polynomial must be monic")
+    # d is no square
+    L2 = numberfield.NumberField.unchecked(RatPoly([-d, 0, 1]))
+    f = [L2.from_rational(c) for c in p.coeffs]
+    return L2, numberfield.nf_factor_squarefree(f, L2)
+
+
+def ref_trager_norm(f, L):
+    """Norm from L[y] to Q[y]: product of f over all embeddings of L.
+
+    f^n for f over Q; else the Newton interpolant of the norms
+    Res_theta(minpoly, f(t)) at n deg f + 1 integers t = 0, 1, -1, 2, ...
+    """
+    n = L.degree
+    if all(c.is_rational for c in f):
+        return RatPoly([c.poly[0] for c in f]) ** n
+    poly, base = RatPoly(), RatPoly.const(1)
+    for k in range(n * (len(f) - 1) + 1):
+        t = (k + 1) // 2 if k % 2 else -(k // 2)
+        value = ratpoly.resultant(L.minpoly,
+                                  dense.evaluate(f, t, L.field).poly)
+        poly = poly + base * ((value - poly(t)) / base(t))
+        base = base * RatPoly([-t, 1])
+    return poly
+
+
+def ref_trager_factor(f, L):
+    """Monic irreducible factors over L of a monic squarefree f in L[y],
+    with the shift k starting at 0 whatever f and L are."""
+    if len(f) - 1 == 1:
+        return [f]
+    F = L.field
+    theta = L.gen()
+    k = 0
+    while True:
+        shift = [theta * (-k), L.one()]  # y - k*theta
+        fs = dense.compose(f, shift, F)
+        norm = ref_trager_norm(fs, L)
+        if rp_gcd(norm, norm.derivative()).degree == 0:
+            break
+        k += 1
+    fac = ratpoly.rp_factor(norm)
+    if len(fac.factors) == 1 and fac.factors[0][1] == 1:
+        return [f]
+    out = []
+    back = [theta * k, L.one()]  # y + k*theta
+    for ni, _mult in fac.factors:
+        ni_l = dense.compose([L.from_rational(c) for c in ni.coeffs], back, F)
+        h = dense.gcd(f, ni_l, F)
+        if len(h) - 1 >= 1:
+            out.append(h)
+    total = [L.one()]
+    for h in out:
+        total = dense.mul(total, h, F)
+    if dense.sub(total, f, F):
+        raise InternalInvariantViolation("Trager factors do not multiply back")
+    return out
+
+
 def ref_call(fn, *args):
     """fn(*args) with numberfield on the Fraction elements and norm."""
     with pytest.MonkeyPatch.context() as mp:
@@ -2232,6 +2330,44 @@ def test_trager_steps_are_the_fraction_steps(monkeypatch):
             R2, want = ref_call(nf_factor_over_quadratic, m, d)
             assert isinstance(R2, RefNumberField) and L2 == R2
             assert nf_tagged(got) == nf_tagged(want)
+
+
+def test_trager_runs_as_before_from_the_first_useful_shift():
+    """nf_poly_norm without its f^n branch, nf_factor_squarefree, whose
+    shift starts at k = 1 for f over Q in a field of degree > 1, and
+    _trager_half, which builds Q(sqrt d) itself, on the fields of the
+    Trager steps against ref_trager_norm, Trager from k = 0 and
+    nf_factor_over_quadratic: the same norms, factors and halves."""
+    rng = random.Random(232)
+    for m in nf_minpolys(random.Random(231), 24):
+        L = NumberField.unchecked(m)
+        n = L.degree
+        a, b, c = [L.element(rnd_coords(rng, n)) for _ in range(3)]
+        y = L.one()
+        # squarefree monic inputs: m itself, (y - a)(y - b), y^2 - c and
+        # y^2 - e for a rational e
+        polys = [[L.from_rational(x) for x in m.coeffs],
+                 [-L.from_rational(rng.randint(1, 9)), L.zero(), y]]
+        if a != b:
+            polys.append(dense.mul([-a, y], [-b, y], L.field))
+        if c:
+            polys.append([-c, L.zero(), y])
+        for f in polys:
+            assert nf_tagged(nf_poly_norm(f, L)) == \
+                nf_tagged(ref_trager_norm(f, L))
+            assert nf_tagged(nf_factor_squarefree(f, L)) == \
+                nf_tagged(ref_trager_factor(f, L))
+        ds = [rng.choice((-7, -3, -2, -1, 2, 3, 5))] if n > 1 else []
+        if n == 2:
+            ds.append(squarefree_kernel(m[1] * m[1] - 4 * m[0]))
+        for d in ds:
+            L2, parts = nf_factor_over_quadratic(m, d)
+            want = ref_trager_factor([L2.from_rational(x)
+                                      for x in m.coeffs], L2)
+            assert nf_tagged(parts) == nf_tagged(want)
+            half = quadform._trager_half(m, d)
+            assert half == (None if len(want) == 1
+                            else [x.coords for x in want[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -2424,20 +2560,22 @@ def planted_gcd_pairs(rng):
 def test_heuristic_gcd_is_the_remainder_sequence():
     """_primitive_gcd, primitive_gcd_cofactors and rp_gcd on planted
     common factors, constants and negative leading coefficients give the
-    remainder sequence's gcd, and GCDHEU finds it on every pair of
+    remainder sequence's gcd, _primitive_gcd with the quotients of the
+    primitive parts by it, and GCDHEU finds it on every pair of
     nonconstant inputs without the fallback."""
     rng = random.Random(243)
     pairs = planted_gcd_pairs(rng)
     tried = answered = 0
     for f, g in pairs:
         want = ref_primitive_gcd(f, g)
-        assert ratpoly._primitive_gcd(f, g) == want, (f, g)
+        pf, pg = ratpoly._primitive(f), ratpoly._primitive(g)
+        quotients = [ratpoly._quo(pf, want), ratpoly._quo(pg, want)]
+        assert ratpoly._primitive_gcd(f, g) == (want, *quotients), (f, g)
         assert ratpoly.primitive_gcd_cofactors([f, g]) == (
             want, [ratpoly._quo(f, want), ratpoly._quo(g, want)])
-        pf, pg = ratpoly._primitive(f), ratpoly._primitive(g)
         if len(pf) > 1 and len(pg) > 1:
             tried += 1
-            answered += ratpoly._heu_gcd(pf, pg) == want
+            answered += ratpoly._heu_gcd(pf, pg) == (want, *quotients)
         assert rp_gcd(RatPoly(f), RatPoly(g)) == \
             ratpoly.from_int_list(want, want[-1])
     assert answered == tried > 250
@@ -2445,13 +2583,18 @@ def test_heuristic_gcd_is_the_remainder_sequence():
 
 def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
     """When GCDHEU's candidate test rejects every point, _HEU_TRIES of
-    them, the remainder sequence gives the same gcd."""
+    them, the remainder sequence gives the same gcd and quotients."""
     rng = random.Random(244)
     pairs = planted_gcd_pairs(rng)
     tests, remainders = [], []
     pseudo_divmod = ratpoly._pseudo_divmod
+    exact_quotient = ratpoly._exact_quotient
 
     def reject(f, g):
+        # only GCDHEU's candidate test is rejected, not the division of
+        # the inputs by the gcd of the remainder sequence
+        if sys._getframe(1).f_code.co_name != "_heu_gcd":
+            return exact_quotient(f, g)
         tests.append(g)
         return None
 
@@ -2466,7 +2609,10 @@ def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
         remainders.clear()
         heuristic = (len(ratpoly._primitive(f)) > 1
                      and len(ratpoly._primitive(g)) > 1)
-        assert ratpoly._primitive_gcd(f, g) == ref_primitive_gcd(f, g)
+        h, qf, qg = ratpoly._primitive_gcd(f, g)
+        assert h == ref_primitive_gcd(f, g)
+        assert (dense.mul(h, qf, ZZ), dense.mul(h, qg, ZZ)) == (
+            ratpoly._primitive(f), ratpoly._primitive(g))
         assert len(tests) == (ratpoly._HEU_TRIES if heuristic else 0)
         assert remainders or not f or not g
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,14 +11,13 @@ from quatpoly.intarith import factorint
 from quatpoly.maxorder import (_component_split, disc_of_int_poly,
                                maximal_order, splitting_type)
 from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
-                                  nf_factor, nf_factor_over_quadratic,
-                                  nf_local_splitting,
+                                  nf_factor, nf_local_splitting,
                                   nf_quadratic_candidates,
                                   nf_quadratic_subfields,
                                   nf_quartic_subfields, nf_sqrt,
                                   nf_splits_quaternion)
 from quatpoly.ratpoly import RatPoly, from_int_list, rp_is_irreducible
-from test_folds import ref_gfp_factor
+from test_folds import nf_factor_over_quadratic, ref_gfp_factor
 
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
@@ -111,9 +111,10 @@ def _index_primes(m):
 class TestSplittingType:
     @staticmethod
     def reference(m, p):
-        """Splitting above p read off the whole maximal order."""
-        order, _, _ = maximal_order(m)
-        return sorted(_component_split(order.table, order.unit, p))
+        """Splitting above p read off the whole maximal order, which
+        _p_maximalize returns as it is, with its radical at p."""
+        order, radical = maxorder._p_maximalize(maximal_order(m)[0], p)
+        return sorted(_component_split(order.table, order.unit, p, radical))
 
     def cases(self):
         # p divides the index of Z[theta] in both fixed cases
@@ -149,7 +150,7 @@ class TestSplittingType:
             disc = abs(disc_of_int_poly(m))
             ztheta = maxorder._ztheta(m)
             for p in (2, 3, 5, 7, 11, 13):
-                if maxorder._p_maximalize(ztheta, p) is not ztheta:
+                if maxorder._p_maximalize(ztheta, p)[0] is not ztheta:
                     continue
                 want = sorted((mult, len(g) - 1) for g, mult in
                               ref_gfp_factor(m, p))
@@ -169,6 +170,21 @@ class TestSplittingType:
         assert maximal_order([-51005, 0, 1])[2] == 202
         assert splitting_type([-51005, 0, 1], 101) == [(1, 1), (1, 1)]
         assert splitting_type([101 ** 3, 0, 0, 0, 1], 101) == [(4, 1)]
+
+    def test_radical_computed_once(self, monkeypatch):
+        """_p_maximalize hands on the radical of the p-maximal order it
+        returns, so _component_split computes none of its own."""
+        callers = []
+        radical_basis = maxorder._radical_basis
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return radical_basis(*args)
+
+        monkeypatch.setattr(maxorder, "_radical_basis", spy)
+        for m, p in self.cases():
+            splitting_type(m, p)
+        assert set(callers) == {"_p_maximalize"}
 
     def test_no_maximal_order_on_the_way(self, monkeypatch):
         def forbidden(*args):
@@ -344,6 +360,34 @@ class TestTragerFactor:
         f = [QS2.from_rational(Fr(1)), QS2.zero(), QS2.one()]
         fac = nf_factor(f, QS2)
         assert len(fac) == 1  # stays irreducible over a real field
+
+    def test_no_unshifted_norm_of_rational_input(self, monkeypatch):
+        """Over a field of degree n > 1 the norm of a polynomial over Q is
+        its n-th power, never squarefree, so Trager shifts before the
+        first norm; over a field of degree 1 the first norm is that of
+        the input itself."""
+        seen = []
+        real = numberfield.nf_poly_norm
+
+        def spy(f, L):
+            seen.append((f, L))
+            return real(f, L)
+
+        monkeypatch.setattr(numberfield, "nf_poly_norm", spy)
+        monkeypatch.setattr(numberfield, "_local_nonsquare", lambda el: False)
+        for L in (QI, QS2, Q8, CUBIC, QUARTIC):
+            for d in (-1, 2, 5):
+                nf_sqrt(d, L)
+            assert len(nf_factor([L.from_rational(c)
+                                  for c in L.minpoly.coeffs], L)) > 1
+        assert seen
+        assert [f for f, L in seen
+                if all(c.is_rational for c in f)] == []
+        seen.clear()
+        L1 = NumberField(from_int_list([-3, 1]))
+        f = [L1.from_rational(-4), L1.zero(), L1.one()]  # y^2 - 4
+        assert len(nf_factor(f, L1)) == 2
+        assert seen[0] == (f, L1)
 
 
 class TestLocalSplitting:

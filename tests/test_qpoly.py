@@ -6,19 +6,18 @@ import pytest
 from quatpoly import dense, numberfield, qpoly, quadform
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              PreconditionViolation, ZeroDivisorEncountered)
-from quatpoly.numberfield import (NumberField, nf_factor_over_quadratic,
-                                  nf_quadratic_subfields)
+from quatpoly.numberfield import NumberField, nf_quadratic_subfields
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
                             factor_central_irreducible, is_irreducible,
                             qp_conj, qp_evaluate, qp_exact_right_div,
                             qp_gcrd, qp_gcrd_bezout, qp_lclm, qp_norm,
-                            qp_right_divmod, roots, subfield_factor,
-                            swap_factors)
+                            qp_right_divmod, roots, subfield_factor)
 from quatpoly.quadform import (ZeroDivisorCertificate, represent_pure,
                                splits_in_quadratic)
 from quatpoly.quatalg import QuaternionAlgebra, is_conjugate, q_inv
 from quatpoly.ratpoly import from_int_list, rp_factor, rp_is_irreducible
+from test_folds import nf_factor_over_quadratic, swap_factors
 
 H = QuaternionAlgebra(-1, -1)
 H13 = QuaternionAlgebra(-1, -3)
@@ -409,7 +408,7 @@ class TestSubfieldFactor:
             raise AssertionError("subfield walk on a quadratic")
 
         monkeypatch.setattr(quadform, "nf_quadratic_candidates", forbidden)
-        monkeypatch.setattr(quadform, "nf_factor_over_quadratic", forbidden)
+        monkeypatch.setattr(quadform, "nf_factor_squarefree", forbidden)
         pairs = [subfield_factor(NumberField(from_int_list(c)), H13)
                  for c in ([1, 0, 1], [3, 2, 1], [-2, 0, 1], [7, 1, 1])]
         assert pairs[-1] is not None
@@ -422,8 +421,9 @@ class TestSubfieldFactor:
         q, where Trager would otherwise try 7 and 3 candidates."""
         calls = []
         trager = numberfield.nf_factor_squarefree
-        monkeypatch.setattr(numberfield, "nf_factor_squarefree",
-                            lambda f, K: calls.append(f) or trager(f, K))
+        for module in (numberfield, quadform):
+            monkeypatch.setattr(module, "nf_factor_squarefree",
+                                lambda f, K: calls.append(f) or trager(f, K))
         for c, want in (([6, 16, 11, 0, 1], 0), ([6, 2, 9, -4, 1], 0),
                         ([1, 0, 0, 0, 1], 1),
                         ([13, 18, -2, -4, 6, -2, 1], 0),

@@ -666,6 +666,25 @@ class TestFindZeroDivisor:
         assert not splits_in_quadratic(-1, -1, 5)
 
 
+class TestFactorint:
+    @staticmethod
+    def prime(rng, digits):
+        while True:
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            if intarith.is_prime(n):
+                return n
+
+    def test_products_of_two_primes(self):
+        """200 products of two primes of 6 to 12 digits: every one past
+        trial division, so Pollard rho splits each."""
+        rng = random.Random(2029)
+        for _ in range(200):
+            p = self.prime(rng, rng.randint(6, 12))
+            q = self.prime(rng, rng.randint(6, 12))
+            want = {p: 2} if p == q else {p: 1, q: 1}
+            assert intarith.factorint(-p * q) == want
+
+
 class TestCrt:
     def test_combines_coprime_residues(self):
         x = crt([2, 3, 1], [3, 5, 7])
@@ -749,6 +768,14 @@ class TestFactorOnce:
         x, y, z = represent_pure(-1, -1, -59)
         assert -x * x - y * y - z * z == -59
         assert len(calls) <= 10
+
+    def test_represent_pure_factors_beta_once(self, calls):
+        """-alpha beta = beta for alpha = -1: its square class comes from
+        those of alpha and beta, so |beta| is factored once."""
+        big = 100000007 * 100000037
+        x, y, z = represent_pure(-1, -big, -1)
+        assert -x * x - big * y * y - big * z * z == -1
+        assert [n for n in calls if abs(n) == big] == [-big]
 
 
 @pytest.mark.parametrize("place", [1, 0, -3, 4, "x"])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Fr
 
@@ -228,6 +229,44 @@ class TestSquarefreeDecomposition:
         p = from_int_list([1, 1]) ** 2 * from_int_list([-2, 0, 1])
         with pytest.raises(InternalInvariantViolation, match="not exact"):
             squarefree_decomposition(p)
+
+    def test_yun_divides_only_inside_its_gcds(self, monkeypatch):
+        """Each gcd of Yun's algorithm comes with the quotients
+        _primitive_gcd proved: on rp_factor of planted products with
+        repeated factors, every exact division under _squarefree_int runs
+        inside _primitive_gcd."""
+        counts = Counter()
+        real_gcd, real_quotient = ratpoly._primitive_gcd, \
+            ratpoly._exact_quotient
+
+        def callers():
+            frame, names = sys._getframe(2), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            return names
+
+        def gcd(f, g):
+            if "_squarefree_int" in callers():
+                counts["gcd"] += 1
+            return real_gcd(f, g)
+
+        def quotient(f, g):
+            names = callers()
+            if "_squarefree_int" in names:
+                counts["in gcd" if "_primitive_gcd" in names
+                       else "outside"] += 1
+            return real_quotient(f, g)
+
+        monkeypatch.setattr(ratpoly, "_primitive_gcd", gcd)
+        monkeypatch.setattr(ratpoly, "_exact_quotient", quotient)
+        rng = random.Random(7)
+        for _ in range(60):
+            p = RatPoly([Fr(rng.randint(1, 5))])
+            for mult in range(1, rng.randint(2, 4)):
+                p = p * rnd_poly(rng, rng.randint(1, 3), height=5) ** mult
+            assert rp_factor(p).expand() == p
+        assert counts["outside"] == 0 and counts["gcd"] > 0
 
     def test_reconstruction(self):
         rng = random.Random(5)
