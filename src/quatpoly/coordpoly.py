@@ -6,10 +6,14 @@ and the display coord_text.
 A QPoly holds integer tuples over one denominator, so the kernel works
 on integers and qpoly brings each result to lowest terms once.  With
 integral al and be, integer inputs give integer outputs; with rational
-al or be the outputs may hold Fractions, which qpoly clears.  Tuples are
-built from lists, not generators: a tuple grown from a generator is
-resized, and once freed it waits on the free list of its final length,
-which raised peak RSS by about 1.5 MB over a run of the benchmark.
+al or be the outputs may hold Fractions, which qpoly clears.  Right
+division has one elimination loop, cp_pseudo_rem, which gives the
+remainder alone to the callers that need no quotient (the GCRD and
+evaluation); cp_pseudo_divmod collects the quotient from the terms that
+loop records.  Tuples are built from lists, not generators: a tuple
+grown from a generator is resized, and once freed it waits on the free
+list of its final length, which raised peak RSS by about 1.5 MB over a
+run of the benchmark.
 """
 
 import math
@@ -92,23 +96,39 @@ def cp_mul(al, be, P, Q):
     return out
 
 
-def cp_pseudo_divmod(al, be, P, D):
-    """(s, Q, R) with s*P = Q*D + R for a nonzero scalar s, deg R < deg D
-    and R trimmed.  With dl = lc(D), each step is Q, R <- N(dl)*Q + c*x^m,
-    N(dl)*R - c*x^m*D for c = lc(R)*conj(dl), which cancels lc(R) because
-    conj(dl)*dl = N(dl); integer tuples stay integers."""
+def cp_pseudo_rem(al, be, P, D, steps=None):
+    """(s, R) with s*P = Q*D + R for a nonzero scalar s, some Q, deg R <
+    deg D and R trimmed.  With dl = lc(D), each step is R <- N(dl)*R -
+    c*x^m*D for c = lc(R)*conj(dl), which cancels lc(R) because
+    conj(dl)*dl = N(dl); integer tuples stay integers, and nothing is
+    scaled when N(dl) = 1.  When steps is a list, each step appends its
+    (m, c), the term c*x^m of Q as it stood when taken."""
     t, x, y, z = D[-1]
     n, dc = coord_norm(al, be, D[-1]), (t, -x, -y, -z)
-    s, Q, R = 1, [ZERO] * max(len(P) - len(D) + 1, 0), list(P)
+    s, R = 1, list(P)
     while len(R) >= len(D):
         m = len(R) - len(D)
         c = coord_mul(al, be, R.pop(), dc)
         if c == ZERO:
             continue
         if n != 1:
-            s, Q, R = n * s, cp_scale(n, Q), cp_scale(n, R)
-        Q[m] = c
+            s, R = n * s, cp_scale(n, R)
+        if steps is not None:
+            steps.append((m, c))
         for l, d in enumerate(D[:-1]):
             r, e = R[m + l], coord_mul(al, be, c, d)
             R[m + l] = (r[0] - e[0], r[1] - e[1], r[2] - e[2], r[3] - e[3])
-    return s, Q, cp_trim(R)
+    return s, cp_trim(R)
+
+
+def cp_pseudo_divmod(al, be, P, D):
+    """(s, Q, R) with s*P = Q*D + R, the s and R of cp_pseudo_rem: each
+    term of Q is scaled by N(lc(D)) once for every later step."""
+    steps = []
+    s, R = cp_pseudo_rem(al, be, P, D, steps)
+    n, e = coord_norm(al, be, D[-1]), len(steps)
+    Q = [ZERO] * max(len(P) - len(D) + 1, 0)
+    for m, c in steps:
+        e -= 1
+        Q[m] = cp_scale(n ** e, [c])[0]
+    return s, Q, R

@@ -16,7 +16,10 @@ Every function takes a field F (GF(p), ZZ or L.field) with four members:
     F.inv(a)        inverse of a nonzero canonical element
 
 Inner loops use only +, - and *; red and inv run once per output
-coefficient, so entries over GF(p) are reduced lazily.  The routines are
+coefficient, so entries over GF(p) are reduced lazily.  divmod, rem and
+powmod share one elimination loop; rem gives the remainder alone, with
+no quotient built, to the callers that read only the remainder (gcd,
+powmod, the modular factoring of ratpoly and maxorder).  The routines are
 the textbook ones (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 2-3).
 """
@@ -87,26 +90,37 @@ def mul(f, g, F):
     return trim([red(c) for c in out])
 
 
+def _reduce(r, g, red, inv, keep=None):
+    """The list r, changed in place, mod g whose lc has inverse inv: each
+    step pops the top of r and subtracts its multiple c of g, and keep,
+    when given, is called with each c, top first.  r may hold unreduced
+    sums; every output coefficient is reduced once."""
+    n, low = len(g) - 1, g[:-1]
+    for k in range(len(r) - n - 1, -1, -1):
+        c = red(r.pop() * inv)
+        if keep:
+            keep(c)
+        if c:
+            # the leading term cancels, and was popped above
+            for j, b in enumerate(low, k):
+                r[j] -= c * b
+    return trim([red(c) for c in r])
+
+
 def divmod(f, g, F):
     """(q, r) with f = q*g + r and deg r < deg g."""
     if not g:
         raise DivisionByZero("polynomial division by zero")
-    n = len(g) - 1
-    if len(f) <= n:
-        return [], list(f)
-    red = F.red
-    inv = F.inv(g[-1])
-    r = list(f)
-    q = [F.zero] * (len(f) - n)
-    for k in range(len(q) - 1, -1, -1):
-        c = red(r[k + n])
-        if c:
-            c = red(c * inv)
-            q[k] = c
-            # the leading term r[k + n] cancels and is dropped below
-            for j in range(n):
-                r[k + j] -= c * g[j]
-    return q, trim([red(c) for c in r[:n]])
+    q = []
+    r = _reduce(list(f), g, F.red, F.inv(g[-1]), q.append)
+    return q[::-1], r
+
+
+def rem(f, g, F):
+    """f mod g: the r of divmod(f, g, F), without building the quotient."""
+    if not g:
+        raise DivisionByZero("polynomial division by zero")
+    return _reduce(list(f), g, F.red, F.inv(g[-1]))
 
 
 def monic(f, F):
@@ -116,7 +130,7 @@ def monic(f, F):
 def gcd(f, g, F):
     """Monic gcd; [] when both inputs are zero."""
     while g:
-        f, g = g, divmod(f, g, F)[1]
+        f, g = g, rem(f, g, F)
     return monic(f, F)
 
 
@@ -157,15 +171,7 @@ def powmod(f, e, m, F):
     and no quotient list."""
     if not m:
         raise DivisionByZero("polynomial division by zero")
-    n, red, inv, low = len(m) - 1, F.red, F.inv(m[-1]), m[:-1]
-
-    def rem(r):
-        for k in range(len(r) - n - 1, -1, -1):
-            c = red(r.pop() * inv)
-            if c:
-                for j, b in enumerate(low, k):
-                    r[j] -= c * b
-        return trim([red(c) for c in r])
+    red, inv = F.red, F.inv(m[-1])
 
     def mulmod(a, b):
         if not a or not b:
@@ -175,9 +181,9 @@ def powmod(f, e, m, F):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        return rem(out)
+        return _reduce(out, m, red, inv)
 
-    return power(rem(list(f)), e, [F.one], mulmod)
+    return power(_reduce(list(f), m, red, inv), e, [F.one], mulmod)
 
 
 def derivative(f, F):

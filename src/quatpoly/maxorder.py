@@ -252,7 +252,7 @@ def _component_split(table, unit, p, radical):
                 raise InternalInvariantViolation(
                     "Frobenius-fixed element with a root outside F_p")
             q = dense.divmod(mu, g, F)[0]
-            inv = pow(dense.divmod(q, g, F)[1][0], -1, p)   # 1 / q(c)
+            inv = pow(dense.rem(q, g, F)[0], -1, p)   # 1 / q(c)
             pieces.append([sum(qk * v[k] for qk, v in zip(q, pows)) * inv % p
                            for k in range(n)])
         idems = [eu for eu in (_mult_mod(e, c, table, p)

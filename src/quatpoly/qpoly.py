@@ -14,7 +14,8 @@ from itertools import zip_longest
 
 from . import dense
 from .coordpoly import (ZERO, coord_mul, coord_norm, coord_text, cp_add,
-                        cp_mul, cp_pseudo_divmod, cp_scale, kernel_ab)
+                        cp_mul, cp_pseudo_divmod, cp_pseudo_rem, cp_scale,
+                        kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
@@ -249,20 +250,33 @@ def qp_norm(p):
     return from_int_list(n, den * den)
 
 
+def _divisor_ab(d):
+    """alpha and beta of the algebra of d, for a right division by d: a
+    zero d is a DivisionByZero, and a leading coefficient of d with norm
+    0 is a zero divisor, reported as by monic."""
+    if d.is_zero:
+        raise DivisionByZero("right division by the zero polynomial")
+    al, be = kernel_ab(d.parent)
+    if coord_norm(al, be, d.num[-1]) == 0:
+        raise ZeroDivisorEncountered("nonzero element with zero norm",
+                                     witness=d.lc)
+    return al, be
+
+
 def qp_right_divmod(p, d):
     """(quot, rem) with p = quot*d + rem and deg rem < deg d.  A leading
     coefficient of d with norm 0 is a zero divisor, reported as by
     monic."""
-    if d.is_zero:
-        raise DivisionByZero("right division by the zero polynomial")
-    A = p.parent
-    al, be = kernel_ab(A)
-    if coord_norm(al, be, d.num[-1]) == 0:
-        raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                     witness=d.lc)
-    s, Q, R = cp_pseudo_divmod(al, be, p.num, d.num)
+    s, Q, R = cp_pseudo_divmod(*_divisor_ab(d), p.num, d.num)
     # s*dp*p = (dd*Q)*d + R, with dp and dd the denominators of p and d
-    return (_make(A, s * p.den, cp_scale(d.den, Q)), _make(A, s * p.den, R))
+    return (_make(p.parent, s * p.den, cp_scale(d.den, Q)),
+            _make(p.parent, s * p.den, R))
+
+
+def _right_rem(p, d):
+    """The rem of qp_right_divmod(p, d), with no quotient built."""
+    s, R = cp_pseudo_rem(*_divisor_ab(d), p.num, d.num)
+    return _make(p.parent, s * p.den, R)
 
 
 def qp_exact_right_div(p, d):
@@ -298,12 +312,12 @@ def qp_gcrd_bezout(p, q):
 
 def qp_gcrd(p, q):
     """The monic GCRD, by the right Euclid of _right_euclid without its
-    cofactors: each remainder of qp_right_divmod is a QPoly, already in
-    lowest terms."""
+    cofactors or quotients: each remainder of _right_rem is a QPoly,
+    already in lowest terms."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
     while not q.is_zero:
-        p, q = q, qp_right_divmod(p, q)[1]
+        p, q = q, _right_rem(p, q)
     return p.monic()
 
 
@@ -321,7 +335,7 @@ def qp_lclm(p, q):
 def qp_evaluate(p, a):
     """Sum c_m a^m: the remainder of right division by x - a, as x is
     central."""
-    return qp_right_divmod(p, QPoly.x(p.parent) - a)[1][0]
+    return _right_rem(p, QPoly.x(p.parent) - a)[0]
 
 
 class BeckDecomposition:

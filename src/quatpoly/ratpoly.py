@@ -4,7 +4,11 @@ A RatPoly holds integer coefficients, ascending with no trailing zeros,
 over one denominator; its arithmetic, division included, runs on them.
 Degrees here never exceed a few dozen, so everything is kept dense.
 
-Division and Sturm counting run on one integer pseudo-division.  The
+Division and Sturm counting run on one integer pseudo-division loop,
+which scales nothing when the divisor's lc is +-1.  The remainder-only
+callers (%, which reduces every NFElement, the Sturm sequence and the
+remainder sequence of the gcd) take its remainder alone; divmod
+collects the quotient from the terms the same loop records.  The
 gcd over Z (made monic over Q by rp_gcd) is the heuristic GCDHEU: the
 integer gcd of the values of both inputs at one large point, read back
 as a polynomial from its symmetric digits and kept only when it divides
@@ -47,20 +51,27 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
 from .intarith import is_prime
 
 Fr = Fraction
+# the one type from_int_list takes without clearing denominators: a bool
+# or a Fraction entry takes the general path
+_INT = {int}
 
 
 def from_int_list(ic, den=1):
     """The RatPoly ic / den in lowest terms, for a list or tuple ic of
     ints or Fractions and a nonzero int or Fraction den: ic is trimmed,
     its Fractions and den's are cleared by one common multiple, and the
-    gcd of den and every entry is divided out, with den > 0.  The one
-    reduction of RatPoly and QPoly."""
+    gcd of den and every entry is divided out, with den > 0.  When den
+    and every entry are ints, as on integer kernel output, there is
+    nothing to clear and that pass is skipped.  The one reduction of
+    RatPoly and QPoly."""
     n = len(ic)
     while n and not ic[n - 1]:
         n -= 1
-    m = math.lcm(den.denominator, *[c.denominator for c in ic[:n]])
-    den = den.numerator * (m // den.denominator)
-    num = [c.numerator * (m // c.denominator) for c in ic[:n]]
+    num = ic[:n]
+    if type(den) is not int or not {*map(type, num)} <= _INT:
+        m = math.lcm(den.denominator, *[c.denominator for c in num])
+        den = den.numerator * (m // den.denominator)
+        num = [c.numerator * (m // c.denominator) for c in num]
     g = math.gcd(den, *num)
     if den < 0:
         g = -g
@@ -176,7 +187,14 @@ class RatPoly:
                 from_int_list(r, d))
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The r / (s*df) of __divmod__, from the remainder alone."""
+        other = _rational(other)
+        if other is None:
+            return NotImplemented
+        if other.is_zero:
+            raise DegenerateInput("division by zero polynomial")
+        s, r = _pseudo_rem(self.num, other.num)
+        return from_int_list(r, s * self.den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,20 +237,37 @@ def _primitive(f):
     return [c // g for c in f] if g else []
 
 
-def _pseudo_divmod(f, g):
-    """(s, q, r) with s*f = q*g + r in Z[x] and deg r < deg g, for g != 0:
-    each step scales by |lc(g)| instead of dividing by lc(g), so s > 0 is
-    a power of |lc(g)|."""
+def _pseudo_rem(f, g, steps=None):
+    """(s, r) with s*f = q*g + r in Z[x] and deg r < deg g, for g != 0 and
+    some q: each step scales by |lc(g)| instead of dividing by lc(g), so
+    s > 0 is a power of |lc(g)|, and nothing is scaled when |lc(g)| = 1.
+    When steps is a list, each step appends its (k, c), the term c*x^k of
+    q as it stood when taken."""
     n, a, u = len(g) - 1, abs(g[-1]), 1 if g[-1] > 0 else -1
-    s, q, r = 1, [0] * max(len(f) - n, 0), list(f)
+    s, r = 1, list(f)
     while len(r) > n:
         c = u * r.pop()
         k = len(r) - n
-        s, q, r = a * s, [a * b for b in q], [a * b for b in r]
-        q[k] = c
+        if a != 1:
+            s, r = a * s, [a * b for b in r]
+        if steps is not None:
+            steps.append((k, c))
         for j in range(n):
             r[k + j] -= c * g[j]
         dense.trim(r)
+    return s, r
+
+
+def _pseudo_divmod(f, g):
+    """(s, q, r) with s*f = q*g + r, the s and r of _pseudo_rem: each term
+    of q is scaled by |lc(g)| once for every later step."""
+    steps = []
+    s, r = _pseudo_rem(f, g, steps)
+    a, e = abs(g[-1]), len(steps)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for k, c in steps:
+        e -= 1
+        q[k] = c * a ** e
     return s, q, r
 
 
@@ -281,7 +316,7 @@ def _primitive_gcd(f, g):
             return out
     h, r = f, g
     while r:
-        h, r = r, _primitive(_pseudo_divmod(h, r)[2])
+        h, r = r, _primitive(_pseudo_rem(h, r)[1])
     return h, _quo(f, h), _quo(g, h)
 
 
@@ -343,7 +378,7 @@ def rp_real_root_count(p):
     f = p.primitive_int()
     seq = [f, dense.derivative(f, ZZ)]
     while len(seq[-1]) > 1:
-        r = _pseudo_divmod(seq[-2], seq[-1])[2]
+        r = _pseudo_rem(seq[-2], seq[-1])[1]
         if not r:
             raise NotSquarefree("input must be squarefree")
         g = math.gcd(*r)
@@ -392,7 +427,7 @@ def _probe_split(f, d, p, frob, start):
     for c in range(start, p):
         t = [c, 1]
         for h in frob:
-            t = dense.divmod(dense.mul(t, dense.add(h, [c], F), F), f, F)[1]
+            t = dense.rem(dense.mul(t, dense.add(h, [c], F), F), f, F)
         s = dense.sub(dense.powmod(t, (p - 1) // 2, f, F), [1], F)
         g = dense.gcd(s, f, F)
         if 0 < len(g) - 1 < n:
@@ -410,7 +445,7 @@ def _random_split(f, d, p, rng):
         return None
     if p == 2:
         s = []
-        t = dense.divmod(r, f, F)[1]
+        t = dense.rem(r, f, F)
         for _ in range(d):
             s = dense.add(s, t, F)
             t = dense.powmod(t, 2, f, F)
@@ -433,7 +468,7 @@ def _edf(f, d, p, rng, frob, c=0):
         return [[-r % p, 1] for r in range(p) if not dense.evaluate(f, r, F)]
     g = None
     if p > 2 and c < p:
-        frob = [dense.divmod(h, f, F)[1] for h in frob]
+        frob = [dense.rem(h, f, F) for h in frob]
         g, c = _probe_split(f, d, p, frob, c)
     while g is None:
         g = _random_split(f, d, p, rng)
@@ -463,7 +498,7 @@ def gfp_factor_squarefree(f, p):
         if len(g) > 1:
             out.extend(_edf(g, d, p, rng, frob))
             v = dense.divmod(v, g, F)[0]
-            h = dense.divmod(h, v, F)[1]
+            h = dense.rem(h, v, F)
         frob.append(h)
     if len(v) > 1:
         out.append(v)
@@ -762,7 +797,7 @@ def _factor_squarefree_int(f):
             out.append(g)
             continue
         gbar = [c % p for c in g]
-        own = [q for q in modular if not dense.divmod(gbar, q, F)[1]]
+        own = [q for q in modular if not dense.rem(gbar, q, F)]
         _, split = _lift_and_recombine(g, own, p, 2 * _mignotte_bound(g))
         out += [h for h, _ in split]
     return out

@@ -245,7 +245,7 @@ _INTEGER_STEPS = ("_good_prime", "gfp_factor_squarefree", "_edf",
                   "_lift_quadratic", "_lift_list", "_exact_quotient",
                   "_recombine", "_proves_irreducible", "_lift_and_recombine",
                   "_factor_squarefree_int", "_heu_gcd", "_primitive_gcd",
-                  "_squarefree_int", "_pseudo_divmod", "_quo",
+                  "_squarefree_int", "_pseudo_rem", "_pseudo_divmod", "_quo",
                   "primitive_gcd_cofactors", "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
@@ -267,9 +267,10 @@ _FORK_NAMES = {"gfp_factor", "disc_of_int_poly"}
 _NORM_STEPS = ("qp_norm",)
 _QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
 # the GCRD, the Euclid behind Bezout and LCLM, and evaluation, and the
-# kernel division and content they reach only through qp_right_divmod
+# kernel division, remainder and content they reach only through
+# qp_right_divmod and _right_rem
 _DIVIDING_STEPS = ("qp_gcrd", "_right_euclid", "qp_evaluate")
-_KERNEL_DIVISION = {"cp_pseudo_divmod", "cp_primitive"}
+_KERNEL_DIVISION = {"cp_pseudo_divmod", "cp_pseudo_rem", "cp_primitive"}
 # the Beck decomposition and the quaternion inverse, gcd over Q and A[x]
 # division it avoids
 _BECK_STEPS = ("beck_decompose",)
@@ -278,14 +279,15 @@ _BECK_NAMES = {"q_inv", "rp_gcd", "qp_exact_right_div", "qp_right_divmod",
 
 # QPoly's arithmetic and the Fraction and Quaternion names it avoids
 _QPOLY_STEPS = ("QPoly.__add__", "QPoly.__mul__", "QPoly.monic", "qp_conj",
-                "qp_right_divmod", "qp_gcrd", "qp_evaluate",
+                "qp_right_divmod", "_right_rem", "qp_gcrd", "qp_evaluate",
                 "Factorization.expand")
 _QUATERNION_NAMES = {"Fr", "Fraction", "Quaternion", "make_quaternion",
                      "q_inv", "coeffs", "cp_unscale"}
 # RatPoly's arithmetic and the gcd, squarefree and factoring entries, and
 # the Fraction names and coefficient reads they avoid
 _RATPOLY_STEPS = ("RatPoly.__add__", "RatPoly.__sub__", "RatPoly.__neg__",
-                  "RatPoly.__mul__", "RatPoly.__divmod__", "RatPoly.monic",
+                  "RatPoly.__mul__", "RatPoly.__divmod__", "RatPoly.__mod__",
+                  "RatPoly.monic",
                   "RatPoly.derivative", "RatPoly.primitive_int", "rp_gcd",
                   "squarefree_decomposition", "rp_factor")
 _FRACTION_NAMES = {"Fr", "QQ"}
@@ -363,13 +365,14 @@ def test_norm_stays_on_integer_coordinates():
 
 
 def test_gcrd_divides_only_through_right_division():
-    """qp_right_divmod is the one caller of the kernel division in qpoly;
-    a second kernel GCRD or remainder sequence shows here."""
+    """qp_right_divmod and the remainder-only _right_rem are the only
+    callers of the kernel division in qpoly; a second kernel GCRD or
+    remainder sequence shows here."""
     assert _names_named("qpoly.py", _DIVIDING_STEPS, _KERNEL_DIVISION) == []
     callers = [name for name, node in _functions("qpoly.py").items()
                if any(isinstance(n, ast.Name) and n.id in _KERNEL_DIVISION
                       for n in ast.walk(node))]
-    assert callers == ["qp_right_divmod"]
+    assert callers == ["qp_right_divmod", "_right_rem"]
 
 
 def test_beck_stays_on_integer_coordinates():

@@ -3,11 +3,12 @@ one subfield path, each move of a QPoly computation onto the integer
 coordinate kernel, the early-stopping Zassenhaus lift, the one-pass
 parser, the heuristic gcd, probe splitting and fused powmod of the
 integer core, the quadratic subfields of a quartic read off its
-resolvent cubic, and the isotropic vectors of the quadratic-form layer
-found with each number factored once, pinned against the code it
-replaced.  The reference functions below are that code, kept verbatim
-in behaviour, and each test compares its answers with the library's on
-a few hundred to a few thousand inputs.  The factorisation over GF(p) that splitting_type once
+resolvent cubic, the isotropic vectors of the quadratic-form layer
+found with each number factored once, and the remainders taken without
+a quotient, pinned against the code it replaced.  The reference
+functions below are that code, kept verbatim in behaviour, and each
+test compares its answers with the library's on a few hundred to a few
+thousand inputs.  The factorisation over GF(p) that splitting_type once
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
 of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
 extended gcd over Q that only the swap reference uses, and so is the
@@ -30,7 +31,9 @@ from types import SimpleNamespace
 import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform, ratpoly
-from quatpoly.coordpoly import cp_pseudo_divmod, kernel_ab, kernel_ints
+from quatpoly.coordpoly import (ZERO, coord_mul, coord_norm, cp_pseudo_divmod,
+                                cp_pseudo_rem, cp_scale, cp_trim, kernel_ab,
+                                kernel_ints)
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
@@ -2727,3 +2730,178 @@ def test_search_reduced_by_the_field_gives_the_old_certificates():
             assert got == want
             found += not isinstance(want[0], str)
     assert found >= 2
+
+
+# ---------------------------------------------------------------------------
+# remainders without quotients, and the int path of from_int_list: the
+# divisions that built and normalised a quotient for callers that drop it
+
+def ref_divmod(f, g, F):
+    """(q, r) with f = q*g + r and deg r < deg g."""
+    if not g:
+        raise DivisionByZero("polynomial division by zero")
+    n = len(g) - 1
+    if len(f) <= n:
+        return [], list(f)
+    red = F.red
+    inv = F.inv(g[-1])
+    r = list(f)
+    q = [F.zero] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = red(r[k + n])
+        if c:
+            c = red(c * inv)
+            q[k] = c
+            for j in range(n):
+                r[k + j] -= c * g[j]
+    return q, dense.trim([red(c) for c in r[:n]])
+
+
+def ref_pseudo_divmod(f, g):
+    """(s, q, r) with s*f = q*g + r in Z[x], scaled by |lc(g)| each step."""
+    n, a, u = len(g) - 1, abs(g[-1]), 1 if g[-1] > 0 else -1
+    s, q, r = 1, [0] * max(len(f) - n, 0), list(f)
+    while len(r) > n:
+        c = u * r.pop()
+        k = len(r) - n
+        s, q, r = a * s, [a * b for b in q], [a * b for b in r]
+        q[k] = c
+        for j in range(n):
+            r[k + j] -= c * g[j]
+        dense.trim(r)
+    return s, q, r
+
+
+def ref_cp_pseudo_divmod(al, be, P, D):
+    """(s, Q, R) with s*P = Q*D + R, Q and R scaled by N(lc D) each step."""
+    t, x, y, z = D[-1]
+    n, dc = coord_norm(al, be, D[-1]), (t, -x, -y, -z)
+    s, Q, R = 1, [ZERO] * max(len(P) - len(D) + 1, 0), list(P)
+    while len(R) >= len(D):
+        m = len(R) - len(D)
+        c = coord_mul(al, be, R.pop(), dc)
+        if c == ZERO:
+            continue
+        if n != 1:
+            s, Q, R = n * s, cp_scale(n, Q), cp_scale(n, R)
+        Q[m] = c
+        for l, d in enumerate(D[:-1]):
+            r, e = R[m + l], coord_mul(al, be, c, d)
+            R[m + l] = (r[0] - e[0], r[1] - e[1], r[2] - e[2], r[3] - e[3])
+    return s, Q, cp_trim(R)
+
+
+# Z[x] divided by a divisor of lc +-1, whose inverse is itself
+ZU = dense.Field(0, 1, dense.same, lambda a: 1 // a)
+
+
+def rem_cases(rng, F, elt, lcs=None):
+    """(f, g) with g of degree 0 to 4, its lc drawn from lcs when given,
+    and f of any length up to 8, zero and shorter than g among them."""
+    for _ in range(60):
+        g = dense.trim([elt(rng) for _ in range(rng.randint(0, 4))])
+        g.append(rng.choice(lcs) if lcs else elt(rng) or F.one)
+        f = dense.trim([elt(rng) for _ in range(rng.randint(0, 8))])
+        yield f, g
+
+
+def test_dense_rem_is_the_divmod_remainder():
+    """dense.rem, and divmod on the shared loop, against the divmod that
+    built q: over GF(p), Z/2^16 and Z by unit lcs, Q and two number
+    fields."""
+    rng = random.Random(300)
+    Q_cbrt2 = NumberField(from_int_list([-2, 0, 0, 1]))
+    Q_i = NumberField(from_int_list([1, 0, 1]))
+    fields = [(GF(p), lambda r, p=p: r.randrange(p), None)
+              for p in (2, 3, 7, 101)]
+    fields += [(GF(2 ** 16), lambda r: r.randrange(2 ** 16), (1,)),
+               (ZU, lambda r: r.randint(-50, 50), (1, -1)),
+               (QQ, lambda r: Fr(r.randint(-9, 9), r.randint(1, 4)), None)]
+    for L in (Q_cbrt2, Q_i):
+        fields.append((L.field, lambda r, L=L: L.element(
+            [Fr(r.randint(-5, 5), r.randint(1, 3))
+             for _ in range(L.degree)]), None))
+    for F, elt, lcs in fields:
+        for f, g in rem_cases(rng, F, elt, lcs):
+            want = ref_divmod(f, g, F)
+            assert dense.rem(f, g, F) == want[1]
+            assert dense.divmod(f, g, F) == want
+    with pytest.raises(DivisionByZero):
+        dense.rem([1], [], GF(5))
+
+
+def test_pseudo_remainder_is_the_pseudo_division():
+    """_pseudo_rem, _pseudo_divmod on its steps, and RatPoly % against the
+    scaling division and divmod(...)[1]: lcs of either sign, unit or not,
+    constant divisors and dividends shorter than the divisor."""
+    rng = random.Random(301)
+    for _ in range(800):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+        g.append(rng.choice((1, -1, 2, -3, 6, -1)))
+        f = dense.trim([rng.randint(-30, 30)
+                        for _ in range(rng.randint(0, 9))])
+        s, q, r = ref_pseudo_divmod(f, g)
+        assert ratpoly._pseudo_rem(f, g) == (s, r)
+        assert ratpoly._pseudo_divmod(f, g) == (s, q, r)
+        a = from_int_list(f, rng.choice((1, 2, -3, 10)))
+        b = from_int_list(g, rng.choice((1, 5, -7)))
+        assert tagged(a % b) == tagged(divmod(a, b)[1])
+        assert tagged(a % b) == tagged(RefRatPoly(a.coeffs)
+                                       % RefRatPoly(b.coeffs))
+    a = RatPoly([1, 2, 3])
+    assert tagged(a % 3) == tagged(divmod(a, 3)[1]) == tagged(RatPoly())
+    assert tagged(a % Fr(-2, 5)) == tagged(RatPoly())
+    assert (a % RatPoly([0, 0, 0, 5])) == a
+    with pytest.raises(DegenerateInput):
+        a % RatPoly()
+    with pytest.raises(TypeError):
+        a % "x"
+
+
+def test_right_remainder_is_the_right_division():
+    """cp_pseudo_rem, cp_pseudo_divmod on its steps and _right_rem against
+    the division that scaled Q each step and qp_right_divmod(...)[1],
+    with rational alpha and beta among the algebras, so that the kernel
+    holds Fraction entries."""
+    rng = random.Random(302)
+    algebras = ALGEBRAS + (QuaternionAlgebra(Fr(-2, 3), Fr(-5, 7)),)
+    for A in algebras:
+        al, be = kernel_ab(A)
+        for _ in range(40):
+            d = rnd_poly(rng, A, rng.randint(0, 3), monic=rng.random() < .3)
+            p = (rnd_poly(rng, A, rng.randint(0, 6)) if rng.random() < .9
+                 else QPoly(A, []))
+            s, Q, R = ref_cp_pseudo_divmod(al, be, list(p.num), list(d.num))
+            assert cp_pseudo_rem(al, be, p.num, d.num) == (s, R)
+            assert cp_pseudo_divmod(al, be, p.num, d.num) == (s, Q, R)
+            quot, rem = qp_right_divmod(p, d)
+            assert qpoly._right_rem(p, d) == rem
+            assert quot * d + rem == p
+            assert rem == QPoly.from_kernel(A, s * p.den, R)
+
+
+def test_from_int_list_takes_ints_alone_on_the_int_path():
+    """from_int_list against ref_from_int_list on int, Fraction and bool
+    entries mixed, int, negative and Fraction dens, tuples and all-zero
+    input: each result in lowest terms with den > 0 and plain int
+    entries."""
+    rng = random.Random(303)
+    pick = (lambda: rng.randint(-20, 20),
+            lambda: Fr(rng.randint(-20, 20), rng.randint(1, 6)),
+            lambda: rng.choice((True, False)))
+    for _ in range(2000):
+        kinds = rng.sample(pick, rng.randint(1, 3))
+        ic = [rng.choice(kinds)() for _ in range(rng.randint(0, 7))]
+        ic += [0] * rng.randint(0, 2)
+        if rng.random() < .3:
+            ic = tuple(ic)
+        den = rng.choice((1, rng.randint(-12, -1), rng.randint(2, 12),
+                          Fr(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
+        got = from_int_list(ic, den)
+        assert got.coeffs == ref_from_int_list(ic, den).coeffs
+        assert type(got.den) is int and got.den > 0
+        assert all(type(c) is int for c in got.num)
+        assert math.gcd(got.den, *got.num) == 1
+    for zeros in ([], [0, 0], (0,), [False, Fr(0)]):
+        got = from_int_list(zeros, -3)
+        assert (got.den, got.num) == (1, ())

@@ -209,6 +209,25 @@ class TestGcrdLclm:
                 divide(p, d)
             assert ei.value.witness == lc
 
+    def test_remainder_only_division_reports_a_zero_norm_lc(self):
+        """The remainder-only right division keeps the zero-divisor check:
+        by (1+i)x + 2 directly, and inside qp_gcrd when 1 + i is the lc
+        of a later remainder (x^2 + 1 + i = x*x + (1+i)).  qp_evaluate
+        divides by x - a, whose lc is 1, so a point a of norm 0 gives
+        its value sum c_m a^m."""
+        A = QuaternionAlgebra.unchecked(1, 1)
+        lc = A.one() + A.i
+        x = QPoly.x(A)
+        p = QPoly(A, [A.scalar(3), A.zero(), A.one()])
+        d = QPoly(A, [A.scalar(2), lc])
+        for divide, args in ((qpoly._right_rem, (p, d)),
+                             (qp_gcrd, (x * x + lc, x))):
+            with pytest.raises(ZeroDivisorEncountered) as ei:
+                divide(*args)
+            assert ei.value.witness == lc
+        assert lc.norm() == 0
+        assert qp_evaluate(p, lc) == A.scalar(3) + lc * lc
+
 
 class TestRootsAndRightFactors:
     def test_root_iff_right_linear_factor(self):
