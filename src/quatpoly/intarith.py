@@ -92,13 +92,6 @@ def factorint(n):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # more trial division before handing over to rho
-    p = 41
-    while p * p <= n and p < 100000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
     rng = random.Random(0xC0FFEE)
     stack = [n] if n > 1 else []
     while stack:

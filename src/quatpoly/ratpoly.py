@@ -25,10 +25,10 @@ the probes x + c, whose (p^d-1)/2 powers are (p-1)/2 powers of products
 of the Frobenius powers distinct-degree splitting has computed, and by
 Cantor-Zassenhaus random splitting when no probe splits; Hensel
 lifting, where each root is lifted by scalar Newton steps and divided
-out, and only the nonlinear factors go through quadratic lifting along a
-factor tree; and recombination of subsets of the lifted factors by
-integer trial division, which stops at the first non-integral quotient
-coefficient.
+out, and only the nonlinear factors go through one multifactor quadratic
+lift, which lifts them all together with one inverse of f' mod f; and
+recombination of subsets of the lifted factors by integer trial
+division, which stops at the first non-integral quotient coefficient.
 The lift first goes to a working precision p^k > 2^16 and keeps what
 recombination finds when each factor is proved irreducible by its own
 Mignotte bound; each piece left unproved is then factored alone, from
@@ -530,64 +530,51 @@ def _mignotte_bound(f_int):
     return 2 ** n * norm2 * abs(f_int[-1])
 
 
-def _lift_quadratic(f, g, h, p, k):
-    """Lift f = g*h (mod p) to (mod p^k); g stays monic.  f, g, h int lists.
-
-    Quadratic Hensel steps (von zur Gathen & Gerhard, Modern Computer
-    Algebra, Alg. 15.10), each from modulus m to min(m^2, p^k), with the
-    Bezout pair s*g + t*h = 1 lifted alongside.  Z/m is GF(m) of dense.py,
-    which is sound here because the only divisor, g, is monic.
-    """
-    _, s, t = dense.xgcd(g, h, GF(p))
-    top = p ** k
-    f = [c % top for c in f]
-    m = p
-    while m < top:
-        m = min(m * m, top)
-        R = GF(m)
-        e = dense.sub([c % m for c in f], dense.mul(g, h, R), R)
-        q, r = dense.divmod(dense.mul(t, e, R), g, R)
-        g2 = dense.add(g, r, R)
-        dh = dense.add(dense.mul(s, e, R), dense.mul(q, h, R), R)
-        h2 = dense.add(h, dh, R)
-        if m < top:
-            b = dense.add(dense.mul(s, g2, R), dense.mul(t, h2, R), R)
-            b = dense.sub(b, [1], R)
-            c, d = dense.divmod(dense.mul(t, b, R), g2, R)
-            t = dense.sub(t, d, R)
-            ds = dense.add(dense.mul(s, b, R), dense.mul(c, h2, R), R)
-            s = dense.sub(s, ds, R)
-        g, h = g2, h2
-    return g, h
-
-
 def _lift_list(f, factors, p, k):
     """Given f = lc(f) * prod(factors) mod p (factors monic, coprime),
     return monic lifts mod p^k with f = lc * prod mod p^k.
 
-    A factor tree (von zur Gathen & Gerhard, Alg. 15.17): the factors
-    split into two runs of about equal total degree, the pair of run
-    products is lifted, and each run recurses with its lifted product as
-    f.  Monic lifts mod p^k are unique, so the lifts do not depend on the
-    shape of the tree."""
+    Multifactor quadratic Hensel lifting (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 15.5): all factors at once, each step from
+    modulus m to M = min(m^2, p^k).  With e = (f - lc * prod)/m mod M/m
+    and u = 1/f' mod f, each factor g gains m * (g' u e mod g): f' is lc
+    times g' times the other factors mod g, so g' u inverts lc times the
+    other factors mod g.  u is lifted by Newton's step u(2 - u f').  f is
+    squarefree mod p, so u exists; monic lifts mod p^k are unique.  Z/M
+    is GF(M) of dense.py, which is sound here because every divisor, f or
+    a monic g, has a unit lc."""
+    top = p ** k
     if len(factors) == 1:
-        m = p ** k
-        inv = pow(f[-1], -1, m)
-        return [dense.trim([c * inv % m for c in f])]
-    F = GF(p)
-    total = sum(len(q) - 1 for q in factors)
-    s, left = 0, 0
-    while s < len(factors) - 1 and 2 * left < total:
-        left += len(factors[s]) - 1
-        s += 1
-    g, h = [1], [f[-1] % p]
-    for q in factors[:s]:
-        g = dense.mul(g, q, F)
-    for q in factors[s:]:
-        h = dense.mul(h, q, F)
-    g2, h2 = _lift_quadratic(f, g, h, p, k)
-    return (_lift_list(g2, factors[:s], p, k)
-            + _lift_list(h2, factors[s:], p, k))
+        inv = pow(f[-1], -1, top)
+        return [dense.trim([c * inv % top for c in f])]
+    df = dense.derivative(f, ZZ)
+    _, u, _ = dense.xgcd(dense.trim([c % p for c in df]),
+                         [c % p for c in f], GF(p))
+    m = p
+    while m < top:
+        M = min(m * m, top)
+        Q = M // m
+        R, S = GF(Q), GF(M)
+        fM = [c % M for c in f]
+        prod = [fM[-1]]
+        for g in factors:
+            prod = dense.mul(prod, g, S)
+        e = [c // m for c in dense.sub(fM, prod, S)]
+        w = dense.rem(dense.mul(dense.trim([c % Q for c in u]), e, R),
+                      [c % Q for c in f], R)
+        lifted = []
+        for g in factors:
+            gQ = [c % Q for c in g]
+            d = dense.rem(dense.mul(dense.derivative(gQ, R),
+                                    dense.rem(w, gQ, R), R), gQ, R)
+            lifted.append(dense.add(g, [m * c for c in d], ZZ))
+        factors = lifted
+        if M < top:
+            t = dense.mul(u, dense.trim([c % M for c in df]), S)
+            t = dense.sub([2], dense.rem(t, fM, S), S)
+            u = dense.rem(dense.mul(u, t, S), fM, S)
+        m = M
+    return factors
 
 
 def _lift_root(f, r, p, k):
@@ -751,9 +738,9 @@ def _lift_and_recombine(f, modular, p, bound):
 
     Each linear factor x - r is a simple root r of f mod p: _lift_root
     lifts it, and f mod m is divided by each lifted x - r.  Only the
-    nonlinear factors go to _lift_list, against what is left of f.  Monic
-    lifts mod m are unique, so these are the lifts _lift_list would give
-    for all of them, in the same order."""
+    nonlinear factors go to _lift_list's one multifactor lift, against
+    what is left of f.  Monic lifts mod m are unique, so these are the
+    lifts _lift_list would give for all of them, in the same order."""
     k, m = 1, p
     while m <= bound:
         k, m = k + 1, m * p

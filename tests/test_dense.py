@@ -242,7 +242,7 @@ def test_no_module_imports_a_name_it_never_uses():
 # they avoid
 _INTEGER_STEPS = ("_good_prime", "gfp_factor_squarefree", "_edf",
                   "_probe_split", "_random_split", "_lift_root",
-                  "_lift_quadratic", "_lift_list", "_exact_quotient",
+                  "_lift_list", "_exact_quotient",
                   "_recombine", "_proves_irreducible", "_lift_and_recombine",
                   "_factor_squarefree_int", "_heu_gcd", "_primitive_gcd",
                   "_squarefree_int", "_pseudo_rem", "_pseudo_divmod", "_quo",

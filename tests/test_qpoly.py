@@ -71,6 +71,37 @@ class TestArithmetic:
                 assert qp_norm(p * q) == qp_norm(p) * qp_norm(q)
                 assert qp_conj(p * q) == qp_conj(q) * qp_conj(p)
 
+    def test_reflected_operands(self):
+        """Quaternion * QPoly, number * QPoly and number - QPoly, against
+        coefficient-by-coefficient Quaternion arithmetic."""
+        rng = random.Random(44)
+        for A in (H, H13, HQ):
+            for _ in range(40):
+                p = rnd_frac_poly(rng, A, rng.randint(0, 4))
+                a = rnd_q(rng, A)
+                n = len(p.coeffs)
+                assert a * p == QPoly(A, [a * c for c in p.coeffs])
+                assert a * p == QPoly(A, [a]) * p
+                for c in (3, -2, Fr(2, 7), a):
+                    assert c * p == QPoly(A, [c * q for q in p.coeffs])
+                    assert c - p == QPoly(A, [(c if m == 0 else 0) - p[m]
+                                              for m in range(n)])
+                    assert (c - p) + p == QPoly(A, [c * A.one()])
+
+    def test_equality_with_a_constant(self):
+        rng = random.Random(45)
+        for A in (H, H13, HQ):
+            for _ in range(20):
+                a = rnd_q(rng, A)
+                assert QPoly(A, [a]) == a
+                assert QPoly(A, [a]) != a + A.i
+                assert QPoly(A, [a, A.one()]) != a
+            assert QPoly(A, [A.element([3, 0, 0, 0])]) == 3
+            assert QPoly(A, [A.element([Fr(-2, 3), 0, 0, 0])]) == Fr(-2, 3)
+            assert QPoly(A, [A.element([3, 1, 0, 0])]) != 3
+            assert QPoly(A, []) == 0 and QPoly(A, []) == A.zero()
+            assert QPoly(A, []) != 1 and QPoly.x(A) != 0
+
     def test_evaluate_is_right_remainder(self):
         rng = random.Random(43)
         for _ in range(200):

@@ -684,6 +684,20 @@ class TestFactorint:
             want = {p: 2} if p == q else {p: 1, q: 1}
             assert intarith.factorint(-p * q) == want
 
+    def test_prime_powers_and_repeated_primes(self):
+        """Primes above the trial divisors, squared, cubed and mixed, and
+        100 products of two primes of 3 to 5 digits."""
+        cases = {41 ** 2: {41: 2}, 97 ** 3: {97: 3}, 99991 ** 2: {99991: 2},
+                 41 ** 2 * 43: {41: 2, 43: 1},
+                 2 ** 5 * 41 ** 3 * 99991: {2: 5, 41: 3, 99991: 1}}
+        rng = random.Random(2030)
+        for _ in range(100):
+            p = self.prime(rng, rng.randint(3, 5))
+            q = self.prime(rng, rng.randint(3, 5))
+            cases[p * q] = {p: 2} if p == q else {p: 1, q: 1}
+        for n, want in cases.items():
+            assert intarith.factorint(n) == want, n
+
 
 class TestCrt:
     def test_combines_coprime_residues(self):

@@ -134,6 +134,53 @@ class TestInverses:
         assert (w * w.conj()).is_zero
 
 
+class TestOperators:
+    """Powers, division and subtraction from a number, each against the
+    product, inverse or negation it stands for."""
+
+    def test_powers(self):
+        rng = random.Random(37)
+        for A in (H, H13, H25):
+            for _ in range(30):
+                a = rnd_q(rng, A)
+                if a.is_zero:
+                    continue
+                inv = q_inv(a)
+                assert a ** 0 == A.one()
+                assert a ** 1 == a and a ** 3 == a * a * a
+                assert a ** -1 == inv and a * a ** -1 == A.one()
+                assert a ** -2 == inv * inv
+                assert a ** -3 * (a * a * a) == A.one()
+        with pytest.raises(DivisionByZero):
+            H.zero() ** -1
+
+    def test_division(self):
+        rng = random.Random(38)
+        for A in (H, H13, H25):
+            for _ in range(30):
+                a, b = rnd_q(rng, A), rnd_q(rng, A)
+                if b.is_zero:
+                    continue
+                assert (a / b) * b == a
+                assert a / b == a * q_inv(b)
+                assert a / 3 == A.element([c / 3 for c in a.coords])
+                assert a / Fr(2, 5) * Fr(2, 5) == a
+        with pytest.raises(DivisionByZero):
+            H.one() / H.zero()
+        with pytest.raises(DivisionByZero):
+            H.one() / 0
+
+    def test_subtraction_from_a_number(self):
+        rng = random.Random(39)
+        for A in (H, H13, H25):
+            for _ in range(30):
+                a = rnd_q(rng, A)
+                t, x, y, z = a.coords
+                for c in (0, 5, -2, Fr(1, 2)):
+                    assert c - a == A.element([c - t, -x, -y, -z])
+                    assert (c - a) + a == A.element([c, 0, 0, 0])
+
+
 class TestCharPoly:
     """The characteristic polynomial x^2 - Tr(a) x + N(a), read off trace
     and norm."""

@@ -446,6 +446,17 @@ def lift_list_reference(f, factors, p, k):
     return [g2] + lift_list_reference(h2, factors[1:], p, k)
 
 
+def eisenstein_quartic(rng, digits):
+    """A quartic with coefficients of about `digits` digits, irreducible
+    over Q by Eisenstein's criterion at 2: odd lc, even lower
+    coefficients, constant term 2 mod 4."""
+    h = 10 ** digits
+    g = [2 * rng.randrange(h // 2, h) for _ in range(3)]
+    g = [4 * rng.randrange(h // 4, h // 2) + 2] + g
+    g = [c if rng.random() < 0.5 else -c for c in g]
+    return g + [2 * rng.randrange(h // 4) + 1 if rng.random() < 0.5 else 1]
+
+
 def rnd_squarefree_int(rng, deg, height=30, lc=None):
     while True:
         f = [rng.randint(-height, height) for _ in range(deg)]
@@ -534,27 +545,36 @@ class TestIntegerZassenhaus:
                 assert _lift_list(f, modular, p, k) == \
                     lift_list_reference(f, modular, p, k)
             cases += 1
-
-    def test_tree_lift_splits_by_degree(self, monkeypatch):
-        """Eight modular quadratics: the first pair lifted is two products
-        of four, where a chain would start with one quadratic."""
-        p = 101
+        # eight pairwise coprime quadratics x^2 + c mod 101, at k = 5
         quads = [[c, 0, 1] for c in (1, 2, 3, 5, 7, 11, 13, 17)]
         f = [1]
         for q in quads:
             f = dense.mul(f, q, ZZ)
-        calls = []
-        lift = ratpoly._lift_quadratic
+        assert _lift_list(f, quads, 101, 5) == \
+            lift_list_reference(f, quads, 101, 5)
 
-        def spy(f, g, h, p, k):
-            calls.append(len(g) - 1)
-            return lift(f, g, h, p, k)
-
-        monkeypatch.setattr(ratpoly, "_lift_quadratic", spy)
-        got = _lift_list(f, quads, p, 5)
-        assert calls[0] == 8 and len(calls) == 7
-        monkeypatch.undo()
-        assert got == lift_list_reference(f, quads, p, 5)
+    def test_lift_matches_chain_at_high_precision(self):
+        """Products of 4-8 irreducible quartics with 15-50 digit
+        coefficients, lifted above twice their Mignotte bound at the
+        prime rp_factor would pick: k up to 386 and up to 19 factors."""
+        rng = random.Random(77)
+        shapes = []
+        for n, digits in ((4, 50), (6, 30), (8, 15), (5, 40)):
+            f = [1]
+            for _ in range(n):
+                f = dense.mul(f, eisenstein_quartic(rng, digits), ZZ)
+            p = _good_prime(f)
+            fbar = dense.monic([c % p for c in f], GF(p))
+            modular = sorted(gfp_factor_squarefree(fbar, p),
+                             key=lambda g: (len(g), g))
+            k = 1
+            while p ** k <= 2 * _mignotte_bound(f):
+                k += 1
+            assert _lift_list(f, modular, p, k) == \
+                lift_list_reference(f, modular, p, k), (f, p, k)
+            shapes.append((k, len(modular)))
+        assert max(k for k, _ in shapes) > 380
+        assert max(n for _, n in shapes) >= 16
 
     @staticmethod
     def check(p):
@@ -689,7 +709,7 @@ def rnd_with_roots(rng, roots, nonlinear, lc):
 class TestRootPath:
     """Linear modular factors as roots: found by evaluation below
     _ROOT_SEARCH_BOUND, lifted by Newton steps and divided out, with only
-    the nonlinear factors on the factor tree."""
+    the nonlinear factors on the multifactor lift."""
 
     @staticmethod
     def lifts(f, modular, p, k, monkeypatch):
@@ -736,16 +756,17 @@ class TestRootPath:
         assert {(True, True), (True, False)} <= shapes
 
     def test_tree_lift_sees_only_nonlinear_factors(self, monkeypatch):
-        """Eight roots: no quadratic lift at all.  Four roots and three
-        quadratics: every pair lifted is a product of the quadratics."""
+        """Eight roots: _lift_list is never called.  Four roots and three
+        quadratics: it is called once, with exactly the nonlinear modular
+        factors, none of which has a root mod p."""
         calls = []
-        lift = ratpoly._lift_quadratic
+        lift = ratpoly._lift_list
 
-        def spy(f, g, h, p, k):
-            calls.append((g, h, p))
-            return lift(f, g, h, p, k)
+        def spy(f, factors, p, k):
+            calls.append((factors, p))
+            return lift(f, factors, p, k)
 
-        monkeypatch.setattr(ratpoly, "_lift_quadratic", spy)
+        monkeypatch.setattr(ratpoly, "_lift_list", spy)
         linears = [1]
         for a in (-7, -3, -1, 0, 2, 5, 6, 11):
             linears = dense.mul(linears, [-a, 1], ZZ)
@@ -766,13 +787,11 @@ class TestRootPath:
         degrees = sorted(len(q) - 1 for q in modular)
         assert degrees.count(1) >= 4 and degrees.count(2) >= 2
         assert len(TestIntegerZassenhaus.check(from_int_list(mixed))) == 7
-        assert calls
-        g0, h0, _ = calls[0]
-        assert len(g0) + len(h0) - 2 == sum(d for d in degrees if d > 1)
-        for g, h, p in calls:
-            for q in (g, h):
-                assert all(dense.evaluate(q, r, GF(p))
-                           for r in range(p)), (q, p)
+        nonlinear = sorted(q for q in modular if len(q) > 2)
+        assert [(sorted(factors), q) for factors, q in calls] == \
+            [(nonlinear, p)]
+        for q in nonlinear:
+            assert all(dense.evaluate(q, r, GF(p)) for r in range(p)), q
 
     def test_evaluation_finds_the_random_splitting_factors(self,
                                                            monkeypatch):
