@@ -11,7 +11,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (InternalInvariantViolation, InvalidCertificate,
                      PolyParseError, QuatpolyError, SearchExhausted,
@@ -19,7 +18,7 @@ from .errors import (InternalInvariantViolation, InvalidCertificate,
 from .parser import parse_poly
 from .qpoly import (QPoly, beck_decompose, factor, is_irreducible,
                     qp_evaluate, qp_gcrd, roots)
-from .quadform import ZeroDivisorCertificate, fr_str
+from .quadform import ZeroDivisorCertificate, fr_parse, fr_str
 from .quatalg import QuaternionAlgebra
 
 EXIT_OK = 0
@@ -31,9 +30,9 @@ EXIT_INTERNAL = 4
 
 def _fr(s):
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("not a rational number: %r" % s)
+        return fr_parse(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _trials(s):

@@ -22,12 +22,15 @@ no quotient built, to the callers that read only the remainder (gcd,
 powmod, the modular factoring of ratpoly and maxorder).  The routines are
 the textbook ones (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 2-3).
+
+RingElement, beside power, is the shared base of RatPoly, NFElement,
+Quaternion and QPoly: -, the reflected operands, **, /, == and hash.
 """
 
 import operator
 from collections import namedtuple
 
-from .errors import DegenerateInput, DivisionByZero
+from .errors import AlgebraMismatch, DegenerateInput, DivisionByZero
 
 Field = namedtuple("Field", "zero one red inv")
 
@@ -162,6 +165,56 @@ def power(a, n, one, mul=operator.mul):
         if n:
             a = mul(a, a)
     return out
+
+
+class RingElement:
+    """The operators of RatPoly, NFElement, Quaternion and QPoly that
+    follow from their primitives, written once.  A subclass defines
+    _coerce(other), other as an element of self's parent for an int, a
+    Fraction or a value of a type the class embeds, None for any other
+    type, raising AlgebraMismatch or DegenerateInput for a value of
+    another parent; __add__, __neg__ and __mul__; and _key(), a
+    canonical key.  A type with inv() divides by the inverse; the
+    others have no /.
+
+    Equality coerces the other operand and compares keys: values of
+    different parents are unequal, and it never raises.  The key of a
+    value equal to a rational is that int or Fraction, so the value
+    hashes as that rational."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self
+
+    def __truediv__(self, other):
+        other = self._coerce(other) if hasattr(self, "inv") else None
+        return NotImplemented if other is None else self * other.inv()
+
+    def __pow__(self, n):
+        return power(self, n, self._coerce(1))
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except (AlgebraMismatch, DegenerateInput):
+            return False
+        return NotImplemented if other is None else self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def powmod(f, e, m, F):

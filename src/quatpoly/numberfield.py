@@ -236,9 +236,10 @@ def _element(L, poly):
     return out
 
 
-class NFElement:
+class NFElement(dense.RingElement):
     """An element of L: a RatPoly poly in theta of degree below L.degree;
-    coords builds its padded Fraction coordinates on access."""
+    coords builds its padded Fraction coordinates on access.  -, the
+    reflected operands, **, /, == and hash come from dense.RingElement."""
 
     __slots__ = ("parent", "poly")
 
@@ -270,14 +271,8 @@ class NFElement:
             return self.parent.from_rational(other)
         return None
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.parent.minpoly, self.poly))
+    def _key(self):
+        return self.poly._key()
 
     def __neg__(self):
         return _element(self.parent, -self.poly)
@@ -288,25 +283,12 @@ class NFElement:
             return NotImplemented
         return _element(self.parent, self.poly + other.poly)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _element(self.parent, self.poly - other.poly)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         L = self.parent
         return _element(L, self.poly * other.poly % L.minpoly)
-
-    __rmul__ = __mul__
 
     def inv(self):
         """Euclid on the minimal polynomial and poly ends in a constant g
@@ -322,15 +304,6 @@ class NFElement:
         if r0.degree != 0:
             raise InternalInvariantViolation("minpoly not irreducible?")
         return _element(L, s0 * (1 / r0[0]))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, n):
-        return dense.power(self, n, self.parent.one())
 
     def __repr__(self):
         return "NF(%s)" % (self.poly,)

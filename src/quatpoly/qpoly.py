@@ -53,12 +53,13 @@ def _quaternion(A, den, a):
     return make_quaternion(A, tuple([Fraction(c, den) for c in a]))
 
 
-class QPoly:
+class QPoly(dense.RingElement):
     """Polynomial over a quaternion algebra, ascending degree.  It holds
     integer coordinate 4-tuples num over one positive denominator den,
     with gcd(den, every entry) = 1 and num trimmed, so equal polynomials
     have equal (den, num); the Quaternion coefficients are built on
-    access."""
+    access.  -, the reflected operands, **, == and hash come from
+    dense.RingElement; it has no /."""
 
     __slots__ = ("parent", "den", "num")
 
@@ -157,20 +158,9 @@ class QPoly:
         return _make(self.parent, den, cp_add(cp_scale(den // dp, self.num),
                                               cp_scale(den // dq, other.num)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _make(self.parent, self.den,
                      [(-t, -x, -y, -z) for t, x, y, z in self.num])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -180,23 +170,14 @@ class QPoly:
         return _make(A, self.den * other.den,
                      cp_mul(*kernel_ab(A), self.num, other.num))
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n):
-        return dense.power(self, n, _make(self.parent, 1, [(1, 0, 0, 0)]))
-
-    def __eq__(self, other):
-        if isinstance(other, (Quaternion, int, Fraction, RatPoly)):
-            other = self._coerce(other)
-        return (isinstance(other, QPoly) and self.parent == other.parent
-                and self.den == other.den and self.num == other.num)
-
-    def __hash__(self):
-        return hash((self.parent, self.den, self.num))
+    def _key(self):
+        """(den, num); a central polynomial's is its RatPoly's, and a
+        constant's its Quaternion's."""
+        if self.is_central:
+            return from_int_list([a[0] for a in self.num], self.den)._key()
+        if len(self.num) == 1:
+            return self.lc._key()
+        return self.den, self.num
 
     def monic(self):
         """lc^-1 * self (left normalization): conj(lc) * self / N(lc) on

@@ -20,6 +20,7 @@ screened candidates are tried in turn.  Everything is exact.
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 from . import dense
@@ -273,11 +274,18 @@ def fr_str(q, den=1):
     return "%d/%d" % (n // g, d // g)
 
 
-def _fr_parse(s):
-    if "/" in s:
-        n, d = s.split("/")
-        return Fr(int(n), int(d))
-    return Fr(int(s))
+_FR_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def fr_parse(s):
+    """The rational in the string s, as fr_str writes it: ASCII
+    -?[0-9]+(/[0-9]+)? with a nonzero denominator.  The one reader of
+    rationals in flags and certificates; ValueError for any other
+    string."""
+    m = _FR_TEXT.fullmatch(s)
+    if m is None or m[2] is not None and not int(m[2]):
+        raise ValueError("not a rational number: %r" % (s,))
+    return Fr(int(m[1]), int(m[2] or 1))
 
 
 class ZeroDivisorCertificate:
@@ -320,11 +328,11 @@ class ZeroDivisorCertificate:
             coeffs = data[key]
             if not isinstance(coeffs, list):
                 raise TypeError("%s must be a list of coefficients" % key)
-            return RatPoly([_fr_parse(s) for s in coeffs])
+            return RatPoly([fr_parse(s) for s in coeffs])
 
         try:
-            alpha = _fr_parse(data["alpha"])
-            beta = _fr_parse(data["beta"])
+            alpha = fr_parse(data["alpha"])
+            beta = fr_parse(data["beta"])
             minpoly = poly("minpoly")
             q = [poly("q%d" % i) for i in range(4)]
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:

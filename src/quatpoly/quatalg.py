@@ -69,8 +69,10 @@ class QuaternionAlgebra:
         return "QuaternionAlgebra(%s, %s)" % (self.alpha, self.beta)
 
 
-class Quaternion:
-    """t + x i + y j + z k with rational coordinates."""
+class Quaternion(dense.RingElement):
+    """t + x i + y j + z k with rational coordinates.  -, the reflected
+    operands, /, == and hash come from dense.RingElement, and so do the
+    powers, where a negative one is a power of q_inv(self)."""
 
     __slots__ = ("parent", "coords")
 
@@ -114,19 +116,8 @@ class Quaternion:
         return make_quaternion(self.parent, tuple(
             [a + b for a, b in zip(self.coords, other.coords)]))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return make_quaternion(self.parent, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -136,32 +127,15 @@ class Quaternion:
         return make_quaternion(A, coord_mul(A.alpha, A.beta, self.coords,
                                             other.coords))
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
     def __pow__(self, n):
-        if n < 0:
-            return q_inv(self) ** (-n)
-        return dense.power(self, n, self.parent.one())
+        return q_inv(self) ** -n if n < 0 else super().__pow__(n)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * q_inv(other)
+    def inv(self):
+        return q_inv(self)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Quaternion(self.parent, (other, 0, 0, 0))
-        return (isinstance(other, Quaternion)
-                and self.parent == other.parent
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.parent, self.coords))
+    def _key(self):
+        """coords; a central element's is its rational value."""
+        return self.coords[0] if self.is_central else self.coords
 
     # -- involution, norm, trace ------------------------------------------
     def conj(self):

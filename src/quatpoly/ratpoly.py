@@ -82,18 +82,12 @@ def from_int_list(ic, den=1):
     return out
 
 
-def _rational(other):
-    """other as a RatPoly, for a RatPoly, an int or a Fraction; else None."""
-    if isinstance(other, (int, Fraction)):
-        return from_int_list([other])
-    return other if isinstance(other, RatPoly) else None
-
-
-class RatPoly:
+class RatPoly(dense.RingElement):
     """A polynomial over Q, ascending degree.  It holds an integer tuple
     num over one positive denominator den, with gcd(den, every entry) = 1
     and num trimmed, so equal polynomials have equal (den, num); the
-    Fraction coefficients are built on access."""
+    Fraction coefficients are built on access.  -, the reflected
+    operands, **, == and hash come from dense.RingElement; it has no /."""
 
     __slots__ = ("den", "num")
 
@@ -130,13 +124,19 @@ class RatPoly:
     def __getitem__(self, i):
         return Fr(self.num[i], self.den) if 0 <= i < len(self.num) else Fr(0)
 
-    def __eq__(self, other):
-        other = _rational(other)
-        return NotImplemented if other is None else (
-            self.den == other.den and self.num == other.num)
+    def _coerce(self, other):
+        """other as a RatPoly, for a RatPoly, an int or a Fraction; else
+        None."""
+        if isinstance(other, (int, Fraction)):
+            return from_int_list([other])
+        return other if isinstance(other, RatPoly) else None
 
-    def __hash__(self):
-        return hash((self.den, self.num))
+    def _key(self):
+        """(den, num); a constant's is its value, an int or Fraction."""
+        num = self.num
+        if len(num) > 1:
+            return self.den, num
+        return Fr(num[0], self.den) if num else 0
 
     def __bool__(self):
         return bool(self.num)
@@ -145,38 +145,24 @@ class RatPoly:
         return from_int_list([-c for c in self.num], self.den)
 
     def __add__(self, other):
-        other = _rational(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return from_int_list(dense.add(dense.scale(self.num, other.den, ZZ),
                                        dense.scale(other.num, self.den, ZZ),
                                        ZZ), self.den * other.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _rational(other)
-        return NotImplemented if other is None else self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = _rational(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return from_int_list(dense.mul(self.num, other.num, ZZ),
                              self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return dense.power(self, n, RatPoly.const(1))
-
     def __divmod__(self, other):
         """On the integers: s*f = q*g + r for the numerators f, g of self
         and other, so self = (q*dg / (s*df)) * other + r / (s*df)."""
-        other = _rational(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
@@ -188,7 +174,7 @@ class RatPoly:
 
     def __mod__(self, other):
         """The r / (s*df) of __divmod__, from the remainder alone."""
-        other = _rational(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
@@ -406,8 +392,11 @@ def squarefree_decomposition(p):
 # (p-1)/2 powmod.  The bound was timed against random splitting alone, on
 # 2 to 8 roots mod p: evaluation is 2.4 to 20 times faster at every prime
 # below 64; for two roots it breaks even between 191 and 383, for three or
-# more it is still faster at 383.  The probes now come first from 64 on,
-# and where evaluation and the probes cross over is unmeasured.  On the
+# more it is still faster at 383.  The probes now come first from 64 on.
+# Below 64 the probes alone were slower: on the 291 gfp_factor_squarefree
+# calls of one seed-1 batch per bench/ workload (primes 3 to 19), 0.0352 s
+# with evaluation against 0.0398 s with probes alone, 13% more, for the
+# same factors; no prime of 64 or more was in that timing.  On the
 # three workloads of bench/, every prime gfp_factor_squarefree is called
 # with is at most 29.
 _ROOT_SEARCH_BOUND = 64

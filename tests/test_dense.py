@@ -1,6 +1,7 @@
 """The shared dense-polynomial core over Q, GF(p) and a number field."""
 
 import ast
+import importlib
 import pathlib
 import random
 from fractions import Fraction as Fr
@@ -11,7 +12,9 @@ import quatpoly
 from quatpoly import dense
 from quatpoly.errors import DegenerateInput, DivisionByZero
 from quatpoly.numberfield import NumberField
-from quatpoly.ratpoly import from_int_list
+from quatpoly.qpoly import QPoly
+from quatpoly.quatalg import QuaternionAlgebra
+from quatpoly.ratpoly import RatPoly, from_int_list
 from test_folds import QQ
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
@@ -285,12 +288,13 @@ _QUATERNION_NAMES = {"Fr", "Fraction", "Quaternion", "make_quaternion",
                      "q_inv", "coeffs", "cp_unscale"}
 # RatPoly's arithmetic and the gcd, squarefree and factoring entries, and
 # the Fraction names and coefficient reads they avoid
-_RATPOLY_STEPS = ("RatPoly.__add__", "RatPoly.__sub__", "RatPoly.__neg__",
-                  "RatPoly.__mul__", "RatPoly.__divmod__", "RatPoly.__mod__",
-                  "RatPoly.monic",
+_RATPOLY_STEPS = ("RatPoly.__add__", "RatPoly.__neg__", "RatPoly.__mul__",
+                  "RatPoly.__divmod__", "RatPoly.__mod__", "RatPoly.monic",
                   "RatPoly.derivative", "RatPoly.primitive_int", "rp_gcd",
                   "squarefree_decomposition", "rp_factor")
 _FRACTION_NAMES = {"Fr", "QQ"}
+# the subtraction that RatPoly and NFElement take from dense.RingElement
+_SHARED_STEPS = ("RingElement.__sub__",)
 # the recursive descent of the parser and the names it avoids
 _PARSER_STEPS = ("_expr", "_term", "_factor", "_atom")
 _PARSER_NAMES = {"QPoly", "Quaternion", "make_quaternion", "Fraction", "Fr"}
@@ -398,14 +402,16 @@ def test_ratpoly_arithmetic_stays_on_integers():
     inside them shows here."""
     assert _names_named("ratpoly.py", _RATPOLY_STEPS, _FRACTION_NAMES,
                         {"coeffs"}) == []
+    assert _names_named("dense.py", _SHARED_STEPS, _FRACTION_NAMES,
+                        {"coeffs"}) == []
 
 
 # NFElement's arithmetic, the element constructor, the Trager norm and the
 # reduction mod p of the local square test, and the Fraction names and
 # coordinate or coefficient reads they avoid
-_NF_STEPS = ("NFElement.__add__", "NFElement.__sub__", "NFElement.__neg__",
-             "NFElement.__mul__", "NFElement.inv", "NumberField.element",
-             "nf_poly_norm", "_mod_p")
+_NF_STEPS = ("NFElement.__add__", "NFElement.__neg__", "NFElement.__mul__",
+             "NFElement.inv", "NumberField.element", "nf_poly_norm",
+             "_mod_p")
 _NF_NAMES = {"Fr", "Fraction", "QQ"}
 
 
@@ -416,6 +422,8 @@ def test_number_field_arithmetic_stays_on_ratpoly():
     coordinates or coefficients inside them shows here, and so does a
     Fraction field of dense.py that the library could fall back on."""
     assert _names_named("numberfield.py", _NF_STEPS, _NF_NAMES,
+                        {"coords", "coeffs"}) == []
+    assert _names_named("dense.py", _SHARED_STEPS, _NF_NAMES,
                         {"coords", "coeffs"}) == []
     assert not hasattr(dense, "QQ")
 
@@ -524,3 +532,77 @@ def test_quaternion_formulas_live_in_the_kernel():
     functions = _functions("quadform.py")
     for name in ("ZeroDivisorCertificate.norm_poly", "subfield_zero_divisor"):
         assert "coord_norm" in _identifiers(functions[name]), name
+
+
+# the operators every arithmetic type takes from dense.RingElement
+_SHARED_OPERATORS = ("__sub__", "__rsub__", "__rmul__", "__eq__", "__hash__")
+
+
+def _bound_in_body(cls):
+    """The names a class statement binds in its body."""
+    names = {node.name for node in cls.body
+             if isinstance(node, ast.FunctionDef)}
+    names.update(target.id for node in cls.body
+                 if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_arithmetic_types_share_one_operator_set():
+    """Every class of the library that defines __add__ derives from
+    dense.RingElement and takes -, the reflected operands, == and hash
+    from it: a class of its own rules for these shows here."""
+    src = pathlib.Path(quatpoly.__file__).parent
+    found, breaks = [], []
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module("quatpoly." + path.stem)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef)
+                    and "__add__" in _bound_in_body(node)):
+                continue
+            found.append(node.name)
+            cls = getattr(module, node.name)
+            breaks += ["%s defines %s" % (node.name, name)
+                       for name in _SHARED_OPERATORS
+                       if name in _bound_in_body(node)
+                       or getattr(cls, name)
+                       is not getattr(dense.RingElement, name)]
+    assert sorted(found) == ["NFElement", "QPoly", "Quaternion", "RatPoly"]
+    assert breaks == []
+
+
+def _contract_values():
+    """0, 3 and -1/2 in every type and parent that can hold them, and
+    values that are not rational: a polynomial, a central and a
+    non-central one, a non-scalar quaternion and a constant polynomial
+    that equals it."""
+    QS2 = NumberField(from_int_list([-2, 0, 1]))
+    H, H13 = QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3)
+    values = [0, 3]
+    for c in (0, 3, Fr(-1, 2)):
+        values += [Fr(c), RatPoly([c]), QI.from_rational(c),
+                   QS2.from_rational(c)]
+        for A in (H, H13):
+            values += [A.scalar(c), QPoly(A, [A.scalar(c)])]
+    p = RatPoly([1, Fr(2, 3)])
+    a = H.element([1, 2, 0, Fr(1, 2)])
+    values += [p, QPoly.from_ratpoly(H, p), QPoly(H, [a, H.one()]), a,
+               QPoly(H, [a]), QI.gen(), QS2.gen()]
+    return values
+
+
+def test_equality_is_symmetric_and_agrees_with_hash():
+    """For every pair, a == b is b == a and raises nothing, and equal
+    values hash alike: a constant as its rational, a central polynomial
+    as its RatPoly, a constant polynomial as its Quaternion."""
+    values = _contract_values()
+    for a in values:
+        for b in values:
+            assert (a == b) is (b == a), (a, b)
+            assert (a != b) is not (a == b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    p, central, _, a, constant = values[-7:-2]
+    assert p == central and central == p and hash(p) == hash(central)
+    assert a == constant and constant == a and hash(a) == hash(constant)
+    assert len({RatPoly([3]), 3, Fr(3)}) == 1

@@ -6,7 +6,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from quatpoly import dense, maxorder, numberfield
-from quatpoly.errors import DegenerateInput, PreconditionViolation
+from quatpoly.errors import (DegenerateInput, DivisionByZero,
+                             PreconditionViolation)
 from quatpoly.intarith import factorint
 from quatpoly.maxorder import (_component_split, disc_of_int_poly,
                                maximal_order, splitting_type)
@@ -63,6 +64,52 @@ class TestElementArithmetic:
         th = QI.gen()
         assert ((1 + th) ** 2) == th * 2
         assert (th / th).poly == 1
+
+
+class TestElementOperators:
+    """The operators of NFElement against coordinate arithmetic over Q or
+    the product and inverse they stand for."""
+
+    def test_operators_against_coordinates(self):
+        rng = random.Random(11)
+        for L in (QI, QS2, CUBIC, QUARTIC):
+            one = L.one()
+            for _ in range(20):
+                e = L.element([Fr(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(L.degree)])
+                t, *rest = e.coords
+                for c in (0, 5, -2, Fr(1, 2)):
+                    assert c - e == L.element([c - t] + [-a for a in rest])
+                    assert e - c == L.element([t - c] + rest)
+                    assert c * e == L.element([c * a for a in e.coords])
+                assert e ** 0 == one
+                assert e ** 1 == e
+                assert e ** 3 == e * e * e
+                assert e / 3 == L.element([a / 3 for a in e.coords])
+                f = L.element([rng.randint(-5, 5) for _ in range(L.degree)])
+                if f.is_zero:
+                    continue
+                assert e / f == e * f.inv()
+                assert (e / f) * f == e
+                assert ((e / f) * f).poly == e.poly
+
+    def test_operator_errors(self):
+        """Negative powers are DegenerateInput, a number over an element
+        is a TypeError, division by zero is DivisionByZero, and arithmetic
+        across fields is DegenerateInput."""
+        e = QI.gen() + 1
+        with pytest.raises(DegenerateInput):
+            e ** -1
+        for c in (1, Fr(1, 2)):
+            with pytest.raises(TypeError):
+                c / e
+        for zero in (0, QI.zero()):
+            with pytest.raises(DivisionByZero):
+                e / zero
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b):
+            with pytest.raises(DegenerateInput):
+                op(e, QS2.gen())
 
 
 class TestMaximalOrder:

@@ -19,6 +19,11 @@ from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
 README = Path(__file__).resolve().parents[1] / "README.md"
+# strings outside the grammar -?[0-9]+(/[0-9]+)? of rationals in flags and
+# certificate fields, among them each one that a reader once accepted
+NOT_RATIONAL = ["1.5", "1e3", " 1 ", "+1", "\u0661", " 1_0 /3",
+                "\u0661/\u0662", "1/0", "", "1/-2", "3\n"]
+
 # nested past the parser's limit of 100 levels
 DEEP = "(" * 1000 + "x" + ")" * 1000
 
@@ -318,6 +323,40 @@ class TestCli:
                     "--beta", "-1", "--certificate", str(path)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: malformed")
+
+    @pytest.mark.parametrize("text", NOT_RATIONAL)
+    def test_rational_flag_rejected(self, text, capsys):
+        code = run(["roots", "x^2 + 1", "--alpha", text, "--beta", "-1"])
+        assert code == EXIT_USAGE
+        assert "not a rational number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", NOT_RATIONAL)
+    def test_rational_certificate_field_rejected(self, tmp_path, capsys,
+                                                 text):
+        good = json.loads(Path(write_cert(tmp_path)).read_text())
+        path = tmp_path / "bad.json"
+        for key, value in (("alpha", text), ("q1", ["1/1", text])):
+            data = dict(good, **{key: value})
+            with pytest.raises(InvalidCertificate, match="not a rational"):
+                ZeroDivisorCertificate.from_dict(data)
+            path.write_text(json.dumps(data))
+            code = run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                        "--beta", "-1", "--certificate", str(path)])
+            assert code == EXIT_USAGE
+            assert "not a rational number" in capsys.readouterr().err
+
+    def test_rationals_in_the_grammar_accepted(self, tmp_path, capsys):
+        """Leading zeros, a minus sign and a fraction not in lowest terms
+        read as the rational they write, on both paths."""
+        code = run(["roots", "x^2 + 1", "--alpha", "-002/2", "--beta",
+                    "-03", "--json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["algebra"] == {"alpha": "-1/1", "beta": "-3/1"}
+        data = json.loads(Path(write_cert(tmp_path)).read_text())
+        data.update(alpha="-2/2", q3=["0106/2"])
+        cert = ZeroDivisorCertificate.from_dict(data)
+        assert cert.alpha == -1 and cert.q[3] == from_int_list([53])
 
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"not json"],
                              ids=["not-utf8", "not-json"])

@@ -4,8 +4,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform
-from quatpoly.errors import (DegenerateInput, DivisionByZero,
-                             PreconditionViolation, ZeroDivisorEncountered)
+from quatpoly.errors import (AlgebraMismatch, DegenerateInput,
+                             DivisionByZero, PreconditionViolation,
+                             ZeroDivisorEncountered)
 from quatpoly.numberfield import NumberField, nf_quadratic_subfields
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
@@ -101,6 +102,25 @@ class TestArithmetic:
             assert QPoly(A, [A.element([3, 1, 0, 0])]) != 3
             assert QPoly(A, []) == 0 and QPoly(A, []) == A.zero()
             assert QPoly(A, []) != 1 and QPoly.x(A) != 0
+
+    def test_operator_errors(self):
+        """A negative power is DegenerateInput, / is no QPoly operator, and
+        arithmetic across algebras is AlgebraMismatch, for QPoly and
+        Quaternion operands alike."""
+        p = P("x^2 + i")
+        with pytest.raises(DegenerateInput):
+            p ** -1
+        for c in (2, Fr(1, 2), H.i, p):
+            with pytest.raises(TypeError):
+                p / c
+        q = QPoly(H13, [H13.i, H13.one()])
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b):
+            for a, b in ((p, q), (p, H13.j), (H13.j, p), (H.i, H13.j)):
+                with pytest.raises(AlgebraMismatch):
+                    op(a, b)
+        with pytest.raises(AlgebraMismatch):
+            H.i / H13.j
 
     def test_evaluate_is_right_remainder(self):
         rng = random.Random(43)

@@ -136,6 +136,38 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             divmod(p, "x")
 
+    def test_operators_against_coefficients(self):
+        """Subtraction either way, a number times a polynomial and small
+        powers, each against coefficient-by-coefficient Fraction
+        arithmetic or the product it stands for."""
+        rng = random.Random(5)
+        for _ in range(60):
+            p = rnd_poly(rng, rng.randint(0, 5))
+            if rng.random() < 0.2:
+                p = RatPoly()
+            n = max(len(p.coeffs), 1)
+            for c in (0, 5, -2, Fr(1, 2)):
+                assert c - p == RatPoly([(c if m == 0 else 0) - p[m]
+                                         for m in range(n)])
+                assert p - c == RatPoly([p[m] - (c if m == 0 else 0)
+                                         for m in range(n)])
+                assert c * p == RatPoly([c * a for a in p.coeffs])
+            assert p ** 0 == RatPoly([1])
+            assert p ** 1 == p
+            assert p ** 3 == p * p * p
+
+    def test_operator_errors(self):
+        """A negative power is DegenerateInput; / is no RatPoly operator,
+        whatever the divisor."""
+        p = from_int_list([1, 2, 3])
+        with pytest.raises(DegenerateInput):
+            p ** -1
+        for c in (2, Fr(1, 2), p):
+            with pytest.raises(TypeError):
+                p / c
+        with pytest.raises(TypeError):
+            2 / p
+
     def test_gcd_properties(self):
         rng = random.Random(2)
         for _ in range(100):
