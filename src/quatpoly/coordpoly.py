@@ -10,10 +10,13 @@ al or be the outputs may hold Fractions, which qpoly clears.  Right
 division has one elimination loop, cp_pseudo_rem, which gives the
 remainder alone to the callers that need no quotient (the GCRD and
 evaluation); cp_pseudo_divmod collects the quotient from the terms that
-loop records.  Tuples are built from lists, not generators: a tuple
-grown from a generator is resized, and once freed it waits on the free
-list of its final length, which raised peak RSS by about 1.5 MB over a
-run of the benchmark.
+loop records.  On integer al and be, each pseudo-division step scales
+by N(lc D) over its gcd with the term it subtracts, so a division by a
+monic divisor over den, as the GCRD returns, scales by at most
+den^steps, not den^(2 steps).  Tuples are built from lists, not
+generators: a tuple grown from a generator is resized, and once freed
+it waits on the free list of its final length, which raised peak RSS
+by about 1.5 MB over a run of the benchmark.
 """
 
 import math
@@ -98,23 +101,31 @@ def cp_mul(al, be, P, Q):
 
 def cp_pseudo_rem(al, be, P, D, steps=None):
     """(s, R) with s*P = Q*D + R for a nonzero scalar s, some Q, deg R <
-    deg D and R trimmed.  With dl = lc(D), each step is R <- N(dl)*R -
-    c*x^m*D for c = lc(R)*conj(dl), which cancels lc(R) because
-    conj(dl)*dl = N(dl); integer tuples stay integers, and nothing is
-    scaled when N(dl) = 1.  When steps is a list, each step appends its
-    (m, c), the term c*x^m of Q as it stood when taken."""
+    deg D and R trimmed.  With dl = lc(D) and c = lc(R)*conj(dl), each
+    step is R <- k*R - c'*x^m*D for k = N(dl)/g and c' = c/g, which
+    cancels lc(R) because conj(dl)*dl = N(dl).  g is the gcd of N(dl)
+    and the coordinates of c on integer al and be, and 1 on rational
+    ones, whose c may hold Fractions; integer tuples stay integers, and
+    nothing is scaled when k = 1.  When steps is a list, each step
+    appends its (m, c', k): the term c'*x^m of Q as it stood when taken,
+    and the step's scale."""
     t, x, y, z = D[-1]
     n, dc = coord_norm(al, be, D[-1]), (t, -x, -y, -z)
+    whole = type(al) is int and type(be) is int
     s, R = 1, list(P)
     while len(R) >= len(D):
         m = len(R) - len(D)
         c = coord_mul(al, be, R.pop(), dc)
         if c == ZERO:
             continue
-        if n != 1:
-            s, R = n * s, cp_scale(n, R)
+        k = n
+        if whole and n != 1:
+            g = math.gcd(n, *c)
+            k, c = n // g, (c[0] // g, c[1] // g, c[2] // g, c[3] // g)
+        if k != 1:
+            s, R = k * s, cp_scale(k, R)
         if steps is not None:
-            steps.append((m, c))
+            steps.append((m, c, k))
         for l, d in enumerate(D[:-1]):
             r, e = R[m + l], coord_mul(al, be, c, d)
             R[m + l] = (r[0] - e[0], r[1] - e[1], r[2] - e[2], r[3] - e[3])
@@ -123,12 +134,13 @@ def cp_pseudo_rem(al, be, P, D, steps=None):
 
 def cp_pseudo_divmod(al, be, P, D):
     """(s, Q, R) with s*P = Q*D + R, the s and R of cp_pseudo_rem: each
-    term of Q is scaled by N(lc(D)) once for every later step."""
+    term of Q is scaled by the product of the scales of the later
+    steps."""
     steps = []
     s, R = cp_pseudo_rem(al, be, P, D, steps)
-    n, e = coord_norm(al, be, D[-1]), len(steps)
     Q = [ZERO] * max(len(P) - len(D) + 1, 0)
-    for m, c in steps:
-        e -= 1
-        Q[m] = cp_scale(n ** e, [c])[0]
+    later = 1
+    for m, c, k in reversed(steps):
+        Q[m] = (later * c[0], later * c[1], later * c[2], later * c[3])
+        later *= k
     return s, Q, R

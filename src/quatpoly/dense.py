@@ -19,9 +19,10 @@ Inner loops use only +, - and *; red and inv run once per output
 coefficient, so entries over GF(p) are reduced lazily.  divmod, rem and
 powmod share one elimination loop; rem gives the remainder alone, with
 no quotient built, to the callers that read only the remainder (gcd,
-powmod, the modular factoring of ratpoly and maxorder).  The routines are
-the textbook ones (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 2-3).
+powmod, the modular factoring of ratpoly and maxorder).  inverse is
+extended Euclid with one cofactor: the inverse of f' mod f that the
+Hensel lift of ratpoly needs.  The routines are the textbook ones (von
+zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
 
 RingElement, beside power, is the shared base of RatPoly, NFElement,
 Quaternion and QPoly: -, the reflected operands, **, /, == and hash.
@@ -131,26 +132,37 @@ def monic(f, F):
 
 
 def gcd(f, g, F):
-    """Monic gcd; [] when both inputs are zero."""
-    while g:
+    """Monic gcd; [] when both inputs are zero.  Euclid stops at a
+    nonzero constant remainder, where the gcd is 1, without dividing by
+    it."""
+    while len(g) > 1:
         f, g = g, rem(f, g, F)
-    return monic(f, F)
+    return [F.one] if g else monic(f, F)
 
 
-def xgcd(f, g, F):
-    """(h, s, t) with s*f + t*g = h = monic gcd(f, g)."""
-    r0, r1 = f, g
-    s0, s1 = [F.one], []
+def inverse(a, m, F):
+    """The u with u*a = 1 mod m, of degree below deg m >= 1.  Euclid runs
+    from (m, a) and carries a's cofactor alone, since m's is never read
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 3.2); each step
+    takes its quotient from the elimination loop, top term first, and
+    subtracts q times the cofactor in the same pass, reduced once.
+    Raises DegenerateInput when gcd(a, m) is not 1."""
+    red = F.red
+    r0, r1 = m, a
     t0, t1 = [], [F.one]
     while r1:
-        q, r = divmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, F), F)
-        t0, t1 = t1, sub(t0, mul(q, t1, F), F)
-    if not r0:
-        raise DegenerateInput("xgcd(0, 0) is undefined")
-    inv = F.inv(r0[-1])
-    return scale(r0, inv, F), scale(s0, inv, F), scale(t0, inv, F)
+        q = []
+        r = _reduce(list(r0), r1, red, F.inv(r1[-1]), q.append)
+        n = len(q) - 1
+        t = t0 + [F.zero] * (n + len(t1) - len(t0))
+        for i, c in enumerate(q):
+            if c:
+                for j, b in enumerate(t1, n - i):
+                    t[j] -= c * b
+        r0, r1, t0, t1 = r1, r, t1, trim([red(c) for c in t])
+    if len(r0) != 1:
+        raise DegenerateInput("no inverse: gcd(a, m) is not 1")
+    return scale(t0, F.inv(r0[0]), F)
 
 
 def power(a, n, one, mul=operator.mul):
@@ -202,6 +214,10 @@ class RingElement:
     def __truediv__(self, other):
         other = self._coerce(other) if hasattr(self, "inv") else None
         return NotImplemented if other is None else self * other.inv()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other) if hasattr(self, "inv") else None
+        return NotImplemented if other is None else other * self.inv()
 
     def __pow__(self, n):
         return power(self, n, self._coerce(1))

@@ -30,16 +30,34 @@ from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
 
 def _make(A, den, P, out=None):
     """The QPoly over A equal to P / den, for kernel output P (a list of
-    4-tuples, entries int or Fraction) and a nonzero rational den, in the
-    lowest terms from_int_list gives the flat list of coordinates, which
-    is cut back into 4-tuples.  out, when given, is the QPoly being
-    constructed."""
-    r = from_int_list([c for a in P for c in a], den)
+    4-tuples, entries int or Fraction) and a nonzero rational den, in
+    from_int_list's lowest terms: zero top tuples dropped, and den and
+    every entry divided by their gcd, signed so that den > 0.  When den
+    and every entry are ints, that is one gcd and a division tuple by
+    tuple; Fraction or bool data take from_int_list's clearing pass on
+    the flat list of coordinates, which is cut back into 4-tuples.  out,
+    when given, is the QPoly being constructed."""
+    flat = [c for a in P for c in a]
+    if type(den) is int and {*map(type, flat)} <= {int}:
+        g = math.gcd(den, *flat)
+        if den < 0:
+            g = -g
+        n = len(P)
+        while n and not any(P[n - 1]):
+            n -= 1
+        if g == 1:
+            num = tuple(P[:n])
+        else:
+            den, num = den // g, tuple([(t // g, x // g, y // g, z // g)
+                                        for t, x, y, z in P[:n]])
+    else:
+        r = from_int_list(flat, den)
+        den, num = r.den, tuple(list(zip_longest(*[iter(r.num)] * 4,
+                                                 fillvalue=0)))
     out = object.__new__(QPoly) if out is None else out
     object.__setattr__(out, "parent", A)
-    object.__setattr__(out, "den", r.den)
-    object.__setattr__(out, "num", tuple(list(
-        zip_longest(*[iter(r.num)] * 4, fillvalue=0))))
+    object.__setattr__(out, "den", den)
+    object.__setattr__(out, "num", num)
     return out
 
 

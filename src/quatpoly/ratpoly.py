@@ -26,7 +26,8 @@ of the Frobenius powers distinct-degree splitting has computed, and by
 Cantor-Zassenhaus random splitting when no probe splits; Hensel
 lifting, where each root is lifted by scalar Newton steps and divided
 out, and only the nonlinear factors go through one multifactor quadratic
-lift, which lifts them all together with one inverse of f' mod f; and
+lift, which lifts them all together with one inverse of f' mod f,
+from an extended Euclid over GF(p) that keeps a single cofactor; and
 recombination of subsets of the lifted factors by integer trial
 division, which stops at the first non-integral quotient coefficient.
 The lift first goes to a working precision p^k > 2^16 and keeps what
@@ -537,8 +538,8 @@ def _lift_list(f, factors, p, k):
         inv = pow(f[-1], -1, top)
         return [dense.trim([c * inv % top for c in f])]
     df = dense.derivative(f, ZZ)
-    _, u, _ = dense.xgcd(dense.trim([c % p for c in df]),
-                         [c % p for c in f], GF(p))
+    u = dense.inverse(dense.trim([c % p for c in df]), [c % p for c in f],
+                      GF(p))
     m = p
     while m < top:
         M = min(m * m, top)

@@ -15,7 +15,7 @@ from quatpoly.numberfield import NumberField
 from quatpoly.qpoly import QPoly
 from quatpoly.quatalg import QuaternionAlgebra
 from quatpoly.ratpoly import RatPoly, from_int_list
-from test_folds import QQ
+from test_folds import QQ, xgcd
 
 QI = NumberField(from_int_list([1, 0, 1]))          # Q(i)
 
@@ -57,19 +57,41 @@ def test_divmod_identity(field):
 
 
 def test_xgcd_identity(field):
+    """The reference xgcd of test_folds, which dense.inverse is pinned
+    against, on every field."""
     F, elt = field
     rng = random.Random(2)
     for _ in range(40):
         common = _poly(rng, elt, F, rng.randint(0, 2))
         f = dense.mul(common, _poly(rng, elt, F, rng.randint(0, 4)), F)
         g = dense.mul(common, _poly(rng, elt, F, rng.randint(0, 4)), F)
-        h, s, t = dense.xgcd(f, g, F)
+        h, s, t = xgcd(f, g, F)
         assert h[-1] == F.one
         assert dense.add(dense.mul(s, f, F), dense.mul(t, g, F), F) == h
         assert h == dense.gcd(f, g, F)
         assert len(h) >= len(dense.monic(common, F))
         assert dense.divmod(f, h, F)[1] == []
         assert dense.divmod(g, h, F)[1] == []
+
+
+def test_inverse_identity(field):
+    """u*a = 1 mod m with deg u < deg m when gcd(a, m) = 1, and
+    DegenerateInput otherwise."""
+    F, elt = field
+    rng = random.Random(6)
+    for _ in range(40):
+        common = _poly(rng, elt, F, rng.randint(0, 2))
+        a = dense.mul(common, _poly(rng, elt, F, rng.randint(0, 4)), F)
+        m = dense.mul(common, _poly(rng, elt, F, rng.randint(1, 4)), F)
+        if len(m) < 2:
+            continue
+        if dense.gcd(a, m, F) != [F.one]:
+            with pytest.raises(DegenerateInput):
+                dense.inverse(a, m, F)
+            continue
+        u = dense.inverse(a, m, F)
+        assert len(u) < len(m)
+        assert dense.rem(dense.mul(u, a, F), m, F) == [F.one]
 
 
 def test_powmod_and_power(field):
@@ -120,7 +142,9 @@ def test_division_by_zero_raises(field):
     with pytest.raises(DivisionByZero):
         dense.divmod([F.one], [], F)
     with pytest.raises(DegenerateInput):
-        dense.xgcd([], [], F)
+        xgcd([], [], F)
+    with pytest.raises(DegenerateInput):
+        dense.inverse([], [F.zero, F.one], F)
 
 
 def test_qq_is_exact_on_int_lists():
@@ -266,6 +290,10 @@ _ORDER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "random", "mat_inv", "hnf"}
 # of its old second path
 _SPLIT_STEPS = ("splitting_type",)
 _FORK_NAMES = {"gfp_factor", "disc_of_int_poly"}
+# the inverse mod m of the Hensel lift, and the rational names and the
+# two-cofactor Euclid it avoids
+_DENSE_STEPS = ("inverse",)
+_DENSE_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list", "xgcd"}
 # the quaternion norm and the rational or QPoly products it avoids
 _NORM_STEPS = ("qp_norm",)
 _QPOLY_NAMES = {"QPoly", "qp_conj", "RatPoly"}
@@ -333,6 +361,14 @@ def _names_named(module, steps, names, attrs=()):
 def test_zassenhaus_steps_stay_over_the_integers():
     """A rational step slipping back into rp_factor's core shows here."""
     assert _names_named("ratpoly.py", _INTEGER_STEPS, _RATIONAL_NAMES) == []
+
+
+def test_inverse_stays_in_the_field_with_one_cofactor():
+    """dense.inverse uses only the field it is given and carries one
+    cofactor: a rational step inside it, or a second extended Euclid
+    back in dense, shows here."""
+    assert _names_named("dense.py", _DENSE_STEPS, _DENSE_NAMES) == []
+    assert not hasattr(dense, "xgcd")
 
 
 def test_local_square_test_stays_over_the_integers():

@@ -10,8 +10,10 @@ functions below are that code, kept verbatim in behaviour, and each
 test compares its answers with the library's on a few hundred to a few
 thousand inputs.  The factorisation over GF(p) that splitting_type once
 read by Dedekind-Kummer is kept here too, as ref_gfp_factor; the tests
-of test_numberfield and test_ratpoly pin against it.  So is rp_xgcd, the
-extended gcd over Q that only the swap reference uses, and so is the
+of test_numberfield and test_ratpoly pin against it.  So is xgcd, the
+two-cofactor extended Euclid of dense that dense.inverse replaced in the
+Hensel lift, with rp_xgcd, its form over Q that only the swap reference
+uses, and so is the
 Fraction RatPoly, as RefRatPoly, that the integer one replaced.  Three
 functions the library no longer calls live here under their own names,
 for the tests that still use them: swap_factors, the factor swap of the
@@ -31,9 +33,9 @@ from types import SimpleNamespace
 import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform, ratpoly
-from quatpoly.coordpoly import (ZERO, coord_mul, coord_norm, cp_pseudo_divmod,
-                                cp_pseudo_rem, cp_scale, cp_trim, kernel_ab,
-                                kernel_ints)
+from quatpoly.coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
+                                cp_pseudo_divmod, cp_pseudo_rem, cp_scale,
+                                cp_trim, kernel_ab, kernel_ints)
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
@@ -256,9 +258,26 @@ def swap_factors(p, q):
     return q1, p1
 
 
+def xgcd(f, g, F):
+    """(h, s, t) with s*f + t*g = h = monic gcd(f, g)."""
+    r0, r1 = f, g
+    s0, s1 = [F.one], []
+    t0, t1 = [], [F.one]
+    while r1:
+        q, r = dense.divmod(r0, r1, F)
+        r0, r1 = r1, r
+        s0, s1 = s1, dense.sub(s0, dense.mul(q, s1, F), F)
+        t0, t1 = t1, dense.sub(t0, dense.mul(q, t1, F), F)
+    if not r0:
+        raise DegenerateInput("xgcd(0, 0) is undefined")
+    inv = F.inv(r0[-1])
+    return (dense.scale(r0, inv, F), dense.scale(s0, inv, F),
+            dense.scale(t0, inv, F))
+
+
 def rp_xgcd(a, b):
     """(g, u, v) with u*a + v*b = g, g monic, in Q[x]."""
-    g, u, v = dense.xgcd(a.coeffs, b.coeffs, QQ)
+    g, u, v = xgcd(a.coeffs, b.coeffs, QQ)
     return RatPoly(g), RatPoly(u), RatPoly(v)
 
 
@@ -2055,7 +2074,7 @@ class RefNFElement:
         if self.is_zero:
             raise DivisionByZero("inverse of zero in number field")
         L = self.parent
-        g, u, _ = dense.xgcd(self._poly(), L.minpoly.coeffs, QQ)
+        g, u, _ = xgcd(self._poly(), L.minpoly.coeffs, QQ)
         if len(g) != 1:
             raise InternalInvariantViolation("minpoly not irreducible?")
         # deg u < deg minpoly - deg g, so u is already reduced
@@ -2066,6 +2085,12 @@ class RefNFElement:
         if other is None:
             return NotImplemented
         return self * other.inv()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, n):
         return dense.power(self, n, self.parent.one())
@@ -2860,9 +2885,13 @@ def test_pseudo_remainder_is_the_pseudo_division():
 
 def test_right_remainder_is_the_right_division():
     """cp_pseudo_rem, cp_pseudo_divmod on its steps and _right_rem against
-    the division that scaled Q each step and qp_right_divmod(...)[1],
-    with rational alpha and beta among the algebras, so that the kernel
-    holds Fraction entries."""
+    the division that scaled Q and R by N(lc D) each step and
+    qp_right_divmod(...)[1], with rational alpha and beta among the
+    algebras, so that the kernel holds Fraction entries.  On integer
+    alpha and beta each step divides its scale by a gcd, so s may be a
+    divisor of the reference's: s*P = Q*D + R exactly on the kernel, and
+    R is the reference's R times s/s_ref.  On rational ones the step is
+    the reference's, and (s, Q, R) is its answer."""
     rng = random.Random(302)
     algebras = ALGEBRAS + (QuaternionAlgebra(Fr(-2, 3), Fr(-5, 7)),)
     for A in algebras:
@@ -2871,9 +2900,14 @@ def test_right_remainder_is_the_right_division():
             d = rnd_poly(rng, A, rng.randint(0, 3), monic=rng.random() < .3)
             p = (rnd_poly(rng, A, rng.randint(0, 6)) if rng.random() < .9
                  else QPoly(A, []))
-            s, Q, R = ref_cp_pseudo_divmod(al, be, list(p.num), list(d.num))
+            ref = ref_cp_pseudo_divmod(al, be, list(p.num), list(d.num))
+            s, Q, R = cp_pseudo_divmod(al, be, p.num, d.num)
             assert cp_pseudo_rem(al, be, p.num, d.num) == (s, R)
-            assert cp_pseudo_divmod(al, be, p.num, d.num) == (s, Q, R)
+            assert cp_trim(cp_add(cp_mul(al, be, Q, d.num), R)) == \
+                cp_trim(cp_scale(s, p.num))
+            assert cp_scale(ref[0], R) == cp_scale(s, ref[2])
+            if type(al) is not int or type(be) is not int:
+                assert (s, Q, R) == ref
             quot, rem = qp_right_divmod(p, d)
             assert qpoly._right_rem(p, d) == rem
             assert quot * d + rem == p
@@ -2905,3 +2939,88 @@ def test_from_int_list_takes_ints_alone_on_the_int_path():
     for zeros in ([], [0, 0], (0,), [False, Fr(0)]):
         got = from_int_list(zeros, -3)
         assert (got.den, got.num) == (1, ())
+
+
+# ---------------------------------------------------------------------------
+# the inverse of the Hensel lift and the int path of _make: an extended
+# Euclid that built a cofactor it dropped, and a lowest-terms pass through
+# a flat RatPoly that was cut back into 4-tuples
+
+def test_inverse_is_the_xgcd_cofactor():
+    """dense.inverse(a, m) against the s of xgcd(a, m): random coprime
+    pairs over GF(p) for small p, constant a among them, and the (f', f)
+    pairs of the lift at the prime _good_prime picks, on the norm and
+    product corpus of the early lift; pairs with a common factor raise."""
+    rng = random.Random(310)
+    for p in (2, 3, 5, 7, 101):
+        F = GF(p)
+        for _ in range(80):
+            m = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+            m.append(rng.randrange(1, p))
+            a = dense.trim([rng.randrange(p)
+                            for _ in range(rng.randint(1, 8))]) or [1]
+            h, s, _ = xgcd(a, m, F)
+            if h == [1]:
+                assert dense.inverse(a, m, F) == s
+            else:
+                with pytest.raises(DegenerateInput):
+                    dense.inverse(a, m, F)
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1]
+            with pytest.raises(DegenerateInput):
+                dense.inverse(dense.mul(a, g, F), dense.mul(m, g, F), F)
+        for c in range(1, p):
+            assert dense.inverse([c], m, F) == xgcd([c], m, F)[1] == \
+                [pow(c, -1, p)]
+    rng = random.Random(179)
+    corpus = norm_corpus(rng) + product_corpus(rng)
+    for f in corpus:
+        if len(f) < 3:
+            continue
+        p = ratpoly._good_prime(f)
+        F = GF(p)
+        df = dense.trim([c % p for c in dense.derivative(f, ZZ)])
+        fp = [c % p for c in f]
+        assert dense.inverse(df, fp, F) == xgcd(df, fp, F)[1]
+
+
+def ref_make(den, P):
+    """(den, num) of the _make that brought the flat list of coordinates
+    to lowest terms with from_int_list and cut it back into 4-tuples."""
+    r = from_int_list([c for a in P for c in a], den)
+    return r.den, tuple(list(zip_longest(*[iter(r.num)] * 4, fillvalue=0)))
+
+
+def test_make_takes_one_gcd_on_int_data():
+    """qpoly._make against the from_int_list round trip on random kernels
+    with int, bool and Fraction entries, the Fraction entries of products
+    over rational alpha and beta, zero top tuples, all-zero data, and int,
+    negative and Fraction dens: the same (den, num), num a tuple of int
+    4-tuples."""
+    rng = random.Random(311)
+    A = ALGEBRAS[0]
+    AQ = ALGEBRAS[3]
+    pick = (lambda: rng.randint(-20, 20),
+            lambda: 6 * rng.randint(-20, 20),
+            lambda: rng.choice((True, False)),
+            lambda: Fr(rng.randint(-20, 20), rng.randint(1, 6)))
+    for n in range(1500):
+        if n % 5 == 4:
+            P = cp_mul(*kernel_ab(AQ), rnd_poly(rng, AQ, 2).num,
+                       rnd_poly(rng, AQ, rng.randint(0, 2)).num)
+        else:
+            kinds = (pick[:2] if n % 5 < 2
+                     else rng.sample(pick, rng.randint(1, 4)))
+            P = [tuple([rng.choice(kinds)() for _ in range(4)])
+                 for _ in range(rng.randint(0, 4))]
+        P += [ZERO] * rng.randint(0, 2)
+        den = rng.choice((1, 6, rng.randint(-12, -1), rng.randint(2, 12),
+                          Fr(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
+        got = qpoly._make(A, den, P)
+        assert (got.den, got.num) == ref_make(den, P)
+        assert type(got.den) is int and type(got.num) is tuple
+        assert all(type(a) is tuple and len(a) == 4 for a in got.num)
+        assert all(type(c) is int for a in got.num for c in a)
+    for den in (1, -3, Fr(2, 3)):
+        for zeros in ([], [ZERO, ZERO], [(False, 0, Fr(0), 0)]):
+            got = qpoly._make(A, den, zeros)
+            assert (got.den, got.num) == ref_make(den, zeros) == (1, ())

@@ -95,14 +95,17 @@ class TestElementOperators:
 
     def test_operator_errors(self):
         """Negative powers are DegenerateInput, a number over an element
-        is a TypeError, division by zero is DivisionByZero, and arithmetic
-        across fields is DegenerateInput."""
+        is the number times its inverse, division by zero is
+        DivisionByZero, and arithmetic across fields is DegenerateInput."""
         e = QI.gen() + 1
         with pytest.raises(DegenerateInput):
             e ** -1
-        for c in (1, Fr(1, 2)):
-            with pytest.raises(TypeError):
-                c / e
+        for c in (1, Fr(1, 2), -3):
+            assert c / e == c * e.inv() == QI.element([c]) / e
+            assert (c / e) * e == c
+        assert 2 / QI.gen() == QI.element([0, -2])
+        with pytest.raises(DivisionByZero):
+            1 / QI.zero()
         for zero in (0, QI.zero()):
             with pytest.raises(DivisionByZero):
                 e / zero

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from quatpoly import dense, numberfield, qpoly, quadform
+from quatpoly.coordpoly import cp_pseudo_rem, kernel_ab
 from quatpoly.errors import (AlgebraMismatch, DegenerateInput,
                              DivisionByZero, PreconditionViolation,
                              ZeroDivisorEncountered)
@@ -774,6 +775,44 @@ class TestFactor:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInput):
             factor(QPoly(H, []))
+
+
+class TestLadder:
+    """Products of many linear factors: factor divides them by the monic
+    divisors the GCRD returns, and a step of that division must not
+    scale by den^2."""
+
+    def test_sixteen_linear_factors(self):
+        for A in (H, H13):
+            rng = random.Random(16)
+            p = QPoly(A, [A.one()])
+            for _ in range(16):
+                p = p * (QPoly.x(A) - QPoly(A, [rnd_q(rng, A, 3)]))
+            out = factor(p)
+            assert out.expand() == p
+            assert len(out.factors) == 16
+            assert all(f.degree == 1 and f.is_monic for f in out.factors)
+
+    def test_monic_division_scales_by_a_divisor_of_den_per_step(self):
+        """A monic divisor over den has lc (den, 0, 0, 0), and each step of
+        cp_pseudo_rem scales by a divisor of den: s divides den^steps."""
+        rng = random.Random(17)
+        scaled = 0
+        for A in (H, H13):
+            al, be = kernel_ab(A)
+            for _ in range(40):
+                d = QPoly(A, [A.element([Fr(rng.randint(-5, 5),
+                                            rng.randint(1, 6))
+                                         for _ in range(4)])
+                              for _ in range(rng.randint(1, 3))]
+                          + [A.one()])
+                p = rnd_poly(rng, A, rng.randint(3, 8))
+                assert d.num[-1] == (d.den, 0, 0, 0)
+                steps = []
+                s, _ = cp_pseudo_rem(al, be, p.num, d.num, steps)
+                assert d.den ** len(steps) % s == 0
+                scaled += d.den > 1 and len(steps) > 0
+        assert scaled > 40
 
 
 class TestRoots:

@@ -170,6 +170,21 @@ class TestOperators:
         with pytest.raises(DivisionByZero):
             H.one() / 0
 
+    def test_number_over_a_quaternion(self):
+        """c / a is c * a^-1, which is a^-1 * c since c is central."""
+        rng = random.Random(40)
+        for A in (H, H13, H25):
+            for _ in range(30):
+                a = rnd_q(rng, A)
+                if a.is_zero:
+                    continue
+                for c in (1, -2, Fr(3, 4)):
+                    assert c / a == c * q_inv(a) == q_inv(a) * c
+                    assert (c / a) * a == A.scalar(c)
+        assert 2 / H.i == H.element([0, -2, 0, 0])
+        with pytest.raises(DivisionByZero):
+            1 / H.zero()
+
     def test_subtraction_from_a_number(self):
         rng = random.Random(39)
         for A in (H, H13, H25):

@@ -18,7 +18,7 @@ from quatpoly.ratpoly import (RatPoly, _good_prime, _lift_list,
                               rp_discriminant, rp_factor, rp_gcd,
                               rp_is_irreducible, rp_real_root_count,
                               squarefree_decomposition)
-from test_folds import QQ, ref_gfp_factor, rp_xgcd
+from test_folds import QQ, ref_gfp_factor, rp_xgcd, xgcd
 
 
 def sylvester_resultant(p, q):
@@ -451,7 +451,7 @@ def lift_linear_reference(f, g, h, p, k):
     F = GF(p)
     gbar = [c % p for c in g]
     hbar = [c % p for c in h]
-    _, s, t = dense.xgcd(gbar, hbar, F)
+    _, s, t = xgcd(gbar, hbar, F)
     mod = p
     while mod < p ** k:
         e = dense.sub(f, dense.mul(g, h, ZZ), ZZ)
