@@ -20,7 +20,7 @@ from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation,
                      ZeroDivisorEncountered)
-from .numberfield import NumberField, nf_splits_quaternion
+from .numberfield import NumberField, is_division, nf_splits_quaternion
 from .quadform import (find_zero_divisor, search_zero_divisor,
                        subfield_zero_divisor)
 from .quatalg import Quaternion, is_conjugate, make_quaternion, q_inv
@@ -453,10 +453,21 @@ def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
     conjugate pair of half-degree factors.  L is NumberField(p), whose
     constructor tests p, or NumberField.unchecked(p) for a p already
     proved irreducible.  The zero divisor comes from a quadratic
-    subfield, the certificate cert or the seeded search."""
+    subfield, the certificate cert or the seeded search.
+
+    p stays irreducible when its degree is odd or A (x) L is a division
+    algebra (nf_splits_quaternion).  A cert that matches A and p
+    (ZeroDivisorCertificate.matches) stands in for that test: its nonzero
+    element of norm 0 already proves A (x) L split.  Any other cert
+    leaves the test in place, and find_zero_divisor rejects it when
+    A (x) L splits.  A split A (QuaternionAlgebra.unchecked) always takes
+    the test, which raises SplitAlgebra."""
     _check_field(L)
     p = L.minpoly
-    if p.degree % 2 == 1 or not nf_splits_quaternion(A.alpha, A.beta, L):
+    if p.degree % 2 == 1 or not (
+            (cert is not None and cert.matches(A.alpha, A.beta, p)
+             and is_division(A.alpha, A.beta))
+            or nf_splits_quaternion(A.alpha, A.beta, L)):
         return Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
     pair = subfield_factor(L, A)
     if pair is not None:
@@ -477,7 +488,9 @@ def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
 def factor(p, certs=None, seed=0, max_height=20):
     """Complete factorization into monic irreducibles with a leading
     coefficient.  certs maps a central irreducible RatPoly (hashable) to a
-    ZeroDivisorCertificate for the hard search-free path."""
+    ZeroDivisorCertificate for the hard search-free path.  The keys are
+    looked up by the monic irreducible factors of rp_factor, so a
+    certificate is found only under its monic minpoly."""
     if p.is_zero:
         raise DegenerateInput("cannot factor the zero polynomial")
     A = p.parent

@@ -305,12 +305,23 @@ class ZeroDivisorCertificate:
         return coord_norm(self.alpha, self.beta, self.q)
 
     def validate(self):
+        # NumberField's rule: the certificate is keyed by the monic factor
+        if not self.minpoly.is_monic or self.minpoly.degree < 1:
+            raise InvalidCertificate(
+                "certificate minpoly must be monic nonconstant")
         reduced = [qi % self.minpoly for qi in self.q]
         if all(r.is_zero for r in reduced):
             raise InvalidCertificate("certificate element is zero mod minpoly")
         if not (self.norm_poly() % self.minpoly).is_zero:
             raise InvalidCertificate("certificate norm does not vanish")
         return self
+
+    def matches(self, alpha, beta, minpoly):
+        """True iff the certificate is for (alpha, beta / Q) tensor
+        Q[x]/(minpoly).  Its zero divisor then proves that algebra split:
+        a nonzero element of norm 0 has no inverse."""
+        return (self.alpha == alpha and self.beta == beta
+                and self.minpoly == minpoly)
 
     def to_dict(self):
         out = {
@@ -444,13 +455,14 @@ def subfield_zero_divisor(alpha, beta, L):
 
 def find_zero_divisor(alpha, beta, L, cert=None, seed=0, max_height=20):
     """A ZeroDivisorCertificate for (alpha, beta / Q) tensor L, in layers:
-    (1) a supplied certificate (valid once built) whose data match, (2)
-    subfield_zero_divisor, (3) the search of search_zero_divisor."""
+    (1) a supplied certificate (valid once built), which must match
+    (ZeroDivisorCertificate.matches) or raises InvalidCertificate, and
+    needs no splitting test, (2) subfield_zero_divisor after the
+    splitting test, (3) the search of search_zero_divisor."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     if cert is not None:
-        if (cert.alpha != alpha or cert.beta != beta
-                or cert.minpoly != L.minpoly):
+        if not cert.matches(alpha, beta, L.minpoly):
             raise InvalidCertificate("certificate is for different data")
         return cert
     if not nf_splits_quaternion(alpha, beta, L):

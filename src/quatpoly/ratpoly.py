@@ -425,6 +425,22 @@ def _probe_split(f, d, p, frob, start):
     return None, p
 
 
+class _LazyRandom:
+    """The random.Random of gfp_factor_squarefree(f, p), seeded from
+    (f, p) on its first draw: the roots and probes split most inputs
+    alone, and those then pay no seeding."""
+
+    __slots__ = ("f", "p", "rng")
+
+    def __init__(self, f, p):
+        self.f, self.p, self.rng = f, p, None
+
+    def randrange(self, n):
+        if self.rng is None:
+            self.rng = random.Random((0, tuple(self.f), self.p).__hash__())
+        return self.rng.randrange(n)
+
+
 def _random_split(f, d, p, rng):
     """A proper factor of f from one random r (Cantor & Zassenhaus), or
     None when r does not split f."""
@@ -474,7 +490,7 @@ def gfp_factor_squarefree(f, p):
     zur Gathen & Shoup, Comput. Complexity 2, 1992); for p <
     _ROOT_SEARCH_BOUND the linear factors are x - r for the roots r of
     the degree-1 part, by evaluation at every residue."""
-    rng = random.Random((0, tuple(f), p).__hash__())
+    rng = _LazyRandom(f, p)
     F = GF(p)
     out = []
     frob = []

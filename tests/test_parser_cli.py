@@ -304,6 +304,21 @@ class TestCli:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("minpoly", [
+        ["12/1", "32/1", "22/1", "0/1", "2/1"], []])
+    def test_certificate_minpoly_must_be_monic(self, tmp_path, capsys,
+                                               minpoly):
+        """The README certificate with its minpoly doubled, which factor
+        would never look up, or zero: an invalid certificate (exit 1)."""
+        path = Path(write_cert(tmp_path))
+        data = json.loads(path.read_text())
+        data["minpoly"] = minpoly
+        path.write_text(json.dumps(data))
+        code = run(["factor", "x^4 + 11x^2 + 16x + 6", "--alpha", "-1",
+                    "--beta", "-1", "--certificate", str(path)])
+        assert code == EXIT_USAGE
+        assert "minpoly must be monic nonconstant" in capsys.readouterr().err
+
     def test_certificate_missing_file(self, tmp_path, capsys):
         code = run(["factor", "x^2+1", "--alpha", "-1", "--beta", "-1",
                     "--certificate", str(tmp_path / "nope.json")])

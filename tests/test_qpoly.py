@@ -1,13 +1,18 @@
+import json
 import random
+import re
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
-from quatpoly import dense, numberfield, qpoly, quadform
+from quatpoly import cli, dense, maxorder, numberfield, qpoly, quadform
 from quatpoly.coordpoly import cp_pseudo_rem, kernel_ab
 from quatpoly.errors import (AlgebraMismatch, DegenerateInput,
-                             DivisionByZero, PreconditionViolation,
-                             ZeroDivisorEncountered)
+                             DivisionByZero, InvalidCertificate,
+                             PreconditionViolation, SearchExhausted,
+                             SplitAlgebra, ZeroDivisorEncountered)
 from quatpoly.numberfield import NumberField, nf_quadratic_subfields
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
@@ -23,6 +28,7 @@ from test_folds import nf_factor_over_quadratic, swap_factors
 
 H = QuaternionAlgebra(-1, -1)
 H13 = QuaternionAlgebra(-1, -3)
+README = Path(__file__).resolve().parents[1] / "README.md"
 # division algebras with non-integral parameters
 HQ = QuaternionAlgebra(Fr(-1, 2), -3)
 HQ2 = QuaternionAlgebra(Fr(-1, 3), Fr(-2, 5))
@@ -656,6 +662,203 @@ class TestFactorCentralIrreducible:
             out = factor(QPoly.from_ratpoly(H, p), certs=certs, seed=1)
             assert len(out.factors) == 2
             assert seen == [], p
+
+
+def spy_calls(monkeypatch, module, name):
+    """The list of argument tuples of module.name, filled in by a spy put
+    in its place in every quatpoly module that binds it."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("quatpoly")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def norm_cert(A, seed):
+    """The certificate of N(q) for a random monic quadratic q over A with
+    a non-central x-coefficient and an irreducible norm: N(q) is a central
+    quartic that splits A, and the coordinates of q are a zero divisor of
+    A (x) Q[x]/(N(q))."""
+    rng = random.Random(seed)
+    while True:
+        a0, a1 = rnd_q(rng, A, 3), rnd_q(rng, A, 3)
+        if not any(a1.coords[1:]):
+            continue
+        q = QPoly(A, [a0, a1, A.one()])
+        n = qp_norm(q)
+        if rp_is_irreducible(n):
+            return ZeroDivisorCertificate(A.alpha, A.beta, n,
+                                          q.coordinates())
+
+
+def readme_cert_json():
+    """The certificate JSON of the README, verbatim."""
+    return re.search(r"```json\n(.*?)```", README.read_text(),
+                     re.S).group(1)
+
+
+def rescaled(cert, s, t):
+    """cert moved to (s^2 alpha, t^2 beta), the same algebra with i and j
+    scaled by s and t: q1/s, q2/t and q3/(st) keep the norm."""
+    q0, q1, q2, q3 = cert.q
+    return ZeroDivisorCertificate(s * s * cert.alpha, t * t * cert.beta,
+                                  cert.minpoly,
+                                  (q0, q1 * Fr(1, s), q2 * Fr(1, t),
+                                   q3 * Fr(1, s * t)))
+
+
+H25 = QuaternionAlgebra(-2, -5)
+DEGREE8 = "(1+k)(x - i)(x - 2 - j)(x^2 + ix - 2 - k)(x^4 + 11x^2 + 16x + 6)"
+# a quadratic field that splits (-1,-3) and not (-1,-1): 2 splits in it
+NOT_H = from_int_list([2, -1, 1])
+
+
+class TestCertifiedRouteSkipsSplittingTest:
+    """A matching certificate is the proof that A (x) L splits, so the
+    certified route runs no nf_splits_quaternion and no p-maximal order;
+    without a certificate, or with one for other data, the test runs as
+    before."""
+
+    @staticmethod
+    def spies(monkeypatch):
+        return (spy_calls(monkeypatch, numberfield, "nf_splits_quaternion"),
+                spy_calls(monkeypatch, maxorder, "splitting_type"))
+
+    def test_no_splitting_test_on_the_certificate_route(self, monkeypatch):
+        tests, orders = self.spies(monkeypatch)
+        out = factor_central_irreducible(NumberField(QUARTIC_MIN), H,
+                                         cert=quartic_cert())
+        assert out.first_quotient == from_int_list([5989, -742, 530])
+        out = factor(P(DEGREE8), certs={QUARTIC_MIN: quartic_cert()})
+        assert len(out.factors) == 5
+        for A in (H, H13):
+            cert = norm_cert(A, 0)
+            L = NumberField(cert.minpoly)
+            assert subfield_factor(L, A) is None
+            out = factor_central_irreducible(L, A, cert=cert)
+            assert out.first_quotient is not None
+            out = factor(QPoly.from_ratpoly(A, cert.minpoly),
+                         certs={cert.minpoly: cert})
+            assert len(out.factors) == 2
+        assert tests == [] and orders == []
+
+    def test_no_splitting_test_through_the_cli(self, monkeypatch, tmp_path,
+                                               capsys):
+        tests, orders = self.spies(monkeypatch)
+        path = tmp_path / "readme.json"
+        path.write_text(readme_cert_json())
+        runs = [["factor", DEGREE8, "--alpha", "-1", "--beta", "-1",
+                 "--certificate", str(path), "--verify", "--json"]]
+        for t, A in enumerate((H, H13)):
+            cert = norm_cert(A, 0)
+            cert.save(tmp_path / ("n%d.json" % t))
+            runs.append(["factor", str(QPoly.from_ratpoly(A, cert.minpoly)),
+                         "--alpha", str(A.alpha), "--beta", str(A.beta),
+                         "--certificate", str(tmp_path / ("n%d.json" % t)),
+                         "--verify", "--json"])
+        for argv in runs:
+            assert cli.run(argv) == 0
+            assert json.loads(capsys.readouterr().out)["verified"] is True
+        assert tests == [] and orders == []
+
+    def test_splitting_test_runs_without_a_certificate(self, monkeypatch,
+                                                      capsys):
+        """One test and one p-maximal order (at the algebra's finite
+        ramified prime) per split quartic, as before; the search then
+        gives up."""
+        tests, orders = self.spies(monkeypatch)
+        cases = [(H, QUARTIC_MIN)] + [(A, norm_cert(A, 0).minpoly)
+                                      for A in (H, H13)]
+        for A, p in cases:
+            del tests[:], orders[:]
+            with pytest.raises(SearchExhausted):
+                factor_central_irreducible(NumberField(p), A, max_height=1)
+            assert len(tests) == 1 and len(orders) == 1
+            del tests[:], orders[:]
+            assert cli.run(["factor", str(QPoly.from_ratpoly(A, p)),
+                            "--alpha", str(A.alpha), "--beta", str(A.beta),
+                            "--max-height", "1"]) == 3
+            assert len(tests) == 1 and len(orders) == 1
+        capsys.readouterr()
+
+    def test_every_certificate_is_a_splitting_proof(self, tmp_path):
+        """The premise of the skip: nf_splits_quaternion is True for each
+        certificate built, loaded or found here."""
+        certs = [quartic_cert(),
+                 ZeroDivisorCertificate.from_dict(
+                     json.loads(readme_cert_json()))]
+        for A in (H, H13, H25):
+            for seed in range(4):
+                certs.append(norm_cert(A, seed))
+            path = tmp_path / "c.json"
+            certs[-1].save(path)
+            certs.append(ZeroDivisorCertificate.load(path))
+        # subfield-made: quadratics and quartics with a splitting subfield
+        for A, c in ((H, [1, 0, 1]), (H, [1, 0, 0, 0, 1]), (H13, [1, 1, 1]),
+                     (H13, NOT_H.coeffs), (H25, [3, 0, 1])):
+            L = NumberField(from_int_list(c))
+            certs.append(quadform.subfield_zero_divisor(A.alpha, A.beta, L))
+        # search-made: seed 1 finds one for this quartic over (-1,-1)
+        L = NumberField(from_int_list([6, 2, 9, -4, 1]))
+        certs.append(quadform.search_zero_divisor(-1, -1, L, seed=1))
+        certs.append(quadform.find_zero_divisor(-1, -1, L, seed=1))
+        assert all(c is not None for c in certs)
+        for cert in certs:
+            L = NumberField.unchecked(cert.minpoly)
+            assert numberfield.nf_splits_quaternion(cert.alpha, cert.beta, L)
+
+    def test_mismatched_certificate_where_the_algebra_splits(self,
+                                                            monkeypatch):
+        """A certificate for (-4,-1) or (-1,-4), the same algebra as H
+        presented otherwise, does not match H: the test runs, H splits over
+        the quartic field, no subfield does, and find_zero_divisor rejects
+        the certificate."""
+        tests, orders = self.spies(monkeypatch)
+        for s, t in ((2, 1), (1, 2)):
+            cert = rescaled(quartic_cert(), s, t)
+            assert not cert.matches(-1, -1, QUARTIC_MIN)
+            del tests[:]
+            with pytest.raises(InvalidCertificate, match="different data"):
+                factor_central_irreducible(NumberField(QUARTIC_MIN), H,
+                                           cert=cert)
+            assert len(tests) == 1
+
+    def test_mismatched_certificate_where_the_algebra_does_not_split(
+            self, monkeypatch):
+        """Over Q[x]/(x^2 - x + 2), (-1,-3) and (-3,-1) split and H does
+        not: their certificates do not match H, the test runs and p stays
+        irreducible, as without a certificate."""
+        tests, orders = self.spies(monkeypatch)
+        L = NumberField(NOT_H)
+        for alpha, beta in ((-1, -3), (-3, -1)):
+            cert = quadform.find_zero_divisor(alpha, beta, L)
+            del tests[:]
+            out = factor_central_irreducible(L, H, cert=cert)
+            assert out.factors == [QPoly.from_ratpoly(H, NOT_H)]
+            assert len(tests) == 1
+
+    def test_split_algebra_still_raises(self, monkeypatch):
+        """Over a split algebra made with QuaternionAlgebra.unchecked, a
+        matching certificate proves nothing new: the test runs and raises
+        SplitAlgebra as it does without one."""
+        tests, orders = self.spies(monkeypatch)
+        A = QuaternionAlgebra.unchecked(1, 1)
+        # (1 + i) has norm 1 - 1 = 0 in (1, 1 / Q)
+        cert = ZeroDivisorCertificate(1, 1, QUARTIC_MIN, (
+            from_int_list([1]), from_int_list([1]), from_int_list([]),
+            from_int_list([])))
+        for c in (cert, None):
+            with pytest.raises(SplitAlgebra, match="is split"):
+                factor_central_irreducible(NumberField(QUARTIC_MIN), A,
+                                           cert=c)
+        assert len(tests) == 2
 
 
 class TestSwapFactors:

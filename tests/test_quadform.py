@@ -434,6 +434,27 @@ class TestCertificate:
         assert any(c.denominator == 3 for qi in cert.q for c in qi.coeffs)
         assert ZeroDivisorCertificate.from_dict(cert.to_dict()) == cert
 
+    def test_minpoly_must_be_monic_nonconstant(self):
+        """NumberField's rule: factor looks certificates up by the monic
+        factors of rp_factor, so a rational multiple of the factor, a
+        constant or the zero polynomial is no certificate."""
+        quartic = self._quartic_cert()
+        for bad in (quartic.minpoly * 2, quartic.minpoly * Fr(-1, 3),
+                    from_int_list([1]), from_int_list([5]),
+                    from_int_list([])):
+            with pytest.raises(InvalidCertificate, match="monic"):
+                ZeroDivisorCertificate(-1, -1, bad, quartic.q)
+
+    def test_matches(self):
+        """matches compares alpha, beta (as rationals) and the minpoly."""
+        cert = self._quartic_cert()
+        assert cert.matches(-1, -1, from_int_list([6, 16, 11, 0, 1]))
+        assert cert.matches(Fr(-1), Fr(-2, 2), cert.minpoly)
+        for data in ((-1, -3, cert.minpoly), (-3, -1, cert.minpoly),
+                     (-1, -1, from_int_list([1, 0, 0, 0, 1])),
+                     (-1, -1, cert.minpoly * 2)):
+            assert not cert.matches(*data), data
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", "1/0"), ("q0", 5), ("q1", [1.5]), ("minpoly", None),
         ("beta", "x"), ("q3", None), ("q3", "53"), ("minpoly", "61611")])

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 
@@ -959,6 +960,69 @@ class TestProbeSplitting:
                 [1, 1, 2, 2, 2, 3, 3, 4, 4]
             assert all(is_irreducible_mod(q, p) for q in got)
         assert {2, 3, 4} <= set(seen)
+
+
+def eager_gfp_factor_squarefree(f, p):
+    """gfp_factor_squarefree with its generator seeded on entry, as it was
+    before the seeding waited for the first random split."""
+    rng = random.Random((0, tuple(f), p).__hash__())
+    F = GF(p)
+    out, frob, h, v, d = [], [], [0, 1], list(f), 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = dense.powmod(h, p, v, F)
+        g = dense.gcd(dense.sub(h, [0, 1], F), v, F)
+        if len(g) > 1:
+            out.extend(ratpoly._edf(g, d, p, rng, frob))
+            v = dense.divmod(v, g, F)[0]
+            h = dense.rem(h, v, F)
+        frob.append(h)
+    if len(v) > 1:
+        out.append(v)
+    return out
+
+
+def test_generator_is_seeded_on_the_first_random_split(monkeypatch):
+    """The factor lists, in order, are those of the eager seeding on
+    inputs that split at random: p = 2 with two or more factors of one
+    degree d >= 2, and primes from 64 on with every probe failing.  An
+    input the roots or the probes split makes no generator at all."""
+    made, splits = [], []
+    split, probe = ratpoly._random_split, ratpoly._probe_split
+
+    def counting(seed):
+        made.append(seed)
+        return random.Random(seed)
+
+    def spy(f, d, p, rng):
+        splits.append((d, p))
+        return split(f, d, p, rng)
+
+    monkeypatch.setattr(ratpoly, "random", SimpleNamespace(Random=counting))
+    monkeypatch.setattr(ratpoly, "_random_split", spy)
+    monkeypatch.setattr(ratpoly, "_probe_split",
+                        lambda f, d, p, frob, c: (None, p))
+    rng = random.Random(93)
+    build = TestProbeSplitting.product_of_irreducibles
+    # GF(2) has 1, 2 and 3 monic irreducibles of degree 2, 3 and 4
+    cases = [(2, 3, 2), (2, 4, 2), (2, 4, 3)]
+    cases += [(p, d, k) for p in (67, 101, 257) for d in (1, 2, 3)
+              for k in (2, 3)]
+    for p, d, k in cases:
+        f = dense.mul(build(rng, p, d, k)[1], [1, 1], GF(p))
+        del made[:], splits[:]
+        got = gfp_factor_squarefree(f, p)
+        assert len(made) == 1 and splits, (p, d, k)
+        assert got == eager_gfp_factor_squarefree(f, p), (p, d, k)
+        assert sorted(len(q) - 1 for q in got) == sorted([1] + [d] * k)
+    monkeypatch.setattr(ratpoly, "_probe_split", probe)
+    del made[:], splits[:]
+    for p in (7, 61, 67, 101):
+        for d in (1, 2, 3):
+            f = build(rng, p, d, 3)[1]
+            assert gfp_factor_squarefree(f, p) == \
+                eager_gfp_factor_squarefree(f, p)
+    assert made == [] and splits == []
 
 
 def sturm_root_count_reference(p):
