@@ -188,13 +188,18 @@ class NumberField:
         # (p, simple roots of minpoly mod p) for the local square test,
         # computed by _local_nonsquare on first use
         self.local_roots = None
-        # the field object of dense.py for polynomials over L
-        self.field = dense.Field(self.zero(), self.one(), dense.same,
-                                 NFElement.inv)
 
     @classmethod
     def unchecked(cls, minpoly):
         return cls(minpoly, _checked=False)
+
+    @property
+    def field(self):
+        """The field object of dense.py for polynomials over L, built on
+        each access: kept on L, its zero and one would point back at L, and
+        every field would be a reference cycle, freed only by the cyclic
+        garbage collector."""
+        return dense.Field(self.zero(), self.one(), dense.same, NFElement.inv)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -314,11 +319,11 @@ def nf_poly_norm(f, L):
     Newton interpolant of the norms Res_theta(minpoly, f(t)) at
     n deg f + 1 integers t = 0, 1, -1, 2, ...
     """
-    n = L.degree
+    n, F = L.degree, L.field
     poly, base = RatPoly(), RatPoly.const(1)
     for k in range(n * (len(f) - 1) + 1):
         t = (k + 1) // 2 if k % 2 else -(k // 2)
-        value = resultant(L.minpoly, dense.evaluate(f, t, L.field).poly)
+        value = resultant(L.minpoly, dense.evaluate(f, t, F).poly)
         poly = poly + base * ((value - poly(t)) / base(t))
         base = base * RatPoly([-t, 1])
     return poly

@@ -7,9 +7,14 @@ multiplication can be written with ``*`` or by juxtaposition (``2i``,
 ``(3/2)i*x``), and ``^`` raises to a natural power.  Printing
 (format_qpoly in qpoly) and parsing round-trip exactly.
 
-The text is split into tokens once, and every subexpression is a kernel
-value (den, P): a list P of coordinate 4-tuples over the integer den, as
-in coordpoly.  The whole is brought to lowest terms once, as a QPoly.
+The text is split into token strings by one regular-expression pass;
+a token's position in the text is found, by scanning the text again,
+only when an error is raised.  Every subexpression is a kernel value
+(den, P): a list P of coordinate 4-tuples over the integer den, as in
+coordpoly.  The common cases take no general product: terms over one
+denominator are added unscaled, a product with a rational constant
+operand scales the other operand, and x^n is built as a monomial.  The
+whole is brought to lowest terms once, as a QPoly.
 """
 
 import math
@@ -17,14 +22,19 @@ import re
 
 from . import dense
 from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, cp_trim, kernel_ab
-from .errors import PolyParseError
+from .errors import PolyParseError, PreconditionViolation
 from .qpoly import QPoly, format_qpoly  # noqa: F401  (re-exported)
+from .quatalg import QuaternionAlgebra
 
 _TOKEN = re.compile(r"[0-9]+|\S")
 _DIGITS = frozenset("0123456789")
 _ATOM_STARTERS = _DIGITS | set("ijkx(")
+_ONE = (1, 0, 0, 0)
+# the i, j and k coordinates of a rational
+_PURE_ZERO = (0, 0, 0)
+_X = [ZERO, _ONE]
 _LETTERS = {"i": [(0, 1, 0, 0)], "j": [(0, 0, 1, 0)], "k": [(0, 0, 0, 1)],
-            "x": [ZERO, (1, 0, 0, 0)]}
+            "x": _X}
 # parentheses nest at most this deep, whatever the caller's stack depth
 _MAX_DEPTH = 100
 # the largest exponent, and the largest degree of a power or product; each
@@ -33,125 +43,161 @@ _MAX_DEGREE = 1000
 
 
 class _Tokens:
-    """Numbers and single non-space characters, each with its position,
-    ending in (len(text), None)."""
+    """The token strings of text, numbers and single non-space
+    characters, ending in None; tok is the token at index at.  ab is the
+    algebra's (alpha, beta) for products."""
 
-    def __init__(self, text):
-        self.toks = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
-        self.toks.append((len(text), None))
+    def __init__(self, text, ab):
+        self.text, self.ab = text, ab
+        self.toks = _TOKEN.findall(text)
+        self.toks.append(None)
+        self.tok = self.toks[0]
         self.at = self.depth = 0
-
-    def peek(self):
-        return self.toks[self.at][1]
 
     def take(self):
         self.at += 1
+        self.tok = self.toks[self.at]
 
     def number(self):
-        pos, tok = self.toks[self.at]
+        tok = self.tok
         if tok is None or tok[0] not in _DIGITS:
-            raise PolyParseError("expected a number", position=pos)
-        self.at += 1
+            self.error("expected a number")
+        self.take()
         return int(tok)
 
-    def error(self, msg):
-        raise PolyParseError(msg, position=self.toks[self.at][0])
+    def position(self, at):
+        """The position in the text of token at, len(text) for the end."""
+        for n, m in enumerate(_TOKEN.finditer(self.text)):
+            if n == at:
+                return m.start()
+        return len(self.text)
+
+    def error(self, msg, at=None):
+        raise PolyParseError(
+            msg, position=self.position(self.at if at is None else at))
 
 
-def _check_degree(degree, pos):
+def _check_degree(degree, toks, at):
     if degree > _MAX_DEGREE:
-        raise PolyParseError("exponent or degree above %d" % _MAX_DEGREE,
-                             position=pos)
+        toks.error("exponent or degree above %d" % _MAX_DEGREE, at)
 
 
 def parse_poly(text, A):
-    """Parse text into a QPoly over the algebra A."""
-    toks = _Tokens(text)
+    """Parse text into a QPoly over the algebra A.  A text that is not a
+    str, or an A that is not a QuaternionAlgebra, is a
+    PreconditionViolation."""
+    if not isinstance(text, str):
+        raise PreconditionViolation("the text must be a str, not %s"
+                                    % type(text).__name__)
+    if not isinstance(A, QuaternionAlgebra):
+        raise PreconditionViolation("the algebra must be a "
+                                    "QuaternionAlgebra, not %s"
+                                    % type(A).__name__)
+    toks = _Tokens(text, kernel_ab(A))
     try:
-        den, P = _expr(toks, kernel_ab(A))
+        den, P = _expr(toks)
     except RecursionError:
         raise PolyParseError("expression nested too deeply",
-                             position=toks.toks[toks.at][0]) from None
-    if toks.peek() is not None:
+                             position=toks.position(toks.at)) from None
+    if toks.tok is not None:
         toks.error("unexpected trailing input")
     return QPoly.from_kernel(A, den, P)
 
 
 def _mul(ab, p, q):
-    return p[0] * q[0], cp_trim(cp_mul(*ab, p[1], q[1]))
+    """The product of kernel values p and q; a rational constant operand
+    scales the other one."""
+    (d, P), (e, Q) = p, q
+    if len(P) == 1 and P[0][1:] == _PURE_ZERO:
+        return d * e, cp_trim(cp_scale(P[0][0], Q))
+    if len(Q) == 1 and Q[0][1:] == _PURE_ZERO:
+        return d * e, cp_trim(cp_scale(Q[0][0], P))
+    return d * e, cp_trim(cp_mul(*ab, P, Q))
 
 
-def _expr(toks, ab):
-    den, out, ch = 1, [], toks.peek()
+def _expr(toks):
+    den, out = 1, []
     while True:
-        sign = -1 if ch == "-" else 1
-        if ch in ("+", "-"):
+        tok = toks.tok
+        if tok == "-" or tok == "+":
             toks.take()
-        d, P = _term(toks, ab)
-        m = math.lcm(den, d)
-        out = cp_trim(cp_add(cp_scale(m // den, out),
-                             cp_scale(sign * m // d, P)))
-        den, ch = m, toks.peek()
-        if ch not in ("+", "-"):
+        d, P = _term(toks)
+        if tok == "-":
+            P = cp_scale(-1, P)
+        if not out:  # 0 over any denominator
+            den, out = d, cp_trim(P)
+        elif d == den:
+            out = cp_trim(cp_add(out, P))
+        else:
+            m = math.lcm(den, d)
+            out = cp_trim(cp_add(cp_scale(m // den, out),
+                                 cp_scale(m // d, P)))
+            den = m
+        if toks.tok != "+" and toks.tok != "-":
             return den, out
 
 
-def _term(toks, ab):
-    out = _factor(toks, ab)
+def _term(toks):
+    out = _factor(toks)
     while True:
-        ch = toks.peek()
-        if ch == "*":
+        tok = toks.tok
+        if tok == "*":
             toks.take()
-        elif ch is None or ch[0] not in _ATOM_STARTERS:
+        elif tok is None or tok[0] not in _ATOM_STARTERS:
             return out
-        pos = toks.toks[toks.at][0]
-        right = _factor(toks, ab)
-        _check_degree(len(out[1]) + len(right[1]) - 2, pos)
-        out = _mul(ab, out, right)
+        at = toks.at
+        right = _factor(toks)
+        _check_degree(len(out[1]) + len(right[1]) - 2, toks, at)
+        out = _mul(toks.ab, out, right)
 
 
-def _factor(toks, ab):
-    sign = 1
-    while toks.peek() == "-":
+def _factor(toks):
+    neg = False
+    while toks.tok == "-":
         toks.take()
-        sign = -sign
-    base = _atom(toks, ab)
-    if toks.peek() == "^":
+        neg = not neg
+    base = _atom(toks)
+    if toks.tok == "^":
         toks.take()
-        pos = toks.toks[toks.at][0]
+        at = toks.at
         n = toks.number()
-        _check_degree(max(n, (len(base[1]) - 1) * n), pos)
-        base = dense.power(base, n, (1, [(1, 0, 0, 0)]),
-                           lambda p, q: _mul(ab, p, q))
-    return base if sign == 1 else (base[0], cp_scale(-1, base[1]))
+        d, P = base
+        _check_degree(max(n, (len(P) - 1) * n), toks, at)
+        if d == 1 and P == _X:
+            base = 1, [ZERO] * n + [_ONE]
+        else:
+            base = dense.power(base, n, (1, [_ONE]),
+                               lambda p, q: _mul(toks.ab, p, q))
+    return (base[0], cp_scale(-1, base[1])) if neg else base
 
 
-def _atom(toks, ab):
-    ch = toks.peek()
-    if ch is None:
+def _atom(toks):
+    tok = toks.tok
+    if tok is None:
         toks.error("unexpected end of input")
-    if ch[0] in _DIGITS:
-        num = toks.number()
-        if toks.peek() != "/":
-            return 1, [(num, 0, 0, 0)]
+    if tok[0] in _DIGITS:
         toks.take()
-        pos, tok = toks.toks[toks.at]
+        if toks.tok != "/":
+            return 1, [(int(tok), 0, 0, 0)]
+        toks.take()
+        at = toks.at
         den = toks.number()
         if den == 0:
-            raise PolyParseError("zero denominator", position=pos + len(tok))
-        return den, [(num, 0, 0, 0)]
-    if ch in _LETTERS:
+            pos = toks.position(at) + len(toks.toks[at])
+            raise PolyParseError("zero denominator", position=pos)
+        return den, [(int(tok), 0, 0, 0)]
+    if tok in _LETTERS:
         toks.take()
-        return 1, list(_LETTERS[ch])
-    if ch == "(":
+        return 1, list(_LETTERS[tok])
+    if tok == "(":
         if toks.depth == _MAX_DEPTH:
             toks.error("expression nested too deeply")
         toks.take()
         toks.depth += 1
-        inner = _expr(toks, ab)
-        if toks.peek() != ")":
+        inner = _expr(toks)
+        if toks.tok != ")":
             toks.error("expected ')'")
         toks.take()
         toks.depth -= 1
         return inner
-    toks.error("unexpected character %r" % ch)
+    toks.error("unexpected character %r" % tok)

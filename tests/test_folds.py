@@ -1961,10 +1961,10 @@ class RefNumberField(NumberField):
     """NumberField with the Fraction elements: element, from_rational and
     gen as they were, and dense.py's field object over RefNFElement."""
 
-    def __init__(self, minpoly, _checked=True):
-        super().__init__(minpoly, _checked)
-        self.field = dense.Field(self.zero(), self.one(), dense.same,
-                                 RefNFElement.inv)
+    @property
+    def field(self):
+        return dense.Field(self.zero(), self.one(), dense.same,
+                           RefNFElement.inv)
 
     def element(self, coords):
         coords = dense.trim([Fr(c) for c in coords])

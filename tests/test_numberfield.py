@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction as Fr
 
 import pytest
@@ -519,3 +521,25 @@ def test_sqrt_over_degree_one_fields_matches_the_rational_branch():
             else:
                 assert got == L.from_rational(want), (L, d)
     assert 900 < squares < 1100
+
+
+def test_dropped_fields_are_freed_without_the_cyclic_collector():
+    """A field holds no reference back to itself, so it is freed when the
+    last reference goes, also after nf_sqrt has filled its local_roots
+    and run Trager over its field object."""
+    refs = []
+    gc.disable()
+    try:
+        for k in range(20):
+            L = NumberField(from_int_list([6, 16, 11, 0, 1]))
+            el = L.gen() + k
+            if k % 2:
+                assert nf_sqrt(el, L) is None
+                assert L.local_roots is not None
+            else:
+                assert nf_sqrt(el * el, L) in (el, -el)
+            refs.append(weakref.ref(L))
+            del L, el
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
