@@ -97,14 +97,22 @@ def _load_certs(paths, A):
     return store
 
 
-def _expect_arity(args, n):
-    if len(args.polys) != n:
-        raise PolyParseError(
-            "command %r expects %d polynomial argument(s), got %d"
-            % (args.command, n, len(args.polys)))
-
-
 def run(argv=None):
+    """Run one command and return its exit code.  Python's cap on the
+    digits of an int turned to or from text is lifted for the call and
+    put back after it, so no answer is too long to print; the numbers of
+    the input are bounded by the parser's bit cap instead.  The cap is
+    the interpreter's, so run is not for threads that read or write
+    long ints meanwhile."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
@@ -141,7 +149,11 @@ def run(argv=None):
 
 def _dispatch(args, A):
     cmd = args.command
-    _expect_arity(args, 2 if cmd in ("gcrd", "eval") else 1)
+    n = 2 if cmd in ("gcrd", "eval") else 1
+    if len(args.polys) != n:
+        raise PolyParseError(
+            "command %r expects %d polynomial argument(s), got %d"
+            % (cmd, n, len(args.polys)))
     p = parse_poly(args.polys[0], A)
     report = {"command": cmd, "input": str(p)}
 

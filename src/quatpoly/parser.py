@@ -7,6 +7,10 @@ multiplication can be written with ``*`` or by juxtaposition (``2i``,
 ``(3/2)i*x``), and ``^`` raises to a natural power.  Printing
 (format_qpoly in qpoly) and parsing round-trip exactly.
 
+No power or product may predict numbers of more than _MAX_BITS bits; a
+product is measured only once the text could reach that at all (see
+_term), so ordinary input pays for the powers alone.
+
 The text is split into token strings by one regular-expression pass;
 a token's position in the text is found, by scanning the text again,
 only when an error is raised.  Every subexpression is a kernel value
@@ -40,12 +44,17 @@ _MAX_DEPTH = 100
 # the largest exponent, and the largest degree of a power or product; each
 # sum and product is trimmed, so a cancelled term does not count
 _MAX_DEGREE = 1000
+# the most bits a power or product may predict for its numbers: the
+# exponent times the base's bits, or the sum of the factors'
+_MAX_BITS = 1 << 16
 
 
 class _Tokens:
     """The token strings of text, numbers and single non-space
     characters, ending in None; tok is the token at index at.  ab is the
-    algebra's (alpha, beta) for products."""
+    algebra's (alpha, beta) for products.  Over an integral algebra, room
+    bounds the bits of every number the text forms (see _term), and k is
+    what one operator adds to it; over a rational one room is unbounded."""
 
     def __init__(self, text, ab):
         self.text, self.ab = text, ab
@@ -53,6 +62,9 @@ class _Tokens:
         self.toks.append(None)
         self.tok = self.toks[0]
         self.at = self.depth = 0
+        whole = type(ab[0]) is int and type(ab[1]) is int
+        self.k = 12 + ab[0].bit_length() + ab[1].bit_length() if whole else 0
+        self.room = len(text) * (5 + self.k) if whole else math.inf
 
     def take(self):
         self.at += 1
@@ -77,9 +89,22 @@ class _Tokens:
             msg, position=self.position(self.at if at is None else at))
 
 
-def _check_degree(degree, toks, at):
+def _bits(value):
+    """The most bits of the denominator of a kernel value and of the
+    numerator and denominator of each coordinate (Fractions over a
+    non-integral algebra), by one bit_length: n | d has the bit length
+    of the larger of n >= 0 and d."""
+    d, P = value
+    return max([d] + [abs(c.numerator) | c.denominator
+                      for a in P if any(a) for c in a if c]).bit_length()
+
+
+def _check(degree, bits, toks, at):
+    """Raise at token at for a power or product above the caps."""
     if degree > _MAX_DEGREE:
         toks.error("exponent or degree above %d" % _MAX_DEGREE, at)
+    if bits > _MAX_BITS:
+        toks.error("number above %d bits" % _MAX_BITS, at)
 
 
 def parse_poly(text, A):
@@ -138,7 +163,20 @@ def _expr(toks):
 
 
 def _term(toks):
-    out = _factor(toks)
+    """A product of factors.  Its bits are predicted as the sum of its
+    factors', each read once (bits is 0 until then), but only once the
+    text's room passes the cap, as no prediction can pass it before.
+    room is a bound over an integral algebra: let s(v) be the bits of the
+    largest coordinate of a value v plus those of its denominator.  An
+    atom of L characters has s at most 5L (under 4 bits a digit, and the
+    denominator), and a product or sum at most k = 12 + the bits of alpha
+    and beta more than its operands together (2 for the four terms of a
+    coordinate, 10 for up to 1001 of those).  Charging that k to the
+    first token of the right operand, which begins no other right
+    operand, a text whose powers are all of x holds no s above
+    len(text) * (5 + k).  A power n of a base b has s at most
+    n * (2 * _bits(b) + k), which _factor adds to room."""
+    out, bits = _factor(toks), 0
     while True:
         tok = toks.tok
         if tok == "*":
@@ -147,7 +185,9 @@ def _term(toks):
             return out
         at = toks.at
         right = _factor(toks)
-        _check_degree(len(out[1]) + len(right[1]) - 2, toks, at)
+        if toks.room > _MAX_BITS:
+            bits = (bits or _bits(out)) + _bits(right)
+        _check(len(out[1]) + len(right[1]) - 2, bits, toks, at)
         out = _mul(toks.ab, out, right)
 
 
@@ -162,10 +202,12 @@ def _factor(toks):
         at = toks.at
         n = toks.number()
         d, P = base
-        _check_degree(max(n, (len(P) - 1) * n), toks, at)
+        bits = _bits(base)
+        _check(max(n, (len(P) - 1) * n), n * bits, toks, at)
         if d == 1 and P == _X:
             base = 1, [ZERO] * n + [_ONE]
         else:
+            toks.room += n * (2 * bits + toks.k)
             base = dense.power(base, n, (1, [_ONE]),
                                lambda p, q: _mul(toks.ab, p, q))
     return (base[0], cp_scale(-1, base[1])) if neg else base

@@ -202,12 +202,8 @@ class QPoly(dense.RingElement):
         the coordinates, in which den cancels."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        al, be = kernel_ab(self.parent)
-        t, x, y, z = lc = self.num[-1]
-        n = coord_norm(al, be, lc)
-        if n == 0:
-            raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                         witness=self.lc)
+        al, be, n = _lc_norm(self)
+        t, x, y, z = self.num[-1]
         return _make(self.parent, n, [coord_mul(al, be, (t, -x, -y, -z), a)
                                       for a in self.num])
 
@@ -249,17 +245,25 @@ def qp_norm(p):
     return from_int_list(n, den * den)
 
 
+def _lc_norm(p):
+    """(alpha, beta, n) for the nonzero p: the kernel's alpha and beta of
+    its algebra, and n = N(den * lc(p)).  An n of 0 makes lc(p) a zero
+    divisor, raised as ZeroDivisorEncountered with lc(p) as witness."""
+    al, be = kernel_ab(p.parent)
+    n = coord_norm(al, be, p.num[-1])
+    if n == 0:
+        raise ZeroDivisorEncountered("nonzero element with zero norm",
+                                     witness=p.lc)
+    return al, be, n
+
+
 def _divisor_ab(d):
     """alpha and beta of the algebra of d, for a right division by d: a
     zero d is a DivisionByZero, and a leading coefficient of d with norm
     0 is a zero divisor, reported as by monic."""
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
-    al, be = kernel_ab(d.parent)
-    if coord_norm(al, be, d.num[-1]) == 0:
-        raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                     witness=d.lc)
-    return al, be
+    return _lc_norm(d)[:2]
 
 
 def qp_right_divmod(p, d):
@@ -367,6 +371,28 @@ def beck_decompose(p):
     return BeckDecomposition(p.lc, q, from_int_list(cen, cen[-1]))
 
 
+def _splits(L, A, cert=None):
+    """Whether the central irreducible minimal polynomial p of L splits
+    in A[x], that is, whether A (x) L is a split algebra: the one rule of
+    factor_central_irreducible and is_irreducible, taken in this order.
+    An odd degree never splits: at a prime where A ramifies, the local
+    degrees e*f of the places of L above it sum to deg p, so one of them
+    is odd and A (x) L stays a division algebra there.  A cert that
+    matches A and p (ZeroDivisorCertificate.matches) over a division
+    algebra A proves a split, as its nonzero element of norm 0 has no
+    inverse.  Otherwise nf_splits_quaternion decides, and it raises
+    SplitAlgebra for a split A.  So a split A, made with
+    QuaternionAlgebra.unchecked, raises only for an even degree; for an
+    odd one p is reported as not splitting."""
+    al, be = A.alpha, A.beta
+    if L.degree % 2 == 1:
+        return False
+    if cert is not None and cert.matches(al, be, L.minpoly) \
+            and is_division(al, be):
+        return True
+    return nf_splits_quaternion(al, be, L)
+
+
 def is_irreducible(p):
     """Irreducibility in A[x], by the trichotomy on the Beck decomposition."""
     if p.is_zero or p.degree < 1:
@@ -382,10 +408,7 @@ def is_irreducible(p):
             L = NumberField(b.central)
         except DegenerateInput:
             return False
-        if cen_deg % 2 == 1:
-            # odd-degree quick exit: no quadratic subfield, never splits
-            return True
-        return not nf_splits_quaternion(p.parent.alpha, p.parent.beta, L)
+        return not _splits(L, p.parent)
     # no central part: irreducible iff the norm is irreducible over Q
     return rp_is_irreducible(qp_norm(b.central_free))
 
@@ -455,19 +478,13 @@ def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
     proved irreducible.  The zero divisor comes from a quadratic
     subfield, the certificate cert or the seeded search.
 
-    p stays irreducible when its degree is odd or A (x) L is a division
-    algebra (nf_splits_quaternion).  A cert that matches A and p
-    (ZeroDivisorCertificate.matches) stands in for that test: its nonzero
-    element of norm 0 already proves A (x) L split.  Any other cert
+    Whether p splits at all is _splits(L, A, cert).  A cert that matches
+    A and p stands in for the splitting test there; any other cert
     leaves the test in place, and find_zero_divisor rejects it when
-    A (x) L splits.  A split A (QuaternionAlgebra.unchecked) always takes
-    the test, which raises SplitAlgebra."""
+    A (x) L splits."""
     _check_field(L)
     p = L.minpoly
-    if p.degree % 2 == 1 or not (
-            (cert is not None and cert.matches(A.alpha, A.beta, p)
-             and is_division(A.alpha, A.beta))
-            or nf_splits_quaternion(A.alpha, A.beta, L)):
+    if not _splits(L, A, cert):
         return Factorization(A.one(), [QPoly.from_ratpoly(A, p)])
     pair = subfield_factor(L, A)
     if pair is not None:
@@ -561,20 +578,17 @@ def roots(p):
                 return
         reps.append(a)
 
-    central_factors = rp_factor(b.central).factors
-    for r, _e in central_factors:
+    # rp_factor sorts its factors by degree: the rational roots come first
+    for r, _e in rp_factor(b.central).factors:
         if r.degree == 1:
             push(A.scalar(-r[0]))
-    for r, _e in central_factors:
-        if r.degree != 2:
-            continue
-        pair = subfield_factor(NumberField.unchecked(r), A)
-        if pair is None:
-            continue
-        lin = pair[0]
-        if lin.degree != 1:
-            raise InternalInvariantViolation("quadratic split is not linear")
-        push(-lin[0])
+        elif r.degree == 2:
+            pair = subfield_factor(NumberField.unchecked(r), A)
+            if pair is not None:
+                if pair[0].degree != 1:
+                    raise InternalInvariantViolation(
+                        "quadratic split is not linear")
+                push(-pair[0][0])
     q = b.central_free
     if q.degree > 0:
         for qj, _e in rp_factor(qp_norm(q)).factors:

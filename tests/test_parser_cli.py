@@ -2,12 +2,13 @@ import json
 import random
 import re
 import shlex
+import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
-from quatpoly import quadform
+from quatpoly import parser, quadform
 from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
 from quatpoly.errors import InvalidCertificate, PolyParseError
@@ -110,6 +111,35 @@ class TestParser:
                                match="degree above 1000") as ei:
                 P(bad)
             assert ei.value.position == pos, bad
+
+    def test_bit_cap(self, monkeypatch):
+        """A power or product whose numbers are predicted past the bit cap
+        (the exponent times the base's bits, or the sum of the factors')
+        is an error at the exponent or at the right factor, before it is
+        formed; tested with a low cap, so no large integer is built."""
+        monkeypatch.setattr(parser, "_MAX_BITS", 1000)
+        # 9 has 4 bits and 9^99 has 314: (9^99)^99 would predict 31086
+        assert P("9^99") == P("9^98") * 9
+        for bad, pos in (("((9^99)^99)^99", 8), ("(9^99)^99", 7),
+                         ("x - (9^99)^99", 11), ("2^500*2^500", 6),
+                         ("(2^500)(1/2^500)", 7), ("(2^400 x)^3", 10)):
+            with pytest.raises(PolyParseError,
+                               match="number above 1000 bits") as ei:
+                P(bad)
+            assert ei.value.position == pos, bad
+        # 2 has 2 bits, 2^499 has 500, and x^n is x's one bit n times
+        assert P("2^499*2^499") == QPoly(H, [H.scalar(2 ** 998)])
+        assert P("(2^400 x)^2") == P("2^400 x") ** 2
+        assert P("x^1000") == QPoly.x(H) ** 1000
+
+    def test_bit_cap_reads_fraction_coordinates(self):
+        """Over a non-integral algebra the kernel holds Fractions; their
+        bits are those of the larger of numerator and denominator."""
+        A = QuaternionAlgebra(Fr(-1, 2), -3)
+        assert parser._bits((1, [(Fr(-1, 2 ** 70), 0, 0, 0)])) == 71
+        assert parser._bits((3, [(0, Fr(2 ** 40, 3), 0, 0), (5, 0, 0, 0)])) \
+            == 41
+        assert P("i*i", A) == QPoly(A, [A.scalar(Fr(-1, 2))])
 
     def test_nesting_limit_does_not_depend_on_the_caller(self):
         text = "(" * 150 + "x" + ")" * 150
@@ -223,6 +253,43 @@ class TestCli:
         code = run(["factor", "x^1001", "--alpha", "-1", "--beta", "-1"])
         assert code == EXIT_USAGE
         assert "position 2" in capsys.readouterr().err
+
+    def test_integer_size_inputs(self, monkeypatch, capsys):
+        """The three integer-size inputs end with a documented exit code:
+        under a low bit cap each is a parse error (exit 1), and the
+        message names the cap and the exponent."""
+        monkeypatch.setattr(parser, "_MAX_BITS", 256)
+        for argv in (["factor", "x - (9^99)^99"], ["eval", "(9^99)^99", "0"],
+                     ["factor", "((9^99)^99)^99"]):
+            assert run(argv + ["--alpha", "-1", "--beta", "-1"]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"error: number above 256 bits "
+                                r"\(at position \d+\)\n", err), err
+        with pytest.raises(PolyParseError, match="above 256 bits") as ei:
+            P("((9^99)^99)^99")
+        assert ei.value.position == 4
+
+    def test_answers_past_the_int_digit_limit_print(self, capsys):
+        """run lifts Python's limit on the digits of an int for its call
+        and puts it back: with the limit at its lowest, 640 digits, the
+        696-digit value 9^729 prints in full, and outside run the limit
+        holds again."""
+        value = 9 ** 729
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run(["eval", "(9^27)^27", "i", "--alpha", "-1",
+                        "--beta", "-1", "--json"]) == EXIT_OK
+            assert sys.get_int_max_str_digits() == 640
+            with pytest.raises(ValueError):
+                str(value)
+            assert run(["eval", "(9^27)^27", "0", "--alpha", "1",
+                        "--beta", "1"]) == EXIT_SPLIT
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == ["%d/1" % value, "0/1", "0/1", "0/1"]
 
     def test_arity_error_exit(self, capsys):
         assert run(["gcrd", "x", "--alpha", "-1", "--beta", "-1"]) == \

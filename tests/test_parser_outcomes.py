@@ -172,6 +172,57 @@ def test_products_of_polynomials_take_the_product(monkeypatch):
         assert calls, text
 
 
+# -- the bit cap's room -----------------------------------------------------
+
+def _size(value):
+    """s(v) of parser._term: the bits of the largest coordinate plus those
+    of the denominator."""
+    d, P = value
+    return max([0] + [abs(c) for a in P for c in a]).bit_length() \
+        + d.bit_length()
+
+
+def test_room_bounds_every_number_formed(monkeypatch):
+    """Over integral algebras, one of them with 20-bit alpha, every value
+    the parser forms (atom, power, product, term, sum) has s(v) within the
+    text's room as it stands, so a product check skipped while room is
+    under the cap could not have fired.  Checked with the bit cap out of
+    the way, on the random strings and random expressions above and on
+    products and sums of powers."""
+    texts = _random_strings(random.Random(37))[:3000]
+    rng = random.Random(38)
+    texts += [_expr(rng, H, rng.randint(0, 3))[0] for _ in range(300)]
+    texts += ["(i + j/3)^7 (x - k/5)^5 + 1/7 - (2i - 3/4)^9", "i^999",
+              "(1/2 + 1/3 + 1/5 + 1/7)^20 (x + i)^3 - (j k)^50 x",
+              "((2x + 3i)^4 + 5/6)^6 (7 - j)^8"]
+    made = []
+
+    class Tokens(parser._Tokens):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def watch(fn):
+        def checked(*args):
+            value = fn(*args)
+            assert _size(value) <= made[-1].room, (made[-1].text, value)
+            return value
+        return checked
+
+    monkeypatch.setattr(parser, "_Tokens", Tokens)
+    monkeypatch.setattr(parser, "_MAX_BITS", 1 << 40)
+    for name in ("_atom", "_factor", "_term", "_expr", "_mul"):
+        monkeypatch.setattr(parser, name, watch(getattr(parser, name)))
+    for A in (H, QuaternionAlgebra(-1, -3),
+              QuaternionAlgebra(-1000003, -999)):
+        for text in texts:
+            try:
+                parse_poly(text, A)
+            except PolyParseError:
+                pass
+    assert len(made) == 3 * len(texts)
+
+
 # -- typed errors ------------------------------------------------------------
 
 @pytest.mark.parametrize("text, A", [

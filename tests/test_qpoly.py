@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -256,13 +257,13 @@ class TestGcrdLclm:
     def test_divisor_with_a_zero_norm_leading_coefficient(self):
         """Over a split algebra, dividing by (1+i)x + 2, whose leading
         coefficient has norm 0, reports that zero divisor through every
-        entry that divides by it."""
+        entry that divides by it, and so does making it monic."""
         A = QuaternionAlgebra.unchecked(1, 1)
         lc = A.one() + A.i
         p = QPoly(A, [A.scalar(3), A.zero(), A.one()])
         d = QPoly(A, [A.scalar(2), lc])
         for divide in (qp_right_divmod, qp_exact_right_div, qp_gcrd,
-                       qp_gcrd_bezout, qp_lclm):
+                       qp_gcrd_bezout, qp_lclm, lambda p, d: d.monic()):
             with pytest.raises(ZeroDivisorEncountered) as ei:
                 divide(p, d)
             assert ei.value.witness == lc
@@ -385,6 +386,68 @@ class TestIrreducibility:
             seen.clear()
             assert is_irreducible(QPoly.from_ratpoly(H, p)) is want
             assert seen.count(p) == 1, p
+
+
+class TestOneSplittingRule:
+    """Whether a central irreducible p splits is decided in one place,
+    qpoly._splits, for both factor_central_irreducible and
+    is_irreducible."""
+
+    def test_irreducible_iff_factor_keeps_one_factor(self):
+        """On seeded central irreducibles of degree 2 to 5 over (-1,-1)
+        and (-1,-3), is_irreducible is True exactly when factor returns
+        p alone; a split p whose search exhausts is skipped."""
+        rng = random.Random(36)
+        seen = {True: 0, False: 0}
+        for A in (H, H13):
+            checked = 0
+            while checked < 30:
+                deg = rng.randint(2, 5)
+                r = from_int_list([rng.randint(-6, 6) for _ in range(deg)]
+                                  + [1])
+                if not rp_is_irreducible(r):
+                    continue
+                p = QPoly.from_ratpoly(A, r)
+                try:
+                    n = len(factor(p).factors)
+                except SearchExhausted:
+                    continue
+                checked += 1
+                assert is_irreducible(p) == (n == 1), (A, r)
+                seen[n == 1] += 1
+        assert min(seen.values()) > 0
+
+    def test_only_splits_names_the_rule(self):
+        """Inside qpoly.py, only _splits names nf_splits_quaternion and
+        is_division or calls a certificate's matches."""
+        tree = ast.parse(Path(qpoly.__file__).read_text())
+        where = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    name = (node.id if isinstance(node, ast.Name) else
+                            node.attr if isinstance(node, ast.Attribute)
+                            else None)
+                    if name in ("nf_splits_quaternion", "is_division",
+                                "matches"):
+                        where.setdefault(name, set()).add(fn.name)
+        assert where == dict.fromkeys(
+            ("nf_splits_quaternion", "is_division", "matches"), {"_splits"})
+
+    def test_odd_degree_comes_before_the_splitting_test(self, monkeypatch):
+        """Over a split algebra made with QuaternionAlgebra.unchecked an
+        odd degree takes the odd-degree exit and runs no test; an even
+        one takes the test, which raises SplitAlgebra."""
+        tests = spy_calls(monkeypatch, numberfield, "nf_splits_quaternion")
+        A = QuaternionAlgebra.unchecked(1, 1)
+        cubic = from_int_list([-2, 0, 0, 1])
+        out = factor_central_irreducible(NumberField(cubic), A)
+        assert out.factors == [QPoly.from_ratpoly(A, cubic)]
+        assert is_irreducible(QPoly.from_ratpoly(A, cubic))
+        assert tests == []
+        with pytest.raises(SplitAlgebra):
+            is_irreducible(QPoly.from_ratpoly(A, QUARTIC_MIN))
+        assert len(tests) == 1
 
 
 QUARTIC_MIN = from_int_list([6, 16, 11, 0, 1])
