@@ -97,26 +97,34 @@ def _load_certs(paths, A):
     return store
 
 
+def _expect_arity(args, n):
+    if len(args.polys) != n:
+        raise PolyParseError(
+            "command %r expects %d polynomial argument(s), got %d"
+            % (args.command, n, len(args.polys)))
+
+
 def run(argv=None):
-    """Run one command and return its exit code.  Python's cap on the
-    digits of an int turned to or from text is lifted for the call and
-    put back after it, so no answer is too long to print; the numbers of
-    the input are bounded by the parser's bit cap instead.  The cap is
-    the interpreter's, so run is not for threads that read or write
-    long ints meanwhile."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _run(argv):
+    """Run one command and return its exit code.  Once the options are
+    read (so --alpha and --beta keep Python's limit of 4300 digits on an
+    int read from text), that limit is lifted for the command and put
+    back after it, so no answer is too long to print; the numbers of the
+    polynomials are bounded by the parser's caps instead.  The limit is
+    the interpreter's, so run is not for threads that read or write long
+    ints meanwhile."""
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args):
     t0 = time.monotonic()
     try:
         A = QuaternionAlgebra(args.alpha, args.beta)
@@ -149,11 +157,7 @@ def _run(argv):
 
 def _dispatch(args, A):
     cmd = args.command
-    n = 2 if cmd in ("gcrd", "eval") else 1
-    if len(args.polys) != n:
-        raise PolyParseError(
-            "command %r expects %d polynomial argument(s), got %d"
-            % (cmd, n, len(args.polys)))
+    _expect_arity(args, 2 if cmd in ("gcrd", "eval") else 1)
     p = parse_poly(args.polys[0], A)
     report = {"command": cmd, "input": str(p)}
 

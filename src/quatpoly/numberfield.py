@@ -75,13 +75,17 @@ def hilbert_symbol(a, b, place):
     al, u = _local_class(a, p)
     be, v = _local_class(b, p)
     if p == 2:
-        # (-1)^(eps(u) eps(v) + al om(v) + be om(u)), eps(u) = (u - 1)/2
-        # and om(u) = (u^2 - 1)/8, which read only u mod 8
         u, v = u % 8, v % 8
-        e = (u - 1) // 2 * ((v - 1) // 2) + al * ((v * v - 1) // 8) \
-            + be * ((u * u - 1) // 8)
+        eps_u = ((u - 1) // 2) % 2
+        eps_v = ((v - 1) // 2) % 2
+        om_u = ((u * u - 1) // 8) % 2
+        om_v = ((v * v - 1) // 8) % 2
+        e = eps_u * eps_v + al * om_v + be * om_u
         return -1 if e % 2 else 1
-    sym = -1 if al * be * ((p - 1) // 2) % 2 else 1
+    eps = ((p - 1) // 2) % 2
+    sym = 1
+    if (al * be * eps) % 2:
+        sym = -sym
     if be % 2:
         sym *= legendre(u, p)
     if al % 2:
@@ -368,9 +372,14 @@ def nf_factor(f, L):
     parts = nf_factor_squarefree(radical, L)
     out = []
     for h in parts:
-        mult, (q, r) = 0, dense.divmod(f, h, F)
-        while not r:
-            mult, (q, r) = mult + 1, dense.divmod(q, h, F)
+        mult = 0
+        rest = f
+        while True:
+            q, r = dense.divmod(rest, h, F)
+            if r:
+                break
+            rest = q
+            mult += 1
         out.append((h, mult))
     return out
 
@@ -541,5 +550,7 @@ def nf_splits_quaternion(alpha, beta, L):
     if not places:
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))
     first = [INFINITE_PLACE] if places.infinite else []
-    return not any((e * f) % 2 for place in first + list(places.finite_primes)
-                   for e, f in nf_local_splitting(L, place))
+    for place in first + list(places.finite_primes):
+        if any((e * f) % 2 for e, f in nf_local_splitting(L, place)):
+            return False
+    return True

@@ -7,9 +7,10 @@ multiplication can be written with ``*`` or by juxtaposition (``2i``,
 ``(3/2)i*x``), and ``^`` raises to a natural power.  Printing
 (format_qpoly in qpoly) and parsing round-trip exactly.
 
-No power or product may predict numbers of more than _MAX_BITS bits; a
-product is measured only once the text could reach that at all (see
-_term), so ordinary input pays for the powers alone.
+No number in the text may have more than _MAX_DIGITS digits, and no
+power, product or sum of terms over different denominators may predict
+numbers of more than _MAX_BITS bits; the prediction is made from its
+operands before it is formed (see _grows).
 
 The text is split into token strings by one regular-expression pass;
 a token's position in the text is found, by scanning the text again,
@@ -44,17 +45,16 @@ _MAX_DEPTH = 100
 # the largest exponent, and the largest degree of a power or product; each
 # sum and product is trimmed, so a cancelled term does not count
 _MAX_DEGREE = 1000
-# the most bits a power or product may predict for its numbers: the
-# exponent times the base's bits, or the sum of the factors'
+# the most bits a power, product or sum may predict for its numbers, and
+# the most digits of a number in the text, which so has fewer bits
 _MAX_BITS = 1 << 16
+_MAX_DIGITS = _MAX_BITS * 3 // 10
 
 
 class _Tokens:
     """The token strings of text, numbers and single non-space
     characters, ending in None; tok is the token at index at.  ab is the
-    algebra's (alpha, beta) for products.  Over an integral algebra, room
-    bounds the bits of every number the text forms (see _term), and k is
-    what one operator adds to it; over a rational one room is unbounded."""
+    algebra's (alpha, beta) for products."""
 
     def __init__(self, text, ab):
         self.text, self.ab = text, ab
@@ -62,9 +62,6 @@ class _Tokens:
         self.toks.append(None)
         self.tok = self.toks[0]
         self.at = self.depth = 0
-        whole = type(ab[0]) is int and type(ab[1]) is int
-        self.k = 12 + ab[0].bit_length() + ab[1].bit_length() if whole else 0
-        self.room = len(text) * (5 + self.k) if whole else math.inf
 
     def take(self):
         self.at += 1
@@ -74,6 +71,8 @@ class _Tokens:
         tok = self.tok
         if tok is None or tok[0] not in _DIGITS:
             self.error("expected a number")
+        if len(tok) > _MAX_DIGITS:
+            self.error("number above %d digits" % _MAX_DIGITS)
         self.take()
         return int(tok)
 
@@ -99,8 +98,31 @@ def _bits(value):
                       for a in P if any(a) for c in a if c]).bit_length()
 
 
+def _scalar(P):
+    """True for a rational constant: one 4-tuple with zero i, j, k parts."""
+    return len(P) == 1 and P[0][1:] == _PURE_ZERO
+
+
+def _grows(ab, P, Q):
+    """The bits a product P*Q may add to the sum of its factors' _bits:
+    none when one factor is a rational constant, which only scales the
+    other; else 12, for the sum of up to 4 * 1001 terms that forms a
+    coordinate, and the bits of alpha and beta when both factors have an
+    i, j or k part.  A power b^n of a b that is not x may so add
+    n * _grows(b, b) to n * _bits(b).  Over an integral algebra these
+    are bounds; over a rational one, whose coordinates are Fractions,
+    estimates."""
+    if _scalar(P) or _scalar(Q):
+        return 0
+    if all(a[1:] == _PURE_ZERO for a in P) or \
+            all(a[1:] == _PURE_ZERO for a in Q):
+        return 12
+    return 12 + sum((abs(c.numerator) | c.denominator).bit_length()
+                    for c in ab)
+
+
 def _check(degree, bits, toks, at):
-    """Raise at token at for a power or product above the caps."""
+    """Raise at token at for a power, product or sum above the caps."""
     if degree > _MAX_DEGREE:
         toks.error("exponent or degree above %d" % _MAX_DEGREE, at)
     if bits > _MAX_BITS:
@@ -133,9 +155,9 @@ def _mul(ab, p, q):
     """The product of kernel values p and q; a rational constant operand
     scales the other one."""
     (d, P), (e, Q) = p, q
-    if len(P) == 1 and P[0][1:] == _PURE_ZERO:
+    if _scalar(P):
         return d * e, cp_trim(cp_scale(P[0][0], Q))
-    if len(Q) == 1 and Q[0][1:] == _PURE_ZERO:
+    if _scalar(Q):
         return d * e, cp_trim(cp_scale(Q[0][0], P))
     return d * e, cp_trim(cp_mul(*ab, P, Q))
 
@@ -146,6 +168,7 @@ def _expr(toks):
         tok = toks.tok
         if tok == "-" or tok == "+":
             toks.take()
+        at = toks.at
         d, P = _term(toks)
         if tok == "-":
             P = cp_scale(-1, P)
@@ -155,28 +178,17 @@ def _expr(toks):
             out = cp_trim(cp_add(out, P))
         else:
             m = math.lcm(den, d)
-            out = cp_trim(cp_add(cp_scale(m // den, out),
-                                 cp_scale(m // d, P)))
+            a, b = m // den, m // d
+            _check(0, max(_bits((den, out)) + a.bit_length(),
+                          _bits((d, P)) + b.bit_length()) + 1, toks, at)
+            out = cp_trim(cp_add(cp_scale(a, out), cp_scale(b, P)))
             den = m
         if toks.tok != "+" and toks.tok != "-":
             return den, out
 
 
 def _term(toks):
-    """A product of factors.  Its bits are predicted as the sum of its
-    factors', each read once (bits is 0 until then), but only once the
-    text's room passes the cap, as no prediction can pass it before.
-    room is a bound over an integral algebra: let s(v) be the bits of the
-    largest coordinate of a value v plus those of its denominator.  An
-    atom of L characters has s at most 5L (under 4 bits a digit, and the
-    denominator), and a product or sum at most k = 12 + the bits of alpha
-    and beta more than its operands together (2 for the four terms of a
-    coordinate, 10 for up to 1001 of those).  Charging that k to the
-    first token of the right operand, which begins no other right
-    operand, a text whose powers are all of x holds no s above
-    len(text) * (5 + k).  A power n of a base b has s at most
-    n * (2 * _bits(b) + k), which _factor adds to room."""
-    out, bits = _factor(toks), 0
+    out = _factor(toks)
     while True:
         tok = toks.tok
         if tok == "*":
@@ -185,9 +197,8 @@ def _term(toks):
             return out
         at = toks.at
         right = _factor(toks)
-        if toks.room > _MAX_BITS:
-            bits = (bits or _bits(out)) + _bits(right)
-        _check(len(out[1]) + len(right[1]) - 2, bits, toks, at)
+        _check(len(out[1]) + len(right[1]) - 2, _bits(out) + _bits(right)
+               + _grows(toks.ab, out[1], right[1]), toks, at)
         out = _mul(toks.ab, out, right)
 
 
@@ -202,12 +213,12 @@ def _factor(toks):
         at = toks.at
         n = toks.number()
         d, P = base
-        bits = _bits(base)
-        _check(max(n, (len(P) - 1) * n), n * bits, toks, at)
-        if d == 1 and P == _X:
+        if d == 1 and P == _X:  # a monomial, formed by no product
+            _check(n, 1, toks, at)
             base = 1, [ZERO] * n + [_ONE]
         else:
-            toks.room += n * (2 * bits + toks.k)
+            _check(max(n, (len(P) - 1) * n),
+                   n * (_bits(base) + _grows(toks.ab, P, P)), toks, at)
             base = dense.power(base, n, (1, [_ONE]),
                                lambda p, q: _mul(toks.ab, p, q))
     return (base[0], cp_scale(-1, base[1])) if neg else base
@@ -218,16 +229,16 @@ def _atom(toks):
     if tok is None:
         toks.error("unexpected end of input")
     if tok[0] in _DIGITS:
-        toks.take()
+        num = toks.number()
         if toks.tok != "/":
-            return 1, [(int(tok), 0, 0, 0)]
+            return 1, [(num, 0, 0, 0)]
         toks.take()
         at = toks.at
         den = toks.number()
         if den == 0:
             pos = toks.position(at) + len(toks.toks[at])
             raise PolyParseError("zero denominator", position=pos)
-        return den, [(int(tok), 0, 0, 0)]
+        return den, [(num, 0, 0, 0)]
     if tok in _LETTERS:
         toks.take()
         return 1, list(_LETTERS[tok])

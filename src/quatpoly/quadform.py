@@ -105,18 +105,12 @@ def ternary_isotropic(coeffs):
     The decision (None = anisotropic) comes from Hilbert symbols; the
     vector from Lagrange descent, so answers are exact on both sides.
     """
-    return _ternary(*_form(coeffs, "ternary", 3))
-
-
-def _form(coeffs, name, n):
-    """The n nonzero coefficients of a form as Fractions, and their
-    square classes."""
-    if len(coeffs) != n:
-        raise DegenerateInput("%s form needs %d coefficients" % (name, n))
+    if len(coeffs) != 3:
+        raise DegenerateInput("ternary form needs 3 coefficients")
     a = [Fr(c) for c in coeffs]
     if any(c == 0 for c in a):
         raise DegenerateInput("form coefficients must be nonzero")
-    return a, [square_class(c) for c in a]
+    return _ternary(a, [square_class(c) for c in a])
 
 
 def _ternary(a, classes):
@@ -190,7 +184,12 @@ def quaternary_isotropic(coeffs):
     of the search once.  Raises SearchExhausted when no solution turns up
     by height _QUATERNARY_HEIGHT_CAP, though the local conditions hold.
     """
-    return _quaternary(*_form(coeffs, "quaternary", 4))
+    if len(coeffs) != 4:
+        raise DegenerateInput("quaternary form needs 4 coefficients")
+    a = [Fr(c) for c in coeffs]
+    if any(c == 0 for c in a):
+        raise DegenerateInput("form coefficients must be nonzero")
+    return _quaternary(a, [square_class(c) for c in a])
 
 
 def _quaternary(a, classes):
@@ -374,8 +373,10 @@ class ZeroDivisorCertificate:
 
 def splits_in_quadratic(alpha, beta, d):
     """True iff (alpha, beta / Q) tensor Q(sqrt d) is a matrix algebra."""
-    return not any(is_local_square(d, v)
-                   for v in ramified_places(alpha, beta).places())
+    for v in ramified_places(alpha, beta).places():
+        if is_local_square(d, v):
+            return False
+    return True
 
 
 def _quadratic_half(p, d, s):

@@ -7,7 +7,9 @@ Two kinds of record live in tests/answer_records.json:
   `central` and `cli` at seeds 1-5;
 - one sha256 over the outcomes of a fixed, seeded list of `cli.run`
   calls: for each call its exit code, its stdout with the JSON `time`
-  field dropped, and its stderr.
+  field dropped, and its stderr, but for a usage error that argparse
+  reports only the exit code, as argparse's wording varies with the
+  Python version.
 
 Run from the root of the repository:
 
@@ -19,8 +21,7 @@ Run from the root of the repository:
 writes every fuzz call with its outcome, one per line, so that two
 checkouts can be compared call by call.  A change that alters an answer
 on purpose rewrites the records and lists every changed outcome in
-CHANGES.md.  The fuzz record holds argparse's usage text, so it was made
-with, and holds for, Python 3.11.
+CHANGES.md.
 """
 
 import argparse
@@ -28,7 +29,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -154,16 +154,16 @@ def fuzz_argvs():
 def outcome(argv):
     """(exit code, stdout without the JSON time, stderr) of cli.run(argv);
     an exception that escapes is reported as the exit code "escaped
-    <type>".  argparse wraps its usage text to the terminal width, so the
-    width is fixed at 80 columns."""
+    <type>", and argparse's usage and error text as "usage"."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.run(argv)
         except Exception as exc:  # the fuzz reports it; nothing may escape
             code = "escaped %s" % type(exc).__name__
-    return code, _TIME.sub("", out.getvalue()), err.getvalue()
+    err = err.getvalue()
+    return (code, _TIME.sub("", out.getvalue()),
+            "usage" if err.startswith("usage:") else err)
 
 
 def fuzz_digest(outcomes):

@@ -113,24 +113,37 @@ class TestParser:
             assert ei.value.position == pos, bad
 
     def test_bit_cap(self, monkeypatch):
-        """A power or product whose numbers are predicted past the bit cap
-        (the exponent times the base's bits, or the sum of the factors')
-        is an error at the exponent or at the right factor, before it is
-        formed; tested with a low cap, so no large integer is built."""
+        """A power, product or sum whose numbers are predicted past the
+        bit cap (see parser._grows) is an error at the exponent, the right
+        factor or the term, before it is formed; tested with a low cap, so
+        no large integer is built."""
         monkeypatch.setattr(parser, "_MAX_BITS", 1000)
+        # i^2 = alpha: over a 200-bit alpha, i^4 = alpha^2 predicts
+        # 4 * (1 + 12 + 201 + 1) = 860 bits and i^5 1075; a product of ten
+        # i's is alpha^4 i times i by then, 802 + 1 + 214 bits
+        A = QuaternionAlgebra(-2 ** 200, -1)
         # 9 has 4 bits and 9^99 has 314: (9^99)^99 would predict 31086
         assert P("9^99") == P("9^98") * 9
-        for bad, pos in (("((9^99)^99)^99", 8), ("(9^99)^99", 7),
-                         ("x - (9^99)^99", 11), ("2^500*2^500", 6),
-                         ("(2^500)(1/2^500)", 7), ("(2^400 x)^3", 10)):
+        for bad, pos, B in (("((9^99)^99)^99", 8, H), ("(9^99)^99", 7, H),
+                            ("x - (9^99)^99", 11, H), ("2^500*2^500", 6, H),
+                            ("(2^500)(1/2^500)", 7, H),
+                            ("(2^400 x)^3", 10, H),
+                            ("(1/3)^300 + (1/5)^300", 12, H),
+                            ("i^1000", 2, A), ("i^5", 2, A),
+                            ("i^4 i^4 i^4", 8, A), ("i " * 10, 18, A)):
             with pytest.raises(PolyParseError,
                                match="number above 1000 bits") as ei:
-                P(bad)
+                P(bad, B)
             assert ei.value.position == pos, bad
-        # 2 has 2 bits, 2^499 has 500, and x^n is x's one bit n times
+        # 2 has 2 bits, 2^499 has 500, and x^n is x's one bit n times; a
+        # product of polynomials adds 12 bits to its factors'
         assert P("2^499*2^499") == QPoly(H, [H.scalar(2 ** 998)])
         assert P("(2^400 x)^2") == P("2^400 x") ** 2
         assert P("x^1000") == QPoly.x(H) ** 1000
+        assert P("(1/3)^300 + (1/5)^200") \
+            == QPoly(H, [H.scalar(Fr(1, 3 ** 300) + Fr(1, 5 ** 200))])
+        assert P("i^4", A) == QPoly(A, [A.scalar(2 ** 400)])
+        assert P("i " * 9, A) == QPoly(A, [A.scalar(2 ** 800) * A.i])
 
     def test_bit_cap_reads_fraction_coordinates(self):
         """Over a non-integral algebra the kernel holds Fractions; their
@@ -140,6 +153,21 @@ class TestParser:
         assert parser._bits((3, [(0, Fr(2 ** 40, 3), 0, 0), (5, 0, 0, 0)])) \
             == 41
         assert P("i*i", A) == QPoly(A, [A.scalar(Fr(-1, 2))])
+
+    def test_digit_cap(self, monkeypatch):
+        """A number of more than parser._MAX_DIGITS digits, a numerator,
+        denominator or exponent, is an error at that number, before it is
+        read; tested with a low cap.  The cap's numbers fit the bit cap."""
+        assert 10 ** parser._MAX_DIGITS < 2 ** parser._MAX_BITS
+        n = 30
+        monkeypatch.setattr(parser, "_MAX_DIGITS", n)
+        assert P("9" * n) == QPoly(H, [H.scalar(10 ** n - 1)])
+        for bad, pos in (("9" * (n + 1), 0), ("x + 1/" + "7" * (n + 1), 6),
+                         ("x^" + "0" * (n + 1), 2)):
+            with pytest.raises(PolyParseError,
+                               match="number above %d digits" % n) as ei:
+                P(bad)
+            assert ei.value.position == pos
 
     def test_nesting_limit_does_not_depend_on_the_caller(self):
         text = "(" * 150 + "x" + ")" * 150
@@ -270,9 +298,10 @@ class TestCli:
         assert ei.value.position == 4
 
     def test_answers_past_the_int_digit_limit_print(self, capsys):
-        """run lifts Python's limit on the digits of an int for its call
-        and puts it back: with the limit at its lowest, 640 digits, the
-        696-digit value 9^729 prints in full, and outside run the limit
+        """run lifts Python's limit on the digits of an int for its
+        command and puts it back: with the limit at its lowest, 640
+        digits, the 696-digit value 9^729 prints in full, a 701-digit
+        --alpha is a usage error as before, and outside run the limit
         holds again."""
         value = 9 ** 729
         limit = sys.get_int_max_str_digits()
@@ -285,6 +314,10 @@ class TestCli:
                 str(value)
             assert run(["eval", "(9^27)^27", "0", "--alpha", "1",
                         "--beta", "1"]) == EXIT_SPLIT
+            assert sys.get_int_max_str_digits() == 640
+            # the options are read before the limit is lifted
+            assert run(["eval", "x", "0", "--alpha", "-1" + "0" * 700,
+                        "--beta", "-1"]) == EXIT_USAGE
             assert sys.get_int_max_str_digits() == 640
         finally:
             sys.set_int_max_str_digits(limit)

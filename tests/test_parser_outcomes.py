@@ -172,47 +172,34 @@ def test_products_of_polynomials_take_the_product(monkeypatch):
         assert calls, text
 
 
-# -- the bit cap's room -----------------------------------------------------
+# -- the bit cap's predictions ----------------------------------------------
 
-def _size(value):
-    """s(v) of parser._term: the bits of the largest coordinate plus those
-    of the denominator."""
-    d, P = value
-    return max([0] + [abs(c) for a in P for c in a]).bit_length() \
-        + d.bit_length()
-
-
-def test_room_bounds_every_number_formed(monkeypatch):
-    """Over integral algebras, one of them with 20-bit alpha, every value
-    the parser forms (atom, power, product, term, sum) has s(v) within the
-    text's room as it stands, so a product check skipped while room is
-    under the cap could not have fired.  Checked with the bit cap out of
-    the way, on the random strings and random expressions above and on
-    products and sums of powers."""
+def test_predictions_bound_every_product_formed(monkeypatch):
+    """Over integral algebras, one of them with 20-bit alpha, every
+    product the parser forms, between factors or inside a power, has
+    _bits within the prediction checked just before it.  Checked with
+    the bit cap out of the way, on the random strings and random
+    expressions above and on products and sums of powers."""
     texts = _random_strings(random.Random(37))[:3000]
     rng = random.Random(38)
     texts += [_expr(rng, H, rng.randint(0, 3))[0] for _ in range(300)]
     texts += ["(i + j/3)^7 (x - k/5)^5 + 1/7 - (2i - 3/4)^9", "i^999",
               "(1/2 + 1/3 + 1/5 + 1/7)^20 (x + i)^3 - (j k)^50 x",
-              "((2x + 3i)^4 + 5/6)^6 (7 - j)^8"]
-    made = []
+              "((2x + 3i)^4 + 5/6)^6 (7 - j)^8", "i i i j k (i + j)^9",
+              "(7x + 7)^2 (3x + 3)(3x + 3)"]
+    check, mul, predicted = parser._check, parser._mul, []
 
-    class Tokens(parser._Tokens):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def record(degree, bits, toks, at):
+        predicted.append(bits)
+        check(degree, 0, toks, at)
 
-    def watch(fn):
-        def checked(*args):
-            value = fn(*args)
-            assert _size(value) <= made[-1].room, (made[-1].text, value)
-            return value
-        return checked
+    def bounded(ab, p, q):
+        value = mul(ab, p, q)
+        assert parser._bits(value) <= predicted[-1], (ab, p, q)
+        return value
 
-    monkeypatch.setattr(parser, "_Tokens", Tokens)
-    monkeypatch.setattr(parser, "_MAX_BITS", 1 << 40)
-    for name in ("_atom", "_factor", "_term", "_expr", "_mul"):
-        monkeypatch.setattr(parser, name, watch(getattr(parser, name)))
+    monkeypatch.setattr(parser, "_check", record)
+    monkeypatch.setattr(parser, "_mul", bounded)
     for A in (H, QuaternionAlgebra(-1, -3),
               QuaternionAlgebra(-1000003, -999)):
         for text in texts:
@@ -220,7 +207,7 @@ def test_room_bounds_every_number_formed(monkeypatch):
                 parse_poly(text, A)
             except PolyParseError:
                 pass
-    assert len(made) == 3 * len(texts)
+    assert len(predicted) > 10000
 
 
 # -- typed errors ------------------------------------------------------------
