@@ -7,10 +7,14 @@ multiplication can be written with ``*`` or by juxtaposition (``2i``,
 ``(3/2)i*x``), and ``^`` raises to a natural power.  Printing
 (format_qpoly in qpoly) and parsing round-trip exactly.
 
-No number in the text may have more than _MAX_DIGITS digits, and no
-power, product or sum of terms over different denominators may predict
-numbers of more than _MAX_BITS bits; the prediction is made from its
-operands before it is formed (see _grows).
+No number in the text may have more than _MAX_DIGITS digits, nor more
+than the interpreter's limit on reading an int, when that is lower.  Each
+product, each step of a power and each sum of terms over different
+denominators is measured as it is formed (see _sized), and is an error
+when its numbers have more than _MAX_BITS bits.  Its operands were
+measured before it, so no number formed has more than about 2 *
+_MAX_BITS + 12 + bits(alpha) + bits(beta) bits.  The degree of a power
+or product is checked before it is formed (see _check).
 
 The text is split into token strings by one regular-expression pass;
 a token's position in the text is found, by scanning the text again,
@@ -24,6 +28,7 @@ whole is brought to lowest terms once, as a QPoly.
 
 import math
 import re
+import sys
 
 from . import dense
 from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, cp_trim, kernel_ab
@@ -45,8 +50,8 @@ _MAX_DEPTH = 100
 # the largest exponent, and the largest degree of a power or product; each
 # sum and product is trimmed, so a cancelled term does not count
 _MAX_DEGREE = 1000
-# the most bits a power, product or sum may predict for its numbers, and
-# the most digits of a number in the text, which so has fewer bits
+# the most bits of the numbers of a power step, product or sum, and the
+# most digits of a number in the text, which so has fewer bits
 _MAX_BITS = 1 << 16
 _MAX_DIGITS = _MAX_BITS * 3 // 10
 
@@ -71,8 +76,9 @@ class _Tokens:
         tok = self.tok
         if tok is None or tok[0] not in _DIGITS:
             self.error("expected a number")
-        if len(tok) > _MAX_DIGITS:
-            self.error("number above %d digits" % _MAX_DIGITS)
+        cap = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+        if len(tok) > cap:
+            self.error("number above %d digits" % cap)
         self.take()
         return int(tok)
 
@@ -103,30 +109,19 @@ def _scalar(P):
     return len(P) == 1 and P[0][1:] == _PURE_ZERO
 
 
-def _grows(ab, P, Q):
-    """The bits a product P*Q may add to the sum of its factors' _bits:
-    none when one factor is a rational constant, which only scales the
-    other; else 12, for the sum of up to 4 * 1001 terms that forms a
-    coordinate, and the bits of alpha and beta when both factors have an
-    i, j or k part.  A power b^n of a b that is not x may so add
-    n * _grows(b, b) to n * _bits(b).  Over an integral algebra these
-    are bounds; over a rational one, whose coordinates are Fractions,
-    estimates."""
-    if _scalar(P) or _scalar(Q):
-        return 0
-    if all(a[1:] == _PURE_ZERO for a in P) or \
-            all(a[1:] == _PURE_ZERO for a in Q):
-        return 12
-    return 12 + sum((abs(c.numerator) | c.denominator).bit_length()
-                    for c in ab)
-
-
-def _check(degree, bits, toks, at):
-    """Raise at token at for a power, product or sum above the caps."""
+def _check(degree, toks, at):
+    """Raise at token at for a power or product above the degree cap,
+    before it is formed."""
     if degree > _MAX_DEGREE:
         toks.error("exponent or degree above %d" % _MAX_DEGREE, at)
-    if bits > _MAX_BITS:
+
+
+def _sized(value, toks, at):
+    """The kernel value a power step, product or sum has just formed, or
+    an error at token at when its numbers pass the bit cap."""
+    if _bits(value) > _MAX_BITS:
         toks.error("number above %d bits" % _MAX_BITS, at)
+    return value
 
 
 def parse_poly(text, A):
@@ -178,11 +173,9 @@ def _expr(toks):
             out = cp_trim(cp_add(out, P))
         else:
             m = math.lcm(den, d)
-            a, b = m // den, m // d
-            _check(0, max(_bits((den, out)) + a.bit_length(),
-                          _bits((d, P)) + b.bit_length()) + 1, toks, at)
-            out = cp_trim(cp_add(cp_scale(a, out), cp_scale(b, P)))
-            den = m
+            den, out = _sized((m, cp_trim(cp_add(cp_scale(m // den, out),
+                                                 cp_scale(m // d, P)))),
+                              toks, at)
         if toks.tok != "+" and toks.tok != "-":
             return den, out
 
@@ -197,9 +190,8 @@ def _term(toks):
             return out
         at = toks.at
         right = _factor(toks)
-        _check(len(out[1]) + len(right[1]) - 2, _bits(out) + _bits(right)
-               + _grows(toks.ab, out[1], right[1]), toks, at)
-        out = _mul(toks.ab, out, right)
+        _check(len(out[1]) + len(right[1]) - 2, toks, at)
+        out = _sized(_mul(toks.ab, out, right), toks, at)
 
 
 def _factor(toks):
@@ -214,13 +206,12 @@ def _factor(toks):
         n = toks.number()
         d, P = base
         if d == 1 and P == _X:  # a monomial, formed by no product
-            _check(n, 1, toks, at)
+            _check(n, toks, at)
             base = 1, [ZERO] * n + [_ONE]
         else:
-            _check(max(n, (len(P) - 1) * n),
-                   n * (_bits(base) + _grows(toks.ab, P, P)), toks, at)
-            base = dense.power(base, n, (1, [_ONE]),
-                               lambda p, q: _mul(toks.ab, p, q))
+            _check(max(n, (len(P) - 1) * n), toks, at)
+            base = dense.power(base, n, (1, [_ONE]), lambda p, q: _sized(
+                _mul(toks.ab, p, q), toks, at))
     return (base[0], cp_scale(-1, base[1])) if neg else base
 
 

@@ -315,12 +315,15 @@ def qp_gcrd_bezout(p, q):
 
 def qp_gcrd(p, q):
     """The monic GCRD, by the right Euclid of _right_euclid without its
-    cofactors or quotients: each remainder of _right_rem is a QPoly,
-    already in lowest terms."""
+    cofactors or quotients.  Each remainder of _right_rem is divided by
+    the gcd of its integer coordinates, a rational unit that leaves its
+    right ideal as it is, so the coefficients do not grow step by step."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
     while not q.is_zero:
-        p, q = q, _right_rem(p, q)
+        r = _right_rem(p, q)
+        p, q = q, _make(p.parent, math.gcd(*[c for a in r.num for c in a])
+                        or 1, r.num)
     return p.monic()
 
 
@@ -480,8 +483,8 @@ def factor_central_irreducible(L, A, cert=None, seed=0, max_height=20):
 
     Whether p splits at all is _splits(L, A, cert).  A cert that matches
     A and p stands in for the splitting test there; any other cert
-    leaves the test in place, and find_zero_divisor rejects it when
-    A (x) L splits."""
+    leaves the test in place, and when A (x) L splits and no quadratic
+    subfield gives the halves, find_zero_divisor rejects it."""
     _check_field(L)
     p = L.minpoly
     if not _splits(L, A, cert):

@@ -53,12 +53,16 @@ FUZZ_CALLS = 300
 H = ["--alpha", "-1", "--beta", "-1"]
 # first the integer-size inputs (a 31067-bit answer to print, twice, and a
 # constant past the parser's bit cap), then an exhausted search (exit 3),
-# a wrong arity and an argument argparse rejects (exit 1)
+# a wrong arity and an argument argparse rejects (exit 1); last, two
+# inputs within the bit cap: alpha^2 i for a 14001-bit alpha (28001
+# bits), and 2^40000 over 2^40000 (40001 bits)
 FIXED = (["factor", "x - (9^99)^99"] + H, ["eval", "(9^99)^99", "0"] + H,
          ["factor", "((9^99)^99)^99"] + H,
          ["factor", "x^4 + 11x^2 + 16x + 6", "--max-height", "3"] + H,
          ["gcrd", "x"] + H,
-         ["roots", "x^2 + 1", "--alpha", "1.5", "--beta", "-1"])
+         ["roots", "x^2 + 1", "--alpha", "1.5", "--beta", "-1"],
+         ["eval", "i^5", "0", "--alpha", "-%d" % 2 ** 14000, "--beta", "-1"],
+         ["eval", "((2^1000)^40)((1/2^1000)^40)", "0"] + H)
 COMMANDS = ("factor", "roots", "irreducible", "beck", "gcrd", "eval")
 # constant powers, as coefficients; the last one is over the parser's bit
 # cap, a parse error

@@ -113,36 +113,38 @@ class TestParser:
             assert ei.value.position == pos, bad
 
     def test_bit_cap(self, monkeypatch):
-        """A power, product or sum whose numbers are predicted past the
-        bit cap (see parser._grows) is an error at the exponent, the right
-        factor or the term, before it is formed; tested with a low cap, so
-        no large integer is built."""
+        """A power step, product or sum whose numbers pass the bit cap is
+        an error at the exponent, the right factor or the term, as soon
+        as it is formed; tested with a low cap, so no large integer is
+        built."""
         monkeypatch.setattr(parser, "_MAX_BITS", 1000)
-        # i^2 = alpha: over a 200-bit alpha, i^4 = alpha^2 predicts
-        # 4 * (1 + 12 + 201 + 1) = 860 bits and i^5 1075; a product of ten
-        # i's is alpha^4 i times i by then, 802 + 1 + 214 bits
+        # i^2 = alpha: over a 200-bit alpha, i^4 = alpha^2 has 401 bits and
+        # a product of ten i's is alpha^5, 1001 bits
         A = QuaternionAlgebra(-2 ** 200, -1)
-        # 9 has 4 bits and 9^99 has 314: (9^99)^99 would predict 31086
+        # 9^99 has 314 bits; (9^99)^99 passes 1000 at its fourth step
         assert P("9^99") == P("9^98") * 9
         for bad, pos, B in (("((9^99)^99)^99", 8, H), ("(9^99)^99", 7, H),
                             ("x - (9^99)^99", 11, H), ("2^500*2^500", 6, H),
-                            ("(2^500)(1/2^500)", 7, H),
                             ("(2^400 x)^3", 10, H),
                             ("(1/3)^300 + (1/5)^300", 12, H),
-                            ("i^1000", 2, A), ("i^5", 2, A),
-                            ("i^4 i^4 i^4", 8, A), ("i " * 10, 18, A)):
+                            ("i^1000", 2, A), ("i^4 i^4 i^4", 8, A),
+                            ("i " * 10, 18, A)):
             with pytest.raises(PolyParseError,
                                match="number above 1000 bits") as ei:
                 P(bad, B)
             assert ei.value.position == pos, bad
-        # 2 has 2 bits, 2^499 has 500, and x^n is x's one bit n times; a
-        # product of polynomials adds 12 bits to its factors'
+        # 2^499 has 500 bits and 2^998 999; x^n is built with no product
         assert P("2^499*2^499") == QPoly(H, [H.scalar(2 ** 998)])
         assert P("(2^400 x)^2") == P("2^400 x") ** 2
         assert P("x^1000") == QPoly.x(H) ** 1000
+        # 2^500 over 2^500: 501 bits, brought to lowest terms only once
+        assert P("(2^500)(1/2^500)") == QPoly(H, [H.one()])
+        # 476 and 465 bits, over a 941-bit common denominator
         assert P("(1/3)^300 + (1/5)^200") \
             == QPoly(H, [H.scalar(Fr(1, 3 ** 300) + Fr(1, 5 ** 200))])
         assert P("i^4", A) == QPoly(A, [A.scalar(2 ** 400)])
+        # alpha^2 i: 401 bits
+        assert P("i^5", A) == QPoly(A, [A.scalar(2 ** 400) * A.i])
         assert P("i " * 9, A) == QPoly(A, [A.scalar(2 ** 800) * A.i])
 
     def test_bit_cap_reads_fraction_coordinates(self):
@@ -323,6 +325,26 @@ class TestCli:
             sys.set_int_max_str_digits(limit)
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == ["%d/1" % value, "0/1", "0/1", "0/1"]
+
+    def test_numbers_past_the_int_digit_limit_parse_only_in_run(self,
+                                                               capsys):
+        """Outside run, a number with more digits than Python reads into
+        an int is a parse error at that number, not a bare ValueError;
+        run lifts the limit, so there the same number parses."""
+        big = "7" * 700
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(PolyParseError,
+                               match="number above 640 digits") as ei:
+                P("x + " + big)
+            assert ei.value.position == 4
+            assert run(["eval", "x + " + big, "0", "--alpha", "-1",
+                        "--beta", "-1"]) == EXIT_OK
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert big in capsys.readouterr().out
 
     def test_arity_error_exit(self, capsys):
         assert run(["gcrd", "x", "--alpha", "-1", "--beta", "-1"]) == \

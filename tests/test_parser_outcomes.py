@@ -172,14 +172,17 @@ def test_products_of_polynomials_take_the_product(monkeypatch):
         assert calls, text
 
 
-# -- the bit cap's predictions ----------------------------------------------
+# -- the bit cap measures what is formed -----------------------------------
 
-def test_predictions_bound_every_product_formed(monkeypatch):
-    """Over integral algebras, one of them with 20-bit alpha, every
-    product the parser forms, between factors or inside a power, has
-    _bits within the prediction checked just before it.  Checked with
-    the bit cap out of the way, on the random strings and random
-    expressions above and on products and sums of powers."""
+def test_every_number_formed_is_measured(monkeypatch):
+    """Under a 40-bit cap, every power step, product and sum over a new
+    denominator that the parser lets through is within the cap, and no
+    product or sum it forms, let through or not, has more than 2 * 40 +
+    12 + bits(alpha) + bits(beta) bits, plus 4 for sums over one
+    denominator: each operand was measured before it.  Over integral
+    and rational algebras, on the random strings and random expressions
+    above and on products and sums of powers."""
+    cap = 40
     texts = _random_strings(random.Random(37))[:3000]
     rng = random.Random(38)
     texts += [_expr(rng, H, rng.randint(0, 3))[0] for _ in range(300)]
@@ -187,27 +190,35 @@ def test_predictions_bound_every_product_formed(monkeypatch):
               "(1/2 + 1/3 + 1/5 + 1/7)^20 (x + i)^3 - (j k)^50 x",
               "((2x + 3i)^4 + 5/6)^6 (7 - j)^8", "i i i j k (i + j)^9",
               "(7x + 7)^2 (3x + 3)(3x + 3)"]
-    check, mul, predicted = parser._check, parser._mul, []
+    mul, sized, formed, passed = parser._mul, parser._sized, [], []
 
-    def record(degree, bits, toks, at):
-        predicted.append(bits)
-        check(degree, 0, toks, at)
+    def product(ab, p, q):
+        out = mul(ab, p, q)
+        formed.append(parser._bits(out))
+        return out
 
-    def bounded(ab, p, q):
-        value = mul(ab, p, q)
-        assert parser._bits(value) <= predicted[-1], (ab, p, q)
-        return value
+    def record(value, toks, at):
+        formed.append(parser._bits(value))
+        out = sized(value, toks, at)
+        passed.append(parser._bits(out))
+        return out
 
-    monkeypatch.setattr(parser, "_check", record)
-    monkeypatch.setattr(parser, "_mul", bounded)
-    for A in (H, QuaternionAlgebra(-1, -3),
-              QuaternionAlgebra(-1000003, -999)):
+    monkeypatch.setattr(parser, "_MAX_BITS", cap)
+    monkeypatch.setattr(parser, "_MAX_DIGITS", cap * 3 // 10)
+    monkeypatch.setattr(parser, "_mul", product)
+    monkeypatch.setattr(parser, "_sized", record)
+    for A in ALGEBRAS + [QuaternionAlgebra(-1000003, -999),
+                         QuaternionAlgebra(Fr(-7, 1000003), Fr(-999, 5))]:
+        del formed[:], passed[:]
         for text in texts:
             try:
                 parse_poly(text, A)
             except PolyParseError:
                 pass
-    assert len(predicted) > 10000
+        assert len(formed) > 3000
+        assert max(passed) <= cap
+        k = sum(parser._bits((1, [(c, 0, 0, 0)])) for c in (A.alpha, A.beta))
+        assert max(formed) <= 2 * cap + 12 + k + 4, (A.alpha, A.beta)
 
 
 # -- typed errors ------------------------------------------------------------

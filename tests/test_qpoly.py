@@ -250,6 +250,17 @@ class TestGcrdLclm:
             _, r2 = qp_right_divmod(m, q)
             assert r1.is_zero and r2.is_zero
 
+    def test_gcrd_with_a_31067_bit_coefficient(self):
+        """The right Euclid keeps each remainder primitive, so that the
+        coefficients do not grow from step to step; the GCRDs of these
+        quadratics, with (9^99)^99 in one of them, are pinned."""
+        A = QuaternionAlgebra(8, -6)
+        p = parse_poly("(x - (-5 - 5j - 3k))(x - (9^99)^99)", A)
+        q = parse_poly("x^2 - 4x - 1", A)
+        c = parse_poly("x - (9^99)^99", A)
+        assert qp_gcrd(p, q) == QPoly(A, [A.one()])
+        assert qp_gcrd(p, q * c) == qp_gcrd(q * c, p) == c
+
     def test_gcrd_of_zero_pair(self):
         with pytest.raises(DegenerateInput):
             qp_gcrd(QPoly(H, []), QPoly(H, []))
@@ -892,6 +903,16 @@ class TestCertifiedRouteSkipsSplittingTest:
                 factor_central_irreducible(NumberField(QUARTIC_MIN), H,
                                            cert=cert)
             assert len(tests) == 1
+        # the quadratic-subfield route comes first and reads no
+        # certificate: x^4 + 1 over H, handed the README's certificate
+        # for x^4 + 11x^2 + 16x + 6, splits into its subfield halves
+        cert = ZeroDivisorCertificate.from_dict(json.loads(readme_cert_json()))
+        p = from_int_list([1, 0, 0, 0, 1])
+        del tests[:]
+        out = factor_central_irreducible(NumberField(p), H, cert=cert)
+        assert [f.degree for f in out.factors] == [2, 2]
+        assert out.expand() == QPoly.from_ratpoly(H, p)
+        assert len(tests) == 1
 
     def test_mismatched_certificate_where_the_algebra_does_not_split(
             self, monkeypatch):
