@@ -4,8 +4,7 @@ division quaternion algebras (alpha, beta / Q)."""
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, InvalidCertificate,
                      NotSquarefree, PolyParseError, PreconditionViolation,
-                     QuatpolyError, SearchExhausted, SplitAlgebra,
-                     ZeroDivisorEncountered)
+                     QuatpolyError, SearchExhausted, SplitAlgebra)
 from .numberfield import (INFINITE_PLACE, NFElement, NumberField, PlaceSet,
                           hilbert_symbol, is_division, is_local_square,
                           nf_factor, nf_local_splitting,

@@ -1,7 +1,7 @@
 """Dense polynomials over a quaternion algebra (al, be / Q) as lists of
 coordinate 4-tuples, ascending in degree: the arithmetic kernel under
-qpoly, and the one home of the product coord_mul, the norm coord_norm
-and the display coord_text.
+qpoly, and the one home of the product coord_mul and the norm
+coord_norm.
 
 A QPoly holds integer tuples over one denominator, so the kernel works
 on integers and qpoly brings each result to lowest terms once.  With
@@ -49,21 +49,6 @@ def coord_norm(al, be, a):
     """The reduced norm t^2 - al x^2 - be y^2 + al be z^2 of a 4-tuple."""
     t, x, y, z = a
     return t * t - al * (x * x) - be * (y * y - al * (z * z))
-
-
-def coord_text(a, den=1):
-    """The quaternion a / den as text, for a 4-tuple a of ints or
-    Fractions and an int den > 0: each coordinate as str shows its
-    Fraction, +-1 dropped before i, j and k."""
-    out = ""
-    for c, name in zip(a, ("", "i", "j", "k")):
-        if c:
-            n, d = c.numerator, c.denominator * den
-            g = math.gcd(n, d)
-            s = "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
-            s = s[:-1] + name if name and s in ("1", "-1") else s + name
-            out += s if not out or s[0] == "-" else "+" + s
-    return out or "0"
 
 
 def cp_scale(n, P):

@@ -3,7 +3,8 @@
 This is the one Euclidean core behind RatPoly (over Z, on numerators),
 the modular factoring and Hensel lifting in GF(p)[x], and polynomials
 over a number field L = Q[x]/(m) (Trager factoring, square roots in L).
-format_terms shows a list of coefficient texts as a polynomial.
+rational_text shows a rational, and format_terms a list of coefficient
+texts as a polynomial.
 
 A polynomial is a list of coefficients, constant term first, with no
 trailing zeros; [] is the zero polynomial.  Inputs are expected in that
@@ -28,10 +29,13 @@ RingElement, beside power, is the shared base of RatPoly, NFElement,
 Quaternion and QPoly: -, the reflected operands, **, /, == and hash.
 """
 
+import math
 import operator
+import sys
 from collections import namedtuple
 
-from .errors import AlgebraMismatch, DegenerateInput, DivisionByZero
+from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
+                     PreconditionViolation)
 
 Field = namedtuple("Field", "zero one red inv")
 
@@ -274,6 +278,20 @@ def compose(f, g, F):
     for c in reversed(f):
         out = add(mul(out, g, F), [c] if c else [], F)
     return out
+
+
+def rational_text(n, d=1):
+    """n / d in lowest terms as text, for ints n and d > 0: "n" when d
+    divides n.  A number past Python's int-to-text limit, which cli.run
+    lifts, is a PreconditionViolation that names the limit."""
+    g = math.gcd(n, d)
+    try:
+        return "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
+    except ValueError:
+        raise PreconditionViolation(
+            "number above %d digits, the int-to-text limit of"
+            " sys.set_int_max_str_digits" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def format_terms(coeffs):

@@ -47,18 +47,6 @@ class SearchExhausted(QuatpolyError):
         self.central_factor = central_factor
 
 
-class ZeroDivisorEncountered(QuatpolyError):
-    """Inversion met a nonzero element of zero norm (only possible in a
-    split algebra, made with QuaternionAlgebra.unchecked).
-
-    The offending element is kept as the witness attribute.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class InternalInvariantViolation(QuatpolyError):
     pass
 

@@ -13,17 +13,16 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import dense
-from .coordpoly import (ZERO, coord_mul, coord_norm, coord_text, cp_add,
-                        cp_mul, cp_pseudo_divmod, cp_pseudo_rem, cp_scale,
-                        kernel_ab)
+from .coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
+                        cp_pseudo_divmod, cp_pseudo_rem, cp_scale, kernel_ab)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     InternalInvariantViolation, PreconditionViolation,
-                     ZeroDivisorEncountered)
-from .numberfield import NumberField, is_division, nf_splits_quaternion
+                     InternalInvariantViolation, PreconditionViolation)
+from .numberfield import NumberField, nf_splits_quaternion
 from .quadform import (find_zero_divisor, search_zero_divisor,
                        subfield_zero_divisor)
-from .quatalg import Quaternion, is_conjugate, make_quaternion, q_inv
+from .quatalg import (Quaternion, coord_text, is_conjugate, make_quaternion,
+                      q_inv)
 from .ratpoly import (RatPoly, from_int_list, primitive_gcd_cofactors,
                       rp_factor, rp_is_irreducible)
 
@@ -202,10 +201,11 @@ class QPoly(dense.RingElement):
         the coordinates, in which den cancels."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        al, be, n = _lc_norm(self)
-        t, x, y, z = self.num[-1]
-        return _make(self.parent, n, [coord_mul(al, be, (t, -x, -y, -z), a)
-                                      for a in self.num])
+        al, be = kernel_ab(self.parent)
+        t, x, y, z = lc = self.num[-1]
+        return _make(self.parent, coord_norm(al, be, lc),
+                     [coord_mul(al, be, (t, -x, -y, -z), a)
+                      for a in self.num])
 
     def __str__(self):
         return format_qpoly(self)
@@ -245,31 +245,16 @@ def qp_norm(p):
     return from_int_list(n, den * den)
 
 
-def _lc_norm(p):
-    """(alpha, beta, n) for the nonzero p: the kernel's alpha and beta of
-    its algebra, and n = N(den * lc(p)).  An n of 0 makes lc(p) a zero
-    divisor, raised as ZeroDivisorEncountered with lc(p) as witness."""
-    al, be = kernel_ab(p.parent)
-    n = coord_norm(al, be, p.num[-1])
-    if n == 0:
-        raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                     witness=p.lc)
-    return al, be, n
-
-
 def _divisor_ab(d):
-    """alpha and beta of the algebra of d, for a right division by d: a
-    zero d is a DivisionByZero, and a leading coefficient of d with norm
-    0 is a zero divisor, reported as by monic."""
+    """alpha and beta of the algebra of d, for a right division by d; a
+    zero d is a DivisionByZero."""
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
-    return _lc_norm(d)[:2]
+    return kernel_ab(d.parent)
 
 
 def qp_right_divmod(p, d):
-    """(quot, rem) with p = quot*d + rem and deg rem < deg d.  A leading
-    coefficient of d with norm 0 is a zero divisor, reported as by
-    monic."""
+    """(quot, rem) with p = quot*d + rem and deg rem < deg d."""
     s, Q, R = cp_pseudo_divmod(*_divisor_ab(d), p.num, d.num)
     # s*dp*p = (dd*Q)*d + R, with dp and dd the denominators of p and d
     return (_make(p.parent, s * p.den, cp_scale(d.den, Q)),
@@ -277,9 +262,10 @@ def qp_right_divmod(p, d):
 
 
 def _right_rem(p, d):
-    """The rem of qp_right_divmod(p, d), with no quotient built."""
+    """(den, R): the rem of qp_right_divmod(p, d) is R / den, for the
+    kernel remainder R, with no quotient built."""
     s, R = cp_pseudo_rem(*_divisor_ab(d), p.num, d.num)
-    return _make(p.parent, s * p.den, R)
+    return s * p.den, R
 
 
 def qp_exact_right_div(p, d):
@@ -315,15 +301,21 @@ def qp_gcrd_bezout(p, q):
 
 def qp_gcrd(p, q):
     """The monic GCRD, by the right Euclid of _right_euclid without its
-    cofactors or quotients.  Each remainder of _right_rem is divided by
+    cofactors or quotients.  Each remainder is made primitive, divided by
     the gcd of its integer coordinates, a rational unit that leaves its
-    right ideal as it is, so the coefficients do not grow step by step."""
+    right ideal as it is, so the coefficients do not grow step by step.
+    Over an integral algebra the kernel remainder is made of ints, and
+    one _make over that gcd gives it; over a rational one its Fractions
+    are first cleared by a _make to lowest terms."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
+    A = p.parent
+    whole = {*map(type, kernel_ab(A))} <= {int}
     while not q.is_zero:
-        r = _right_rem(p, q)
-        p, q = q, _make(p.parent, math.gcd(*[c for a in r.num for c in a])
-                        or 1, r.num)
+        den, R = _right_rem(p, q)
+        if not whole:
+            R = _make(A, den, R).num
+        p, q = q, _make(A, math.gcd(*[c for a in R for c in a]) or 1, R)
     return p.monic()
 
 
@@ -341,7 +333,7 @@ def qp_lclm(p, q):
 def qp_evaluate(p, a):
     """Sum c_m a^m: the remainder of right division by x - a, as x is
     central."""
-    return _right_rem(p, QPoly.x(p.parent) - a)[0]
+    return _make(p.parent, *_right_rem(p, QPoly.x(p.parent) - a))[0]
 
 
 class BeckDecomposition:
@@ -381,17 +373,13 @@ def _splits(L, A, cert=None):
     An odd degree never splits: at a prime where A ramifies, the local
     degrees e*f of the places of L above it sum to deg p, so one of them
     is odd and A (x) L stays a division algebra there.  A cert that
-    matches A and p (ZeroDivisorCertificate.matches) over a division
-    algebra A proves a split, as its nonzero element of norm 0 has no
-    inverse.  Otherwise nf_splits_quaternion decides, and it raises
-    SplitAlgebra for a split A.  So a split A, made with
-    QuaternionAlgebra.unchecked, raises only for an even degree; for an
-    odd one p is reported as not splitting."""
+    matches A and p (ZeroDivisorCertificate.matches) proves a split, as
+    its nonzero element of norm 0 has no inverse in A (x) L.  Otherwise
+    nf_splits_quaternion decides."""
     al, be = A.alpha, A.beta
     if L.degree % 2 == 1:
         return False
-    if cert is not None and cert.matches(al, be, L.minpoly) \
-            and is_division(al, be):
+    if cert is not None and cert.matches(al, be, L.minpoly):
         return True
     return nf_splits_quaternion(al, be, L)
 

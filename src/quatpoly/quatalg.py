@@ -1,5 +1,5 @@
 """The quaternion algebra (alpha, beta / Q): element arithmetic,
-conjugation, norm, trace, inversion and conjugacy tests.
+conjugation, norm, trace, inversion, display and conjugacy tests.
 
 Elements are immutable coordinate 4-tuples over Fraction; the basis
 satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
@@ -8,31 +8,27 @@ satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
 from fractions import Fraction
 
 from . import dense
-from .coordpoly import coord_mul, coord_norm, coord_text
+from .coordpoly import coord_mul, coord_norm
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     SplitAlgebra, ZeroDivisorEncountered)
+                     SplitAlgebra)
 from .numberfield import is_division
 
 Fr = Fraction
 
 
 class QuaternionAlgebra:
-    """(alpha, beta / Q).  The checked constructor insists on a division
-    algebra; `unchecked` exists so error paths can name a split algebra."""
+    """(alpha, beta / Q), always a division algebra: the constructor
+    raises DegenerateInput for a zero parameter (from is_division) and
+    SplitAlgebra for a matrix algebra, so every nonzero element has a
+    nonzero norm and an inverse."""
 
-    def __init__(self, alpha, beta, _checked=True):
+    def __init__(self, alpha, beta):
         self.alpha = Fr(alpha)
         self.beta = Fr(beta)
-        if self.alpha == 0 or self.beta == 0:
-            raise DegenerateInput("algebra parameters must be nonzero")
-        if _checked and not is_division(self.alpha, self.beta):
+        if not is_division(self.alpha, self.beta):
             raise SplitAlgebra(
                 "(%s, %s / Q) is a matrix algebra, not a division algebra"
                 % (self.alpha, self.beta))
-
-    @classmethod
-    def unchecked(cls, alpha, beta):
-        return cls(alpha, beta, _checked=False)
 
     def element(self, coords):
         return Quaternion(self, coords)
@@ -170,13 +166,22 @@ def q_inv(a):
     """The multiplicative inverse conj(a) / N(a)."""
     if a.is_zero:
         raise DivisionByZero("inverse of zero quaternion")
-    n = a.norm()
-    if n == 0:
-        raise ZeroDivisorEncountered("nonzero element with zero norm",
-                                     witness=a)
-    ninv = 1 / n
+    ninv = 1 / a.norm()
     return make_quaternion(a.parent,
                            tuple(c * ninv for c in a.conj().coords))
+
+
+def coord_text(a, den=1):
+    """The quaternion a / den as text, for a 4-tuple a of ints or
+    Fractions and an int den > 0: each coordinate as dense.rational_text
+    shows it, +-1 dropped before i, j and k."""
+    out = ""
+    for c, name in zip(a, ("", "i", "j", "k")):
+        if c:
+            s = dense.rational_text(c.numerator, c.denominator * den)
+            s = s[:-1] + name if name and s in ("1", "-1") else s + name
+            out += s if not out or s[0] == "-" else "+" + s
+    return out or "0"
 
 
 def is_conjugate(a, b):

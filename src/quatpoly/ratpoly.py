@@ -209,7 +209,8 @@ class RatPoly(dense.RingElement):
         return "RatPoly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
-        return dense.format_terms([str(c) for c in self.coeffs])
+        return dense.format_terms([dense.rational_text(c, self.den)
+                                   for c in self.num])
 
 
 def _content(f):

@@ -11,7 +11,8 @@ import pytest
 from quatpoly import parser, quadform
 from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
-from quatpoly.errors import InvalidCertificate, PolyParseError
+from quatpoly.errors import (InvalidCertificate, PolyParseError,
+                             PreconditionViolation)
 from quatpoly.parser import format_qpoly, parse_poly
 from quatpoly.qpoly import QPoly, qp_evaluate
 from quatpoly.quadform import ZeroDivisorCertificate
@@ -345,6 +346,32 @@ class TestCli:
         finally:
             sys.set_int_max_str_digits(limit)
         assert big in capsys.readouterr().out
+
+    def test_display_past_the_int_digit_limit_is_a_typed_error(self):
+        """Outside run, str of a QPoly, Quaternion or RatPoly with a
+        numerator or denominator past Python's limit on the digits of an
+        int is a PreconditionViolation that names the limit, not a bare
+        ValueError; under the default limit the same values print."""
+        big = 10 ** 700
+        values = [QPoly(H, [H.element([0, big, 0, 0]), H.one()]),
+                  H.element([Fr(1, big), 0, 0, 0]),
+                  from_int_list([1, big]), from_int_list([1, 1], big)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for v in values:
+                with pytest.raises(PreconditionViolation,
+                                   match="number above 640 digits"):
+                    str(v)
+            with pytest.raises(PreconditionViolation):
+                format_qpoly(values[0])
+            assert str(QPoly(H, [H.element([1, 2, Fr(3, 4), -1])])) == \
+                "(1+2i+3/4j-k)"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [str(v) for v in values] == [
+            "x + (%di)" % big, "1/%d" % big, "%d*x + 1" % big,
+            "1/%d*x + 1/%d" % (big, big)]
 
     def test_arity_error_exit(self, capsys):
         assert run(["gcrd", "x", "--alpha", "-1", "--beta", "-1"]) == \

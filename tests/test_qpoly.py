@@ -13,7 +13,7 @@ from quatpoly.coordpoly import cp_pseudo_rem, kernel_ab
 from quatpoly.errors import (AlgebraMismatch, DegenerateInput,
                              DivisionByZero, InvalidCertificate,
                              PreconditionViolation, SearchExhausted,
-                             SplitAlgebra, ZeroDivisorEncountered)
+                             SplitAlgebra)
 from quatpoly.numberfield import NumberField, nf_quadratic_subfields
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (QPoly, beck_decompose, factor,
@@ -265,38 +265,22 @@ class TestGcrdLclm:
         with pytest.raises(DegenerateInput):
             qp_gcrd(QPoly(H, []), QPoly(H, []))
 
-    def test_divisor_with_a_zero_norm_leading_coefficient(self):
-        """Over a split algebra, dividing by (1+i)x + 2, whose leading
-        coefficient has norm 0, reports that zero divisor through every
-        entry that divides by it, and so does making it monic."""
-        A = QuaternionAlgebra.unchecked(1, 1)
-        lc = A.one() + A.i
-        p = QPoly(A, [A.scalar(3), A.zero(), A.one()])
-        d = QPoly(A, [A.scalar(2), lc])
-        for divide in (qp_right_divmod, qp_exact_right_div, qp_gcrd,
-                       qp_gcrd_bezout, qp_lclm, lambda p, d: d.monic()):
-            with pytest.raises(ZeroDivisorEncountered) as ei:
-                divide(p, d)
-            assert ei.value.witness == lc
-
-    def test_remainder_only_division_reports_a_zero_norm_lc(self):
-        """The remainder-only right division keeps the zero-divisor check:
-        by (1+i)x + 2 directly, and inside qp_gcrd when 1 + i is the lc
-        of a later remainder (x^2 + 1 + i = x*x + (1+i)).  qp_evaluate
-        divides by x - a, whose lc is 1, so a point a of norm 0 gives
-        its value sum c_m a^m."""
-        A = QuaternionAlgebra.unchecked(1, 1)
-        lc = A.one() + A.i
-        x = QPoly.x(A)
-        p = QPoly(A, [A.scalar(3), A.zero(), A.one()])
-        d = QPoly(A, [A.scalar(2), lc])
-        for divide, args in ((qpoly._right_rem, (p, d)),
-                             (qp_gcrd, (x * x + lc, x))):
-            with pytest.raises(ZeroDivisorEncountered) as ei:
-                divide(*args)
-            assert ei.value.witness == lc
-        assert lc.norm() == 0
-        assert qp_evaluate(p, lc) == A.scalar(3) + lc * lc
+    def test_one_make_per_gcrd_remainder(self, monkeypatch):
+        """Over an integral algebra each remainder of qp_gcrd is made
+        primitive by one _make straight from the kernel remainder; the
+        one more _make is the final monic."""
+        rng = random.Random(47)
+        makes = spy_calls(monkeypatch, qpoly, "_make")
+        rems = spy_calls(monkeypatch, qpoly, "_right_rem")
+        for A in (H, H13):
+            for _ in range(20):
+                d = rnd_poly(rng, A, rng.randint(1, 2))
+                p = rnd_poly(rng, A, rng.randint(1, 3)) * d
+                q = rnd_poly(rng, A, rng.randint(1, 3)) * d
+                del makes[:], rems[:]
+                g = qp_gcrd(p, q)
+                assert len(rems) >= 1 and len(makes) == len(rems) + 1
+                assert g == qp_gcrd_bezout(p, q)[0]
 
 
 class TestRootsAndRightFactors:
@@ -429,8 +413,8 @@ class TestOneSplittingRule:
         assert min(seen.values()) > 0
 
     def test_only_splits_names_the_rule(self):
-        """Inside qpoly.py, only _splits names nf_splits_quaternion and
-        is_division or calls a certificate's matches."""
+        """Inside qpoly.py, only _splits names nf_splits_quaternion or
+        calls a certificate's matches."""
         tree = ast.parse(Path(qpoly.__file__).read_text())
         where = {}
         for fn in ast.walk(tree):
@@ -439,26 +423,66 @@ class TestOneSplittingRule:
                     name = (node.id if isinstance(node, ast.Name) else
                             node.attr if isinstance(node, ast.Attribute)
                             else None)
-                    if name in ("nf_splits_quaternion", "is_division",
-                                "matches"):
+                    if name in ("nf_splits_quaternion", "matches"):
                         where.setdefault(name, set()).add(fn.name)
-        assert where == dict.fromkeys(
-            ("nf_splits_quaternion", "is_division", "matches"), {"_splits"})
+        assert where == dict.fromkeys(("nf_splits_quaternion", "matches"),
+                                      {"_splits"})
 
     def test_odd_degree_comes_before_the_splitting_test(self, monkeypatch):
-        """Over a split algebra made with QuaternionAlgebra.unchecked an
-        odd degree takes the odd-degree exit and runs no test; an even
-        one takes the test, which raises SplitAlgebra."""
+        """Over division algebras, integral and rational, an odd degree
+        takes the odd-degree exit and runs no splitting test; an even
+        degree runs exactly one, through factor_central_irreducible and
+        through is_irreducible alike."""
         tests = spy_calls(monkeypatch, numberfield, "nf_splits_quaternion")
-        A = QuaternionAlgebra.unchecked(1, 1)
         cubic = from_int_list([-2, 0, 0, 1])
-        out = factor_central_irreducible(NumberField(cubic), A)
-        assert out.factors == [QPoly.from_ratpoly(A, cubic)]
-        assert is_irreducible(QPoly.from_ratpoly(A, cubic))
-        assert tests == []
-        with pytest.raises(SplitAlgebra):
-            is_irreducible(QPoly.from_ratpoly(A, QUARTIC_MIN))
-        assert len(tests) == 1
+        for A in (H, H13, HQ):
+            out = factor_central_irreducible(NumberField(cubic), A)
+            assert out.factors == [QPoly.from_ratpoly(A, cubic)]
+            assert is_irreducible(QPoly.from_ratpoly(A, cubic))
+            assert tests == []
+        # x^2 + 1 splits (-1,-1), as Q(i) embeds; x^2 - 2 is real and
+        # splits no definite algebra
+        for p, splits in (([1, 0, 1], True), ([-2, 0, 1], False)):
+            p = from_int_list(p)
+            for run in (lambda: len(factor_central_irreducible(
+                            NumberField(p), H)) == 1,
+                        lambda: is_irreducible(QPoly.from_ratpoly(H, p))):
+                del tests[:]
+                assert run() is not splits
+                assert len(tests) == 1
+
+
+class TestDivisionAlgebra:
+    """Every QuaternionAlgebra is a division algebra: its one constructor
+    rejects a split one, so every nonzero element is invertible."""
+
+    def test_nonzero_elements_are_invertible(self):
+        """On seeded random elements and polynomials over integral and
+        rational division algebras, a nonzero quaternion has a nonzero
+        norm and a * q_inv(a) == 1, and a nonzero QPoly has a monic
+        monic()."""
+        rng = random.Random(48)
+        for A in (H, H13, HQ, HQ2, QuaternionAlgebra(-7, Fr(-5, 3))):
+            for _ in range(60):
+                a = A.element([Fr(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(4)])
+                if a.is_zero:
+                    continue
+                assert a.norm() != 0
+                assert a * q_inv(a) == A.one() == q_inv(a) * a
+                f = rnd_frac_poly(rng, A, rng.randint(0, 3))
+                m = f.monic()
+                assert m.is_monic and m.degree == f.degree
+                assert QPoly(A, [f.lc]) * m == f
+
+    def test_split_algebras_are_rejected(self):
+        for alpha, beta in ((1, 1), (1, -1), (-1, 2), (Fr(1, 4), -3)):
+            with pytest.raises(SplitAlgebra):
+                QuaternionAlgebra(alpha, beta)
+        for alpha, beta in ((0, -1), (-1, 0)):
+            with pytest.raises(DegenerateInput, match="must be nonzero"):
+                QuaternionAlgebra(alpha, beta)
+        assert not hasattr(QuaternionAlgebra, "unchecked")
 
 
 QUARTIC_MIN = from_int_list([6, 16, 11, 0, 1])
@@ -928,21 +952,6 @@ class TestCertifiedRouteSkipsSplittingTest:
             assert out.factors == [QPoly.from_ratpoly(H, NOT_H)]
             assert len(tests) == 1
 
-    def test_split_algebra_still_raises(self, monkeypatch):
-        """Over a split algebra made with QuaternionAlgebra.unchecked, a
-        matching certificate proves nothing new: the test runs and raises
-        SplitAlgebra as it does without one."""
-        tests, orders = self.spies(monkeypatch)
-        A = QuaternionAlgebra.unchecked(1, 1)
-        # (1 + i) has norm 1 - 1 = 0 in (1, 1 / Q)
-        cert = ZeroDivisorCertificate(1, 1, QUARTIC_MIN, (
-            from_int_list([1]), from_int_list([1]), from_int_list([]),
-            from_int_list([])))
-        for c in (cert, None):
-            with pytest.raises(SplitAlgebra, match="is split"):
-                factor_central_irreducible(NumberField(QUARTIC_MIN), A,
-                                           cert=c)
-        assert len(tests) == 2
 
 
 class TestSwapFactors:
