@@ -29,11 +29,6 @@ def kernel_ints(cs):
     return [c.numerator if c.denominator == 1 else c for c in cs]
 
 
-def kernel_ab(A):
-    """alpha and beta of A, as kernel_ints gives them."""
-    return kernel_ints((A.alpha, A.beta))
-
-
 def coord_mul(al, be, a, b):
     """The product a*b of coordinate 4-tuples in (al, be / F); entries may
     be ints, Fractions or RatPolys."""

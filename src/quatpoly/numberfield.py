@@ -1,12 +1,12 @@
 """Arithmetic in L = Q[x]/(p) and the number-theoretic tests built on it.
 
-First the places of Q: Hilbert symbols, local squares and the ramified
-places of a quaternion algebra (alpha, beta / Q), read off valuations
-and unit classes.  Then L: an element of L is a RatPoly in theta of
-degree below deg p, so its arithmetic is RatPoly's, on integers over
-one denominator, reduced by p; polynomials over L are dense.py lists
-over the field object L.field.  Covers field arithmetic, square
-testing and Trager factorization over L (quadform takes the halves of
+First the places of Q: Hilbert symbols, local squares and the tuple of
+ramified places of a quaternion algebra (alpha, beta / Q), read off
+valuations and unit classes.  Then L: an element of L is a RatPoly in
+theta of degree below deg p, so its arithmetic is RatPoly's, on
+integers over one denominator, reduced by p; polynomials over L are
+dense.py lists over the field object L.field.  Covers field arithmetic,
+square testing and Trager factorization over L (quadform takes the halves of
 a central factor from it over L = Q(sqrt d)), the quadratic subfields
 of L (of a quartic from the rational roots of its resolvent cubic;
 from degree 6 the divisors of 4 disc that pass a local screen, each
@@ -112,42 +112,12 @@ def is_local_square(d, place):
     return legendre(u, p) == 1
 
 
-class PlaceSet:
-    """A finite set of places of Q (finite primes plus optionally infinity).
-    Immutable: ramified_places hands one instance to every caller."""
-
-    __slots__ = ("finite_primes", "infinite")
-
-    def __init__(self, finite_primes, infinite):
-        object.__setattr__(self, "finite_primes",
-                           tuple(sorted(set(finite_primes))))
-        object.__setattr__(self, "infinite", bool(infinite))
-
-    def __setattr__(self, *args):
-        raise AttributeError("PlaceSet is immutable")
-
-    def __len__(self):
-        return len(self.finite_primes) + (1 if self.infinite else 0)
-
-    def places(self):
-        yield from self.finite_primes
-        if self.infinite:
-            yield INFINITE_PLACE
-
-    def __eq__(self, other):
-        return (isinstance(other, PlaceSet)
-                and self.finite_primes == other.finite_primes
-                and self.infinite == other.infinite)
-
-    def __repr__(self):
-        tail = " oo" if self.infinite else ""
-        return "PlaceSet{%s%s}" % (", ".join(map(str, self.finite_primes)), tail)
-
-
 @functools.lru_cache(maxsize=64)
 def ramified_places(alpha, beta):
-    """All places where (alpha, beta / Q) is not split.  Remembered for
-    the last 64 pairs: every central factor asks again for its algebra."""
+    """The places where (alpha, beta / Q) is not split, as a tuple: the
+    finite primes ascending, then INFINITE_PLACE if infinity ramifies.
+    Remembered for the last 64 pairs: every central factor asks again
+    for its algebra."""
     alpha = Fraction(alpha)
     beta = Fraction(beta)
     if alpha == 0 or beta == 0:
@@ -159,14 +129,14 @@ def ramified_places(alpha, beta):
 def ramified_among(alpha, beta, primes):
     """The places where (alpha, beta / Q) is not split, for nonzero
     rationals and primes holding every odd prime at which alpha or beta
-    has odd valuation: only those, 2 and infinity can ramify."""
-    finite = [p for p in {2, *primes} if hilbert_symbol(alpha, beta, p) == -1]
-    inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
-    return PlaceSet(finite, inf)
+    has odd valuation: only those, 2 and infinity can ramify.  Ordered
+    as ramified_places orders them."""
+    return tuple(v for v in (*sorted({2, *primes}), INFINITE_PLACE)
+                 if hilbert_symbol(alpha, beta, v) == -1)
 
 
 def is_division(alpha, beta):
-    return len(ramified_places(alpha, beta)) > 0
+    return bool(ramified_places(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +519,7 @@ def nf_splits_quaternion(alpha, beta, L):
     places = ramified_places(alpha, beta)
     if not places:
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))
-    first = [INFINITE_PLACE] if places.infinite else []
-    for place in first + list(places.finite_primes):
+    for place in sorted(places, key=lambda v: v != INFINITE_PLACE):
         if any((e * f) % 2 for e, f in nf_local_splitting(L, place)):
             return False
     return True

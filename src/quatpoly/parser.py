@@ -31,7 +31,7 @@ import re
 import sys
 
 from . import dense
-from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, cp_trim, kernel_ab
+from .coordpoly import ZERO, cp_add, cp_mul, cp_scale, cp_trim
 from .errors import PolyParseError, PreconditionViolation
 from .qpoly import QPoly, format_qpoly  # noqa: F401  (re-exported)
 from .quatalg import QuaternionAlgebra
@@ -135,7 +135,7 @@ def parse_poly(text, A):
         raise PreconditionViolation("the algebra must be a "
                                     "QuaternionAlgebra, not %s"
                                     % type(A).__name__)
-    toks = _Tokens(text, kernel_ab(A))
+    toks = _Tokens(text, (A.alpha, A.beta))
     try:
         den, P = _expr(toks)
     except RecursionError:

@@ -9,12 +9,13 @@ complete factorization loop, and root enumeration up to conjugacy.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 
 from . import dense
 from .coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
-                        cp_pseudo_divmod, cp_pseudo_rem, cp_scale, kernel_ab)
+                        cp_pseudo_divmod, cp_pseudo_rem, cp_scale)
 from .dense import ZZ
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
                      InternalInvariantViolation, PreconditionViolation)
@@ -185,7 +186,7 @@ class QPoly(dense.RingElement):
             return NotImplemented
         A = self.parent
         return _make(A, self.den * other.den,
-                     cp_mul(*kernel_ab(A), self.num, other.num))
+                     cp_mul(A.alpha, A.beta, self.num, other.num))
 
     def _key(self):
         """(den, num); a central polynomial's is its RatPoly's, and a
@@ -201,7 +202,7 @@ class QPoly(dense.RingElement):
         the coordinates, in which den cancels."""
         if self.is_zero:
             raise DegenerateInput("zero polynomial cannot be made monic")
-        al, be = kernel_ab(self.parent)
+        al, be = self.parent.alpha, self.parent.beta
         t, x, y, z = lc = self.num[-1]
         return _make(self.parent, coord_norm(al, be, lc),
                      [coord_mul(al, be, (t, -x, -y, -z), a)
@@ -232,7 +233,7 @@ def qp_norm(p):
     """N(p) = p * conj(p), central, returned as a RatPoly: the formula
     c0^2 - al*c1^2 - be*c2^2 + al*be*c3^2 on the integer coordinates of
     den*p, checked against the kernel product den*p * conj(den*p)."""
-    al, be = kernel_ab(p.parent)
+    al, be = p.parent.alpha, p.parent.beta
     den, P = p.den, p.num
     c0, c1, c2, c3 = _columns(P)
     n = dense.mul(c0, c0, ZZ)
@@ -250,7 +251,7 @@ def _divisor_ab(d):
     zero d is a DivisionByZero."""
     if d.is_zero:
         raise DivisionByZero("right division by the zero polynomial")
-    return kernel_ab(d.parent)
+    return d.parent.alpha, d.parent.beta
 
 
 def qp_right_divmod(p, d):
@@ -310,7 +311,7 @@ def qp_gcrd(p, q):
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
     A = p.parent
-    whole = {*map(type, kernel_ab(A))} <= {int}
+    whole = {type(A.alpha), type(A.beta)} <= {int}
     while not q.is_zero:
         den, R = _right_rem(p, q)
         if not whole:
@@ -336,13 +337,9 @@ def qp_evaluate(p, a):
     return _make(p.parent, *_right_rem(p, QPoly.x(p.parent) - a))[0]
 
 
-class BeckDecomposition:
-    """p = leading * central_free * central, uniquely."""
-
-    def __init__(self, leading, central_free, central):
-        self.leading = leading
-        self.central_free = central_free
-        self.central = central
+# p = leading * central_free * central, uniquely
+BeckDecomposition = namedtuple("BeckDecomposition",
+                               "leading central_free central")
 
 
 def beck_decompose(p):
@@ -355,7 +352,7 @@ def beck_decompose(p):
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
     A = p.parent
-    al, be = kernel_ab(A)
+    al, be = A.alpha, A.beta
     m = p.monic()
     cen, cols = primitive_gcd_cofactors(_columns(m.num))
     Q = list(zip_longest(*cols, fillvalue=0))
@@ -539,24 +536,11 @@ def factor(p, certs=None, seed=0, max_height=20):
     return result
 
 
-class RootSet:
-    """One representative per conjugacy class of roots."""
-
-    def __init__(self, representatives):
-        self.representatives = list(representatives)
-
-    def __iter__(self):
-        return iter(self.representatives)
-
-    def __len__(self):
-        return len(self.representatives)
-
-
 def roots(p):
-    """Roots of p up to conjugacy: rational roots of the central part,
-    roots of its quadratic irreducible factors through an embedded
-    subfield, and right roots extracted from the norm of the central-free
-    part."""
+    """A tuple of the roots of p, one per conjugacy class: rational roots
+    of the central part, roots of its quadratic irreducible factors
+    through an embedded subfield, and right roots extracted from the norm
+    of the central-free part."""
     if p.is_zero:
         raise DegenerateInput("the zero polynomial has every root")
     A = p.parent
@@ -594,4 +578,4 @@ def roots(p):
     for a in reps:
         if not qp_evaluate(p, a).is_zero:
             raise InternalInvariantViolation("representative is not a root")
-    return RootSet(reps)
+    return tuple(reps)

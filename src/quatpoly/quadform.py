@@ -52,7 +52,7 @@ def ternary_local_obstruction(coeffs):
     a, b, c = [Fr(x) for x in coeffs]
     A, B = -a * c, -b * c
     primes = square_class(A)[2] + square_class(B)[2]
-    return next(ramified_among(A, B, primes).places(), None)
+    return next(iter(ramified_among(A, B, primes)), None)
 
 
 def _descent(A, B, pA, pB):
@@ -169,7 +169,7 @@ def _quaternary_local_obstruction(a, primes):
     quaternary form is isotropic.
     """
     det = a[0] * a[1] * a[2] * a[3]
-    places = ramified_among(-a[0] * a[1], -a[0] * a[2], primes).places()
+    places = ramified_among(-a[0] * a[1], -a[0] * a[2], primes)
     return next((v for v in places if is_local_square(det, v)), None)
 
 
@@ -213,7 +213,8 @@ def _quaternary(a, classes):
                 if a[i] * rd * rd + a[j] * rn * rn != 0:
                     raise InternalInvariantViolation("binary ratio mismatch")
                 return tuple(vec)
-    # search a value represented by both binary halves
+    # search a value represented by both binary halves; with no isotropic
+    # binary half, t and the Z of _ternary below are never 0
     h = 1
     seen = set()
     while True:
@@ -221,8 +222,6 @@ def _quaternary(a, classes):
         for u, v in ([(u, h) for u in range(h)]
                      + [(h, v) for v in range(h + 1)]):
             t = a[0] * u * u + a[1] * v * v
-            if t == 0:
-                return (u, v, 0, 0)
             ct = square_class(t)
             if ct[0] in seen:
                 continue
@@ -231,8 +230,6 @@ def _quaternary(a, classes):
             if res is None:
                 continue
             X, Y, Z = res
-            if Z == 0:
-                return (0, 0, X, Y)
             return (u * Z, v * Z, X, Y)
         h += 1
         if h > _QUATERNARY_HEIGHT_CAP:
@@ -269,9 +266,8 @@ def represent_pure(alpha, beta, d):
 
 def fr_str(q, den=1):
     """The rational q/den as "numerator/denominator", for an int den > 0."""
-    n, d = q.numerator, q.denominator * den
-    g = math.gcd(n, d)
-    return "%d/%d" % (n // g, d // g)
+    s = dense.rational_text(q.numerator, q.denominator * den)
+    return s if "/" in s else s + "/1"
 
 
 _FR_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -368,12 +364,13 @@ class ZeroDivisorCertificate:
 
     def __eq__(self, other):
         return (isinstance(other, ZeroDivisorCertificate)
-                and self.to_dict() == other.to_dict())
+                and (self.alpha, self.beta, self.minpoly, self.q)
+                == (other.alpha, other.beta, other.minpoly, other.q))
 
 
 def splits_in_quadratic(alpha, beta, d):
     """True iff (alpha, beta / Q) tensor Q(sqrt d) is a matrix algebra."""
-    for v in ramified_places(alpha, beta).places():
+    for v in ramified_places(alpha, beta):
         if is_local_square(d, v):
             return False
     return True

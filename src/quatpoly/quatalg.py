@@ -8,9 +8,9 @@ satisfies i^2 = alpha, j^2 = beta and ij = k = -ji, as in coordpoly.
 from fractions import Fraction
 
 from . import dense
-from .coordpoly import coord_mul, coord_norm
+from .coordpoly import coord_mul, coord_norm, kernel_ints
 from .errors import (AlgebraMismatch, DegenerateInput, DivisionByZero,
-                     SplitAlgebra)
+                     PreconditionViolation, SplitAlgebra)
 from .numberfield import is_division
 
 Fr = Fraction
@@ -20,15 +20,24 @@ class QuaternionAlgebra:
     """(alpha, beta / Q), always a division algebra: the constructor
     raises DegenerateInput for a zero parameter (from is_division) and
     SplitAlgebra for a matrix algebra, so every nonzero element has a
-    nonzero norm and an inverse."""
+    nonzero norm and an inverse.  alpha and beta are held as the
+    coordinate kernel multiplies by them (kernel_ints): an int when
+    integral and a Fraction otherwise."""
 
     def __init__(self, alpha, beta):
-        self.alpha = Fr(alpha)
-        self.beta = Fr(beta)
+        self.alpha, self.beta = kernel_ints((Fr(alpha), Fr(beta)))
         if not is_division(self.alpha, self.beta):
+            try:
+                name = "(%s / Q)" % self._ab_text()
+            except PreconditionViolation:  # past the int-to-text limit
+                name = "the algebra"
             raise SplitAlgebra(
-                "(%s, %s / Q) is a matrix algebra, not a division algebra"
-                % (self.alpha, self.beta))
+                name + " is a matrix algebra, not a division algebra")
+
+    def _ab_text(self):
+        return "%s, %s" % tuple([dense.rational_text(c.numerator,
+                                                     c.denominator)
+                                 for c in (self.alpha, self.beta)])
 
     def element(self, coords):
         return Quaternion(self, coords)
@@ -62,7 +71,7 @@ class QuaternionAlgebra:
         return hash(("QuaternionAlgebra", self.alpha, self.beta))
 
     def __repr__(self):
-        return "QuaternionAlgebra(%s, %s)" % (self.alpha, self.beta)
+        return "QuaternionAlgebra(%s)" % self._ab_text()
 
 
 class Quaternion(dense.RingElement):

@@ -206,7 +206,8 @@ class RatPoly(dense.RingElement):
         return _primitive(self.num)
 
     def __repr__(self):
-        return "RatPoly(%s)" % (list(self.coeffs),)
+        return "RatPoly([%s])" % ", ".join(
+            [dense.rational_text(c, self.den) for c in self.num])
 
     def __str__(self):
         return dense.format_terms([dense.rational_text(c, self.den)

@@ -35,7 +35,7 @@ import pytest
 from quatpoly import dense, numberfield, qpoly, quadform, ratpoly
 from quatpoly.coordpoly import (ZERO, coord_mul, coord_norm, cp_add, cp_mul,
                                 cp_pseudo_divmod, cp_pseudo_rem, cp_scale,
-                                cp_trim, kernel_ab, kernel_ints)
+                                cp_trim, kernel_ints)
 from quatpoly.dense import GF, ZZ
 from quatpoly.errors import (DegenerateInput, DivisionByZero,
                              InternalInvariantViolation, PolyParseError,
@@ -44,7 +44,7 @@ from quatpoly.errors import (DegenerateInput, DivisionByZero,
 from quatpoly.intarith import (crt, factorint, legendre, square_class,
                                sqrt_mod_prime, squarefree_kernel)
 from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
-                                  PlaceSet, hilbert_symbol, is_local_square,
+                                  hilbert_symbol, is_local_square,
                                   nf_factor_squarefree, nf_poly_norm,
                                   nf_quadratic_candidates,
                                   nf_quartic_subfields, nf_sqrt)
@@ -102,7 +102,7 @@ def ref_qp_gcrd(p, q):
     its coordinates, which also clears denominators of alpha and beta."""
     if p.is_zero and q.is_zero:
         raise DegenerateInput("gcrd(0, 0) is undefined")
-    al, be = kernel_ab(p.parent)
+    al, be = p.parent.alpha, p.parent.beta
     R, D = cp_primitive(p.num), cp_primitive(q.num)
     while D:
         R, D = D, cp_primitive(cp_pseudo_divmod(al, be, R, D)[2])
@@ -476,7 +476,8 @@ def ref_sqrt_mod_squarefree(a, n):
 
 
 def ref_ramified_places(alpha, beta):
-    """All places where (alpha, beta / Q) is not split, uncached."""
+    """All places where (alpha, beta / Q) is not split, uncached: the
+    finite primes ascending, then INFINITE_PLACE."""
     alpha = Fr(alpha)
     beta = Fr(beta)
     if alpha == 0 or beta == 0:
@@ -484,9 +485,8 @@ def ref_ramified_places(alpha, beta):
     cands = {2}
     cands.update(factorint(abs(ref_squarefree_kernel(alpha))))
     cands.update(factorint(abs(ref_squarefree_kernel(beta))))
-    finite = [p for p in cands if hilbert_symbol(alpha, beta, p) == -1]
-    inf = hilbert_symbol(alpha, beta, INFINITE_PLACE) == -1
-    return PlaceSet(finite, inf)
+    return tuple(v for v in (*sorted(cands), INFINITE_PLACE)
+                 if hilbert_symbol(alpha, beta, v) == -1)
 
 
 def ref_ternary_local_obstruction(coeffs):
@@ -499,7 +499,7 @@ def ref_ternary_local_obstruction(coeffs):
     of algebras.
     """
     a, b, c = [Fr(x) for x in coeffs]
-    return next(ref_ramified_places(-a * c, -b * c).places(), None)
+    return next(iter(ref_ramified_places(-a * c, -b * c)), None)
 
 
 def ref_descent(A, B):
@@ -628,7 +628,7 @@ def ref_quaternary_local_obstruction(a):
     quaternary form is isotropic.
     """
     det = a[0] * a[1] * a[2] * a[3]
-    places = ref_ramified_places(-a[0] * a[1], -a[0] * a[2]).places()
+    places = ref_ramified_places(-a[0] * a[1], -a[0] * a[2])
     return next((v for v in places if is_local_square(det, v)), None)
 
 
@@ -1747,7 +1747,7 @@ class RefRatPoly:
         return ratpoly._primitive(self.int_coeffs())
 
     def __repr__(self):
-        return "RatPoly(%s)" % (list(self.coeffs),)
+        return "RatPoly([%s])" % ", ".join(map(str, self.coeffs))
 
     def __str__(self):
         return ref_format_terms(self.coeffs)
@@ -2870,7 +2870,7 @@ def test_right_remainder_is_the_right_division():
     rng = random.Random(302)
     algebras = ALGEBRAS + (QuaternionAlgebra(Fr(-2, 3), Fr(-5, 7)),)
     for A in algebras:
-        al, be = kernel_ab(A)
+        al, be = A.alpha, A.beta
         for _ in range(40):
             d = rnd_poly(rng, A, rng.randint(0, 3), monic=rng.random() < .3)
             p = (rnd_poly(rng, A, rng.randint(0, 6)) if rng.random() < .9
@@ -2980,7 +2980,7 @@ def test_make_takes_one_gcd_on_int_data():
             lambda: Fr(rng.randint(-20, 20), rng.randint(1, 6)))
     for n in range(1500):
         if n % 5 == 4:
-            P = cp_mul(*kernel_ab(AQ), rnd_poly(rng, AQ, 2).num,
+            P = cp_mul(AQ.alpha, AQ.beta, rnd_poly(rng, AQ, 2).num,
                        rnd_poly(rng, AQ, rng.randint(0, 2)).num)
         else:
             kinds = (pick[:2] if n % 5 < 2

@@ -1,18 +1,21 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
 
-from quatpoly import parser, quadform
+from quatpoly import cli, parser, quadform
 from quatpoly.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_SEARCH, EXIT_SPLIT,
                           EXIT_USAGE, run)
-from quatpoly.errors import (InvalidCertificate, PolyParseError,
-                             PreconditionViolation)
+from quatpoly.errors import (InternalInvariantViolation, InvalidCertificate,
+                             PolyParseError, PreconditionViolation,
+                             SplitAlgebra)
 from quatpoly.parser import format_qpoly, parse_poly
 from quatpoly.qpoly import QPoly, qp_evaluate
 from quatpoly.quadform import ZeroDivisorCertificate
@@ -21,6 +24,7 @@ from quatpoly.ratpoly import from_int_list
 
 H = QuaternionAlgebra(-1, -1)
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 # strings outside the grammar -?[0-9]+(/[0-9]+)? of rationals in flags and
 # certificate fields, among them each one that a reader once accepted
 NOT_RATIONAL = ["1.5", "1e3", " 1 ", "+1", "\u0661", " 1_0 /3",
@@ -372,6 +376,66 @@ class TestCli:
         assert [str(v) for v in values] == [
             "x + (%di)" % big, "1/%d" % big, "%d*x + 1" % big,
             "1/%d*x + 1/%d" % (big, big)]
+
+    def test_algebra_past_the_int_digit_limit_is_a_typed_error(self):
+        """Outside run, past Python's limit on the digits of an int, a
+        split algebra is still a SplitAlgebra, and repr of a RatPoly or
+        a QuaternionAlgebra is a PreconditionViolation, as str is; under
+        the default limit the same reprs print."""
+        big = 10 ** 700
+        values = [from_int_list([1, big]), from_int_list([1], big),
+                  QuaternionAlgebra(-big, -1)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # 4^1000 is a square, so (4^1000, -1) is split like (1, -1)
+            with pytest.raises(SplitAlgebra, match="matrix algebra"):
+                QuaternionAlgebra(4 ** 1000, -1)
+            for v in values:
+                with pytest.raises(PreconditionViolation,
+                                   match="number above 640 digits"):
+                    repr(v)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [repr(v) for v in values] == [
+            "RatPoly([1, %d])" % big, "RatPoly([1/%d])" % big,
+            "QuaternionAlgebra(%d, -1)" % -big]
+        assert repr(QuaternionAlgebra(Fr(-1, 2), -3)) == \
+            "QuaternionAlgebra(-1/2, -3)"
+        with pytest.raises(SplitAlgebra,
+                           match=r"^\(4, -1 / Q\) is a matrix algebra"):
+            QuaternionAlgebra(4, -1)
+
+    def test_internal_error_exit(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalInvariantViolation("planted")
+        monkeypatch.setattr(cli, "factor", broken)
+        assert run(["factor", "x^2 + 1", "--alpha", "-1",
+                    "--beta", "-1"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: planted\n"
+
+    def test_usage_error_exits(self, capsys):
+        assert run(["eval", "x^2 + 1", "x", "--alpha", "-1",
+                    "--beta", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: evaluation point must be a constant\n"
+        assert run(["factor", "x^2 + 1", "--alpha", "-1", "--beta", "-1",
+                    "--max-height", "2.5"]) == EXIT_USAGE
+        assert "--max-height: not an integer: '2.5'" in \
+            capsys.readouterr().err
+
+    def test_console_entry_point_passes_the_exit_status(self):
+        """main, the quatpoly script, exits with run's code."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        ab = ["--alpha", "-1", "--beta", "-1"]
+        for argv, code in ((["factor", "x^2+1"] + ab, EXIT_OK),
+                           (["factor", "x^2+1", "--alpha", "1",
+                             "--beta", "1"], EXIT_SPLIT),
+                           (["eval", "x^2+1", "x"] + ab, EXIT_USAGE)):
+            proc = subprocess.run([sys.executable, "-m", "quatpoly.cli",
+                                   *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == code, (argv, proc.stderr)
 
     def test_arity_error_exit(self, capsys):
         assert run(["gcrd", "x", "--alpha", "-1", "--beta", "-1"]) == \

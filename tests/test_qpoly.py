@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quatpoly import cli, dense, maxorder, numberfield, qpoly, quadform
-from quatpoly.coordpoly import cp_pseudo_rem, kernel_ab
+from quatpoly.coordpoly import cp_pseudo_rem
 from quatpoly.errors import (AlgebraMismatch, DegenerateInput,
                              DivisionByZero, InvalidCertificate,
                              PreconditionViolation, SearchExhausted,
@@ -1095,7 +1095,7 @@ class TestLadder:
         rng = random.Random(17)
         scaled = 0
         for A in (H, H13):
-            al, be = kernel_ab(A)
+            al, be = A.alpha, A.beta
             for _ in range(40):
                 d = QPoly(A, [A.element([Fr(rng.randint(-5, 5),
                                             rng.randint(1, 6))
@@ -1129,7 +1129,7 @@ class TestRoots:
     def test_central_quadratic(self):
         rs = roots(P("x^2 + 1"))
         assert len(rs) == 1
-        rep = rs.representatives[0]
+        rep = rs[0]
         assert is_conjugate(rep, H.i)
 
     def test_rational_roots(self):
@@ -1146,9 +1146,8 @@ class TestRoots:
                 p = p * (QPoly.x(H) - QPoly(H, [a]))
             rs = roots(p)
             # the rightmost planted root must appear up to conjugacy
-            assert any(is_conjugate(r, planted[-1])
-                       for r in rs.representatives)
-            for r in rs.representatives:
+            assert any(is_conjugate(r, planted[-1]) for r in rs)
+            for r in rs:
                 assert qp_evaluate(p, r).is_zero
 
     def test_no_roots(self):
@@ -1161,12 +1160,28 @@ class TestRoots:
         # only one class is reported
         p = P("x - i") * P("x + i")
         rs = roots(p)
-        assert len(rs) == 1 and is_conjugate(rs.representatives[0], H.j)
+        assert len(rs) == 1 and is_conjugate(rs[0], H.j)
+
+    def test_conjugate_roots_are_one_class(self):
+        # i is a root of the central x^2 + 1 and of the right factor x - i;
+        # both give the class of i, which is reported once
+        assert roots(P("(x - i)(x^2 + 1)")) == (H.i,)
+
+    def test_non_quadratic_norm_factor_gives_no_root(self):
+        # the norm of x^2 + x + i is irreducible of degree 4, so it has
+        # no right linear factor; with x - j on its left the norm gains
+        # the quadratic x^2 + 1, whose class has trace 0 and norm 1
+        p = P("x^2 + x + i")
+        assert qp_norm(p) == from_int_list([1, 0, 1, 2, 1])
+        assert rp_is_irreducible(qp_norm(p))
+        assert roots(p) == ()
+        rs = roots(P("(x - j)(x^2 + x + i)"))
+        assert len(rs) == 1
+        assert rs[0].trace() == 0 and rs[0].norm() == 1
 
     def test_mixed(self):
         p = P("x - 2") * P("x - i") * P("x^2 + 3")
-        rs = roots(p)
-        classes = rs.representatives
+        classes = roots(p)
         assert any(r.is_central and r.coords[0] == 2 for r in classes)
         assert any(is_conjugate(r, H.i) for r in classes)
         root3 = H.element([0, 1, 1, 1])  # norm 3, trace 0

@@ -29,8 +29,8 @@ class TestConstruction:
             QuaternionAlgebra(2, 2)
 
     def test_ramified(self):
-        assert set(ramified_places(H.alpha, H.beta).places()) == {2, "oo"}
-        assert set(ramified_places(H13.alpha, H13.beta).places()) == \
+        assert set(ramified_places(H.alpha, H.beta)) == {2, "oo"}
+        assert set(ramified_places(H13.alpha, H13.beta)) == \
             {3, "oo"}
 
 
