@@ -156,7 +156,7 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         # (p, simple roots of minpoly mod p) for the local square test,
-        # computed by _local_nonsquare on first use
+        # computed by local_nonresidue on first use
         self.local_roots = None
 
     @classmethod
@@ -384,28 +384,41 @@ def _local_roots(minpoly):
     return out
 
 
-def _local_nonsquare(el):
-    """True when el is a non-square at a place of L above some prime of
-    _LOCAL_PRIMES that divides no denominator of el or of the minimal
-    polynomial.  Integers mod p only; the simple roots of the minimal
-    polynomial mod each prime are found once per field (_local_roots).
+def local_nonresidue(L, residues):
+    """The local square test, the one screen of nf_sqrt and of the
+    zero-divisor search: True when an element el of L is proved no
+    square by a quadratic non-residue among residues(p, roots), the
+    images el(r) mod p at the simple roots r of the minimal polynomial
+    m mod p, for some p of _LOCAL_PRIMES.  residues returns None at a p
+    where el has no image (p divides a denominator of el).  Integers mod
+    p only; the simple roots are found once per field (_local_roots).
 
-    A simple root r of the minimal polynomial m mod p lifts to a root of
-    m in Z_p (Hensel), that is to an embedding of L into Q_p, under which
-    el is a p-adic integer congruent to el(r).  When el(r) is a quadratic
-    non-residue that integer is a unit but no square, so el is no square
-    in L.  A multiple root of m mod p need not lift (0 mod 3 for
-    x^2 - 45, where 5 is a square), so it is skipped.
+    A simple root r of m mod p lifts to a root of m in Z_p (Hensel),
+    that is to an embedding of L into Q_p, under which el is a p-adic
+    integer congruent to el(r).  When el(r) is a quadratic non-residue
+    that integer is a unit but no square, so el is no square in L.  A
+    multiple root of m mod p need not lift (0 mod 3 for x^2 - 45, where
+    5 is a square), so it is skipped.
     """
-    L = el.parent
     if L.local_roots is None:
         L.local_roots = _local_roots(L.minpoly)
     for p, roots in L.local_roots:
-        e, F = _mod_p(el.poly, p), dense.GF(p)
-        if e is not None and any(legendre(dense.evaluate(e, r, F), p) == -1
-                                 for r in roots):
+        values = residues(p, roots)
+        if values is not None and any(legendre(v, p) == -1 for v in values):
             return True
     return False
+
+
+def _local_nonsquare(el):
+    """local_nonresidue for an element el of L, from the coefficients of
+    el.poly mod p: the p dividing a denominator of el are skipped."""
+
+    def residues(p, roots):
+        e, F = _mod_p(el.poly, p), dense.GF(p)
+        return None if e is None else (dense.evaluate(e, r, F)
+                                       for r in roots)
+
+    return local_nonresidue(el.parent, residues)
 
 
 def nf_sqrt(d, L):
@@ -507,19 +520,29 @@ def nf_local_splitting(L, place):
     return maxorder.splitting_type(L.integral_model(), place)
 
 
+def _sign_change(f):
+    """True when lc(f) f(0) < 0: f then has a real root in (0, oo), as
+    f(0) and f(x) for large x have opposite signs."""
+    return f.num[0] * f.num[-1] < 0
+
+
 def nf_splits_quaternion(alpha, beta, L):
     """True iff (alpha, beta / Q) tensored with L is a matrix algebra,
     that is iff every place of L above a ramified place of Q has even
     local degree e*f.
 
-    The infinite place, a Sturm count, is checked before the ramified
-    primes, each of which needs a p-maximal order; the first place of odd
-    local degree decides.
+    The infinite place is checked before the ramified primes, each of
+    which needs a p-maximal order; the first place of odd local degree
+    decides.  At infinity a sign change of the minimal polynomial
+    (_sign_change) gives a real place, of local degree 1, with no Sturm
+    count; without one, the Sturm count of nf_local_splitting decides.
     """
     places = ramified_places(alpha, beta)
     if not places:
         raise SplitAlgebra("(%s, %s / Q) is split" % (alpha, beta))
     for place in sorted(places, key=lambda v: v != INFINITE_PLACE):
+        if place == INFINITE_PLACE and _sign_change(L.minpoly):
+            return False
         if any((e * f) % 2 for e, f in nf_local_splitting(L, place)):
             return False
     return True

@@ -342,15 +342,34 @@ BeckDecomposition = namedtuple("BeckDecomposition",
                                "leading central_free central")
 
 
+def _scalar_beck(p):
+    """The Beck decomposition (lc, 1, p/lc) of a nonzero central p, read
+    off its scalar column c over den, or None when p is not central.
+    With p/lc = cen.num/cen.den, the check c[-1]*cen.num = cen.den*c is
+    lc * 1 * (p/lc) = p on the coordinates, term by term."""
+    if not p.is_central:
+        return None
+    c = [a[0] for a in p.num]
+    cen = from_int_list(c, c[-1])
+    if [c[-1] * t for t in cen.num] != [cen.den * t for t in c]:
+        raise InternalInvariantViolation("Beck decomposition mismatch")
+    return BeckDecomposition(p.lc, _make(p.parent, 1, [(1, 0, 0, 0)]), cen)
+
+
 def beck_decompose(p):
     """p = lc(p) * q * cen, on the integer coordinates of the kernel.
-    monic gives lc(p)^-1 * p as M/dm with integer tuples M; cen is the
-    primitive gcd of M's coordinate columns and Q = M/cen column by
-    column, exact by Gauss's lemma, so q = Q*lc(cen)/dm and the monic
-    central part is cen/lc(cen).  With P = dp*p, the check
-    P[-1]*(Q*cen) = dm*P is p = lc*q*cen on the coordinates."""
+    A central p is (lc, 1, p/lc), read off its scalar column by
+    _scalar_beck.  Otherwise monic gives lc(p)^-1 * p as M/dm with
+    integer tuples M; cen is the primitive gcd of M's coordinate columns
+    and Q = M/cen column by column, exact by Gauss's lemma, so
+    q = Q*lc(cen)/dm and the monic central part is cen/lc(cen).  With
+    P = dp*p, the check P[-1]*(Q*cen) = dm*P is p = lc*q*cen on the
+    coordinates."""
     if p.is_zero:
         raise DegenerateInput("cannot decompose the zero polynomial")
+    b = _scalar_beck(p)
+    if b is not None:
+        return b
     A = p.parent
     al, be = A.alpha, A.beta
     m = p.monic()

@@ -30,10 +30,10 @@ from .errors import (DegenerateInput, InternalInvariantViolation,
                      InvalidCertificate, PreconditionViolation,
                      SearchExhausted, SplitAlgebra)
 from .intarith import square_class, sqrt_mod_squarefree
-from .numberfield import (NumberField, is_local_square, nf_factor_squarefree,
-                          nf_quadratic_candidates, nf_quartic_subfields,
-                          nf_splits_quaternion, nf_sqrt, ramified_among,
-                          ramified_places)
+from .numberfield import (NumberField, is_local_square, local_nonresidue,
+                          nf_factor_squarefree, nf_quadratic_candidates,
+                          nf_quartic_subfields, nf_splits_quaternion, nf_sqrt,
+                          ramified_among, ramified_places)
 from .ratpoly import RatPoly
 
 Fr = Fraction
@@ -487,23 +487,50 @@ def _trial_value(al, be, a1, a2, a3):
     return t
 
 
+def _trial_nonsquare(L, w, a1, a2, a3):
+    """True when local_nonresidue proves the trial value
+    al a1^2 + be a2^2 - al be a3^2 no square in L, from the integer
+    coordinate lists a1, a2, a3 alone: w holds integers w1, w2, w3
+    proportional to (al, be, -al be) by a nonzero rational square, and
+    the image of the trial at a local root r is, up to that square,
+    w1 a1(r)^2 + w2 a2(r)^2 + w3 a3(r)^2 mod p.  No polynomial is
+    formed and nothing is reduced by the minimal polynomial."""
+    w1, w2, w3 = w
+
+    def residues(p, roots):
+        F = dense.GF(p)
+        return ((w1 * dense.evaluate(a1, r, F) ** 2
+                 + w2 * dense.evaluate(a2, r, F) ** 2
+                 + w3 * dense.evaluate(a3, r, F) ** 2) for r in roots)
+
+    return local_nonresidue(L, residues)
+
+
 def search_zero_divisor(alpha, beta, L, seed=0, max_height=20):
     """Layer 3 of find_zero_divisor alone: a seeded bounded search solving
     q0^2 = alpha q1^2 + beta q2^2 - alpha beta q3^2 in L, max_height random
     trials, trial t drawing coefficients of height 1 + t//8.  Each trial
-    is an integer polynomial in the coordinates of q1, q2, q3
+    is screened first on its integer coordinates (_trial_nonsquare, the
+    local test of nf_sqrt): a non-residue at a local root proves it no
+    square, and it is dropped, as nf_sqrt would drop it.  A trial that
+    passes is an integer polynomial in the coordinates of q1, q2, q3
     (_trial_value), reduced by the minimal polynomial in L.element; only
     its value goes to nf_sqrt.  Raises SearchExhausted when no trial
     succeeds."""
     _check_trials(max_height)
     alpha, beta = Fr(alpha), Fr(beta)
     al, be = kernel_ints((alpha, beta))
+    # (al, be, -al be) times the square of alpha.den * beta.den
+    d2 = (alpha.denominator * beta.denominator) ** 2
+    w = [int(c * d2) for c in (alpha, beta, -alpha * beta)]
     rng = random.Random(seed)
     n = L.degree
     for trial in range(max_height):
         h = 1 + trial // 8
         a1, a2, a3 = [[rng.randint(-h, h) for _ in range(n)]
                       for _ in range(3)]
+        if _trial_nonsquare(L, w, a1, a2, a3):
+            continue
         t = L.element(_trial_value(al, be, a1, a2, a3))
         if t:
             s = nf_sqrt(t, L)

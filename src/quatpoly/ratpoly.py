@@ -812,7 +812,9 @@ class RatFactorization:
         return out
 
     def __repr__(self):
-        return "RatFactorization(%s, %s)" % (self.content, self.factors)
+        c = self.content
+        return "RatFactorization(%s, %s)" % (
+            dense.rational_text(c.numerator, c.denominator), self.factors)
 
     def __eq__(self, other):
         return (isinstance(other, RatFactorization)

@@ -276,12 +276,15 @@ _INTEGER_STEPS = ("_good_prime", "gfp_factor_squarefree", "_edf",
                   "primitive_gcd_cofactors", "rp_real_root_count")
 _RATIONAL_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "from_int_list",
                    "resultant", "divmod", "rp_gcd"}
-# the local square test of nf_sqrt and the Trager steps it avoids
-_LOCAL_STEPS = ("_local_nonsquare", "_local_roots", "_mod_p")
+# the local square test of nf_sqrt and the search and the Trager steps it
+# avoids
+_LOCAL_STEPS = ("local_nonresidue", "_local_nonsquare", "_local_roots",
+                "_mod_p")
 _TRAGER_NAMES = {"Fr", "Fraction", "RatPoly", "QQ", "resultant",
                  "nf_poly_norm", "nf_factor_squarefree", "rp_factor"}
-# the trial polynomial of the zero-divisor search, which goes to nf_sqrt
-_TRIAL_STEPS = ("_trial_value",)
+# the local screen of a zero-divisor search trial, and the trial
+# polynomial that goes to nf_sqrt when the screen passes it
+_TRIAL_STEPS = ("_trial_nonsquare", "_trial_value")
 # the order steps of maxorder and the rational or random names they avoid
 _ORDER_STEPS = ("_ztheta", "_p_maximalize", "_component_split",
                 "maximal_order", "splitting_type")
@@ -372,15 +375,16 @@ def test_inverse_stays_in_the_field_with_one_cofactor():
 
 
 def test_local_square_test_stays_over_the_integers():
-    """The pre-test of nf_sqrt works mod p; arithmetic over Q or a
-    Trager step inside it shows here."""
+    """The pre-test of nf_sqrt and of the search works mod p; arithmetic
+    over Q or a Trager step inside it shows here."""
     assert _names_named("numberfield.py", _LOCAL_STEPS, _TRAGER_NAMES) == []
 
 
 def test_search_trial_stays_over_the_integers():
-    """Each search trial is one polynomial in the integer coordinates,
-    which L.element reduces; field arithmetic, a square root or a Trager
-    step inside it shows here."""
+    """Each search trial is screened mod small primes on its integer
+    coordinates, then is one polynomial in them, which L.element
+    reduces; field arithmetic, a square root or a Trager step inside
+    either shows here."""
     assert _names_named("quadform.py", _TRIAL_STEPS,
                         _TRAGER_NAMES | {"nf_sqrt"}) == []
 

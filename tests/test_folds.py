@@ -47,7 +47,8 @@ from quatpoly.numberfield import (INFINITE_PLACE, NFElement, NumberField,
                                   hilbert_symbol, is_local_square,
                                   nf_factor_squarefree, nf_poly_norm,
                                   nf_quadratic_candidates,
-                                  nf_quartic_subfields, nf_sqrt)
+                                  nf_quartic_subfields, nf_splits_quaternion,
+                                  nf_sqrt)
 from quatpoly.parser import parse_poly
 from quatpoly.qpoly import (BeckDecomposition, Factorization, QPoly,
                             beck_decompose, factor_central_irreducible,
@@ -60,7 +61,8 @@ from quatpoly.quadform import (ZeroDivisorCertificate, quaternary_isotropic,
                                ternary_isotropic, ternary_local_obstruction)
 from quatpoly.quatalg import Quaternion, QuaternionAlgebra, q_inv
 from quatpoly.ratpoly import (RatPoly, from_int_list, rp_gcd,
-                              rp_is_irreducible, squarefree_decomposition)
+                              rp_is_irreducible, rp_real_root_count,
+                              squarefree_decomposition)
 
 # Q as a field object of dense.py, on Fractions: the reference code below
 # computes over it, and the library, whose Q[x] is RatPoly, does not
@@ -1137,6 +1139,47 @@ def test_integer_beck_check_fires(monkeypatch):
         monkeypatch.setattr(qpoly, "primitive_gcd_cofactors", fake)
         with pytest.raises(InternalInvariantViolation, match="mismatch"):
             beck_decompose(p)
+
+
+def rnd_central(rng, A):
+    """A central QPoly of degree 0 to 5 with rational, mostly non-monic
+    coefficients."""
+    c = [Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+         for _ in range(rng.randint(1, 6))]
+    c[-1] = c[-1] or Fr(5, 3)
+    return QPoly.from_ratpoly(A, RatPoly(c))
+
+
+def test_scalar_beck_is_the_general_beck(monkeypatch):
+    """A central polynomial with rational, non-monic coefficients is read
+    off its scalar column, and decomposes as ref_beck_decompose and the
+    general path of beck_decompose decompose it, over six algebras, among
+    them (-1, -1), (-1, -3), (-1/2, -3) and (3/5, -7/3); a non-central
+    one is left to the general path."""
+    rng = random.Random(163)
+    inputs = [rnd_central(rng, A) for A in BECK_ALGEBRAS for _ in range(40)]
+    assert sum(not p.is_monic for p in inputs) >= 200
+    assert all(qpoly._scalar_beck(p) is not None for p in inputs)
+    got = [beck_decompose(p) for p in inputs]
+    monkeypatch.setattr(qpoly, "_scalar_beck", lambda p: None)
+    assert got == [beck_decompose(p) for p in inputs]
+    assert got == [ref_beck_decompose(p) for p in inputs]
+    A = QuaternionAlgebra(-1, -1)
+    assert qpoly._scalar_beck(QPoly(A, [A.i, A.one()])) is None
+
+
+def test_scalar_beck_check_fires(monkeypatch):
+    """A central part that does not multiply back to p fails the check
+    on the scalar column."""
+    A = QuaternionAlgebra(-1, -3)
+    p = QPoly.from_ratpoly(A, RatPoly([Fr(1, 2), 3, 6]))
+
+    def wrong_central(c, den):
+        return from_int_list(c[:-1] + [c[-1] + 1], den)
+
+    monkeypatch.setattr(qpoly, "from_int_list", wrong_central)
+    with pytest.raises(InternalInvariantViolation, match="mismatch"):
+        beck_decompose(p)
 
 
 # ---------------------------------------------------------------------------
@@ -2702,23 +2745,26 @@ def test_unreduced_trial_is_the_reduced_trial_in_the_field():
 
 
 # three quartic fields, one with a non-integral minimal polynomial and one
-# under an algebra with non-integral alpha, and a sextic N(q) for a monic
-# cubic q over (-1, -1)
+# under an algebra with non-integral alpha, a sextic N(q) for a monic
+# cubic q over (-1, -1), and a quartic under (3/5, -7/3), whose
+# denominators are local primes of the screen
 SEARCH_CASES = [
     (-1, -1, from_int_list([6, 2, 9, -4, 1])),
     (-1, -1, RatPoly([Fr(5, 4), 1, 4, -1, 1])),
     (Fr(-1, 2), -3, from_int_list([6, -6, 3, 0, 1])),
     (-1, -1, from_int_list([8, -16, 10, 0, 2, -2, 1])),
+    (Fr(3, 5), Fr(-7, 3), from_int_list([6, 2, 9, -4, 1])),
 ]
 
 
 def test_search_reduced_by_the_field_gives_the_old_certificates():
-    """Seeds 0-9 give the certificates, or the SearchExhausted messages,
-    of the search that reduced each trial itself."""
+    """Seeds 0-29 give the certificates, or the SearchExhausted messages,
+    of the search that reduced each trial itself and sent every nonzero
+    one to nf_sqrt, unscreened."""
     found = 0
     for alpha, beta, minpoly in SEARCH_CASES:
         L = NumberField(minpoly)
-        for seed in range(10):
+        for seed in range(30):
             got, want = [], []
             for search, out in ((search_zero_divisor, got),
                                 (ref_search_zero_divisor, want)):
@@ -2730,6 +2776,63 @@ def test_search_reduced_by_the_field_gives_the_old_certificates():
             assert got == want
             found += not isinstance(want[0], str)
     assert found >= 2
+
+
+def test_trial_screen_rejects_only_what_nf_sqrt_rejects():
+    """The screen of a search trial on its integer coordinates proves the
+    trial value no square in L only where nf_sqrt finds no root, over
+    random algebras with rational parameters and random fields of degree
+    1 to 6; over an integral algebra it is the local test of nf_sqrt on
+    the reduced value, trial for trial."""
+    rng = random.Random(293)
+    fields = [NumberField.unchecked(m) for m in nf_minpolys(rng, 30)]
+    screened = integral = 0
+    for L in fields:
+        for _ in range(30):
+            alpha, beta = [Fr(rng.randint(-9, 9) or 1,
+                              rng.choice((1, 1, 2, 3, 5)))
+                           for _ in range(2)]
+            al, be = kernel_ints((alpha, beta))
+            d2 = (alpha.denominator * beta.denominator) ** 2
+            w = [int(c * d2) for c in (alpha, beta, -alpha * beta)]
+            h = rng.randint(0, 3)
+            a1, a2, a3 = [[rng.randint(-h, h) for _ in range(L.degree)]
+                          for _ in range(3)]
+            t = L.element(quadform._trial_value(al, be, a1, a2, a3))
+            got = quadform._trial_nonsquare(L, w, a1, a2, a3)
+            if got:
+                assert t and nf_sqrt(t, L) is None
+                screened += 1
+            if d2 == 1:
+                assert got == numberfield._local_nonsquare(t)
+                integral += 1
+    assert screened >= 200 and integral >= 200
+
+
+def test_sign_change_proves_a_real_root(monkeypatch):
+    """Wherever lc(f) f(0) < 0, f has a real root, on squarefree f of
+    degree 1 to 6 with rational coefficients; and nf_splits_quaternion
+    gives the answer of the Sturm count alone on the irreducible ones of
+    even degree, over four algebras."""
+    rng = random.Random(307)
+    fired, fields = 0, []
+    while len(fields) < 60:
+        n = rng.randint(1, 6)
+        f = RatPoly([Fr(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(n)] + [Fr(rng.choice((-3, -1, 1, 2)))])
+        if rp_gcd(f, f.derivative()).degree > 0:
+            continue
+        if numberfield._sign_change(f):
+            fired += 1
+            assert rp_real_root_count(f) > 0, f
+        if n % 2 == 0 and rp_is_irreducible(f):
+            fields.append(NumberField.unchecked(f.monic()))
+    assert fired >= 60
+    assert 10 <= sum(numberfield._sign_change(L.minpoly) for L in fields) < 50
+    pairs = [(A.alpha, A.beta, L) for A in ALGEBRAS for L in fields]
+    got = [nf_splits_quaternion(*a) for a in pairs]
+    monkeypatch.setattr(numberfield, "_sign_change", lambda f: False)
+    assert got == [nf_splits_quaternion(*a) for a in pairs]
 
 
 # ---------------------------------------------------------------------------

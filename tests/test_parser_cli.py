@@ -20,7 +20,7 @@ from quatpoly.parser import format_qpoly, parse_poly
 from quatpoly.qpoly import QPoly, qp_evaluate
 from quatpoly.quadform import ZeroDivisorCertificate
 from quatpoly.quatalg import QuaternionAlgebra
-from quatpoly.ratpoly import from_int_list
+from quatpoly.ratpoly import from_int_list, rp_factor
 
 H = QuaternionAlgebra(-1, -1)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -405,6 +405,26 @@ class TestCli:
         with pytest.raises(SplitAlgebra,
                            match=r"^\(4, -1 / Q\) is a matrix algebra"):
             QuaternionAlgebra(4, -1)
+
+    def test_factorization_past_the_int_digit_limit_is_a_typed_error(self):
+        """Outside run, repr of a RatFactorization whose content is past
+        Python's limit on the digits of an int is a PreconditionViolation,
+        as repr of its RatPoly factors is; under the default limit it
+        prints the content as str prints a rational."""
+        big = 10 ** 700
+        fac = rp_factor(from_int_list([big, big]))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(PreconditionViolation,
+                               match="number above 640 digits"):
+                repr(fac)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert repr(fac) == "RatFactorization(%d, [(RatPoly([1, 1]), 1)])" \
+            % big
+        assert repr(rp_factor(from_int_list([3, 0, 6], 4))) == \
+            "RatFactorization(3/2, [(RatPoly([1/2, 0, 1]), 1)])"
 
     def test_internal_error_exit(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
